@@ -220,10 +220,11 @@ def backward_recursion(model: NominalModel) -> CostTable:
             children = [rho[child_counts(st.counts, x)] for x in range(k)]
             d_slice, sm = supconv(children, 1)
             lifted = lift_identity(d_slice)
-            rho[st.counts] = cap_min_const(lifted, st.g)
+            t_star = crossing_point(lifted, st.g)
+            rho[st.counts] = cap_min_const(lifted, st.g, crossing=t_star)
             d[st.counts] = d_slice
             split[st.counts] = sm
-            z0_star[st.counts] = crossing_point(lifted, st.g)
+            z0_star[st.counts] = t_star
 
     return CostTable(model, states, rho, d, split, z0_star)
 

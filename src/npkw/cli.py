@@ -161,6 +161,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "probe", None):
         probes = [_pmf(p) for p in args.probe]
     grid = _grid(args.grid) if getattr(args, "grid", None) else None
+    trials = getattr(args, "trials", 1000)
+    if trials < 1:
+        raise UsageError("trials must be at least 1")
     return RunConfig(
         model=model,
         table_path=table_path,
@@ -169,7 +172,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         probes=probes,
         grid=grid,
         seed=getattr(args, "seed", 0) or 0,
-        trials=getattr(args, "trials", 1000) or 1000,
+        trials=trials,
         strategy=getattr(args, "strategy", "fixed") or "fixed",
     )
 
@@ -180,6 +183,10 @@ def _write_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        # mkstemp makes the file private (0600); give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -2,8 +2,8 @@
 
 From a solved :class:`~npkw.bellman.CostTable` this module materializes the
 optimal randomized sequential test together with the adversary's least
-favorable distribution (LFD) as one tree of :class:`PolicyNode` records, one
-per observable history:
+favorable distribution (LFD) as one tree of :class:`PolicyNode` records over
+the observable histories, identical subtrees stored once (a DAG):
 
 * ``p_continue`` — probability the test takes another sample at this node
   (1 strictly inside the continuation region, 0 strictly inside the stopping
@@ -52,7 +52,13 @@ class ExtractionError(ValueError):
 
 @dataclass
 class PolicyNode:
-    """One observable history in the extracted design.
+    """The extracted design at one observable history.
+
+    Nodes are hash-consed on ``(state.counts, z0, e_enter)`` — the count
+    vector, the adversary mass and the parent's promise, which is the entry
+    label — so every history with the same triple shares one object, also in
+    display cuts (whose cut depth is a function of the counts).  Mutating a
+    node changes it at every history that reaches it.
 
     ``decision`` is None while continuing for sure; ``e_continue``,
     ``lfd_probs`` and ``children`` are None at sure-stop nodes.  A node with
@@ -109,10 +115,10 @@ def _stop_node(state: DesignState, z0: Fraction, model: NominalModel,
 def extract_tree(table: CostTable, max_depth: Optional[int] = None) -> PolicyNode:
     """Materialize the optimal policy / LFD tree from a solved cost table.
 
-    ``max_depth`` (relative to the root) cuts the tree for display; the
-    returned nodes keep exact labels but nodes at the cut carry
-    ``children = None`` even where they continue.  Verification and
-    evaluation need the full tree (``max_depth=None``).
+    ``max_depth`` cuts the tree for display; the returned nodes keep exact
+    labels but nodes at the cut carry ``children = None`` even where they
+    continue.  Verification and evaluation need the full tree
+    (``max_depth=None``).
 
     The root enters unconditionally; its ``e_enter`` is the right derivative
     of the root cost slice at z0 = 1 — the smallest expected sample size
@@ -121,49 +127,38 @@ def extract_tree(table: CostTable, max_depth: Optional[int] = None) -> PolicyNod
     promise falls outside the child's superdifferential (the equalization
     law would be violated, meaning the table is inconsistent).
     """
-    model = table.model
-    root_counts = (0,) * model.alphabet_size
-    # Zero-mass subtrees depend only on (counts, promise); sharing them turns
-    # the materialized tree into a DAG and keeps full extraction linear in
-    # the number of distinct histories.  Display cuts are depth-relative, so
-    # sharing is only safe on full extractions.
-    memo: Optional[dict] = {} if max_depth is None else None
-    return _extract(table, model, root_counts, Fraction(1), None, max_depth, 0,
-                    memo)
+    # Hash-consed on (counts, z0, promise): a subtree reads only the table at
+    # its counts, its mass and its parent's promise, and its depth, hence the
+    # display cut too, is that of its counts (extraction starts at the root).
+    root_counts = (0,) * table.model.alphabet_size
+    return _extract(table, root_counts, Fraction(1), None, max_depth, {})
 
 
 def _extract(
     table: CostTable,
-    model: NominalModel,
     counts: tuple[int, ...],
     z0: Fraction,
     promised: Optional[int],
     max_depth: Optional[int],
-    rel_depth: int,
-    memo: Optional[dict] = None,
+    memo: dict,
 ) -> PolicyNode:
-    share = memo is not None and z0 == 0
-    if share:
-        cached = memo.get((counts, promised))
-        if cached is not None:
-            return cached
-    node = _extract_node(table, model, counts, z0, promised, max_depth,
-                         rel_depth, memo)
-    if share:
-        memo[(counts, promised)] = node
+    key = (counts, z0, promised)
+    node = memo.get(key)
+    if node is None:
+        node = memo[key] = _extract_node(table, counts, z0, promised,
+                                         max_depth, memo)
     return node
 
 
 def _extract_node(
     table: CostTable,
-    model: NominalModel,
     counts: tuple[int, ...],
     z0: Fraction,
     promised: Optional[int],
     max_depth: Optional[int],
-    rel_depth: int,
-    memo: Optional[dict],
+    memo: dict,
 ) -> PolicyNode:
+    model = table.model
     state = table.states[counts]
     if state.depth == model.horizon:
         return _stop_node(state, z0, model, promised, True)
@@ -259,13 +254,13 @@ def _extract_node(
             lfd = tuple(w / total for w in weights)
 
     children: Optional[tuple[PolicyNode, ...]]
-    if max_depth is not None and rel_depth >= max_depth:
+    if max_depth is not None and state.depth >= max_depth:
         children = None
     else:
         # equalization: every child is promised c, weighted or not
         children = tuple(
-            _extract(table, model, child_counts(counts, x), alloc[x], c,
-                     max_depth, rel_depth + 1, memo)
+            _extract(table, child_counts(counts, x), alloc[x], c,
+                     max_depth, memo)
             for x in range(model.alphabet_size)
         )
 
@@ -292,9 +287,9 @@ def iter_nodes(root: PolicyNode) -> Iterator[PolicyNode]:
 
 
 def iter_unique_nodes(root: PolicyNode) -> Iterator[PolicyNode]:
-    """Each distinct node object once.  Full extraction shares zero-mass
-    subtrees (they depend only on state and promise), so the materialized
-    structure is a DAG; node-local queries should walk it this way."""
+    """Each distinct node object once.  Extraction shares every subtree
+    with the same (counts, z0, promise), so the materialized structure is a
+    DAG; node-local queries should walk it this way."""
     seen: set[int] = set()
     stack = [root]
     while stack:
@@ -636,7 +631,8 @@ class LfdSupportReport:
     state it leads to stops surely anyway — the sample taken on entering
     it would have been the last.  Mass placed *outside* the mutual support
     kills one hypothesis's likelihood, so it is only allowed where every
-    next state stops surely.  ``offending`` lists violating symbol paths.
+    next state stops surely.  ``offending`` names one symbol path per
+    violating node, the first that depth-first search reaches, sorted.
     """
 
     passes: bool

@@ -264,16 +264,22 @@ def crossing_point(f: PwlConcave, c: RationalLike) -> Fraction | None:
     return None
 
 
-def cap_min_const(f: PwlConcave, c: RationalLike) -> PwlConcave:
+_UNKNOWN = object()
+
+
+def cap_min_const(f: PwlConcave, c: RationalLike, *,
+                  crossing: Fraction | None | object = _UNKNOWN) -> PwlConcave:
     """Pointwise minimum min(f, c) for a nonnegative constant c.
 
     The result is again concave nondecreasing with integer slopes: f is kept
-    up to the crossing point and continued flat afterwards.
+    up to the crossing point and continued flat afterwards.  A caller that
+    already holds ``crossing_point(f, c)`` passes it as ``crossing`` to skip
+    a second scan of f.
     """
     level = rat(c)
     if level < 0:
         raise ValueError("cap level must be nonnegative")
-    t_star = crossing_point(f, level)
+    t_star = crossing_point(f, level) if crossing is _UNKNOWN else crossing
     if t_star is None:
         return f
     if t_star == 0:

@@ -149,8 +149,8 @@ def best_response_cost(root, lam1: Fraction, lam2: Fraction) -> Fraction:
     stopping risk ``min(lam1*z1, lam2*z2)`` on stopping — error terms weigh
     the hypothesis likelihoods, not the adversary, so they do *not* scale
     with the entering mass and the recursion must carry it.  Histories that
-    share a node object and a mass (all the zero-mass ones do) share their
-    value.  A design is a best response exactly when this equals its own
+    share a node object and a mass (extraction shares a node only between
+    histories entering it with the same mass) share their value.  A design is a best response exactly when this equals its own
     Lagrangian cost.
     """
     memo: dict[tuple[int, Fraction], Fraction] = {}

@@ -31,6 +31,7 @@ from npkw.bellman import (
 )
 from npkw.cli import main
 from npkw.policy import (
+    _by_depth,
     evaluate,
     extract_tree,
     find_node,
@@ -233,14 +234,20 @@ def test_criterion_06_lfd_support(fig_tree, fig_model, fig_display):
 
     # deeper levels do zero out arrows, but only into children that stop
     # surely anyway (the sample carried by such an arrow would have been
-    # the last) — the one degeneracy the support property allows
+    # the last) — the one degeneracy the support property allows.  Arrows
+    # are counted once per history: a shared node counts as many times as
+    # there are root paths to it.
+    n_histories = {id(fig_tree): 1}
     degenerate = 0
-    for node in iter_unique_nodes(fig_tree):
+    for node in _by_depth(fig_tree):
+        mult = n_histories[id(node)]
         if node.p_continue > 0 and node.lfd_probs is not None:
             for x, q in enumerate(node.lfd_probs):
                 if q == 0:
-                    degenerate += 1
+                    degenerate += mult
                     assert node.children[x].sure_stop_state
+        for child in node.children or ():
+            n_histories[id(child)] = n_histories.get(id(child), 0) + mult
     assert degenerate == 46_808
     print("criterion 06: PASS — support certificate holds; displayed levels "
           "strictly interior")

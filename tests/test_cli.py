@@ -6,6 +6,8 @@ of these tests — exactness does not depend on the horizon.
 """
 
 import json
+import os
+import stat
 from fractions import Fraction as F
 
 import pytest
@@ -278,6 +280,30 @@ def test_simulate_adversarial_strategy(table9, capsys):
             "--trials", "50", "--seed", "3"]
     assert main(argv) == 0
     assert "strategy: lfd" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_simulate_nonpositive_trials_is_usage_error(table9, trials, capsys):
+    # no silent fallback to the default count, no empty "mean" of 0
+    rc = main(["simulate", "--table", str(table9), "--trials", trials])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "trials" in captured.err and captured.out == ""
+
+
+def test_outputs_get_the_mode_open_would_give(tmp_path):
+    old = os.umask(0o022)
+    try:
+        assert main(["design", *MODEL9, "--out", str(tmp_path / "t.json")]) == 0
+        assert main(["tree", *MODEL9, "--depth", "2",
+                     "--out", str(tmp_path / "tree")]) == 0
+        os.umask(0o027)
+        assert main(["eval", *MODEL9, "--out", str(tmp_path / "e.json")]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {"t.json": 0o644, "tree.dot": 0o644, "tree.json": 0o644,
+                     "e.json": 0o640}
 
 
 def test_simulate_bad_strategy_is_usage_error(table9):

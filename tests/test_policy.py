@@ -203,14 +203,36 @@ def test_fig_best_response(fig_table, fig_tree, fig_model):
     assert br == pwl_eval(fig_table.rho[(0, 0)], 1)
 
 
-def test_fig_sharing_is_a_dag(fig_tree):
+def test_fig_sharing_is_a_dag(fig_tree, fig_display):
     n_virtual = sum(1 for _ in iter_nodes(fig_tree))
     n_unique = sum(1 for _ in iter_unique_nodes(fig_tree))
     assert n_virtual == 947799
-    assert n_unique == 132595
+    assert n_unique == 2248
+    # hash-consing: one node object per (counts, z0, entry label), in full
+    # extractions and display cuts alike
+    for root, expected in ((fig_tree, 2248), (fig_display, 75)):
+        nodes = list(iter_unique_nodes(root))
+        keys = {(n.state.counts, n.z0, n.e_enter) for n in nodes}
+        assert len(nodes) == len(keys) == expected
     # node-local queries agree between the two walks
     assert max(n.e_continue or 0 for n in iter_nodes(fig_tree)) == \
         max(n.e_continue or 0 for n in iter_unique_nodes(fig_tree))
+
+
+def test_fig_long_horizon_certified():
+    # the paper's model at horizon 27: over 27 million symbol paths, cheap
+    # to extract and certify as a DAG
+    model = bernoulli_model(horizon=27, **FIG_MODEL)
+    table = backward_recursion(model)
+    root = extract_tree(table)
+    cert = verify_equalization(root)
+    assert cert.passes and cert.c_root == 3
+    assert cert.n_paths == 27_025_268
+    assert verify_lfd_support(root, model).passes
+    rep = evaluate(root, list(model.p1))
+    assert rep.expected_sample_size == 3
+    assert rep.expected_sample_size + 20 * rep.alpha1 + 20 * rep.alpha2 == \
+        pwl_eval(table.rho[(0, 0)], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +250,21 @@ def test_equalization_rejects_mutation():
     assert cert.violating_paths  # concrete witnesses come back
     path, value = cert.violating_paths[0]
     assert path[:2] == (1, 1) and value != cert.c_root
+    victim.p_continue = original
+    assert verify_equalization(root).passes
+
+
+def test_equalization_rejects_mutation_of_shared_node():
+    _, _, root = small_fig(8)
+    # histories 01 and 10 reach counts (1, 1) with the same mass and promise
+    victim = find_node(root, (0, 1))
+    assert victim is find_node(root, (1, 0)) and victim.z0 > 0
+    original = victim.p_continue
+    victim.p_continue = Fraction(1, 2)
+    cert = verify_equalization(root)
+    assert not cert.passes
+    # the broken node is reported through both histories that reach it
+    assert {path[:2] for path, _ in cert.violating_paths} == {(0, 1), (1, 0)}
     victim.p_continue = original
     assert verify_equalization(root).passes
 

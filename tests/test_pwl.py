@@ -252,6 +252,14 @@ def test_cap_is_pointwise_min(f, c):
 
 
 @settings(**SETTINGS)
+@given(pwl_functions(), st.fractions(min_value=0, max_value=6, max_denominator=8))
+def test_cap_with_known_crossing_is_the_same_cap(f, c):
+    # the recursion passes the crossing it needs anyway instead of rescanning
+    t_star = crossing_point(f, c)
+    assert cap_min_const(f, c, crossing=t_star) == cap_min_const(f, c)
+
+
+@settings(**SETTINGS)
 @given(pwl_functions(), st.fractions(min_value=0, max_value=1, max_denominator=32))
 def test_superdiff_is_a_supergradient_interval(f, frac):
     t = f.domain_upper * frac
