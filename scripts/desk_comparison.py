@@ -19,33 +19,20 @@ from npkw import (
     fsst_analyze,
     fsst_design,
     kwt_analyze,
-    kwt_design,
-    make_model,
+    kwt_matched,
     sprt_analyze,
     sprt_design,
 )
-
-
-def matched_kwt(model, alpha1, alpha2, horizon=80):
-    """Double the error weight until the Kiefer-Weiss test is at least as
-    accurate as the given targets under both hypotheses."""
-    lam = 2
-    while True:
-        probe = make_model(list(model.p1), list(model.p2),
-                           lam1=lam, lam2=lam, horizon=horizon)
-        design = kwt_design(probe, (Fraction(1, 2), Fraction(1, 2)))
-        _, _, h2 = kwt_analyze(design, probe, probe.p1[1])
-        _, h1, _ = kwt_analyze(design, probe, probe.p2[1])
-        if h2 <= alpha1 and h1 <= alpha2:
-            return design, probe
-        lam *= 2
 
 
 def report(theta1: str, theta2: str, alpha: Fraction) -> None:
     model = bernoulli_model(theta1, theta2, lam1=1, lam2=1, horizon=1)
     sprt = sprt_design(model, alpha)
     fsst = fsst_design(model, alpha)
-    kwt, kwt_model = matched_kwt(model, sprt.alpha1, sprt.alpha2)
+    try:
+        kwt, kwt_model = kwt_matched(model, sprt.alpha1, sprt.alpha2)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from exc
 
     nominal = sprt_analyze(sprt.design, model.p1[1])
     middle = sprt_analyze(sprt.design, Fraction(1, 2))

@@ -84,6 +84,7 @@ from npkw.baselines import (
     fsst_design,
     kwt_analyze,
     kwt_design,
+    kwt_matched,
     sample_size_curve,
     sprt_analyze,
     sprt_design,
@@ -114,5 +115,5 @@ __all__ = [
     "SprtDesign", "SprtAnalysis", "SprtDesignReport", "sprt_design",
     "sprt_analyze", "sprt_errors", "FsstDesign", "fsst_design",
     "fsst_analyze", "KwtDesign", "kwt_design", "kwt_analyze",
-    "CurveRow", "sample_size_curve", "curves_to_csv",
+    "kwt_matched", "CurveRow", "sample_size_curve", "curves_to_csv",
 ]

@@ -19,7 +19,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .bellman import NominalModel
+from .bellman import NominalModel, make_model
 from .pwl import RationalLike, rat
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "KwtDesign",
     "kwt_design",
     "kwt_analyze",
+    "kwt_matched",
     "CurveRow",
     "sample_size_curve",
     "curves_to_csv",
@@ -289,14 +290,6 @@ class KwtDesign:
         return self.continue_bounds[-1][0] + 1
 
 
-def _likelihoods(model: NominalModel, n: int, m: int) -> tuple[Fraction, Fraction]:
-    t1, t2 = model.p1[1], model.p2[1]
-    return (
-        t1**m * (1 - t1) ** (n - m),
-        t2**m * (1 - t2) ** (n - m),
-    )
-
-
 def kwt_design(model: NominalModel, p0_worst: Iterable[RationalLike]) -> KwtDesign:
     """Backward induction for min E_P0[tau] + lam1*alpha1 + lam2*alpha2.
 
@@ -304,34 +297,64 @@ def kwt_design(model: NominalModel, p0_worst: Iterable[RationalLike]) -> KwtDesi
     Bernoulli(1/2) is the worst case for symmetric hypotheses.  All three
     measures are exchangeable, so per-path values depend only on (n, m)
     and the objective splits path by path: no binomial weights needed.
+
+    The induction runs in integers.  With D the lcm of the denominators of
+    theta1, theta2 and both entries of ``p0_worst`` (so every per-symbol
+    probability is an integer over D) and L the lcm of the two lambda
+    denominators, every value at (n, m) — the stop risks lam*z, the
+    sampling mass P0(path) and the values of later states — is multiplied
+    by the one positive constant L * D**horizon.  A stop risk becomes
+    (lam1*L) * a1**m * b1**(n-m) * D**(horizon-n), the sampling mass
+    L * g1**m * g0**(n-m) * D**(horizon-n), and sums of later values stay
+    sums.  Every comparison is the exact rational one times that constant,
+    so the actions and bounds are those of the rational recursion.
     """
     _require_coin(model)
     p0 = tuple(rat(v) for v in p0_worst)
     if len(p0) != 2 or any(v < 0 for v in p0) or sum(p0) != 1:
         raise ValueError("p0_worst must be a PMF on {failure, success}")
     horizon = model.horizon
+    t1, t2 = model.p1[1], model.p2[1]
+    den = math.lcm(t1.denominator, t2.denominator,
+                   p0[0].denominator, p0[1].denominator)
+    lam_den = math.lcm(model.lam1.denominator, model.lam2.denominator)
+
+    def powers(prob: Fraction, scale: int = 1) -> list[int]:
+        base = prob.numerator * (den // prob.denominator)
+        out = [scale]
+        for _ in range(horizon):
+            out.append(out[-1] * base)
+        return out
+
+    # risk tables carry their lambda, the sampling table carries L
+    a1 = powers(t1, model.lam1.numerator * (lam_den // model.lam1.denominator))
+    b1 = powers(1 - t1)
+    a2 = powers(t2, model.lam2.numerator * (lam_den // model.lam2.denominator))
+    b2 = powers(1 - t2)
+    g1 = powers(p0[1], lam_den)
+    g0 = powers(p0[0])
+    rest = powers(Fraction(1))  # rest[k] = D**k
 
     actions: dict[tuple[int, int], str] = {}
-    value: dict[tuple[int, int], Fraction] = {}
+    later: list[int] = []  # scaled values of the states at n + 1
     for n in range(horizon, -1, -1):
+        scale = rest[horizon - n]
+        row = []
         for m in range(n + 1):
-            z1, z2 = _likelihoods(model, n, m)
-            r1 = model.lam1 * z1  # paid when deciding H2
-            r2 = model.lam2 * z2  # paid when deciding H1
+            r1 = a1[m] * b1[n - m] * scale  # paid when deciding H2
+            r2 = a2[m] * b2[n - m] * scale  # paid when deciding H1
             stop = min(r1, r2)
             if n < horizon:
-                p0_mass = p0[1] ** m * p0[0] ** (n - m)
-                cont = p0_mass + value[(n + 1, m + 1)] + value[(n + 1, m)]
-            else:
-                cont = None
-            if cont is None or stop <= cont:
-                value[(n, m)] = stop
+                cont = g1[m] * g0[n - m] * scale + later[m + 1] + later[m]
+            if n == horizon or stop <= cont:
+                row.append(stop)
                 actions[(n, m)] = (
                     "H1" if r2 < r1 else "H2" if r1 < r2 else "randomized"
                 )
             else:
-                value[(n, m)] = cont
+                row.append(cont)
                 actions[(n, m)] = "continue"
+        later = row
 
     # Bounds are reported over *reachable* continuation states: backward
     # induction also labels states the test can never enter, and those can
@@ -383,6 +406,80 @@ def kwt_analyze(
         reach = nxt
     assert not reach, "mass survived past the horizon"
     return e_tau, p_h1, p_h2
+
+
+def _error_sum_floor(model: NominalModel, horizon: int) -> Fraction:
+    """Least alpha1 + alpha2 of any test that stops by sample ``horizon``:
+    the equal-weight Neyman-Pearson test on all ``horizon`` samples,
+    sum_s C(H, s) * min(theta1^s (1-theta1)^(H-s), theta2^s (1-theta2)^(H-s))."""
+    t1, t2 = _require_coin(model)
+    den = math.lcm(t1.denominator, t2.denominator)
+    # theta and 1 - theta as integers over den
+    a1, a2 = (t.numerator * (den // t.denominator) for t in (t1, t2))
+    b1, b2 = den - a1, den - a2
+    total = sum(
+        math.comb(horizon, s) * min(a1**s * b1 ** (horizon - s),
+                                    a2**s * b2 ** (horizon - s))
+        for s in range(horizon + 1)
+    )
+    return Fraction(total, den**horizon)
+
+
+def kwt_matched(
+    model: NominalModel,
+    alpha1: RationalLike,
+    alpha2: RationalLike,
+    horizon: int = 80,
+) -> tuple[KwtDesign, NominalModel]:
+    """The Kiefer-Weiss test at least as accurate as the given errors.
+
+    Doubles the common error weight lambda = 2, 4, 8, ... and solves
+    ``kwt_design`` at ``horizon`` under Bernoulli(1/2) until the design's
+    exact errors are at most ``alpha1`` under the first hypothesis and
+    ``alpha2`` under the second.  Returns the design and the model it was
+    solved for (the hypotheses of ``model`` with that lambda and horizon).
+
+    Raises ``ValueError`` in two cases.  Before any solve, when
+    ``alpha1 + alpha2`` lies below the least error sum of any test that
+    stops by ``horizon`` (``_error_sum_floor``); that is a necessary
+    condition only, and targets above it can still be out of reach.  And
+    when lambda passes H * D**H (D the lcm of the denominators of theta1,
+    theta2 and 1/2) without a match: in ``kwt_design``'s integer scaling
+    each value is lambda * A + B with integers A and 0 <= B <= H * D**H, so
+    past that lambda every comparison is decided by the A's alone and the
+    design no longer changes.
+    """
+    target1, target2 = rat(alpha1), rat(alpha2)
+    floor = _error_sum_floor(model, horizon)
+    if target1 + target2 < floor:
+        raise ValueError(
+            f"no test stopping by sample {horizon} reaches alpha1 + alpha2 = "
+            f"{float(target1 + target2):.4g}: the least error sum is "
+            f"{float(floor):.4g}"
+        )
+    t1, t2 = _require_coin(model)
+    frozen = horizon * math.lcm(t1.denominator, t2.denominator, 2) ** horizon
+    half = (Fraction(1, 2), Fraction(1, 2))
+    previous = None
+    lam = 2
+    while True:
+        probe = make_model(list(model.p1), list(model.p2),
+                           lam1=lam, lam2=lam, horizon=horizon)
+        design = kwt_design(probe, half)
+        if design.actions != previous:  # an unchanged table has not matched
+            _, _, h2 = kwt_analyze(design, probe, t1)
+            _, h1, _ = kwt_analyze(design, probe, t2)
+            if h2 <= target1 and h1 <= target2:
+                return design, probe
+        if lam > frozen:
+            raise ValueError(
+                f"no Kiefer-Weiss test at horizon {horizon} reaches "
+                f"alpha1 <= {float(target1):.4g} and "
+                f"alpha2 <= {float(target2):.4g}, and no lambda past "
+                f"2**{lam.bit_length() - 1} changes its design"
+            )
+        previous = design.actions
+        lam *= 2
 
 
 # ---------------------------------------------------------------------------

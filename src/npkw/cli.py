@@ -25,12 +25,15 @@ from typing import Optional, Sequence
 
 from .baselines import (
     FsstDesign,
+    KwtDesign,
+    SprtDesignReport,
+    curves_to_csv,
     fsst_analyze,
     fsst_design,
-    kwt_analyze,
+    kwt_analyze,  # unused here; benchmark/tracer.py times it by this name
     kwt_design,
+    kwt_matched,
     sample_size_curve,
-    sprt_analyze,
     sprt_design,
     _sig12,
 )
@@ -299,23 +302,10 @@ def cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def _threshold_rows(model: NominalModel) -> list[str]:
+def _threshold_rows(sprt: SprtDesignReport, fsst: FsstDesign,
+                    kwt: KwtDesign) -> list[str]:
     """Continue-region bounds per sample count for the three baselines,
     matched to the strictest published error level (1e-4)."""
-    sprt = sprt_design(model, Fraction(1, 10_000))
-    fsst = fsst_design(model, Fraction(1, 10_000))
-    lam = 2
-    while True:
-        probe = make_model(
-            list(model.p1), list(model.p2),
-            lam1=lam, lam2=lam, horizon=80,
-        )
-        kwt = kwt_design(probe, (Fraction(1, 2), Fraction(1, 2)))
-        _, _, h2 = kwt_analyze(kwt, probe, probe.p1[1])
-        _, h1, _ = kwt_analyze(kwt, probe, probe.p2[1])
-        if h2 <= sprt.alpha1 and h1 <= sprt.alpha2:
-            break
-        lam *= 2
     rows = ["test_name,n,lower,upper"]
     horizon = max(kwt.truncation_level, fsst.n)
     for n in range(horizon):
@@ -330,10 +320,6 @@ def _threshold_rows(model: NominalModel) -> list[str]:
 def _sweep_rows(model: NominalModel) -> list[str]:
     """Average error of the adversarially-robust design as the horizon
     grows through odd values, against the three-sample majority vote."""
-    if model.lam1 != model.lam2:
-        raise UsageError("horizon sweep needs lambda1 == lambda2")
-    if model.horizon < 3:
-        raise UsageError("horizon sweep needs --horizon >= 3")
     fsst_err = sum(fsst_analyze(FsstDesign(3, 2), model), Fraction(0)) / 2
     rows = ["horizon,average_error,fsst_average_error"]
     for n in range(3, model.horizon + 1, 2):
@@ -357,43 +343,40 @@ def cmd_compare(cfg: RunConfig) -> int:
     model = cfg.model
     if model.alphabet_size != 2:
         raise UsageError("compare baselines are defined for binary alphabets")
+    if model.lam1 != model.lam2:
+        raise UsageError("horizon sweep needs lambda1 == lambda2")
+    if model.horizon < 3:
+        raise UsageError("horizon sweep needs --horizon >= 3")
     grid = cfg.grid or [Fraction(i, 20) for i in range(1, 20)]
 
     sprt = sprt_design(model, Fraction(1, 10_000))
     fsst = fsst_design(model, Fraction(1, 10_000))
-    kwt_model = make_model(
-        list(model.p1), list(model.p2),
-        lam1=model.lam1, lam2=model.lam2, horizon=model.horizon,
-    )
-    kwt = kwt_design(kwt_model, (Fraction(1, 2), Fraction(1, 2)))
-    curve_rows = (
+    try:
+        matched, _ = kwt_matched(model, sprt.alpha1, sprt.alpha2)
+    except ValueError as exc:
+        raise UsageError(f"cannot match the SPRT's errors: {exc}") from exc
+    kwt = kwt_design(model, (Fraction(1, 2), Fraction(1, 2)))
+    curves = curves_to_csv(
         sample_size_curve(sprt.design, model, grid)
         + sample_size_curve(fsst, model, grid)
-        + sample_size_curve(kwt, kwt_model, grid)
+        + sample_size_curve(kwt, model, grid)
     )
-    curves = ["theta,expected_sample_size,alpha1,alpha2,test_name"]
-    for r in curve_rows:
-        curves.append(",".join((
-            _sig12(r.theta), _sig12(r.expected_sample_size),
-            _sig12(r.alpha1), _sig12(r.alpha2), r.test_name,
-        )))
-
-    thresholds = _threshold_rows(model)
-    sweep = _sweep_rows(model)
+    tables = (
+        ("curves", curves),
+        ("thresholds", "\n".join(_threshold_rows(sprt, fsst, matched)) + "\n"),
+        ("sweep", "\n".join(_sweep_rows(model)) + "\n"),
+    )
 
     if cfg.out:
         names = []
-        for suffix, rows in (
-            ("curves", curves), ("thresholds", thresholds), ("sweep", sweep),
-        ):
+        for suffix, text in tables:
             path = f"{cfg.out}_{suffix}.csv"
-            _write_atomic(path, "\n".join(rows) + "\n")
+            _write_atomic(path, text)
             names.append(path)
         print("comparison tables written: " + " ".join(names))
     else:
-        for rows in (curves, thresholds, sweep):
-            print("\n".join(rows))
-            print()
+        for _, text in tables:
+            print(text)
     return 0
 
 

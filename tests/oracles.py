@@ -173,3 +173,51 @@ def best_response_cost(root, lam1: Fraction, lam2: Fraction) -> Fraction:
         return v
 
     return w(root, Fraction(1))
+
+
+def kwt_fraction_induction(
+    theta1: Fraction,
+    theta2: Fraction,
+    lam1: Fraction,
+    lam2: Fraction,
+    horizon: int,
+    p0: tuple[Fraction, Fraction],
+) -> tuple[dict[tuple[int, int], str], tuple[tuple[int, int, int], ...]]:
+    """Modified Kiefer-Weiss backward induction in plain ``Fraction``s.
+
+    The value at (n samples, m successes) is min(stop, continue) with
+    stop = min(lam1*z1, lam2*z2) over the path likelihoods z1, z2 and
+    continue = P0(path) + V(n+1, m+1) + V(n+1, m), straight from the
+    definition, with every rational built afresh.  The package scales
+    everything to integers over one common denominator instead, so equal
+    actions are evidence that the scaling is exact.  Returns the actions
+    and the (n, min T_n, max T_n) bounds of the reachable continue region.
+    """
+    actions: dict[tuple[int, int], str] = {}
+    value: dict[tuple[int, int], Fraction] = {}
+    for n in range(horizon, -1, -1):
+        for m in range(n + 1):
+            r1 = lam1 * theta1**m * (1 - theta1) ** (n - m)
+            r2 = lam2 * theta2**m * (1 - theta2) ** (n - m)
+            stop = min(r1, r2)
+            cont = None
+            if n < horizon:
+                cont = (p0[1] ** m * p0[0] ** (n - m)
+                        + value[(n + 1, m + 1)] + value[(n + 1, m)])
+            if cont is None or stop <= cont:
+                value[(n, m)] = stop
+                actions[(n, m)] = (
+                    "H1" if r2 < r1 else "H2" if r1 < r2 else "randomized"
+                )
+            else:
+                value[(n, m)] = cont
+                actions[(n, m)] = "continue"
+    bounds = []
+    reachable = {0}
+    for n in range(horizon):
+        live = sorted(m for m in reachable if actions[(n, m)] == "continue")
+        if not live:
+            break
+        bounds.append((n, 2 * live[0] - n, 2 * live[-1] - n))
+        reachable = {m + step for m in live for step in (0, 1)}
+    return actions, tuple(bounds)

@@ -27,12 +27,16 @@ from npkw.baselines import (
     fsst_design,
     kwt_analyze,
     kwt_design,
+    kwt_matched,
     sample_size_curve,
     sprt_analyze,
     sprt_design,
     sprt_errors,
+    _error_sum_floor,
 )
 from npkw.bellman import bernoulli_model
+
+from oracles import kwt_fraction_induction
 
 FIG = bernoulli_model("0.8", "0.2", lam1=20, lam2=20, horizon=21)
 HALF = (F(1, 2), F(1, 2))
@@ -285,23 +289,13 @@ def test_kwt_asymmetric_p0_still_partitions():
     assert 0 <= e <= 6
 
 
-def matched_error_kwt(target1: F, target2: F, horizon: int = 80):
-    lam = 2
-    while True:
-        model = bernoulli_model("0.8", "0.2", lam1=lam, lam2=lam,
-                                horizon=horizon)
-        design = kwt_design(model, HALF)
-        _, _, h2 = kwt_analyze(design, model, "0.8")
-        _, h1, _ = kwt_analyze(design, model, "0.2")
-        if h2 <= target1 and h1 <= target2:
-            return design, model
-        lam *= 2
-        assert lam < 10**9
-
-
 def test_kwt_matched_error_shape_and_dominance():
     sprt = sprt_design(FIG, F(1, 10_000))
-    design, model = matched_error_kwt(sprt.alpha1, sprt.alpha2)
+    design, model = kwt_matched(FIG, sprt.alpha1, sprt.alpha2)
+    assert (model.lam1, model.lam2, model.horizon) == (2**15, 2**15, 80)
+    h2 = kwt_analyze(design, model, F(4, 5))[2]
+    h1 = kwt_analyze(design, model, F(1, 5))[1]
+    assert h2 <= sprt.alpha1 and h1 <= sprt.alpha2
 
     # thresholds intersect: the table truncates itself well before the cap
     assert design.truncation_level == 39 < design.horizon
@@ -322,6 +316,83 @@ def test_kwt_matched_error_shape_and_dominance():
         sprt_analyze(sprt.design, th).expected_sample_size for th in grid
     )
     assert kwt_worst <= sprt_worst
+
+
+@given(
+    theta1=st.fractions(min_value="1/30", max_value="29/30", max_denominator=30),
+    theta2=st.fractions(min_value="1/30", max_value="29/30", max_denominator=30),
+    lam1=st.fractions(min_value="1/7", max_value=200, max_denominator=7),
+    lam2=st.fractions(min_value="1/7", max_value=200, max_denominator=7),
+    horizon=st.integers(min_value=1, max_value=30),
+    p0_success=st.sampled_from(
+        [F(0), F(1), F(1, 2), F(1, 3), F(3, 4), F(2, 9), F(11, 12)]),
+)
+@settings(max_examples=60, deadline=None)
+def test_kwt_design_matches_fraction_oracle(theta1, theta2, lam1, lam2,
+                                            horizon, p0_success):
+    assume(theta1 != theta2)
+    model = bernoulli_model(theta1, theta2, lam1=lam1, lam2=lam2,
+                            horizon=horizon)
+    p0 = (1 - p0_success, p0_success)
+    design = kwt_design(model, p0)
+    actions, bounds = kwt_fraction_induction(
+        theta1, theta2, lam1, lam2, horizon, p0)
+    assert design.actions == actions
+    assert design.continue_bounds == bounds
+    assert design.truncation_level == (bounds[-1][0] + 1 if bounds else 0)
+    assert design.p0 == p0
+
+
+def test_error_sum_floor_by_enumeration():
+    # every length-H word, the smaller of its two likelihoods
+    for theta1, theta2, horizon in ((F(4, 5), F(1, 5), 6),
+                                    (F(7, 10), F(1, 3), 5)):
+        model = bernoulli_model(theta1, theta2, lam1=1, lam2=1, horizon=1)
+        brute = F(0)
+        for word in range(2**horizon):
+            s = bin(word).count("1")
+            brute += min(theta1**s * (1 - theta1) ** (horizon - s),
+                         theta2**s * (1 - theta2) ** (horizon - s))
+        assert _error_sum_floor(model, horizon) == brute
+
+
+@pytest.mark.parametrize("lam", [1, 5, 40, 10**6])
+def test_kwt_errors_never_beat_the_floor(lam):
+    model = bernoulli_model("0.7", "0.3", lam1=lam, lam2=lam, horizon=14)
+    design = kwt_design(model, HALF)
+    _, _, h2 = kwt_analyze(design, model, F(7, 10))
+    _, h1, _ = kwt_analyze(design, model, F(3, 10))
+    assert h1 + h2 >= _error_sum_floor(model, 14)
+
+
+def test_kwt_matched_rejects_unreachable_targets():
+    # the SPRT's 1e-4 errors on 0.7 vs 0.3 sum below what any test that
+    # stops by sample 80 can reach, so no lambda can match them
+    model = bernoulli_model("0.7", "0.3", lam1=20, lam2=20, horizon=9)
+    sprt = sprt_design(model, F(1, 10_000))
+    floor = _error_sum_floor(model, 80)
+    assert sprt.alpha1 + sprt.alpha2 < floor
+    assert abs(floor - F("1.967e-4")) < F(1, 10**7)
+    with pytest.raises(ValueError, match="least error sum"):
+        kwt_matched(model, sprt.alpha1, sprt.alpha2)
+    # a loose target on the same model still matches
+    design, probe = kwt_matched(model, F(1, 100), F(1, 100))
+    assert kwt_analyze(design, probe, F(7, 10))[2] <= F(1, 100)
+
+
+def test_kwt_matched_stops_where_the_design_freezes():
+    # every equal-lambda design decides H2 with positive probability under
+    # the first hypothesis, so alpha1 <= 0 is out of reach although the
+    # error sum clears the floor; past lambda = H * D**H = 6 * 10**6 the
+    # design is constant, and the search gives up there
+    model = bernoulli_model("0.8", "0.3", lam1=1, lam2=1, horizon=1)
+    with pytest.raises(ValueError, match=r"no lambda past 2\*\*23"):
+        kwt_matched(model, 0, 1, horizon=6)
+    frozen = kwt_design(bernoulli_model("0.8", "0.3", lam1=2**23,
+                                        lam2=2**23, horizon=6), HALF)
+    for lam in (2**24, 10**12):
+        later = bernoulli_model("0.8", "0.3", lam1=lam, lam2=lam, horizon=6)
+        assert kwt_design(later, HALF).actions == frozen.actions
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from npkw import baselines, cli
 from npkw.bellman import backward_recursion, bernoulli_model, cost_table_to_json_str
 from npkw.cli import main
 from npkw.policy import evaluate, extract_tree
@@ -216,6 +217,48 @@ def test_compare_usage_errors(capsys):
     assert main(argv) == 2  # baselines are coin-only
     assert main([*CMP9, "--grid", "0.5:0.9"]) == 2
     assert main([*CMP9, "--grid", "1.5"]) == 2
+
+
+def test_compare_rejects_bad_input_before_any_solve(monkeypatch, capsys):
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("kwt_design ran before the input was checked")
+
+    monkeypatch.setattr(cli, "kwt_design", no_solve)
+    monkeypatch.setattr(baselines, "kwt_design", no_solve)
+    argv = ["compare", "--theta1", "0.8", "--theta2", "0.2",
+            "--lambda1", "20", "--lambda2", "10", "--horizon", "9"]
+    assert main(argv) == 2
+    assert "lambda1 == lambda2" in capsys.readouterr().err
+    argv = ["compare", "--theta1", "0.8", "--theta2", "0.2",
+            "--lambda", "20", "--horizon", "2"]
+    assert main(argv) == 2
+    assert "--horizon >= 3" in capsys.readouterr().err
+
+
+def test_compare_unmatchable_model_exits_2(tmp_path, capsys):
+    # 0.7 vs 0.3: the SPRT's 1e-4 errors sum below what any test stopping
+    # by sample 80 reaches, so the matched-error search used to run forever
+    argv = ["compare", "--theta1", "0.7", "--theta2", "0.3",
+            "--lambda", "20", "--horizon", "9", "--out", str(tmp_path / "c")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "least error sum" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_designs_each_baseline_once(monkeypatch, capsys):
+    calls = {"sprt": 0, "fsst": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "sprt_design", counted("sprt", cli.sprt_design))
+    monkeypatch.setattr(cli, "fsst_design", counted("fsst", cli.fsst_design))
+    assert main([*CMP9, "--grid", "0.5"]) == 0
+    assert calls == {"sprt": 1, "fsst": 1}
 
 
 # ---------------------------------------------------------------------------
