@@ -378,34 +378,52 @@ def kwt_analyze(
     design: KwtDesign, model: NominalModel, theta: RationalLike
 ) -> tuple[Fraction, Fraction, Fraction]:
     """(expected sample size, P(decide H1), P(decide H2)) at Bernoulli(theta),
-    by exact forward iteration over the stop/continue table."""
+    by exact forward iteration over the stop/continue table.
+
+    With theta = a/D the mass at (n, m) is paths * a**m * b**(n-m) / D**n,
+    b = D - a, where ``paths`` counts the continuing paths into (n, m).  The
+    iteration pushes those integer counts forward and adds each mass to its
+    sum as an integer over 2 * D**horizon (the 2 for randomized ties), so
+    only the three results are reduced."""
     th = rat(theta)
     if not 0 < th < 1:
         raise ValueError("theta must lie strictly inside (0, 1)")
-    reach: dict[int, Fraction] = {0: Fraction(1)}
-    e_tau = Fraction(0)
-    p_h1 = Fraction(0)
-    p_h2 = Fraction(0)
-    for n in range(design.horizon + 1):
-        nxt: dict[int, Fraction] = {}
-        for m, mass in reach.items():
-            if mass == 0:
-                continue
+    horizon = design.horizon
+    den = th.denominator
+    a = th.numerator
+
+    def powers(base: int) -> list[int]:
+        out = [1]
+        for _ in range(horizon):
+            out.append(out[-1] * base)
+        return out
+
+    pa, pb, pd = powers(a), powers(den - a), powers(den)
+    paths: dict[int, int] = {0: 1}
+    e_tau = 0  # over D**horizon
+    h1 = 0     # over 2 * D**horizon
+    h2 = 0
+    for n in range(horizon + 1):
+        rest = pd[horizon - n]
+        nxt: dict[int, int] = {}
+        for m, count in paths.items():
+            mass = count * pa[m] * pb[n - m] * rest
             act = design.actions[(n, m)]
             if act == "continue":
                 e_tau += mass
-                nxt[m + 1] = nxt.get(m + 1, Fraction(0)) + mass * th
-                nxt[m] = nxt.get(m, Fraction(0)) + mass * (1 - th)
+                nxt[m + 1] = nxt.get(m + 1, 0) + count
+                nxt[m] = nxt.get(m, 0) + count
             elif act == "H1":
-                p_h1 += mass
+                h1 += 2 * mass
             elif act == "H2":
-                p_h2 += mass
+                h2 += 2 * mass
             else:  # randomized tie
-                p_h1 += mass / 2
-                p_h2 += mass / 2
-        reach = nxt
-    assert not reach, "mass survived past the horizon"
-    return e_tau, p_h1, p_h2
+                h1 += mass
+                h2 += mass
+        paths = nxt
+    assert not paths, "mass survived past the horizon"
+    scale = pd[horizon]
+    return Fraction(e_tau, scale), Fraction(h1, 2 * scale), Fraction(h2, 2 * scale)
 
 
 def _error_sum_floor(model: NominalModel, horizon: int) -> Fraction:

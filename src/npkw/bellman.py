@@ -28,8 +28,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, floor, log
-from typing import Iterator
+from math import comb, floor, gcd, lcm, log
+from typing import Callable, Iterator
 
 from .pwl import (
     PwlConcave,
@@ -42,6 +42,11 @@ from .pwl import (
     rat,
     supconv,
 )
+
+
+class ExtractionError(ValueError):
+    """The cost table disagrees with its model or with the policy laws — a
+    genuine bug upstream, or a table edited after it was written."""
 
 
 @dataclass(frozen=True)
@@ -132,16 +137,50 @@ class DesignState:
     g: Fraction
 
 
+def _state_maker(model: NominalModel,
+                 depth: int) -> Callable[[tuple[int, ...]], DesignState]:
+    """A builder of the states with at most ``depth`` samples, from integer
+    power tables.
+
+    With D the lcm of the denominators of both PMFs, every probability is
+    an integer over D, so a likelihood at depth n is a product of table
+    entries over D**n; with L the lcm of the lambda denominators the
+    stopping risk is min(l1*z1, l2*z2) over L * D**n.  Only the three
+    Fractions of each state are reduced.
+    """
+    den = lcm(*(v.denominator for v in model.p1 + model.p2))
+    lam_den = lcm(model.lam1.denominator, model.lam2.denominator)
+    l1 = model.lam1.numerator * (lam_den // model.lam1.denominator)
+    l2 = model.lam2.numerator * (lam_den // model.lam2.denominator)
+
+    def powers(p: Fraction) -> list[int]:
+        base = p.numerator * (den // p.denominator)
+        out = [1]
+        for _ in range(depth):
+            out.append(out[-1] * base)
+        return out
+
+    pow1 = [powers(v) for v in model.p1]
+    pow2 = [powers(v) for v in model.p2]
+    den_pow = powers(Fraction(1))  # den_pow[n] = D**n
+
+    def make(counts: tuple[int, ...]) -> DesignState:
+        z1 = z2 = 1
+        for x, c in enumerate(counts):
+            z1 *= pow1[x][c]
+            z2 *= pow2[x][c]
+        n = sum(counts)
+        scale = den_pow[n]
+        return DesignState(n, counts, Fraction(z1, scale), Fraction(z2, scale),
+                           Fraction(min(l1 * z1, l2 * z2), lam_den * scale))
+
+    return make
+
+
 def make_state(model: NominalModel, counts: tuple[int, ...]) -> DesignState:
     if len(counts) != model.alphabet_size or any(c < 0 for c in counts):
         raise ValueError("counts must be nonnegative, one per symbol")
-    z1 = Fraction(1)
-    z2 = Fraction(1)
-    for x, c in enumerate(counts):
-        z1 *= model.p1[x] ** c
-        z2 *= model.p2[x] ** c
-    g = min(model.lam1 * z1, model.lam2 * z2)
-    return DesignState(sum(counts), counts, z1, z2, g)
+    return _state_maker(model, sum(counts))(counts)
 
 
 def _counts_at_depth(k: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -162,8 +201,9 @@ def build_states(model: NominalModel) -> dict[int, list[DesignState]]:
     """
     out: dict[int, list[DesignState]] = {}
     k = model.alphabet_size
+    make = _state_maker(model, model.horizon)
     for n in range(model.horizon + 1):
-        states = [make_state(model, c) for c in _counts_at_depth(k, n)]
+        states = [make(c) for c in _counts_at_depth(k, n)]
         assert len(states) == comb(n + k - 1, k - 1)
         out[n] = states
     return out
@@ -318,25 +358,60 @@ def _frac_str(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def _parse_frac(s: str) -> Fraction:
-    return Fraction(s)
+def _ratio_str(num: int, den: int) -> str:
+    """``num/den`` in lowest terms, as ``_frac_str`` writes the Fraction."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
+def _parse_ratio(text: str) -> tuple[int, int]:
+    """(numerator, positive denominator) of a stored rational.  The writer
+    stores ``num/den``; any other form ``Fraction`` reads is accepted too."""
+    if not isinstance(text, str):
+        raise TypeError(f"not a rational string: {text!r}")
+    num, slash, den = text.partition("/")
+    try:
+        n, d = int(num), int(den) if slash else 1
+    except ValueError:
+        v = Fraction(text)
+        return v.numerator, v.denominator
+    if d <= 0:
+        raise ValueError(f"not a rational with a positive denominator: {text!r}")
+    return n, d
 
 
 def _slice_to_json(f: PwlConcave) -> dict:
+    scale = f.scale
     return {
-        "value_at_zero": _frac_str(f.value_at_zero),
-        "domain_upper": _frac_str(f.domain_upper),
+        "value_at_zero": _ratio_str(f.v0, scale),
+        "domain_upper": _ratio_str(f.upper, scale),
         "segments": [
-            {"slope": s, "width": _frac_str(w)} for s, w in f.segments
+            {"slope": s, "width": _ratio_str(w, scale)} for s, w in f.segs
         ],
     }
 
 
 def _slice_from_json(d: dict) -> PwlConcave:
-    return PwlConcave(
-        _parse_frac(d["value_at_zero"]),
-        tuple((seg["slope"], _parse_frac(seg["width"])) for seg in d["segments"]),
-        _parse_frac(d["domain_upper"]),
+    v0, v0_den = _parse_ratio(d["value_at_zero"])
+    upper, upper_den = _parse_ratio(d["domain_upper"])
+    segs = [(seg["slope"], *_parse_ratio(seg["width"])) for seg in d["segments"]]
+    scale = lcm(v0_den, upper_den, *(den for _, _, den in segs))
+    return PwlConcave.reduced(
+        scale,
+        v0 * (scale // v0_den),
+        [(s, w * (scale // den)) for s, w, den in segs],
+        upper * (scale // upper_den),
+    )
+
+
+def _split_from_json(entries: list, d_slice: PwlConcave, k: int) -> SplitMap:
+    parts = [(e["operand"], e["slope"], *_parse_ratio(e["width"]))
+             for e in entries]
+    scale = lcm(d_slice.scale, *(den for _, _, _, den in parts))
+    return SplitMap.reduced(
+        k, scale,
+        [(op, s, w * (scale // den)) for op, s, w, den in parts],
+        d_slice.upper * (scale // d_slice.scale),
     )
 
 
@@ -351,11 +426,14 @@ def model_to_json(model: NominalModel) -> dict:
 
 
 def model_from_json(d: dict) -> NominalModel:
+    def frac(text: str) -> Fraction:
+        return Fraction(*_parse_ratio(text))
+
     return NominalModel(
-        tuple(_parse_frac(v) for v in d["p1"]),
-        tuple(_parse_frac(v) for v in d["p2"]),
-        _parse_frac(d["lambda1"]),
-        _parse_frac(d["lambda2"]),
+        tuple(frac(v) for v in d["p1"]),
+        tuple(frac(v) for v in d["p2"]),
+        frac(d["lambda1"]),
+        frac(d["lambda2"]),
         int(d["horizon"]),
     )
 
@@ -383,8 +461,8 @@ def cost_table_to_json(table: CostTable) -> dict:
             rec["z0_star"] = None if zs is None else _frac_str(zs)
             sm = table.split[counts]
             rec["split"] = [
-                {"operand": op, "slope": s, "width": _frac_str(w)}
-                for op, s, w in sm.entries
+                {"operand": op, "slope": s, "width": _ratio_str(w, sm.scale)}
+                for op, s, w in sm.parts
             ]
         else:
             rec["d"] = None
@@ -395,7 +473,16 @@ def cost_table_to_json(table: CostTable) -> dict:
 
 
 def cost_table_from_json(d: dict) -> CostTable:
+    """Read a table written by :func:`cost_table_to_json`.
+
+    Each record's likelihoods and stopping risk are recomputed from the
+    model header; a stored ``z1``, ``z2`` or ``g`` that differs raises
+    :class:`ExtractionError` naming the state and the field, so a table
+    whose header was edited is not read as a solution of the new model.
+    """
     model = model_from_json(d["model"])
+    k = model.alphabet_size
+    make = _state_maker(model, model.horizon)
     states: dict[tuple[int, ...], DesignState] = {}
     rho: dict[tuple[int, ...], PwlConcave] = {}
     dd: dict[tuple[int, ...], PwlConcave] = {}
@@ -403,20 +490,24 @@ def cost_table_from_json(d: dict) -> CostTable:
     z0_star: dict[tuple[int, ...], Fraction | None] = {}
     for rec in d["states"]:
         counts = tuple(rec["counts"])
-        states[counts] = make_state(model, counts)
+        if (len(counts) != k or any(c < 0 for c in counts)
+                or sum(counts) > model.horizon):
+            raise ValueError(f"counts {counts} are not a state of the model")
+        st = states[counts] = make(counts)
+        for field in ("z1", "z2", "g"):
+            num, den = _parse_ratio(rec[field])
+            want = getattr(st, field)
+            if num * want.denominator != den * want.numerator:
+                raise ExtractionError(
+                    f"state {counts}: stored {field} = {rec[field]}, but the "
+                    f"model header gives {_frac_str(want)}"
+                )
         rho[counts] = _slice_from_json(rec["rho"])
         if rec["d"] is not None:
             dd[counts] = _slice_from_json(rec["d"])
-            entries = tuple(
-                (e["operand"], e["slope"], _parse_frac(e["width"]))
-                for e in rec["split"]
-            )
-            split[counts] = SplitMap(
-                model.alphabet_size, entries, dd[counts].domain_upper
-            )
-            z0_star[counts] = (
-                None if rec["z0_star"] is None else _parse_frac(rec["z0_star"])
-            )
+            split[counts] = _split_from_json(rec["split"], dd[counts], k)
+            zs = rec["z0_star"]
+            z0_star[counts] = None if zs is None else Fraction(*_parse_ratio(zs))
     return CostTable(model, states, rho, dd, split, z0_star)
 
 

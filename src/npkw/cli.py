@@ -204,6 +204,11 @@ def _load_table(cfg: RunConfig) -> CostTable:
                 return cost_table_from_json(json.load(handle))
         except FileNotFoundError as exc:
             raise UsageError(f"no such cost table: {cfg.table_path}") from exc
+        except ExtractionError as exc:
+            raise ExtractionError(
+                f"cost table {cfg.table_path!r} does not solve the model in "
+                f"its header: {exc}"
+            ) from exc
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ExtractionError(
                 f"cost table {cfg.table_path!r} is corrupt: {exc}"
@@ -405,6 +410,13 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
+    if cfg.probes and len(cfg.probes) > 1:
+        raise UsageError("simulate takes at most one --probe")
+    if cfg.probes and cfg.strategy != "fixed":
+        raise UsageError(
+            f"--probe sets the data PMF of the fixed strategy; the "
+            f"{cfg.strategy} strategy takes none"
+        )
     table = _load_table(cfg)
     k = table.model.alphabet_size
     root = extract_tree(table)
@@ -482,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[shared],
                        help="seeded Monte Carlo rollouts of the policy")
     p.add_argument("--probe", action="append",
-                   help="data-generating PMF for the fixed strategy")
+                   help="data-generating PMF for the fixed strategy (once)")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strategy", default="fixed",

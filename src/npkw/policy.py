@@ -32,9 +32,16 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Optional
 
-from .bellman import CostTable, DesignState, NominalModel, child_counts
+from .bellman import (
+    CostTable,
+    DesignState,
+    ExtractionError,
+    NominalModel,
+    child_counts,
+)
 from .pwl import RationalLike, rat, slope_left, slope_right, split_at, superdiff
 
 
@@ -44,10 +51,6 @@ class Decision(Enum):
     H1 = "H1"
     H2 = "H2"
     RANDOMIZED = "randomized"  # likelihoods tie exactly: fair coin
-
-
-class ExtractionError(ValueError):
-    """The cost table and the policy laws disagree — a genuine bug upstream."""
 
 
 @dataclass
@@ -236,22 +239,22 @@ def _extract_node(
     else:
         # limiting allocation direction as z0 -> 0+: the merge's first slope
         # class, shared in proportion to segment widths (uniform when every
-        # child slice is flat and the split is wholly indifferent)
-        entries = table.split[counts].entries
-        weights = [Fraction(0)] * model.alphabet_size
-        total = Fraction(0)
-        for op, slope, width in entries:
-            if slope != entries[0][1]:
+        # child slice is flat and the split is wholly indifferent); the
+        # widths share one scale, so their integers give the proportions
+        parts = table.split[counts].parts
+        weights = [0] * model.alphabet_size
+        for op, slope, width in parts:
+            if slope != parts[0][1]:
                 break
             weights[op] += width
-            total += width
+        total = sum(weights)
         if total == 0:
             lfd = tuple(
                 Fraction(1, model.alphabet_size)
                 for _ in range(model.alphabet_size)
             )
         else:
-            lfd = tuple(w / total for w in weights)
+            lfd = tuple(Fraction(w, total) for w in weights)
 
     children: Optional[tuple[PolicyNode, ...]]
     if max_depth is not None and state.depth >= max_depth:
@@ -696,9 +699,28 @@ class SimReport:
     max_sample_size: int
 
 
-def _uniform(rng: random.Random) -> Fraction:
-    """Exact uniform draw on [0, 1) with 64-bit resolution."""
-    return Fraction(rng.getrandbits(64), 2**64)
+_UNIT = 1 << 64  # draws are 64-bit integers u standing for u / 2**64
+
+
+def _cumulative(pmf: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
+    """Running sums of a PMF as integer numerators over one denominator."""
+    den = lcm(*(p.denominator for p in pmf))
+    acc = 0
+    cum = []
+    for p in pmf:
+        acc += p.numerator * (den // p.denominator)
+        cum.append(acc)
+    return tuple(cum), den
+
+
+def _pick(u: int, cum: tuple[int, ...], den: int) -> int:
+    """The symbol a 64-bit draw ``u`` selects: the first x with
+    u / 2**64 < cum[x] / den, compared as u * den < cum[x] * 2**64."""
+    ud = u * den
+    for x, c in enumerate(cum):
+        if ud < c * _UNIT:
+            return x
+    return len(cum) - 1  # u landed in the top residue of an exact-sum PMF
 
 
 def simulate(
@@ -730,9 +752,12 @@ def simulate(
         fixed = tuple(rat(v) for v in pmf)
         if len(fixed) != k or any(v < 0 for v in fixed) or sum(fixed) != 1:
             raise ValueError("pmf must be a PMF over the model alphabet")
+        fixed_cum = _cumulative(fixed)
     elif strategy not in ("alternating", "lfd"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
+    # the lfd strategy's cumulative PMF per node, built on the first visit
+    lfd_cum: dict[int, tuple[tuple[int, ...], int]] = {}
     total_tau = 0
     max_tau = 0
     n_h1 = 0
@@ -742,21 +767,26 @@ def simulate(
         node = root
         steps = 0
         while True:
-            if _uniform(rng) >= node.p_continue:
+            p = node.p_continue
+            # stop when u / 2**64 >= p
+            if rng.getrandbits(64) * p.denominator >= p.numerator * _UNIT:
                 d = node.decision
-                if d is Decision.RANDOMIZED:
-                    d = Decision.H1 if _uniform(rng) < Fraction(1, 2) else Decision.H2
+                if d is Decision.RANDOMIZED:  # H1 when u / 2**64 < 1/2
+                    d = Decision.H1 if rng.getrandbits(64) < _UNIT // 2 else Decision.H2
                 if d is Decision.H1:
                     n_h1 += 1
                 else:
                     n_h2 += 1
                 break
             if strategy == "fixed":
-                x = _draw(rng, fixed)
+                x = _pick(rng.getrandbits(64), *fixed_cum)
             elif strategy == "alternating":
                 x = steps % k
             else:
-                x = _draw(rng, node.lfd_probs)
+                cum = lfd_cum.get(id(node))
+                if cum is None:
+                    cum = lfd_cum[id(node)] = _cumulative(node.lfd_probs)
+                x = _pick(rng.getrandbits(64), *cum)
             node = node.children[x]
             steps += 1
         total_tau += steps
@@ -768,16 +798,6 @@ def simulate(
         freq_h1=Fraction(n_h1, trials), freq_h2=Fraction(n_h2, trials),
         max_sample_size=max_tau,
     )
-
-
-def _draw(rng: random.Random, pmf: tuple[Fraction, ...]) -> int:
-    u = _uniform(rng)
-    acc = Fraction(0)
-    for x, p in enumerate(pmf):
-        acc += p
-        if u < acc:
-            return x
-    return len(pmf) - 1  # u landed in the top residue of an exact-sum PMF
 
 
 # ---------------------------------------------------------------------------

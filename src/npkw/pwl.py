@@ -11,27 +11,36 @@ three operations the recursion needs:
 
       (f_1 # ... # f_K)(t) = max { sum_x f_x(a_x) : a_x >= 0, sum_x a_x = t }.
 
-All arithmetic is exact over the rationals (``fractions.Fraction``); no
-floats ever enter.  A function is stored in canonical form: segments ordered
-by strictly decreasing slope (concavity), zero-width segments dropped,
-adjacent equal slopes merged, widths summing exactly to the domain length.
+All arithmetic is exact; no floats ever enter.  A function is stored as
+plain integers over one positive scale: the value at zero is
+``v0 / scale``, each segment width ``w / scale`` and the domain end
+``upper / scale``.  The form is canonical: segments ordered by strictly
+decreasing slope (concavity), zero-width segments dropped, adjacent equal
+slopes merged, widths summing exactly to the domain length, and
+``gcd(scale, v0, upper, *widths) == 1``.  Equal functions therefore have
+equal fields, so dataclass equality and hashing are those of the
+functions.  The public views (``value_at_zero``, ``segments``,
+``domain_upper``) and every public function speak ``fractions.Fraction``.
 
 Sup-convolution of concave functions is the classic "merge segments by
 decreasing slope" construction.  Slope ties are broken by operand index
 (lowest operand first); recording the consumed segments yields a
 ``SplitMap`` from which the maximizing allocation at any point of the
-domain can be read back exactly (``split_at``).
+domain can be read back exactly (``split_at``).  A point ``t = p/q`` is
+compared with a cumulative width ``W/scale`` as ``p*scale`` against
+``W*q``, so no rational is built until a result is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 #: Exact scalar type used throughout the package.  Anything accepted by the
 #: ``Fraction`` constructor (int, str like "3/4" or "0.8", another Fraction)
-#: can be fed to the public constructors; internally everything is Fraction.
+#: can be fed to the public constructors; results are Fractions.
 Rational = Fraction
 
 RationalLike = Union[int, str, Fraction]
@@ -53,6 +62,16 @@ def rat(x: RationalLike) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass a string, int or Fraction")
     return Fraction(x)
+
+
+def _ratio(x: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator) of an exact scalar; the denominator is
+    positive and the pair is in lowest terms."""
+    if isinstance(x, int):
+        return int(x), 1
+    if not isinstance(x, Fraction):
+        x = rat(x)
+    return x.numerator, x.denominator
 
 
 @dataclass(frozen=True)
@@ -82,50 +101,87 @@ class PwlConcave:
     """Concave nondecreasing PWL function on [0, domain_upper], canonical form.
 
     Attributes:
-        value_at_zero: f(0) >= 0, exact.
-        segments: tuple of (slope, width) pairs; slopes are nonnegative ints
-            in strictly decreasing order, widths are positive rationals
-            summing to domain_upper.
-        domain_upper: right end of the domain (>= 0; zero-width domains are
-            legal and represent a single point).
+        scale: the positive common denominator of every quantity below.
+        v0: f(0) * scale >= 0.
+        segs: tuple of (slope, width * scale) pairs; slopes are nonnegative
+            ints in strictly decreasing order, scaled widths are positive
+            ints summing to ``upper``.
+        upper: domain_upper * scale (>= 0; zero-width domains are legal and
+            represent a single point).
 
+    The four are reduced: ``gcd(scale, v0, upper, *widths) == 1``.
     Instances are immutable and validated on construction; use :func:`pwl`
-    to build one from possibly non-canonical segment data.
+    to build one from possibly non-canonical rational segment data, or
+    :meth:`reduced` from integers over any positive scale.
     """
 
-    value_at_zero: Fraction
-    segments: tuple[tuple[int, Fraction], ...]
-    domain_upper: Fraction
+    scale: int
+    v0: int
+    segs: tuple[tuple[int, int], ...]
+    upper: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.value_at_zero, Fraction) or self.value_at_zero < 0:
-            raise ValueError("value_at_zero must be a nonnegative Fraction")
-        if not isinstance(self.domain_upper, Fraction) or self.domain_upper < 0:
-            raise ValueError("domain_upper must be a nonnegative Fraction")
-        total = Fraction(0)
+        scale, upper = self.scale, self.upper
+        if not isinstance(scale, int) or scale <= 0:
+            raise ValueError("scale must be a positive integer")
+        if not isinstance(self.v0, int) or self.v0 < 0:
+            raise ValueError("value_at_zero must be a nonnegative rational")
+        if not isinstance(upper, int) or upper < 0:
+            raise ValueError("domain_upper must be a nonnegative rational")
+        common = gcd(scale, self.v0, upper)
+        total = 0
         prev_slope = None
-        for slope, width in self.segments:
+        for slope, width in self.segs:
             if not isinstance(slope, int) or slope < 0:
                 raise ValueError("slopes must be nonnegative integers")
-            if not isinstance(width, Fraction) or width <= 0:
-                raise ValueError("segment widths must be positive Fractions")
+            if not isinstance(width, int) or width <= 0:
+                raise ValueError("segment widths must be positive")
             if prev_slope is not None and slope >= prev_slope:
                 raise ValueError("slopes must be strictly decreasing")
             prev_slope = slope
             total += width
-        if total != self.domain_upper:
+            if common != 1:
+                common = gcd(common, width)
+        if total != upper:
             raise ValueError(
-                f"segment widths sum to {total}, expected domain_upper={self.domain_upper}"
+                f"segment widths sum to {Fraction(total, scale)}, "
+                f"expected domain_upper={Fraction(upper, scale)}"
             )
+        if common != 1:
+            raise ValueError("scale and numerators share a common factor")
 
-    # Convenience accessors -------------------------------------------------
+    @classmethod
+    def reduced(cls, scale: int, v0: int, segs: Sequence[tuple[int, int]],
+                upper: int) -> "PwlConcave":
+        """The function with these integers over ``scale``, after dividing
+        out their common factor (the canonical form)."""
+        g = gcd(scale, v0, upper, *[w for _, w in segs])
+        if g != 1:
+            scale //= g
+            v0 //= g
+            upper //= g
+            segs = [(s, w // g) for s, w in segs]
+        return cls(scale, v0, tuple(segs), upper)
+
+    # Fraction views ---------------------------------------------------------
+
+    @property
+    def value_at_zero(self) -> Fraction:
+        return Fraction(self.v0, self.scale)
+
+    @property
+    def segments(self) -> tuple[tuple[int, Fraction], ...]:
+        """(slope, width) pairs with the widths as Fractions."""
+        scale = self.scale
+        return tuple((slope, Fraction(w, scale)) for slope, w in self.segs)
+
+    @property
+    def domain_upper(self) -> Fraction:
+        return Fraction(self.upper, self.scale)
 
     @property
     def value_at_upper(self) -> Fraction:
-        v = self.value_at_zero
-        for slope, width in self.segments:
-            v += slope * width
-        return v
+        return Fraction(self.v0 + sum(s * w for s, w in self.segs), self.scale)
 
     def __call__(self, t: RationalLike) -> Fraction:
         return pwl_eval(self, t)
@@ -143,7 +199,7 @@ def pwl(
     the sum of the widths.
     """
     f0 = rat(value_at_zero)
-    canon: list[tuple[int, Fraction]] = []
+    given: list[tuple[int, Fraction]] = []
     for slope, width in segments:
         w = rat(width)
         if w < 0:
@@ -152,26 +208,40 @@ def pwl(
             continue
         if not isinstance(slope, int):
             raise ValueError("slopes must be integers")
+        given.append((slope, w))
+    scale = lcm(f0.denominator, *(w.denominator for _, w in given))
+    canon: list[tuple[int, int]] = []
+    for slope, w in given:
+        width = w.numerator * (scale // w.denominator)
         if canon and canon[-1][0] == slope:
-            canon[-1] = (slope, canon[-1][1] + w)
+            canon[-1] = (slope, canon[-1][1] + width)
         else:
-            canon.append((slope, w))
-    upper = sum((w for _, w in canon), Fraction(0))
-    return PwlConcave(f0, tuple(canon), upper)
+            canon.append((slope, width))
+    return PwlConcave.reduced(scale, f0.numerator * (scale // f0.denominator),
+                              canon, sum(w for _, w in canon))
+
+
+def _in_domain(f: PwlConcave, p: int, q: int) -> int:
+    """t = p/q over ``f.scale * q`` (that is, ``p * f.scale``), after
+    checking that 0 <= t <= domain_upper."""
+    ps = p * f.scale
+    if p < 0 or ps > f.upper * q:
+        raise ValueError(f"{Fraction(p, q)} outside domain [0, {f.domain_upper}]")
+    return ps
 
 
 def pwl_eval(f: PwlConcave, t: RationalLike) -> Fraction:
     """Evaluate f at t (0 <= t <= domain_upper), exactly."""
-    x = rat(t)
-    if x < 0 or x > f.domain_upper:
-        raise ValueError(f"{x} outside domain [0, {f.domain_upper}]")
-    v = f.value_at_zero
-    for slope, width in f.segments:
-        if x <= width:
-            return v + slope * x
+    p, q = _ratio(t)
+    rest = _in_domain(f, p, q)  # t still to walk, over scale * q
+    v = f.v0                     # value so far, over scale
+    for slope, width in f.segs:
+        wq = width * q
+        if rest <= wq:
+            return Fraction(v * q + slope * rest, f.scale * q)
         v += slope * width
-        x -= width
-    return v  # x == 0 exactly after consuming all segments
+        rest -= wq
+    return Fraction(v, f.scale)  # t == domain_upper after all segments
 
 
 def superdiff(f: PwlConcave, t: RationalLike) -> SuperDiff:
@@ -184,24 +254,25 @@ def superdiff(f: PwlConcave, t: RationalLike) -> SuperDiff:
         superdiff(f, 0)      ->  SuperDiff(lo=3, hi=3)
         superdiff(f, 1)      ->  SuperDiff(lo=0, hi=1)
     """
-    x = rat(t)
-    if x < 0 or x > f.domain_upper:
-        raise ValueError(f"{x} outside domain [0, {f.domain_upper}]")
-    if not f.segments:  # single-point domain
+    p, q = _ratio(t)
+    ps = _in_domain(f, p, q)
+    segs = f.segs
+    if not segs:  # single-point domain
         return SuperDiff(0, 0)
-    first = f.segments[0][0]
-    if x == 0:
+    if p == 0:
+        first = segs[0][0]
         return SuperDiff(first, first)
-    acc = Fraction(0)
-    for i, (slope, width) in enumerate(f.segments):
+    acc = 0
+    for i, (slope, width) in enumerate(segs):
         acc += width
-        if x < acc:
+        aq = acc * q
+        if ps < aq:
             # strictly inside segment i (segment starts are handled as the
-            # previous iteration's x == acc, and x == 0 above)
+            # previous iteration's t == acc, and t == 0 above)
             return SuperDiff(slope, slope)
-        if x == acc:
-            if i + 1 < len(f.segments):
-                return SuperDiff(f.segments[i + 1][0], slope)
+        if ps == aq:
+            if i + 1 < len(segs):
+                return SuperDiff(segs[i + 1][0], slope)
             return SuperDiff(0, slope)  # t == domain_upper
     raise AssertionError("unreachable: domain scan fell through")
 
@@ -226,17 +297,16 @@ def slope_right(f: PwlConcave, t: RationalLike) -> int:
     domain, the continuation values of the subtree keep growing at the last
     segment's rate.
     """
-    x = rat(t)
-    if x < 0 or x > f.domain_upper:
-        raise ValueError(f"{x} outside domain [0, {f.domain_upper}]")
-    if not f.segments:
+    p, q = _ratio(t)
+    ps = _in_domain(f, p, q)
+    if not f.segs:
         return 0
-    if x == f.domain_upper:
-        return f.segments[-1][0]
-    acc = Fraction(0)
-    for slope, width in f.segments:
+    if ps == f.upper * q:
+        return f.segs[-1][0]
+    acc = 0
+    for slope, width in f.segs:
         acc += width
-        if x < acc:
+        if ps < acc * q:
             return slope
     raise AssertionError("unreachable: domain scan fell through")
 
@@ -249,16 +319,18 @@ def crossing_point(f: PwlConcave, c: RationalLike) -> Fraction | None:
     crossing is 0.  Returning ``domain_upper`` exactly (cap touches only at
     the right end) is distinct from returning None (cap never reached).
     """
-    level = rat(c)
-    if f.value_at_zero >= level:
+    lp, lq = _ratio(c)
+    level = lp * f.scale  # c over scale * lq; values v over scale are v * lq
+    v = f.v0
+    if v * lq >= level:
         return Fraction(0)
-    t0 = Fraction(0)
-    v = f.value_at_zero
-    for slope, width in f.segments:
+    t0 = 0
+    for slope, width in f.segs:
         end = v + slope * width
-        if end >= level:
-            # slope > 0 here: end > v >= ... and level > v
-            return t0 + Fraction(level - v, slope)
+        if end * lq >= level:
+            # slope > 0 here: end > v and level > v
+            return Fraction(t0 * lq * slope + level - v * lq,
+                            f.scale * lq * slope)
         v = end
         t0 += width
     return None
@@ -274,41 +346,51 @@ def cap_min_const(f: PwlConcave, c: RationalLike, *,
     The result is again concave nondecreasing with integer slopes: f is kept
     up to the crossing point and continued flat afterwards.  A caller that
     already holds ``crossing_point(f, c)`` passes it as ``crossing`` to skip
-    a second scan of f.
+    a second scan of f.  The result is put over the lcm of f's scale and
+    the crossing's denominator and reduced once.
     """
-    level = rat(c)
-    if level < 0:
+    lp, lq = _ratio(c)
+    if lp < 0:
         raise ValueError("cap level must be nonnegative")
-    t_star = crossing_point(f, level) if crossing is _UNKNOWN else crossing
+    t_star = crossing_point(f, c) if crossing is _UNKNOWN else crossing
     if t_star is None:
         return f
     if t_star == 0:
         # constant at level c (f(0) >= c)
-        segs = [(0, f.domain_upper)] if f.domain_upper > 0 else []
-        return PwlConcave(level, tuple(segs), f.domain_upper)
-    new: list[tuple[int, Fraction]] = []
-    remaining = t_star
-    for slope, width in f.segments:
-        take = min(width, remaining)
+        scale = lcm(f.scale, lq)
+        upper = f.upper * (scale // f.scale)
+        segs = ((0, upper),) if upper else ()
+        return PwlConcave.reduced(scale, lp * (scale // lq), segs, upper)
+    tp, tq = _ratio(t_star)
+    scale = lcm(f.scale, tq)
+    m = scale // f.scale
+    cut = tp * (scale // tq)  # t_star over the new scale
+    room = cut
+    new: list[tuple[int, int]] = []
+    for slope, width in f.segs:
+        width *= m
+        take = width if width < room else room
         new.append((slope, take))
-        remaining -= take
-        if remaining == 0:
+        room -= take
+        if room == 0:
             break
-    tail = f.domain_upper - t_star
+    upper = f.upper * m
+    tail = upper - cut
     if tail > 0:
         if new and new[-1][0] == 0:
             new[-1] = (0, new[-1][1] + tail)
         else:
             new.append((0, tail))
-    return PwlConcave(f.value_at_zero, tuple(new), f.domain_upper)
+    return PwlConcave.reduced(scale, f.v0 * m, new, upper)
 
 
 def lift_identity(f: PwlConcave) -> PwlConcave:
     """The function t -> t + f(t); every slope increases by one."""
     return PwlConcave(
-        f.value_at_zero,
-        tuple((slope + 1, width) for slope, width in f.segments),
-        f.domain_upper,
+        f.scale,
+        f.v0,
+        tuple((slope + 1, width) for slope, width in f.segs),
+        f.upper,
     )
 
 
@@ -316,17 +398,59 @@ def lift_identity(f: PwlConcave) -> PwlConcave:
 class SplitMap:
     """Record of a sup-convolution merge, for exact allocation read-back.
 
-    ``entries`` lists every operand segment in merge order as
-    (operand index, slope, width) triples with their full widths — the
-    record may extend past the target, since :func:`split_at` needs the
+    ``parts`` lists every operand segment in merge order as
+    (operand index, slope, width * scale) triples with their full widths —
+    the record may extend past the target, since :func:`split_at` needs the
     complete composition of the slope class the target lands in.
-    :func:`split_at` walks the record to recover the canonical maximizing
-    allocation at any point of the result's domain.
+    ``upper`` is the target times ``scale``; like :class:`PwlConcave` the
+    integers are reduced, and ``entries`` and ``target`` are their
+    ``Fraction`` views.  :func:`split_at` walks the record to recover the
+    canonical maximizing allocation at any point of the result's domain.
     """
 
     n_operands: int
-    entries: tuple[tuple[int, int, Fraction], ...]
-    target: Fraction
+    scale: int
+    parts: tuple[tuple[int, int, int], ...]
+    upper: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.scale, int) or self.scale <= 0:
+            raise ValueError("scale must be a positive integer")
+        if not isinstance(self.upper, int) or self.upper < 0:
+            raise ValueError("target must be a nonnegative rational")
+        common = gcd(self.scale, self.upper)
+        for op, slope, width in self.parts:
+            if not 0 <= op < self.n_operands:
+                raise ValueError(f"operand {op} out of range")
+            if not isinstance(slope, int) or slope < 0:
+                raise ValueError("slopes must be nonnegative integers")
+            if not isinstance(width, int) or width <= 0:
+                raise ValueError("segment widths must be positive")
+            if common != 1:
+                common = gcd(common, width)
+        if common != 1:
+            raise ValueError("scale and numerators share a common factor")
+
+    @classmethod
+    def reduced(cls, n_operands: int, scale: int,
+                parts: Sequence[tuple[int, int, int]], upper: int) -> "SplitMap":
+        """The record with these integers over ``scale``, in lowest terms."""
+        g = gcd(scale, upper, *[w for _, _, w in parts])
+        if g != 1:
+            scale //= g
+            upper //= g
+            parts = [(op, s, w // g) for op, s, w in parts]
+        return cls(n_operands, scale, tuple(parts), upper)
+
+    @property
+    def entries(self) -> tuple[tuple[int, int, Fraction], ...]:
+        """(operand, slope, width) triples with the widths as Fractions."""
+        scale = self.scale
+        return tuple((op, s, Fraction(w, scale)) for op, s, w in self.parts)
+
+    @property
+    def target(self) -> Fraction:
+        return Fraction(self.upper, self.scale)
 
 
 def supconv(
@@ -338,7 +462,8 @@ def supconv(
     index, lowest first) and truncates at the target length, which must not
     exceed the sum of the operand domains (the allocation constraint is
     infeasible beyond it).  Returns the result together with the
-    :class:`SplitMap` of consumed segments.
+    :class:`SplitMap` of consumed segments.  The operands are put over the
+    lcm of their scales (and of the target's denominator) first.
 
     The value at 0 is the sum of the operands' values at 0, and the result's
     superdifferential at any t is the intersection of the operands'
@@ -347,37 +472,41 @@ def supconv(
     """
     if not fs:
         raise ValueError("supconv needs at least one operand")
-    target = rat(target_domain)
-    if target < 0:
+    tp, tq = _ratio(target_domain)
+    if tp < 0:
         raise ValueError("target_domain must be nonnegative")
-    cap = sum((f.domain_upper for f in fs), Fraction(0))
+    scale = lcm(tq, *(f.scale for f in fs))
+    value0 = 0
+    cap = 0
+    pool: list[tuple[int, int, int]] = []
+    for op, f in enumerate(fs):
+        m = scale // f.scale
+        value0 += f.v0 * m
+        cap += f.upper * m
+        pool.extend((slope, op, width * m) for slope, width in f.segs)
+    target = tp * (scale // tq)
     if target > cap:
         raise ValueError(
-            f"target_domain {target} exceeds total operand domain {cap}"
+            f"target_domain {Fraction(tp, tq)} exceeds total operand domain "
+            f"{Fraction(cap, scale)}"
         )
-    pool = [
-        (slope, op, width)
-        for op, f in enumerate(fs)
-        for slope, width in f.segments
-    ]
     # Highest slope first; operand index breaks ties deterministically.
     pool.sort(key=lambda e: (-e[0], e[1]))
 
-    value0 = sum((f.value_at_zero for f in fs), Fraction(0))
-    segs: list[tuple[int, Fraction]] = []
+    segs: list[tuple[int, int]] = []
     room = target
     for slope, _op, width in pool:
         if room == 0:
             break
-        take = min(width, room)
+        take = width if width < room else room
         if segs and segs[-1][0] == slope:
             segs[-1] = (slope, segs[-1][1] + take)
         else:
             segs.append((slope, take))
         room -= take
-    result = PwlConcave(value0, tuple(segs), target)
-    entries = tuple((op, slope, width) for slope, op, width in pool)
-    return result, SplitMap(len(fs), entries, target)
+    result = PwlConcave.reduced(scale, value0, segs, target)
+    parts = [(op, slope, width) for slope, op, width in pool]
+    return result, SplitMap.reduced(len(fs), scale, parts, target)
 
 
 def split_at(sm: SplitMap, t: RationalLike) -> tuple[Fraction, ...]:
@@ -390,40 +519,49 @@ def split_at(sm: SplitMap, t: RationalLike) -> tuple[Fraction, ...]:
     canonical choice: it is symmetric, keeps every competing branch
     positively weighted, and is continuous in t.
     """
-    x = rat(t)
-    if x < 0 or x > sm.target:
-        raise ValueError(f"{x} outside [0, {sm.target}]")
-    alloc = [Fraction(0)] * sm.n_operands
+    p, q = _ratio(t)
+    scale = sm.scale
+    x = p * scale  # t still to allocate, over scale * q
+    if p < 0 or x > sm.upper * q:
+        raise ValueError(f"{Fraction(p, q)} outside [0, {sm.target}]")
+    alloc = [0] * sm.n_operands  # whole classes taken, over scale
+    parts = sm.parts
     i = 0
-    n = len(sm.entries)
+    n = len(parts)
     while x > 0 and i < n:
-        slope = sm.entries[i][1]
+        slope = parts[i][1]
         j = i
-        class_width = Fraction(0)
-        while j < n and sm.entries[j][1] == slope:
-            class_width += sm.entries[j][2]
+        class_width = 0
+        while j < n and parts[j][1] == slope:
+            class_width += parts[j][2]
             j += 1
-        if x >= class_width:
-            for op, _s, width in sm.entries[i:j]:
+        cq = class_width * q
+        if x >= cq:
+            for op, _s, width in parts[i:j]:
                 alloc[op] += width
-            x -= class_width
+            x -= cq
+            i = j
         else:
-            share = x / class_width
-            for op, _s, width in sm.entries[i:j]:
-                alloc[op] += width * share
-            x = Fraction(0)
-        i = j
+            # operand op gets alloc[op] / scale + width * x / (cq * scale)
+            share = [0] * sm.n_operands
+            for op, _s, width in parts[i:j]:
+                share[op] += width
+            den = cq * scale
+            return tuple(
+                Fraction(a * cq + w * x, den) for a, w in zip(alloc, share)
+            )
     if x != 0:
         raise AssertionError("split map shorter than its target")
-    return tuple(alloc)
+    return tuple(Fraction(a, scale) for a in alloc)
 
 
 def debug_dump(f: PwlConcave) -> str:
     """Plain-text dump: header ``f0 num/den U num/den`` then one
     ``slope width_num/width_den`` line per segment."""
+    f0, upper = f.value_at_zero, f.domain_upper
     lines = [
-        f"f0 {f.value_at_zero.numerator}/{f.value_at_zero.denominator} "
-        f"U {f.domain_upper.numerator}/{f.domain_upper.denominator}"
+        f"f0 {f0.numerator}/{f0.denominator} "
+        f"U {upper.numerator}/{upper.denominator}"
     ]
     for slope, width in f.segments:
         lines.append(f"{slope} {width.numerator}/{width.denominator}")

@@ -4,14 +4,22 @@ Everything here recomputes quantities the package produces, by a *different*
 method (grid search, direct enumeration, closed forms, plain dynamic
 programs), so agreement is
 evidence rather than tautology.  Oracles favour clarity over speed.
+
+``FracPwl``, ``FracSplit``, the ``frac_*`` functions and
+``kwt_analyze_fraction`` keep the package's earlier ``Fraction``
+implementations of the PWL algebra, the design recursion, the simulation
+draw and ``kwt_analyze``.  They compute the same things in another
+representation; the package's integer code must agree with them exactly.
 """
 
 from __future__ import annotations
 
+import json
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from npkw.pwl import PwlConcave, pwl_eval
+from npkw.pwl import PwlConcave, SuperDiff, pwl_eval
 
 
 def grid_supconv_max(
@@ -175,6 +183,48 @@ def best_response_cost(root, lam1: Fraction, lam2: Fraction) -> Fraction:
     return w(root, Fraction(1))
 
 
+def frac_draw(u: int, pmf: tuple[Fraction, ...]) -> int:
+    """The symbol a 64-bit draw ``u`` selects from ``pmf``: the first x with
+    u / 2**64 below the running sum, all in ``Fraction``s."""
+    v = Fraction(u, 2**64)
+    acc = Fraction(0)
+    for x, p in enumerate(pmf):
+        acc += p
+        if v < acc:
+            return x
+    return len(pmf) - 1
+
+
+def kwt_analyze_fraction(design, theta: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """(E[tau], P(decide H1), P(decide H2)) of a Kiefer-Weiss design at
+    Bernoulli(theta), pushing the path mass forward in ``Fraction``s.
+
+    The package pushes integer path counts and sums over one scale instead;
+    this is the direct forward iteration it replaced.
+    """
+    th = Fraction(theta)
+    reach: dict[int, Fraction] = {0: Fraction(1)}
+    e_tau = p_h1 = p_h2 = Fraction(0)
+    for n in range(design.horizon + 1):
+        nxt: dict[int, Fraction] = {}
+        for m, mass in reach.items():
+            act = design.actions[(n, m)]
+            if act == "continue":
+                e_tau += mass
+                nxt[m + 1] = nxt.get(m + 1, Fraction(0)) + mass * th
+                nxt[m] = nxt.get(m, Fraction(0)) + mass * (1 - th)
+            elif act == "H1":
+                p_h1 += mass
+            elif act == "H2":
+                p_h2 += mass
+            else:
+                p_h1 += mass / 2
+                p_h2 += mass / 2
+        reach = nxt
+    assert not reach, "mass survived past the horizon"
+    return e_tau, p_h1, p_h2
+
+
 def kwt_fraction_induction(
     theta1: Fraction,
     theta2: Fraction,
@@ -221,3 +271,289 @@ def kwt_fraction_induction(
         bounds.append((n, 2 * live[0] - n, 2 * live[-1] - n))
         reachable = {m + step for m in live for step in (0, 1)}
     return actions, tuple(bounds)
+
+
+# ---------------------------------------------------------------------------
+# the PWL algebra and the design recursion in plain Fractions
+# ---------------------------------------------------------------------------
+#
+# The package stores each cost slice as integers over one scale.  What
+# follows is the same algebra written directly over ``Fraction`` widths,
+# the representation the package used before; the tests check that every
+# public function and the whole recursion agree with it exactly.
+
+
+@dataclass(frozen=True)
+class FracPwl:
+    """Concave nondecreasing PWL function with ``Fraction`` fields."""
+
+    value_at_zero: Fraction
+    segments: tuple[tuple[int, Fraction], ...]
+    domain_upper: Fraction
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.value_at_zero, Fraction) or self.value_at_zero < 0:
+            raise ValueError("value_at_zero must be a nonnegative Fraction")
+        if not isinstance(self.domain_upper, Fraction) or self.domain_upper < 0:
+            raise ValueError("domain_upper must be a nonnegative Fraction")
+        total = Fraction(0)
+        prev_slope = None
+        for slope, width in self.segments:
+            if not isinstance(slope, int) or slope < 0:
+                raise ValueError("slopes must be nonnegative integers")
+            if not isinstance(width, Fraction) or width <= 0:
+                raise ValueError("segment widths must be positive Fractions")
+            if prev_slope is not None and slope >= prev_slope:
+                raise ValueError("slopes must be strictly decreasing")
+            prev_slope = slope
+            total += width
+        if total != self.domain_upper:
+            raise ValueError("segment widths do not sum to domain_upper")
+
+
+def frac_of(f: PwlConcave) -> FracPwl:
+    """The oracle form of a package slice, read through its public views."""
+    return FracPwl(f.value_at_zero, f.segments, f.domain_upper)
+
+
+def frac_eval(f: FracPwl, t: Fraction) -> Fraction:
+    x = Fraction(t)
+    if x < 0 or x > f.domain_upper:
+        raise ValueError(f"{x} outside domain [0, {f.domain_upper}]")
+    v = f.value_at_zero
+    for slope, width in f.segments:
+        if x <= width:
+            return v + slope * x
+        v += slope * width
+        x -= width
+    return v
+
+
+def frac_superdiff(f: FracPwl, t: Fraction) -> SuperDiff:
+    x = Fraction(t)
+    if x < 0 or x > f.domain_upper:
+        raise ValueError(f"{x} outside domain [0, {f.domain_upper}]")
+    if not f.segments:
+        return SuperDiff(0, 0)
+    first = f.segments[0][0]
+    if x == 0:
+        return SuperDiff(first, first)
+    acc = Fraction(0)
+    for i, (slope, width) in enumerate(f.segments):
+        acc += width
+        if x < acc:
+            return SuperDiff(slope, slope)
+        if x == acc:
+            if i + 1 < len(f.segments):
+                return SuperDiff(f.segments[i + 1][0], slope)
+            return SuperDiff(0, slope)
+    raise AssertionError("unreachable: domain scan fell through")
+
+
+def frac_slope_right(f: FracPwl, t: Fraction) -> int:
+    x = Fraction(t)
+    if x < 0 or x > f.domain_upper:
+        raise ValueError(f"{x} outside domain [0, {f.domain_upper}]")
+    if not f.segments:
+        return 0
+    if x == f.domain_upper:
+        return f.segments[-1][0]
+    acc = Fraction(0)
+    for slope, width in f.segments:
+        acc += width
+        if x < acc:
+            return slope
+    raise AssertionError("unreachable: domain scan fell through")
+
+
+def frac_crossing(f: FracPwl, c: Fraction) -> Fraction | None:
+    level = Fraction(c)
+    if f.value_at_zero >= level:
+        return Fraction(0)
+    t0 = Fraction(0)
+    v = f.value_at_zero
+    for slope, width in f.segments:
+        end = v + slope * width
+        if end >= level:
+            return t0 + Fraction(level - v, slope)
+        v = end
+        t0 += width
+    return None
+
+
+def frac_cap(f: FracPwl, c: Fraction) -> FracPwl:
+    level = Fraction(c)
+    if level < 0:
+        raise ValueError("cap level must be nonnegative")
+    t_star = frac_crossing(f, level)
+    if t_star is None:
+        return f
+    if t_star == 0:
+        segs = [(0, f.domain_upper)] if f.domain_upper > 0 else []
+        return FracPwl(level, tuple(segs), f.domain_upper)
+    new: list[tuple[int, Fraction]] = []
+    remaining = t_star
+    for slope, width in f.segments:
+        take = min(width, remaining)
+        new.append((slope, take))
+        remaining -= take
+        if remaining == 0:
+            break
+    tail = f.domain_upper - t_star
+    if tail > 0:
+        if new and new[-1][0] == 0:
+            new[-1] = (0, new[-1][1] + tail)
+        else:
+            new.append((0, tail))
+    return FracPwl(f.value_at_zero, tuple(new), f.domain_upper)
+
+
+def frac_lift(f: FracPwl) -> FracPwl:
+    return FracPwl(
+        f.value_at_zero,
+        tuple((slope + 1, width) for slope, width in f.segments),
+        f.domain_upper,
+    )
+
+
+@dataclass(frozen=True)
+class FracSplit:
+    n_operands: int
+    entries: tuple[tuple[int, int, Fraction], ...]
+    target: Fraction
+
+
+def frac_supconv(fs: list[FracPwl], target_domain) -> tuple[FracPwl, FracSplit]:
+    target = Fraction(target_domain)
+    if target < 0:
+        raise ValueError("target_domain must be nonnegative")
+    if target > sum((f.domain_upper for f in fs), Fraction(0)):
+        raise ValueError("target_domain exceeds total operand domain")
+    pool = [
+        (slope, op, width)
+        for op, f in enumerate(fs)
+        for slope, width in f.segments
+    ]
+    pool.sort(key=lambda e: (-e[0], e[1]))
+    value0 = sum((f.value_at_zero for f in fs), Fraction(0))
+    segs: list[tuple[int, Fraction]] = []
+    room = target
+    for slope, _op, width in pool:
+        if room == 0:
+            break
+        take = min(width, room)
+        if segs and segs[-1][0] == slope:
+            segs[-1] = (slope, segs[-1][1] + take)
+        else:
+            segs.append((slope, take))
+        room -= take
+    entries = tuple((op, slope, width) for slope, op, width in pool)
+    return FracPwl(value0, tuple(segs), target), FracSplit(len(fs), entries, target)
+
+
+def frac_split_at(sm: FracSplit, t: Fraction) -> tuple[Fraction, ...]:
+    x = Fraction(t)
+    if x < 0 or x > sm.target:
+        raise ValueError(f"{x} outside [0, {sm.target}]")
+    alloc = [Fraction(0)] * sm.n_operands
+    i = 0
+    n = len(sm.entries)
+    while x > 0 and i < n:
+        slope = sm.entries[i][1]
+        j = i
+        class_width = Fraction(0)
+        while j < n and sm.entries[j][1] == slope:
+            class_width += sm.entries[j][2]
+            j += 1
+        if x >= class_width:
+            for op, _s, width in sm.entries[i:j]:
+                alloc[op] += width
+            x -= class_width
+        else:
+            share = x / class_width
+            for op, _s, width in sm.entries[i:j]:
+                alloc[op] += width * share
+            x = Fraction(0)
+        i = j
+    if x != 0:
+        raise AssertionError("split map shorter than its target")
+    return tuple(alloc)
+
+
+def _frac_text(v: Fraction) -> str:
+    return f"{v.numerator}/{v.denominator}"
+
+
+def _frac_slice_json(f: FracPwl) -> dict:
+    return {
+        "value_at_zero": _frac_text(f.value_at_zero),
+        "domain_upper": _frac_text(f.domain_upper),
+        "segments": [
+            {"slope": s, "width": _frac_text(w)} for s, w in f.segments
+        ],
+    }
+
+
+def frac_recursion_json(p1, p2, lam1, lam2, horizon: int) -> str:
+    """The cost-table text of the design recursion, solved in Fractions.
+
+    Likelihoods are Fraction products, every slice a :class:`FracPwl`, and
+    the records are written field by field as ``cost_table_to_json_str``
+    documents them (states by depth then counts, sorted keys, indent 1).
+    """
+    p1 = tuple(Fraction(v) for v in p1)
+    p2 = tuple(Fraction(v) for v in p2)
+    lam1, lam2 = Fraction(lam1), Fraction(lam2)
+    k = len(p1)
+
+    def counts_at(n: int, k: int):
+        if k == 1:
+            yield (n,)
+            return
+        for first in range(n + 1):
+            for rest in counts_at(n - first, k - 1):
+                yield (first, *rest)
+
+    recs: dict[tuple[int, ...], dict] = {}
+    rho: dict[tuple[int, ...], FracPwl] = {}
+    for n in range(horizon, -1, -1):
+        for counts in counts_at(n, k):
+            z1 = z2 = Fraction(1)
+            for x, c in enumerate(counts):
+                z1 *= p1[x] ** c
+                z2 *= p2[x] ** c
+            g = min(lam1 * z1, lam2 * z2)
+            rec = {"depth": n, "counts": list(counts), "z1": _frac_text(z1),
+                   "z2": _frac_text(z2), "g": _frac_text(g),
+                   "d": None, "z0_star": None, "split": None}
+            if n == horizon:
+                rho[counts] = FracPwl(g, ((0, Fraction(1)),), Fraction(1))
+            else:
+                children = []
+                for x in range(k):
+                    child = list(counts)
+                    child[x] += 1
+                    children.append(rho[tuple(child)])
+                d_slice, sm = frac_supconv(children, 1)
+                lifted = frac_lift(d_slice)
+                t_star = frac_crossing(lifted, g)
+                rho[counts] = frac_cap(lifted, g)
+                rec["d"] = _frac_slice_json(d_slice)
+                rec["z0_star"] = None if t_star is None else _frac_text(t_star)
+                rec["split"] = [
+                    {"operand": op, "slope": s, "width": _frac_text(w)}
+                    for op, s, w in sm.entries
+                ]
+            rec["rho"] = _frac_slice_json(rho[counts])
+            recs[counts] = rec
+    blob = {
+        "model": {
+            "p1": [_frac_text(v) for v in p1],
+            "p2": [_frac_text(v) for v in p2],
+            "lambda1": _frac_text(lam1),
+            "lambda2": _frac_text(lam2),
+            "horizon": horizon,
+        },
+        "states": [recs[c] for c in sorted(recs, key=lambda c: (sum(c), c))],
+    }
+    return json.dumps(blob, sort_keys=True, indent=1)

@@ -36,7 +36,7 @@ from npkw.baselines import (
 )
 from npkw.bellman import bernoulli_model
 
-from oracles import kwt_fraction_induction
+from oracles import kwt_analyze_fraction, kwt_fraction_induction
 
 FIG = bernoulli_model("0.8", "0.2", lam1=20, lam2=20, horizon=21)
 HALF = (F(1, 2), F(1, 2))
@@ -341,6 +341,35 @@ def test_kwt_design_matches_fraction_oracle(theta1, theta2, lam1, lam2,
     assert design.continue_bounds == bounds
     assert design.truncation_level == (bounds[-1][0] + 1 if bounds else 0)
     assert design.p0 == p0
+
+
+@given(
+    theta1=st.fractions(min_value="1/30", max_value="29/30", max_denominator=30),
+    theta2=st.fractions(min_value="1/30", max_value="29/30", max_denominator=30),
+    lam=st.fractions(min_value="1/7", max_value=500, max_denominator=7),
+    horizon=st.integers(min_value=1, max_value=24),
+    p0_success=st.sampled_from([F(1, 2), F(1, 3), F(3, 4), F(2, 9)]),
+    theta=st.fractions(min_value="1/40", max_value="39/40", max_denominator=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_kwt_analyze_matches_fraction_oracle(theta1, theta2, lam, horizon,
+                                             p0_success, theta):
+    """Integer path counts over one scale give the Fraction push exactly,
+    randomized ties included (equal lambdas with mirrored thetas tie)."""
+    assume(theta1 != theta2)
+    model = bernoulli_model(theta1, theta2, lam1=lam, lam2=lam,
+                            horizon=horizon)
+    design = kwt_design(model, (1 - p0_success, p0_success))
+    assert kwt_analyze(design, model, theta) == kwt_analyze_fraction(design, theta)
+
+
+def test_kwt_analyze_randomized_ties_match_fraction_oracle():
+    # 0.8 vs 0.2 with equal weights ties on the centre line
+    design = kwt_design(bernoulli_model("0.8", "0.2", 20, 20, 12), HALF)
+    assert "randomized" in design.actions.values()
+    for theta in (F(1, 2), F(1, 7), F(5, 6)):
+        assert kwt_analyze(design, FIG, theta) == kwt_analyze_fraction(design, theta)
+
 
 
 def test_error_sum_floor_by_enumeration():

@@ -15,6 +15,7 @@ same model, horizon 2:
   a second sample can never pay for itself there).  Root again z0 + 8.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from npkw.bellman import (
     CostTable,
+    ExtractionError,
     backward_recursion,
     bernoulli_model,
     build_states,
@@ -36,7 +38,7 @@ from npkw.bellman import (
     stopping_threshold,
 )
 from npkw.pwl import pwl, pwl_eval
-from oracles import brute_minimax_value, simplex_grid
+from oracles import brute_minimax_value, frac_recursion_json, simplex_grid
 
 SETTINGS = {"max_examples": 60, "deadline": None}
 
@@ -239,6 +241,22 @@ def test_json_round_trip():
         assert back.split[counts].entries == sm.entries
 
 
+def test_reader_checks_records_against_the_header():
+    table = backward_recursion(fig_model(5))
+    blob = cost_table_to_json(table)
+    blob["model"]["lambda1"] = blob["model"]["lambda2"] = "19/1"
+    with pytest.raises(ExtractionError, match=r"state \(0, 0\): stored g"):
+        cost_table_from_json(blob)
+    blob = cost_table_to_json(table)
+    blob["states"][3]["z2"] = "1/7"
+    with pytest.raises(ExtractionError, match=r"state \(0, 2\): stored z2"):
+        cost_table_from_json(blob)
+    # the same rational written unreduced is the same record
+    blob = cost_table_to_json(table)
+    blob["states"][1]["z1"] = "8/10"  # (0, 1): z1 = 4/5
+    assert cost_table_from_json(blob).rho == table.rho
+
+
 def test_json_bytes_stable():
     s1 = cost_table_to_json_str(backward_recursion(fig_model(4)))
     s2 = cost_table_to_json_str(backward_recursion(fig_model(4)))
@@ -280,3 +298,78 @@ def test_recursion_invariants(t1, t2, lam, horizon):
         if zs is not None:
             assert 0 <= zs <= 1
             assert pwl_eval(rho, zs) <= st_.g
+
+
+# ---------------------------------------------------------------------------
+# the integer recursion against the Fraction oracle, byte for byte
+# ---------------------------------------------------------------------------
+
+pmf_weights = st.lists(st.integers(min_value=0, max_value=6), min_size=3,
+                       max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.sampled_from([2, 3]),
+    w1=pmf_weights,
+    w2=pmf_weights,
+    lam1=st.fractions(min_value=Fraction(1, 5), max_value=40, max_denominator=9),
+    lam2=st.fractions(min_value=Fraction(1, 5), max_value=40, max_denominator=9),
+    horizon=st.integers(min_value=1, max_value=8),
+)
+def test_cost_table_text_matches_fraction_recursion(k, w1, w2, lam1, lam2,
+                                                     horizon):
+    w1, w2 = w1[:k], w2[:k]
+    if sum(w1) == 0 or sum(w2) == 0:
+        return
+    p1 = [Fraction(w, sum(w1)) for w in w1]
+    p2 = [Fraction(w, sum(w2)) for w in w2]
+    if p1 == p2 or (k == 3 and horizon > 6):
+        return
+    if lam1 == lam2:
+        lam2 += Fraction(1, 3)
+    model = make_model(p1, p2, lam1, lam2, horizon)
+    text = cost_table_to_json_str(backward_recursion(model))
+    assert text == frac_recursion_json(p1, p2, lam1, lam2, horizon)
+    assert cost_table_to_json_str(
+        cost_table_from_json(json.loads(text))) == text
+
+
+def test_cost_table_text_matches_fraction_recursion_on_the_workloads():
+    for model in (
+        fig_model(9),
+        bernoulli_model("0.9", "0.1", 3, 3, 16),
+        bernoulli_model("0.7", "0.4", "7/3", 5, 11),
+        make_model(["1/2", "1/4", "1/4"], ["1/4", "1/4", "1/2"], 20, 20, 6),
+    ):
+        assert cost_table_to_json_str(backward_recursion(model)) == \
+            frac_recursion_json(model.p1, model.p2, model.lam1, model.lam2,
+                                model.horizon)
+
+
+# ---------------------------------------------------------------------------
+# the paper's nontruncation claim, in numbers
+# ---------------------------------------------------------------------------
+
+def test_reference_value_keeps_falling_with_the_horizon():
+    """At lambda = 20 the minimax cost of the reference model falls
+    strictly at every horizon from 9 to 45 in steps of 4: a test allowed to
+    run longer is strictly better, so no truncation is optimal.  In
+    particular V_41 > V_45, so every test that stops by sample 41 is beaten
+    by one that stops by sample 45."""
+    values = [backward_recursion(fig_model(h)).root_value()
+              for h in range(9, 46, 4)]
+    assert len(values) == 10
+    assert all(a > b for a, b in zip(values, values[1:]))
+    assert abs(values[-1] - Fraction("6.9204854463")) < Fraction(1, 10**10)
+    gaps = [a - b for a, b in zip(values, values[1:])]
+    # the gap shrinks geometrically but never closes
+    assert all(g > 0 for g in gaps) and all(a > b for a, b in zip(gaps, gaps[1:]))
+
+
+def test_small_lambda_design_is_truncated():
+    """At lambda = 5 the value is exactly 3 from horizon 9 on: a design
+    with a hard sample budget is already optimal there."""
+    for horizon in (9, 13, 21):
+        model = bernoulli_model("0.8", "0.2", 5, 5, horizon)
+        assert backward_recursion(model).root_value() == 3

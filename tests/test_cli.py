@@ -301,9 +301,45 @@ def test_verify_catches_tampered_slice(table9, tmp_path, capsys):
     assert "verification error" in captured.err or "FAIL" in captured.out
 
 
+def test_verify_rejects_a_table_whose_header_was_edited(tmp_path, capsys):
+    # a horizon-5 table re-labelled lambda = 19 does not solve that model
+    table = tmp_path / "t.json"
+    assert main(["design", *MODEL9[:-1], "5", "--out", str(table)]) == 0
+    capsys.readouterr()
+    data = json.loads(table.read_text())
+    assert data["model"]["lambda1"] == data["model"]["lambda2"] == "20/1"
+    data["model"]["lambda1"] = data["model"]["lambda2"] = "19/1"
+    bad = tmp_path / "T19.json"
+    bad.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
+    rc = main(["verify", "--table", str(bad)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "PASS" not in captured.out
+    assert "state (0, 0): stored g = 20/1" in captured.err
+    assert "19/1" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("strategy", ["alternating", "lfd"])
+def test_simulate_probe_needs_the_fixed_strategy(table9, strategy, capsys):
+    rc = main(["simulate", "--table", str(table9), "--strategy", strategy,
+               "--probe", "0.9,0.1", "--trials", "10"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "--probe" in captured.err and strategy in captured.err
+    assert captured.out == ""
+
+
+def test_simulate_takes_one_probe(table9, capsys):
+    rc = main(["simulate", "--table", str(table9), "--probe", "0.5,0.5",
+               "--probe", "0.9,0.1", "--trials", "10"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "one --probe" in captured.err and captured.out == ""
+
 
 def test_simulate_seeded_and_deterministic(table9, capsys):
     argv = ["simulate", "--table", str(table9), "--probe", "0.5,0.5",

@@ -38,9 +38,11 @@ from npkw.policy import (
     tree_to_json,
     verify_equalization,
     verify_lfd_support,
+    _cumulative,
+    _pick,
 )
 from npkw.pwl import pwl, pwl_eval, slope_right
-from oracles import best_response_cost
+from oracles import best_response_cost, frac_draw
 
 SETTINGS = {"max_examples": 50, "deadline": None}
 
@@ -459,3 +461,42 @@ def test_json_export_round_trip():
     kids = blob["children"]
     assert [k["decision"] for k in kids] == ["H2", "H1"]
     assert all(k["children"] is None for k in kids)
+
+
+# ---------------------------------------------------------------------------
+# simulation draws in integers
+# ---------------------------------------------------------------------------
+
+@st.composite
+def pmfs(draw):
+    weights = draw(st.lists(st.integers(min_value=0, max_value=10**6),
+                            min_size=1, max_size=5).filter(any))
+    scale = draw(st.integers(min_value=1, max_value=7))
+    pmf = [Fraction(w, sum(weights)) for w in weights]
+    # vary the denominators per entry: split the first entry's mass
+    if len(pmf) > 1 and pmf[0] > 0:
+        moved = pmf[0] / (scale + 1)
+        pmf[0] -= moved
+        pmf[-1] += moved
+    return tuple(pmf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pmfs(), st.integers(min_value=0, max_value=2**64 - 1), st.data())
+def test_integer_draw_equals_fraction_draw(pmf, u, data):
+    assert sum(pmf) == 1
+    cum, den = _cumulative(pmf)
+    assert _pick(u, cum, den) == frac_draw(u, pmf)
+    # draws right at a boundary of the running sums, where < and <= differ
+    x = data.draw(st.integers(min_value=0, max_value=len(pmf) - 1))
+    edge = sum(pmf[:x + 1], Fraction(0)) * 2**64
+    for v in {int(edge) - 1, int(edge), int(edge) + 1}:
+        if 0 <= v < 2**64:
+            assert _pick(v, cum, den) == frac_draw(v, pmf)
+
+
+def test_integer_draw_at_exact_dyadic_boundaries():
+    pmf = (Fraction(1, 4), Fraction(0), Fraction(3, 4))
+    cum, den = _cumulative(pmf)
+    assert [_pick(u, cum, den) for u in (0, 2**62 - 1, 2**62, 2**64 - 1)] == \
+        [0, 0, 2, 2]

@@ -21,7 +21,19 @@ from npkw.pwl import (
     supconv,
     superdiff,
 )
-from oracles import grid_supconv_max
+from oracles import (
+    FracPwl,
+    frac_cap,
+    frac_crossing,
+    frac_eval,
+    frac_lift,
+    frac_of,
+    frac_slope_right,
+    frac_split_at,
+    frac_superdiff,
+    frac_supconv,
+    grid_supconv_max,
+)
 
 SETTINGS = {"max_examples": 100, "deadline": None}
 
@@ -338,3 +350,141 @@ def test_supconv_superdiff_intersects_operands(fs, frac):
         assert lo <= sd.lo <= sd.hi
         if a > 0:
             assert sd.hi <= op_sd.hi
+
+
+# ---------------------------------------------------------------------------
+# integers over one scale against the Fraction oracle
+# ---------------------------------------------------------------------------
+
+def test_slices_are_stored_reduced_over_one_scale():
+    f = pwl("1/6", [(3, "1/4"), (1, "3/4")])
+    assert (f.scale, f.v0, f.segs, f.upper) == (12, 2, ((3, 3), (1, 9)), 12)
+    # any common factor is divided out, so equal functions compare and hash
+    # equal whatever scale they were built over
+    g = PwlConcave.reduced(36, 6, [(3, 9), (1, 27)], 36)
+    assert g == f and hash(g) == hash(f)
+    with pytest.raises(ValueError):
+        PwlConcave(36, 6, ((3, 9), (1, 27)), 36)  # not reduced
+    with pytest.raises(ValueError):
+        PwlConcave(12, 2, ((3, 3), (1, 9)), 13)  # widths miss the domain
+    with pytest.raises(ValueError):
+        PwlConcave(12, 2, ((1, 3), (3, 9)), 12)  # not concave
+    with pytest.raises(ValueError):
+        PwlConcave(0, 0, (), 0)  # no scale
+
+
+# widths with many distinct denominators, so operands rarely share a scale
+odd_widths = st.fractions(min_value=Fraction(1, 97), max_value=2,
+                          max_denominator=97)
+points = st.fractions(min_value=0, max_value=1, max_denominator=97)
+
+
+@st.composite
+def slices(draw, max_segments=4, max_slope=9):
+    n = draw(st.integers(min_value=0, max_value=max_segments))
+    slopes = sorted(draw(st.lists(st.integers(min_value=0, max_value=max_slope),
+                                  min_size=n, max_size=n, unique=True)),
+                    reverse=True)
+    f0 = draw(st.fractions(min_value=0, max_value=5, max_denominator=97))
+    return pwl(f0, [(s, draw(odd_widths)) for s in slopes])
+
+
+@st.composite
+def points_in(draw, f):
+    """A point of f's domain: a kink, an end, or anywhere in between."""
+    kinks = [Fraction(0)]
+    for _, w in f.segments:
+        kinks.append(kinks[-1] + w)
+    if draw(st.booleans()):
+        return draw(st.sampled_from(kinks))
+    return f.domain_upper * draw(points)
+
+
+def assert_same(f: PwlConcave, o: FracPwl):
+    assert frac_of(f) == o
+    assert PwlConcave.reduced(f.scale, f.v0, f.segs, f.upper) == f
+
+
+@settings(**SETTINGS)
+@given(st.data())
+def test_pwl_builder_matches_merge_by_hand(data):
+    segs = data.draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=6),
+                  st.fractions(min_value=0, max_value=2, max_denominator=12)),
+        max_size=6))
+    segs.sort(key=lambda e: -e[0])
+    f0 = data.draw(st.fractions(min_value=0, max_value=3, max_denominator=12))
+    merged: list[tuple[int, Fraction]] = []
+    for slope, w in segs:
+        if w == 0:
+            continue
+        if merged and merged[-1][0] == slope:
+            merged[-1] = (slope, merged[-1][1] + w)
+        else:
+            merged.append((slope, w))
+    f = pwl(f0, segs)
+    assert_same(f, FracPwl(f0, tuple(merged), sum((w for _, w in merged),
+                                                  Fraction(0))))
+    assert pwl(f.value_at_zero, f.segments) == f
+
+
+@settings(**SETTINGS)
+@given(slices(), st.data())
+def test_pointwise_functions_match_oracle(f, data):
+    o = frac_of(f)
+    t = data.draw(points_in(f))
+    assert pwl_eval(f, t) == frac_eval(o, t)
+    assert f.value_at_upper == frac_eval(o, o.domain_upper)
+    sd = superdiff(f, t)
+    assert sd == frac_superdiff(o, t)
+    assert slope_left(f, t) == sd.hi
+    assert slope_right(f, t) == frac_slope_right(o, t)
+    beyond = f.domain_upper + Fraction(1, 97)
+    for bad in (beyond, Fraction(-1, 97)):
+        for fn in (pwl_eval, superdiff, slope_right):
+            with pytest.raises(ValueError):
+                fn(f, bad)
+            with pytest.raises(ValueError):
+                (frac_eval if fn is pwl_eval else
+                 frac_superdiff if fn is superdiff else frac_slope_right)(o, bad)
+
+
+@settings(**SETTINGS)
+@given(slices(), st.data())
+def test_cap_crossing_and_lift_match_oracle(f, data):
+    o = frac_of(f)
+    # a level anywhere, or exactly at a kink's value
+    if data.draw(st.booleans()):
+        c = frac_eval(o, data.draw(points_in(f)))
+    else:
+        c = data.draw(st.fractions(min_value=0, max_value=40, max_denominator=97))
+    assert crossing_point(f, c) == frac_crossing(o, c)
+    assert_same(cap_min_const(f, c), frac_cap(o, c))
+    assert_same(cap_min_const(f, c, crossing=crossing_point(f, c)), frac_cap(o, c))
+    assert_same(lift_identity(f), frac_lift(o))
+
+
+@settings(**SETTINGS)
+@given(st.lists(slices(max_segments=3), min_size=1, max_size=3), st.data())
+def test_supconv_and_split_match_oracle(fs, data):
+    total = sum((f.domain_upper for f in fs), Fraction(0))
+    target = total * data.draw(points)
+    if data.draw(st.booleans()):
+        target = data.draw(st.sampled_from([Fraction(0), total, Fraction(1)]))
+    ops = [frac_of(f) for f in fs]
+    if target > total:
+        with pytest.raises(ValueError):
+            supconv(fs, target)
+        with pytest.raises(ValueError):
+            frac_supconv(ops, target)
+        return
+    res, sm = supconv(fs, target)
+    o_res, o_sm = frac_supconv(ops, target)
+    assert_same(res, o_res)
+    assert (sm.n_operands, sm.entries, sm.target) == \
+        (o_sm.n_operands, o_sm.entries, o_sm.target)
+    for _ in range(3):
+        t = data.draw(points_in(res))
+        assert split_at(sm, t) == frac_split_at(o_sm, t)
+    with pytest.raises(ValueError):
+        split_at(sm, target + Fraction(1, 97))
