@@ -4,14 +4,13 @@
 For equal error weights the average error probability of the designed test
 falls out of the root cost slice alone (cost identity: value = E[tau] +
 lambda * (alpha1 + alpha2), worst-case E[tau] = right slope at full mass),
-so the sweep never extracts a policy tree.  Prints one line per horizon
-next to the three-sample majority vote for scale, then the exact drop of
-the minimax value from each horizon to the next: while the drops stay
+so the sweep never extracts a policy tree.  Prints one line per odd
+horizon next to the three-sample majority vote for scale, then the exact
+drop of the minimax value from each horizon to the next: while the drops stay
 positive, a test allowed more samples is strictly better (the paper's
 "can be nontruncated").
 
     python scripts/horizon_sweep.py --max-horizon 21
-    python scripts/horizon_sweep.py --min-horizon 9 --step 4 --max-horizon 45
 """
 
 import argparse
@@ -32,12 +31,8 @@ def main() -> None:
     ap.add_argument("--theta1", default="0.8")
     ap.add_argument("--theta2", default="0.2")
     ap.add_argument("--lam", type=int, default=20)
-    ap.add_argument("--min-horizon", type=int, default=3)
     ap.add_argument("--max-horizon", type=int, default=21)
-    ap.add_argument("--step", type=int, default=2)
     args = ap.parse_args()
-    if args.min_horizon < 1 or args.step < 1:
-        ap.error("--min-horizon and --step must be at least 1")
 
     vote = bernoulli_model(args.theta1, args.theta2, lam1=1, lam2=1, horizon=3)
     fsst_avg = sum(fsst_analyze(FsstDesign(3, 2), vote), Fraction(0)) / 2
@@ -45,7 +40,7 @@ def main() -> None:
     print()
     print("horizon  worst-case E[tau]  average error  minimax value")
     values = []
-    for n in range(args.min_horizon, args.max_horizon + 1, args.step):
+    for n in range(3, args.max_horizon + 1, 2):
         model = bernoulli_model(args.theta1, args.theta2,
                                 lam1=args.lam, lam2=args.lam, horizon=n)
         root = backward_recursion(model).rho[(0, 0)]

@@ -479,20 +479,33 @@ def cost_table_from_json(d: dict) -> CostTable:
     model header; a stored ``z1``, ``z2`` or ``g`` that differs raises
     :class:`ExtractionError` naming the state and the field, so a table
     whose header was edited is not read as a solution of the new model.
+    The records must reach exactly the header's horizon and number one per
+    state before any likelihood is built, so an edited horizon costs no
+    power table of its size.
     """
     model = model_from_json(d["model"])
     k = model.alphabet_size
-    make = _state_maker(model, model.horizon)
+    recs = d["states"]
+    depth = max((sum(rec["counts"]) for rec in recs), default=-1)
+    if depth != model.horizon:
+        raise ValueError(f"the table stores states to depth {depth}, but its "
+                         f"header gives horizon {model.horizon}")
+    if len(recs) != comb(model.horizon + k, k):
+        raise ValueError(f"the table stores {len(recs)} states, but a model "
+                         f"of horizon {model.horizon} has "
+                         f"{comb(model.horizon + k, k)}")
+    make = _state_maker(model, depth)
     states: dict[tuple[int, ...], DesignState] = {}
     rho: dict[tuple[int, ...], PwlConcave] = {}
     dd: dict[tuple[int, ...], PwlConcave] = {}
     split: dict[tuple[int, ...], SplitMap] = {}
     z0_star: dict[tuple[int, ...], Fraction | None] = {}
-    for rec in d["states"]:
+    for rec in recs:
         counts = tuple(rec["counts"])
-        if (len(counts) != k or any(c < 0 for c in counts)
-                or sum(counts) > model.horizon):
+        if len(counts) != k or any(c < 0 for c in counts):
             raise ValueError(f"counts {counts} are not a state of the model")
+        if counts in states:
+            raise ValueError(f"counts {counts} are stored twice")
         st = states[counts] = make(counts)
         for field in ("z1", "z2", "g"):
             num, den = _parse_ratio(rec[field])

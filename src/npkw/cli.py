@@ -204,11 +204,6 @@ def _load_table(cfg: RunConfig) -> CostTable:
                 return cost_table_from_json(json.load(handle))
         except FileNotFoundError as exc:
             raise UsageError(f"no such cost table: {cfg.table_path}") from exc
-        except ExtractionError as exc:
-            raise ExtractionError(
-                f"cost table {cfg.table_path!r} does not solve the model in "
-                f"its header: {exc}"
-            ) from exc
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ExtractionError(
                 f"cost table {cfg.table_path!r} is corrupt: {exc}"

@@ -257,6 +257,27 @@ def test_reader_checks_records_against_the_header():
     assert cost_table_from_json(blob).rho == table.rho
 
 
+@pytest.mark.parametrize("horizon", [10**6, 4, 6])
+def test_reader_rejects_an_edited_horizon_before_building_states(horizon):
+    # a power table to depth 10**6 would take minutes and gigabytes
+    blob = cost_table_to_json(backward_recursion(fig_model(5)))
+    blob["model"]["horizon"] = horizon
+    with pytest.raises(ValueError, match="header gives horizon"):
+        cost_table_from_json(blob)
+
+
+def test_reader_rejects_missing_and_repeated_states():
+    blob = cost_table_to_json(backward_recursion(fig_model(5)))
+    del blob["states"][3]
+    with pytest.raises(ValueError, match="stores 20 states, but a model of "
+                                         "horizon 5 has 21"):
+        cost_table_from_json(blob)
+    blob = cost_table_to_json(backward_recursion(fig_model(5)))
+    blob["states"][3] = blob["states"][2]
+    with pytest.raises(ValueError, match=r"counts \(1, 0\) are stored twice"):
+        cost_table_from_json(blob)
+
+
 def test_json_bytes_stable():
     s1 = cost_table_to_json_str(backward_recursion(fig_model(4)))
     s2 = cost_table_to_json_str(backward_recursion(fig_model(4)))
