@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Digests of every `npkw` output on the benchmark workloads and the README.
+
+Runs the command line of the checkout this script sits in (its ``src/``) on
+the three benchmark workloads (`ref15`, `fast40`, `tern10`) and on the
+README's 21-sample examples, each workload in a fresh temporary directory:
+`design`, `tree --depth 7` (to files and to stdout), `eval` with its default
+probes and with `--probe 0.65,0.35`, `verify`, `simulate` with the `fixed`
+and the `lfd` strategy, and `compare`.  For every run it prints the exit
+code and the sha256 of stdout, of stderr and of every file the run wrote or
+changed.  Paths are relative to the working directory, so two checkouts
+print the same lines exactly when their outputs are byte-identical:
+
+    python3 scripts/output_digests.py > new.txt
+    python3 /path/to/other/checkout/scripts/output_digests.py > old.txt
+    diff old.txt new.txt
+
+It takes no options; it runs one command at a time and leaves nothing
+behind.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+BERNOULLI = "--theta1 {} --theta2 {} --lambda {} --horizon {}"
+WORKLOADS = {
+    "ref15": (BERNOULLI.format("0.8", "0.2", 20, 15), "1/2,1/2"),
+    "fast40": (BERNOULLI.format("0.9", "0.1", 3, 40), "1/2,1/2"),
+    "tern10": ("--pmf1 1/2,1/4,1/4 --pmf2 1/4,1/4,1/2 --lambda 20 "
+               "--horizon 10", "1/3,1/3,1/3"),
+}
+MODEL21 = BERNOULLI.format("0.8", "0.2", 20, 21)
+
+
+def workload_runs(flags: str, uniform: str) -> list[str]:
+    return [
+        f"design {flags} --out T.json",
+        "tree --table T.json --depth 7 --out F",
+        "tree --table T.json --depth 7",
+        "eval --table T.json --out R.json",
+        "eval --table T.json --probe 0.65,0.35 --out P.json",
+        "verify --table T.json",
+        f"simulate --table T.json --probe {uniform} --trials 2000 --seed 1",
+        "simulate --table T.json --strategy lfd --trials 2000 --seed 1",
+        f"compare {flags} --out C",
+    ]
+
+
+README_RUNS = [
+    f"design {MODEL21} --out design.json",
+    "tree --table design.json --depth 7 --out figure",
+    "eval --table design.json --probe 0.65,0.35 --out report.json",
+    "verify --table design.json",
+    "simulate --table design.json --probe 0.5,0.5 --trials 10000 --seed 7",
+    f"compare {MODEL21} --out tables",
+]
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def snapshot(work: str) -> dict[str, str]:
+    out = {}
+    for name in sorted(os.listdir(work)):
+        with open(os.path.join(work, name), "rb") as handle:
+            out[name] = sha(handle.read())
+    return out
+
+
+def run_all(label: str, runs: list[str]) -> None:
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+    with tempfile.TemporaryDirectory(prefix="npkw-digests-") as work:
+        for argv in runs:
+            before = snapshot(work)
+            proc = subprocess.run([sys.executable, "-m", "npkw.cli",
+                                   *argv.split()],
+                                  cwd=work, env=env, capture_output=True)
+            after = snapshot(work)
+            files = " ".join(f"{name}={digest}"
+                             for name, digest in after.items()
+                             if before.get(name) != digest)
+            print(f"{label} | npkw {argv} | exit {proc.returncode} | "
+                  f"stdout={sha(proc.stdout)} stderr={sha(proc.stderr)} | "
+                  f"{files}", flush=True)
+
+
+def main() -> None:
+    for label, (flags, uniform) in WORKLOADS.items():
+        run_all(label, workload_runs(flags, uniform))
+    run_all("readme", README_RUNS)
+
+
+if __name__ == "__main__":
+    main()

@@ -42,7 +42,6 @@ from npkw.bellman import (
     backward_recursion,
     bernoulli_model,
     cost_table_from_json,
-    cost_table_to_json,
     cost_table_to_json_str,
     kwt_truncation_bound,
     kwt_truncation_closed_form,
@@ -102,8 +101,8 @@ __all__ = [
     "NominalModel", "DesignState", "CostTable", "make_model",
     "bernoulli_model", "backward_recursion", "stopping_threshold",
     "kwt_truncation_bound", "kwt_truncation_closed_form",
-    "model_to_json", "model_from_json", "cost_table_to_json",
-    "cost_table_to_json_str", "cost_table_from_json",
+    "model_to_json", "model_from_json", "cost_table_to_json_str",
+    "cost_table_from_json",
     # extracted design
     "Decision", "PolicyNode", "ExtractionError", "extract_tree",
     "find_node", "iter_nodes", "iter_unique_nodes", "lfd_range",

@@ -25,7 +25,6 @@ probability a_x / z0 on x.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor, gcd, lcm, log
@@ -380,17 +379,6 @@ def _parse_ratio(text: str) -> tuple[int, int]:
     return n, d
 
 
-def _slice_to_json(f: PwlConcave) -> dict:
-    scale = f.scale
-    return {
-        "value_at_zero": _ratio_str(f.v0, scale),
-        "domain_upper": _ratio_str(f.upper, scale),
-        "segments": [
-            {"slope": s, "width": _ratio_str(w, scale)} for s, w in f.segs
-        ],
-    }
-
-
 def _slice_from_json(d: dict) -> PwlConcave:
     v0, v0_den = _parse_ratio(d["value_at_zero"])
     upper, upper_den = _parse_ratio(d["domain_upper"])
@@ -438,42 +426,8 @@ def model_from_json(d: dict) -> NominalModel:
     )
 
 
-def cost_table_to_json(table: CostTable) -> dict:
-    """Exact JSON form: model echo plus one record per state.
-
-    States are listed by (depth, counts) so the order — and with sorted keys
-    the bytes — are stable across runs.
-    """
-    recs = []
-    for counts in sorted(table.states, key=lambda c: (sum(c), c)):
-        st = table.states[counts]
-        rec: dict = {
-            "depth": st.depth,
-            "counts": list(st.counts),
-            "z1": _frac_str(st.z1),
-            "z2": _frac_str(st.z2),
-            "g": _frac_str(st.g),
-            "rho": _slice_to_json(table.rho[counts]),
-        }
-        if counts in table.d:
-            zs = table.z0_star[counts]
-            rec["d"] = _slice_to_json(table.d[counts])
-            rec["z0_star"] = None if zs is None else _frac_str(zs)
-            sm = table.split[counts]
-            rec["split"] = [
-                {"operand": op, "slope": s, "width": _ratio_str(w, sm.scale)}
-                for op, s, w in sm.parts
-            ]
-        else:
-            rec["d"] = None
-            rec["z0_star"] = None
-            rec["split"] = None
-        recs.append(rec)
-    return {"model": model_to_json(table.model), "states": recs}
-
-
 def cost_table_from_json(d: dict) -> CostTable:
-    """Read a table written by :func:`cost_table_to_json`.
+    """Read a table written by :func:`cost_table_to_json_str`, parsed.
 
     Each record's likelihoods and stopping risk are recomputed from the
     model header; a stored ``z1``, ``z2`` or ``g`` that differs raises
@@ -524,5 +478,63 @@ def cost_table_from_json(d: dict) -> CostTable:
     return CostTable(model, states, rho, dd, split, z0_star)
 
 
+def _slice_text(f: PwlConcave) -> str:
+    """A slice as the JSON object of a field of a state record."""
+    scale = f.scale
+    segs = ",\n".join(
+        f'     {{\n      "slope": {s},\n      "width": "{_ratio_str(w, scale)}"'
+        '\n     }' for s, w in f.segs
+    )
+    return (f'{{\n    "domain_upper": "{_ratio_str(f.upper, scale)}",\n'
+            f'    "segments": [\n{segs}\n    ],\n'
+            f'    "value_at_zero": "{_ratio_str(f.v0, scale)}"\n   }}')
+
+
+def _record_text(table: CostTable, counts: tuple[int, ...]) -> str:
+    st = table.states[counts]
+    sm = table.split.get(counts)
+    if sm is None:
+        d_text = split_text = zs_text = "null"
+    else:
+        d_text = _slice_text(table.d[counts])
+        parts = ",\n".join(
+            f'    {{\n     "operand": {op},\n     "slope": {s},\n'
+            f'     "width": "{_ratio_str(w, sm.scale)}"\n    }}'
+            for op, s, w in sm.parts
+        )
+        split_text = f"[\n{parts}\n   ]"
+        zs = table.z0_star[counts]
+        zs_text = "null" if zs is None else f'"{_frac_str(zs)}"'
+    counts_text = ",\n".join(f"    {c}" for c in counts)
+    return (f'  {{\n   "counts": [\n{counts_text}\n   ],\n'
+            f'   "d": {d_text},\n'
+            f'   "depth": {st.depth},\n'
+            f'   "g": "{_frac_str(st.g)}",\n'
+            f'   "rho": {_slice_text(table.rho[counts])},\n'
+            f'   "split": {split_text},\n'
+            f'   "z0_star": {zs_text},\n'
+            f'   "z1": "{_frac_str(st.z1)}",\n'
+            f'   "z2": "{_frac_str(st.z2)}"\n  }}')
+
+
 def cost_table_to_json_str(table: CostTable) -> str:
-    return json.dumps(cost_table_to_json(table), sort_keys=True, indent=1)
+    """Exact JSON text of the table: model echo plus one record per state.
+
+    States are listed by (depth, counts), every rational is a "num/den"
+    string in lowest terms, and the text is written field by field exactly
+    as ``json.dumps(..., sort_keys=True, indent=1)`` prints those records,
+    so the bytes are stable across runs.  An internal state's record holds
+    ``d``, ``split`` and ``z0_star``; a horizon state's are null.
+    """
+    model = table.model
+    head = model_to_json(model)
+    p1, p2 = (",\n".join(f'   "{v}"' for v in head[key]) for key in ("p1", "p2"))
+    records = ",\n".join(
+        _record_text(table, counts)
+        for counts in sorted(table.states, key=lambda c: (sum(c), c))
+    )
+    return (f'{{\n "model": {{\n  "horizon": {model.horizon},\n'
+            f'  "lambda1": "{head["lambda1"]}",\n'
+            f'  "lambda2": "{head["lambda2"]}",\n'
+            f'  "p1": [\n{p1}\n  ],\n  "p2": [\n{p2}\n  ]\n }},\n'
+            f' "states": [\n{records}\n ]\n}}')

@@ -167,10 +167,15 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     trials = getattr(args, "trials", 1000)
     if trials < 1:
         raise UsageError("trials must be at least 1")
+    out = getattr(args, "out", None)
+    # every output lands beside the --out path (`tree` and `compare` add
+    # suffixes), so a missing directory fails here rather than after a solve
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        raise UsageError(f"no such directory: {os.path.dirname(out)}")
     return RunConfig(
         model=model,
         table_path=table_path,
-        out=getattr(args, "out", None),
+        out=out,
         depth=getattr(args, "depth", None),
         probes=probes,
         grid=grid,
@@ -249,7 +254,7 @@ def cmd_tree(cfg: RunConfig) -> int:
         raise UsageError("depth must be at least 1")
     root = extract_tree(table, max_depth=depth)
     dot = tree_to_dot(root)
-    blob = json.dumps(tree_to_json(root), sort_keys=True, indent=1) + "\n"
+    blob = tree_to_json(root) + "\n"
     if cfg.out:
         base = cfg.out[:-4] if cfg.out.endswith(".dot") else cfg.out
         _write_atomic(base + ".dot", dot)
@@ -264,6 +269,12 @@ def cmd_eval(cfg: RunConfig) -> int:
     table = _load_table(cfg)
     model = table.model
     k = model.alphabet_size
+    for probe in cfg.probes or ():
+        if len(probe) != k:
+            raise UsageError(
+                f"probe {','.join(_frac(v) for v in probe)} has {len(probe)} "
+                f"entries, but the model's alphabet has {k} symbols"
+            )
     root = extract_tree(table)
     probes = cfg.probes or [
         tuple(model.p1), tuple(model.p2),

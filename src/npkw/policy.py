@@ -40,6 +40,7 @@ from .bellman import (
     DesignState,
     ExtractionError,
     NominalModel,
+    _frac_str,
     child_counts,
 )
 from .pwl import RationalLike, rat, slope_left, slope_right, split_at, superdiff
@@ -813,15 +814,26 @@ def _dec(x: Fraction, places: int = 6) -> str:
     return f"{q:f}"
 
 
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 _STOP_COLORS = {
     Decision.H1: "#b3d1ff",
     Decision.H2: "#ffbdbd",
     Decision.RANDOMIZED: "#e0c7f5",
 }
+
+
+def _dot_attrs(node: PolicyNode) -> tuple[str, tuple[str, ...]]:
+    """A node's DOT attribute list and the labels of its child edges."""
+    if node.p_continue == 0:
+        return f'[label="0", fillcolor="{_STOP_COLORS[node.decision]}"];', ()
+    p_stop = 1 - node.p_continue
+    # white at p_stop = 0 down to mid-gray at p_stop = 1
+    level = 255 - int(round(96 * float(p_stop)))
+    attrs = (f'[label="{node.e_enter}/{node.e_continue}", '
+             f'fillcolor="#{level:02x}{level:02x}{level:02x}"];')
+    if node.children is None:
+        return attrs, ()
+    return attrs, tuple(f'[label="{_frac_str(p)} ({_dec(p)})"];'
+                        for p in node.lfd_probs)
 
 
 def tree_to_dot(root: PolicyNode) -> str:
@@ -831,36 +843,27 @@ def tree_to_dot(root: PolicyNode) -> str:
     ``0`` at sure stops.  Sure stops are colored by decision; mixed nodes
     are shaded gray proportionally to their stopping probability.  Edge
     label: the LFD transition probability as an exact rational with a
-    6-digit decimal alongside.
+    6-digit decimal alongside.  Nodes are named ``n<k>`` in preorder over
+    the virtual tree; each distinct node's attributes are formatted once.
     """
     lines = [
         "digraph policy {",
         '  node [shape=circle, style=filled, fontname="Helvetica"];',
         '  edge [fontname="Helvetica", fontsize=10];',
     ]
+    attrs: dict[int, tuple[str, tuple[str, ...]]] = {}
     counter = 0
 
     def emit(node: PolicyNode) -> str:
         nonlocal counter
         name = f"n{counter}"
         counter += 1
-        if node.p_continue == 0:
-            color = _STOP_COLORS[node.decision]
-            lines.append(f'  {name} [label="0", fillcolor="{color}"];')
-            return name
-        label = f"{node.e_enter}/{node.e_continue}"
-        p_stop = 1 - node.p_continue
-        # white at p_stop = 0 down to mid-gray at p_stop = 1
-        level = 255 - int(round(96 * float(p_stop)))
-        fill = f"#{level:02x}{level:02x}{level:02x}"
-        lines.append(f'  {name} [label="{label}", fillcolor="{fill}"];')
-        if node.children is not None:
-            for x, child in enumerate(node.children):
-                cname = emit(child)
-                p = node.lfd_probs[x]
-                lines.append(
-                    f'  {name} -> {cname} [label="{_frac(p)} ({_dec(p)})"];'
-                )
+        got = attrs.get(id(node))
+        if got is None:
+            got = attrs[id(node)] = _dot_attrs(node)
+        lines.append(f"  {name} {got[0]}")
+        for child, label in zip(node.children or (), got[1]):
+            lines.append(f"  {name} -> {emit(child)} {label}")
         return name
 
     emit(root)
@@ -868,21 +871,55 @@ def tree_to_dot(root: PolicyNode) -> str:
     return "\n".join(lines) + "\n"
 
 
-def tree_to_json(root: PolicyNode) -> dict:
-    """Nested JSON form of the tree; rationals as "num/den" strings."""
-    def conv(node: PolicyNode) -> dict:
-        return {
-            "depth": node.depth,
-            "counts": list(node.state.counts),
-            "z0": _frac(node.z0),
-            "e_enter": node.e_enter,
-            "e_continue": node.e_continue,
-            "p_continue": _frac(node.p_continue),
-            "decision": node.decision.value if node.decision else None,
-            "lfd": [_frac(p) for p in node.lfd_probs] if node.lfd_probs else None,
-            "children": (
-                [conv(ch) for ch in node.children]
-                if node.children is not None else None
-            ),
-        }
-    return conv(root)
+def _json_pieces(node: PolicyNode, level: int) -> tuple[str, str, str]:
+    """A node's JSON text around its children, at ``level`` below the root
+    of the export: the text before the first child, between two children,
+    and after the last (the whole node, then "" and "", at a leaf)."""
+    pad0, pad1, pad2 = (" " * (2 * level + i) for i in range(3))
+    lfd = "null" if not node.lfd_probs else "[\n" + ",\n".join(
+        f'{pad2}"{_frac_str(p)}"' for p in node.lfd_probs) + f"\n{pad1}]"
+    counts = ",\n".join(f"{pad2}{c}" for c in node.state.counts)
+    decision = "null" if node.decision is None else f'"{node.decision.value}"'
+    e_continue = "null" if node.e_continue is None else node.e_continue
+    fields = (f'{pad1}"counts": [\n{counts}\n{pad1}],\n'
+              f'{pad1}"decision": {decision},\n'
+              f'{pad1}"depth": {node.depth},\n'
+              f'{pad1}"e_continue": {e_continue},\n'
+              f'{pad1}"e_enter": {node.e_enter},\n'
+              f'{pad1}"lfd": {lfd},\n'
+              f'{pad1}"p_continue": "{_frac_str(node.p_continue)}",\n'
+              f'{pad1}"z0": "{_frac_str(node.z0)}"\n{pad0}}}')
+    if node.children is None:
+        return f'{{\n{pad1}"children": null,\n{fields}', "", ""
+    return (f'{{\n{pad1}"children": [\n{pad2}', f",\n{pad2}",
+            f"\n{pad1}],\n{fields}")
+
+
+def tree_to_json(root: PolicyNode) -> str:
+    """Nested JSON text of the tree; rationals as "num/den" strings.
+
+    The text is exactly what ``json.dumps(..., sort_keys=True, indent=1)``
+    prints for one record per virtual node with its children nested.  A
+    node's indentation is a function of its depth below ``root``, so each
+    distinct node is formatted once and one walk over the virtual tree
+    joins the pieces.
+    """
+    pieces: list[str] = []
+    cache: dict[int, tuple[str, str, str]] = {}
+    base = root.depth
+
+    def walk(node: PolicyNode) -> None:
+        got = cache.get(id(node))
+        if got is None:
+            got = cache[id(node)] = _json_pieces(node, node.depth - base)
+        head, sep, tail = got
+        pieces.append(head)
+        if node.children is not None:
+            for i, child in enumerate(node.children):
+                if i:
+                    pieces.append(sep)
+                walk(child)
+            pieces.append(tail)
+
+    walk(root)
+    return "".join(pieces)

@@ -10,12 +10,16 @@ evidence rather than tautology.  Oracles favour clarity over speed.
 implementations of the PWL algebra, the design recursion, the simulation
 draw and ``kwt_analyze``.  They compute the same things in another
 representation; the package's integer code must agree with them exactly.
+Likewise ``cost_table_text``, ``tree_json_text`` and ``tree_dot_text`` keep
+the package's earlier exporters, which built one dict per record and
+serialized it with ``json.dumps``; the direct writers must match their bytes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 
@@ -557,3 +561,145 @@ def frac_recursion_json(p1, p2, lam1, lam2, horizon: int) -> str:
         "states": [recs[c] for c in sorted(recs, key=lambda c: (sum(c), c))],
     }
     return json.dumps(blob, sort_keys=True, indent=1)
+
+
+# ---------------------------------------------------------------------------
+# the exporters through intermediate dicts and json.dumps
+# ---------------------------------------------------------------------------
+#
+# The package writes the cost table and the policy tree as text directly,
+# formatting each distinct record once.  These builders produce the same
+# documents the plain way: one dict per record (per virtual path of the
+# tree), serialized with ``json.dumps(sort_keys=True, indent=1)``, and the
+# DOT text node by node.  Rationals are reduced through ``Fraction`` rather
+# than a gcd, and the decimal renderer is a copy, so the writers must match
+# these byte for byte.
+
+def _ratio_text(num: int, den: int) -> str:
+    return _frac_text(Fraction(num, den))
+
+
+def _int_slice_json(f: PwlConcave) -> dict:
+    return {
+        "value_at_zero": _ratio_text(f.v0, f.scale),
+        "domain_upper": _ratio_text(f.upper, f.scale),
+        "segments": [
+            {"slope": s, "width": _ratio_text(w, f.scale)} for s, w in f.segs
+        ],
+    }
+
+
+def cost_table_dict(table) -> dict:
+    """The cost table as one dict: model header plus one record per state,
+    states by (depth, counts)."""
+    model = table.model
+    recs = []
+    for counts in sorted(table.states, key=lambda c: (sum(c), c)):
+        st = table.states[counts]
+        rec: dict = {
+            "depth": st.depth,
+            "counts": list(st.counts),
+            "z1": _frac_text(st.z1),
+            "z2": _frac_text(st.z2),
+            "g": _frac_text(st.g),
+            "rho": _int_slice_json(table.rho[counts]),
+        }
+        if counts in table.d:
+            zs = table.z0_star[counts]
+            rec["d"] = _int_slice_json(table.d[counts])
+            rec["z0_star"] = None if zs is None else _frac_text(zs)
+            sm = table.split[counts]
+            rec["split"] = [
+                {"operand": op, "slope": s, "width": _ratio_text(w, sm.scale)}
+                for op, s, w in sm.parts
+            ]
+        else:
+            rec["d"] = None
+            rec["z0_star"] = None
+            rec["split"] = None
+        recs.append(rec)
+    head = {
+        "p1": [_frac_text(v) for v in model.p1],
+        "p2": [_frac_text(v) for v in model.p2],
+        "lambda1": _frac_text(model.lam1),
+        "lambda2": _frac_text(model.lam2),
+        "horizon": model.horizon,
+    }
+    return {"model": head, "states": recs}
+
+
+def cost_table_text(table) -> str:
+    return json.dumps(cost_table_dict(table), sort_keys=True, indent=1)
+
+
+def tree_dict(root) -> dict:
+    """Nested dict form of a policy tree, one dict per virtual node."""
+    def conv(node) -> dict:
+        return {
+            "depth": node.depth,
+            "counts": list(node.state.counts),
+            "z0": _frac_text(node.z0),
+            "e_enter": node.e_enter,
+            "e_continue": node.e_continue,
+            "p_continue": _frac_text(node.p_continue),
+            "decision": node.decision.value if node.decision else None,
+            "lfd": ([_frac_text(p) for p in node.lfd_probs]
+                    if node.lfd_probs else None),
+            "children": (
+                [conv(ch) for ch in node.children]
+                if node.children is not None else None
+            ),
+        }
+    return conv(root)
+
+
+def tree_json_text(root) -> str:
+    return json.dumps(tree_dict(root), sort_keys=True, indent=1)
+
+
+def _dec6(x: Fraction) -> str:
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d = Decimal(x.numerator) / Decimal(x.denominator)
+        q = d.quantize(Decimal(1).scaleb(-6))
+    return f"{q:f}"
+
+
+_DOT_STOP_COLORS = {"H1": "#b3d1ff", "H2": "#ffbdbd", "randomized": "#e0c7f5"}
+
+
+def tree_dot_text(root) -> str:
+    """Graphviz text of a policy tree, formatted node by node in preorder."""
+    lines = [
+        "digraph policy {",
+        '  node [shape=circle, style=filled, fontname="Helvetica"];',
+        '  edge [fontname="Helvetica", fontsize=10];',
+    ]
+    counter = 0
+
+    def emit(node) -> str:
+        nonlocal counter
+        name = f"n{counter}"
+        counter += 1
+        if node.p_continue == 0:
+            color = _DOT_STOP_COLORS[node.decision.value]
+            lines.append(f'  {name} [label="0", fillcolor="{color}"];')
+            return name
+        label = f"{node.e_enter}/{node.e_continue}"
+        p_stop = 1 - node.p_continue
+        level = 255 - int(round(96 * float(p_stop)))
+        fill = f"#{level:02x}{level:02x}{level:02x}"
+        lines.append(f'  {name} [label="{label}", fillcolor="{fill}"];')
+        if node.children is not None:
+            for x, child in enumerate(node.children):
+                cname = emit(child)
+                p = node.lfd_probs[x]
+                lines.append(
+                    f'  {name} -> {cname} [label="{_frac_text(p)} '
+                    f'({_dec6(p)})"];'
+                )
+        return name
+
+    emit(root)
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -29,7 +29,6 @@ from npkw.bellman import (
     build_states,
     child_counts,
     cost_table_from_json,
-    cost_table_to_json,
     cost_table_to_json_str,
     kwt_truncation_bound,
     kwt_truncation_closed_form,
@@ -38,7 +37,12 @@ from npkw.bellman import (
     stopping_threshold,
 )
 from npkw.pwl import pwl, pwl_eval
-from oracles import brute_minimax_value, frac_recursion_json, simplex_grid
+from oracles import (
+    brute_minimax_value,
+    cost_table_text,
+    frac_recursion_json,
+    simplex_grid,
+)
 
 SETTINGS = {"max_examples": 60, "deadline": None}
 
@@ -229,9 +233,14 @@ def test_truncation_scan_matches_closed_form(lam, num):
 # serialization
 # ---------------------------------------------------------------------------
 
+def parsed(table):
+    """The records of the table's JSON text, as the reader receives them."""
+    return json.loads(cost_table_to_json_str(table))
+
+
 def test_json_round_trip():
     table = backward_recursion(fig_model(4))
-    blob = cost_table_to_json(table)
+    blob = parsed(table)
     back = cost_table_from_json(blob)
     assert back.model == table.model
     assert back.rho == table.rho
@@ -243,16 +252,16 @@ def test_json_round_trip():
 
 def test_reader_checks_records_against_the_header():
     table = backward_recursion(fig_model(5))
-    blob = cost_table_to_json(table)
+    blob = parsed(table)
     blob["model"]["lambda1"] = blob["model"]["lambda2"] = "19/1"
     with pytest.raises(ExtractionError, match=r"state \(0, 0\): stored g"):
         cost_table_from_json(blob)
-    blob = cost_table_to_json(table)
+    blob = parsed(table)
     blob["states"][3]["z2"] = "1/7"
     with pytest.raises(ExtractionError, match=r"state \(0, 2\): stored z2"):
         cost_table_from_json(blob)
     # the same rational written unreduced is the same record
-    blob = cost_table_to_json(table)
+    blob = parsed(table)
     blob["states"][1]["z1"] = "8/10"  # (0, 1): z1 = 4/5
     assert cost_table_from_json(blob).rho == table.rho
 
@@ -260,19 +269,19 @@ def test_reader_checks_records_against_the_header():
 @pytest.mark.parametrize("horizon", [10**6, 4, 6])
 def test_reader_rejects_an_edited_horizon_before_building_states(horizon):
     # a power table to depth 10**6 would take minutes and gigabytes
-    blob = cost_table_to_json(backward_recursion(fig_model(5)))
+    blob = parsed(backward_recursion(fig_model(5)))
     blob["model"]["horizon"] = horizon
     with pytest.raises(ValueError, match="header gives horizon"):
         cost_table_from_json(blob)
 
 
 def test_reader_rejects_missing_and_repeated_states():
-    blob = cost_table_to_json(backward_recursion(fig_model(5)))
+    blob = parsed(backward_recursion(fig_model(5)))
     del blob["states"][3]
     with pytest.raises(ValueError, match="stores 20 states, but a model of "
                                          "horizon 5 has 21"):
         cost_table_from_json(blob)
-    blob = cost_table_to_json(backward_recursion(fig_model(5)))
+    blob = parsed(backward_recursion(fig_model(5)))
     blob["states"][3] = blob["states"][2]
     with pytest.raises(ValueError, match=r"counts \(1, 0\) are stored twice"):
         cost_table_from_json(blob)
@@ -350,8 +359,10 @@ def test_cost_table_text_matches_fraction_recursion(k, w1, w2, lam1, lam2,
     if lam1 == lam2:
         lam2 += Fraction(1, 3)
     model = make_model(p1, p2, lam1, lam2, horizon)
-    text = cost_table_to_json_str(backward_recursion(model))
+    table = backward_recursion(model)
+    text = cost_table_to_json_str(table)
     assert text == frac_recursion_json(p1, p2, lam1, lam2, horizon)
+    assert text == cost_table_text(table)
     assert cost_table_to_json_str(
         cost_table_from_json(json.loads(text))) == text
 
@@ -363,9 +374,11 @@ def test_cost_table_text_matches_fraction_recursion_on_the_workloads():
         bernoulli_model("0.7", "0.4", "7/3", 5, 11),
         make_model(["1/2", "1/4", "1/4"], ["1/4", "1/4", "1/2"], 20, 20, 6),
     ):
-        assert cost_table_to_json_str(backward_recursion(model)) == \
-            frac_recursion_json(model.p1, model.p2, model.lam1, model.lam2,
-                                model.horizon)
+        table = backward_recursion(model)
+        text = cost_table_to_json_str(table)
+        assert text == frac_recursion_json(model.p1, model.p2, model.lam1,
+                                           model.lam2, model.horizon)
+        assert text == cost_table_text(table)
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,31 @@ def test_eval_rejects_non_pmf(table9, capsys):
     assert main(["eval", "--table", str(table9), "--probe", "0.5,-0.5,1"]) == 2
 
 
+def test_eval_rejects_a_probe_of_the_wrong_length_before_extraction(
+        table9, tmp_path, monkeypatch, capsys):
+    tern = tmp_path / "tern.json"
+    assert main(["design", "--pmf1", "1/2,1/4,1/4", "--pmf2", "1/4,1/4,1/2",
+                 "--lambda", "20", "--horizon", "3", "--out", str(tern)]) == 0
+    capsys.readouterr()
+
+    def no_extraction(*_args, **_kwargs):
+        raise AssertionError("the tree was extracted before the probe was checked")
+
+    monkeypatch.setattr(cli, "extract_tree", no_extraction)
+    for table, probes, want in (
+        (table9, ["1/2,1/2,0"], "has 3 entries, but the model's alphabet has 2"),
+        (tern, ["0.65,0.35"], "has 2 entries, but the model's alphabet has 3"),
+        (tern, ["1/3,1/3,1/3", "1/2,1/2"], "probe 1/2,1/2 has 2 entries"),
+    ):
+        argv = ["eval", "--table", str(table)]
+        for probe in probes:
+            argv += ["--probe", probe]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and want in captured.err
+        assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------
@@ -383,6 +408,35 @@ def test_outputs_get_the_mode_open_would_give(tmp_path):
     modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
     assert modes == {"t.json": 0o644, "tree.dot": 0o644, "tree.json": 0o644,
                      "e.json": 0o640}
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", *MODEL9],
+    ["tree", *MODEL9, "--depth", "2"],
+    ["eval", *MODEL9],
+    ["compare", *MODEL9],
+])
+def test_out_into_a_missing_directory_fails_before_any_solve(
+        argv, tmp_path, monkeypatch, capsys):
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("solved before the output path was checked")
+
+    monkeypatch.setattr(cli, "backward_recursion", no_solve)
+    monkeypatch.setattr(cli, "sprt_design", no_solve)
+    missing = tmp_path / "nodir"
+    assert main([*argv, "--out", str(missing / "x.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: no such directory: {missing}\n"
+    assert captured.out == "" and not missing.exists()
+
+
+def test_out_in_the_working_directory_needs_no_directory(tmp_path,
+                                                          monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["design", *MODEL9, "--out", "t.json"]) == 0
+    assert main(["tree", "--table", "t.json", "--depth", "2",
+                 "--out", "f"]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["f.dot", "f.json", "t.json"]
 
 
 def test_simulate_bad_strategy_is_usage_error(table9):

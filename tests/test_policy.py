@@ -42,7 +42,12 @@ from npkw.policy import (
     _pick,
 )
 from npkw.pwl import pwl, pwl_eval, slope_right
-from oracles import best_response_cost, frac_draw
+from oracles import (
+    best_response_cost,
+    frac_draw,
+    tree_dot_text,
+    tree_json_text,
+)
 
 SETTINGS = {"max_examples": 50, "deadline": None}
 
@@ -454,13 +459,51 @@ def test_dot_export_shape():
 
 def test_json_export_round_trip():
     _, _, root = small_fig(2)
-    doc = tree_to_json(root)
-    blob = json.loads(json.dumps(doc))
+    blob = json.loads(tree_to_json(root))
     assert blob["counts"] == [0, 0]
     assert blob["e_enter"] == 1 and blob["p_continue"] == "1/1"
     kids = blob["children"]
     assert [k["decision"] for k in kids] == ["H2", "H1"]
     assert all(k["children"] is None for k in kids)
+
+
+weights = st.lists(st.integers(min_value=0, max_value=6), min_size=3,
+                   max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([2, 3]), w1=weights, w2=weights,
+       lam1=st.integers(min_value=1, max_value=40),
+       lam2=st.integers(min_value=1, max_value=40),
+       horizon=st.integers(min_value=1, max_value=7), data=st.data())
+def test_exporters_match_the_dict_oracles(k, w1, w2, lam1, lam2, horizon,
+                                          data):
+    """Both exporters write exactly what the node-by-node oracles write,
+    on display cuts and full trees, from the root and from a node below."""
+    w1, w2 = w1[:k], w2[:k]
+    assume(sum(w1) and sum(w2))
+    p1 = [Fraction(w, sum(w1)) for w in w1]
+    p2 = [Fraction(w, sum(w2)) for w in w2]
+    assume(p1 != p2)
+    table = backward_recursion(make_model(p1, p2, lam1, lam2, horizon))
+    cut = data.draw(st.none() | st.integers(min_value=1, max_value=horizon))
+    root = extract_tree(table, max_depth=cut)
+    node = root
+    for x in data.draw(st.lists(st.integers(min_value=0, max_value=k - 1),
+                                max_size=horizon)):
+        if node.children is None:
+            break
+        node = node.children[x]
+    for start in (root, node):
+        assert tree_to_json(start) == tree_json_text(start)
+        assert tree_to_dot(start) == tree_dot_text(start)
+
+
+def test_exporters_match_the_dict_oracles_on_the_ternary_cut():
+    model = make_model(["1/2", "1/4", "1/4"], ["1/4", "1/4", "1/2"], 20, 20, 8)
+    root = extract_tree(backward_recursion(model), max_depth=7)
+    assert tree_to_json(root) == tree_json_text(root)
+    assert tree_to_dot(root) == tree_dot_text(root)
 
 
 # ---------------------------------------------------------------------------
