@@ -379,30 +379,6 @@ def _parse_ratio(text: str) -> tuple[int, int]:
     return n, d
 
 
-def _slice_from_json(d: dict) -> PwlConcave:
-    v0, v0_den = _parse_ratio(d["value_at_zero"])
-    upper, upper_den = _parse_ratio(d["domain_upper"])
-    segs = [(seg["slope"], *_parse_ratio(seg["width"])) for seg in d["segments"]]
-    scale = lcm(v0_den, upper_den, *(den for _, _, den in segs))
-    return PwlConcave.reduced(
-        scale,
-        v0 * (scale // v0_den),
-        [(s, w * (scale // den)) for s, w, den in segs],
-        upper * (scale // upper_den),
-    )
-
-
-def _split_from_json(entries: list, d_slice: PwlConcave, k: int) -> SplitMap:
-    parts = [(e["operand"], e["slope"], *_parse_ratio(e["width"]))
-             for e in entries]
-    scale = lcm(d_slice.scale, *(den for _, _, _, den in parts))
-    return SplitMap.reduced(
-        k, scale,
-        [(op, s, w * (scale // den)) for op, s, w, den in parts],
-        d_slice.upper * (scale // d_slice.scale),
-    )
-
-
 def model_to_json(model: NominalModel) -> dict:
     return {
         "p1": [_frac_str(v) for v in model.p1],
@@ -426,16 +402,46 @@ def model_from_json(d: dict) -> NominalModel:
     )
 
 
+_RECORD_FIELDS = frozenset(("counts", "depth", "g", "rho", "z1", "z2"))
+
+
+def _check_record(rec: dict, st: DesignState, f: PwlConcave) -> None:
+    """Raise :class:`ExtractionError` naming the state and the field unless
+    the record stores exactly the state ``st`` and its cost slice ``f``.
+    Rationals compare by value, as ``n * den == d * num``."""
+    rho = rec["rho"]
+    segs = rho["segments"]
+    want = [(name, rec[name], v.numerator, v.denominator)
+            for name, v in (("z1", st.z1), ("z2", st.z2), ("g", st.g))]
+    want += [("rho value_at_zero", rho["value_at_zero"], f.v0, f.scale),
+             ("rho domain_upper", rho["domain_upper"], f.upper, f.scale)]
+    want += [(f"rho segment {i} width", seg["width"], w, f.scale)
+             for i, (seg, (_, w)) in enumerate(zip(segs, f.segs))]
+    for field, text, num, den in want:
+        n, d = _parse_ratio(text)
+        if n * den != d * num:
+            raise ExtractionError(
+                f"state {st.counts}: stored {field} = {text}, but the model "
+                f"header gives {_ratio_str(num, den)}")
+    slopes = [seg["slope"] for seg in segs]
+    if (rec["depth"], slopes) != (st.depth, [s for s, _ in f.segs]):
+        raise ExtractionError(
+            f"state {st.counts}: stored depth = {rec['depth']} and rho slopes "
+            f"= {slopes}, but the model header gives {st.depth} and "
+            f"{[s for s, _ in f.segs]}")
+
+
 def cost_table_from_json(d: dict) -> CostTable:
     """Read a table written by :func:`cost_table_to_json_str`, parsed.
 
-    Each record's likelihoods and stopping risk are recomputed from the
-    model header; a stored ``z1``, ``z2`` or ``g`` that differs raises
-    :class:`ExtractionError` naming the state and the field, so a table
-    whose header was edited is not read as a solution of the new model.
-    The records must reach exactly the header's horizon and number one per
-    state before any likelihood is built, so an edited horizon costs no
-    power table of its size.
+    The table is the solution of the model in its header, so the reader
+    re-solves that model with :func:`backward_recursion` and requires every
+    stored number to equal the recomputed one by value; a record that
+    differs raises :class:`ExtractionError` naming the state and the field.
+    The root is checked first, then the other states by (depth, counts).
+    Before the solve, the records must reach exactly the header's horizon,
+    number one per state and hold no field beyond the six the writer
+    stores, so an edited horizon costs no solve of its size.
     """
     model = model_from_json(d["model"])
     k = model.alphabet_size
@@ -448,34 +454,25 @@ def cost_table_from_json(d: dict) -> CostTable:
         raise ValueError(f"the table stores {len(recs)} states, but a model "
                          f"of horizon {model.horizon} has "
                          f"{comb(model.horizon + k, k)}")
-    make = _state_maker(model, depth)
-    states: dict[tuple[int, ...], DesignState] = {}
-    rho: dict[tuple[int, ...], PwlConcave] = {}
-    dd: dict[tuple[int, ...], PwlConcave] = {}
-    split: dict[tuple[int, ...], SplitMap] = {}
-    z0_star: dict[tuple[int, ...], Fraction | None] = {}
+    stored: dict[tuple[int, ...], dict] = {}
     for rec in recs:
         counts = tuple(rec["counts"])
         if len(counts) != k or any(c < 0 for c in counts):
             raise ValueError(f"counts {counts} are not a state of the model")
-        if counts in states:
+        if counts in stored:
             raise ValueError(f"counts {counts} are stored twice")
-        st = states[counts] = make(counts)
-        for field in ("z1", "z2", "g"):
-            num, den = _parse_ratio(rec[field])
-            want = getattr(st, field)
-            if num * want.denominator != den * want.numerator:
-                raise ExtractionError(
-                    f"state {counts}: stored {field} = {rec[field]}, but the "
-                    f"model header gives {_frac_str(want)}"
-                )
-        rho[counts] = _slice_from_json(rec["rho"])
-        if rec["d"] is not None:
-            dd[counts] = _slice_from_json(rec["d"])
-            split[counts] = _split_from_json(rec["split"], dd[counts], k)
-            zs = rec["z0_star"]
-            z0_star[counts] = None if zs is None else Fraction(*_parse_ratio(zs))
-    return CostTable(model, states, rho, dd, split, z0_star)
+        extra = rec.keys() - _RECORD_FIELDS
+        if extra:
+            raise ValueError(f"state {counts}: unknown field "
+                             f"{', '.join(map(repr, sorted(extra)))}; write "
+                             f"the table again with `npkw design`")
+        stored[counts] = rec
+    table = backward_recursion(model)
+    for counts in sorted(table.states, key=lambda c: (sum(c), c)):
+        if counts not in stored:
+            raise ValueError(f"counts {counts} are not stored")
+        _check_record(stored[counts], table.states[counts], table.rho[counts])
+    return table
 
 
 def _slice_text(f: PwlConcave) -> str:
@@ -492,27 +489,11 @@ def _slice_text(f: PwlConcave) -> str:
 
 def _record_text(table: CostTable, counts: tuple[int, ...]) -> str:
     st = table.states[counts]
-    sm = table.split.get(counts)
-    if sm is None:
-        d_text = split_text = zs_text = "null"
-    else:
-        d_text = _slice_text(table.d[counts])
-        parts = ",\n".join(
-            f'    {{\n     "operand": {op},\n     "slope": {s},\n'
-            f'     "width": "{_ratio_str(w, sm.scale)}"\n    }}'
-            for op, s, w in sm.parts
-        )
-        split_text = f"[\n{parts}\n   ]"
-        zs = table.z0_star[counts]
-        zs_text = "null" if zs is None else f'"{_frac_str(zs)}"'
     counts_text = ",\n".join(f"    {c}" for c in counts)
     return (f'  {{\n   "counts": [\n{counts_text}\n   ],\n'
-            f'   "d": {d_text},\n'
             f'   "depth": {st.depth},\n'
             f'   "g": "{_frac_str(st.g)}",\n'
             f'   "rho": {_slice_text(table.rho[counts])},\n'
-            f'   "split": {split_text},\n'
-            f'   "z0_star": {zs_text},\n'
             f'   "z1": "{_frac_str(st.z1)}",\n'
             f'   "z2": "{_frac_str(st.z2)}"\n  }}')
 
@@ -523,8 +504,10 @@ def cost_table_to_json_str(table: CostTable) -> str:
     States are listed by (depth, counts), every rational is a "num/den"
     string in lowest terms, and the text is written field by field exactly
     as ``json.dumps(..., sort_keys=True, indent=1)`` prints those records,
-    so the bytes are stable across runs.  An internal state's record holds
-    ``d``, ``split`` and ``z0_star``; a horizon state's are null.
+    so the bytes are stable across runs.  A record holds the state (its
+    ``counts``, ``depth``, ``z1``, ``z2`` and ``g``) and its cost slice
+    ``rho``; the continuation slices, split maps and thresholds follow from
+    the model and are not stored.
     """
     model = table.model
     head = model_to_json(model)

@@ -172,6 +172,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     # suffixes), so a missing directory fails here rather than after a solve
     if out and not os.path.isdir(os.path.dirname(out) or "."):
         raise UsageError(f"no such directory: {os.path.dirname(out)}")
+    # `design` and `eval` write to the --out path itself
+    if out and args.command in ("design", "eval") and os.path.isdir(out):
+        raise UsageError(f"--out names a directory: {out}")
     return RunConfig(
         model=model,
         table_path=table_path,
@@ -224,6 +227,18 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _check_probe_lengths(probes: Optional[list[tuple[Fraction, ...]]],
+                         k: int) -> None:
+    """Every probe must be a PMF over the model's k symbols; checked after
+    the table is loaded and before the tree is extracted."""
+    for probe in probes or ():
+        if len(probe) != k:
+            raise UsageError(
+                f"probe {','.join(_frac(v) for v in probe)} has {len(probe)} "
+                f"entries, but the model's alphabet has {k} symbols"
+            )
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -269,12 +284,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     table = _load_table(cfg)
     model = table.model
     k = model.alphabet_size
-    for probe in cfg.probes or ():
-        if len(probe) != k:
-            raise UsageError(
-                f"probe {','.join(_frac(v) for v in probe)} has {len(probe)} "
-                f"entries, but the model's alphabet has {k} symbols"
-            )
+    _check_probe_lengths(cfg.probes, k)
     root = extract_tree(table)
     probes = cfg.probes or [
         tuple(model.p1), tuple(model.p2),
@@ -425,6 +435,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         )
     table = _load_table(cfg)
     k = table.model.alphabet_size
+    _check_probe_lengths(cfg.probes, k)
     root = extract_tree(table)
     if cfg.probes:
         pmf: Optional[list] = list(cfg.probes[0])

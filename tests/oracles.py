@@ -498,13 +498,24 @@ def _frac_slice_json(f: FracPwl) -> dict:
     }
 
 
-def frac_recursion_json(p1, p2, lam1, lam2, horizon: int) -> str:
-    """The cost-table text of the design recursion, solved in Fractions.
+@dataclass(frozen=True)
+class FracState:
+    """One state of the Fraction recursion; ``d``, ``split`` and
+    ``z0_star`` are None at the horizon."""
 
-    Likelihoods are Fraction products, every slice a :class:`FracPwl`, and
-    the records are written field by field as ``cost_table_to_json_str``
-    documents them (states by depth then counts, sorted keys, indent 1).
-    """
+    z1: Fraction
+    z2: Fraction
+    g: Fraction
+    rho: FracPwl
+    d: FracPwl | None
+    split: FracSplit | None
+    z0_star: Fraction | None
+
+
+def frac_recursion(p1, p2, lam1, lam2, horizon: int) -> dict:
+    """The design recursion solved in Fractions: likelihoods are Fraction
+    products and every slice a :class:`FracPwl`.  Maps each count vector to
+    its :class:`FracState`."""
     p1 = tuple(Fraction(v) for v in p1)
     p2 = tuple(Fraction(v) for v in p2)
     lam1, lam2 = Fraction(lam1), Fraction(lam2)
@@ -518,8 +529,7 @@ def frac_recursion_json(p1, p2, lam1, lam2, horizon: int) -> str:
             for rest in counts_at(n - first, k - 1):
                 yield (first, *rest)
 
-    recs: dict[tuple[int, ...], dict] = {}
-    rho: dict[tuple[int, ...], FracPwl] = {}
+    out: dict[tuple[int, ...], FracState] = {}
     for n in range(horizon, -1, -1):
         for counts in counts_at(n, k):
             z1 = z2 = Fraction(1)
@@ -527,38 +537,44 @@ def frac_recursion_json(p1, p2, lam1, lam2, horizon: int) -> str:
                 z1 *= p1[x] ** c
                 z2 *= p2[x] ** c
             g = min(lam1 * z1, lam2 * z2)
-            rec = {"depth": n, "counts": list(counts), "z1": _frac_text(z1),
-                   "z2": _frac_text(z2), "g": _frac_text(g),
-                   "d": None, "z0_star": None, "split": None}
             if n == horizon:
-                rho[counts] = FracPwl(g, ((0, Fraction(1)),), Fraction(1))
-            else:
-                children = []
-                for x in range(k):
-                    child = list(counts)
-                    child[x] += 1
-                    children.append(rho[tuple(child)])
-                d_slice, sm = frac_supconv(children, 1)
-                lifted = frac_lift(d_slice)
-                t_star = frac_crossing(lifted, g)
-                rho[counts] = frac_cap(lifted, g)
-                rec["d"] = _frac_slice_json(d_slice)
-                rec["z0_star"] = None if t_star is None else _frac_text(t_star)
-                rec["split"] = [
-                    {"operand": op, "slope": s, "width": _frac_text(w)}
-                    for op, s, w in sm.entries
-                ]
-            rec["rho"] = _frac_slice_json(rho[counts])
-            recs[counts] = rec
+                out[counts] = FracState(
+                    z1, z2, g, FracPwl(g, ((0, Fraction(1)),), Fraction(1)),
+                    None, None, None)
+                continue
+            children = []
+            for x in range(k):
+                child = list(counts)
+                child[x] += 1
+                children.append(out[tuple(child)].rho)
+            d_slice, sm = frac_supconv(children, 1)
+            lifted = frac_lift(d_slice)
+            out[counts] = FracState(z1, z2, g, frac_cap(lifted, g), d_slice,
+                                    sm, frac_crossing(lifted, g))
+    return out
+
+
+def frac_recursion_json(p1, p2, lam1, lam2, horizon: int) -> str:
+    """The cost-table text of :func:`frac_recursion`, with the records
+    written field by field as ``cost_table_to_json_str`` documents them
+    (states by depth then counts, sorted keys, indent 1)."""
+    solved = frac_recursion(p1, p2, lam1, lam2, horizon)
+    recs = [
+        {"depth": sum(counts), "counts": list(counts),
+         "z1": _frac_text(st.z1), "z2": _frac_text(st.z2),
+         "g": _frac_text(st.g), "rho": _frac_slice_json(st.rho)}
+        for counts, st in sorted(solved.items(),
+                                 key=lambda item: (sum(item[0]), item[0]))
+    ]
     blob = {
         "model": {
-            "p1": [_frac_text(v) for v in p1],
-            "p2": [_frac_text(v) for v in p2],
-            "lambda1": _frac_text(lam1),
-            "lambda2": _frac_text(lam2),
+            "p1": [_frac_text(Fraction(v)) for v in p1],
+            "p2": [_frac_text(Fraction(v)) for v in p2],
+            "lambda1": _frac_text(Fraction(lam1)),
+            "lambda2": _frac_text(Fraction(lam2)),
             "horizon": horizon,
         },
-        "states": [recs[c] for c in sorted(recs, key=lambda c: (sum(c), c))],
+        "states": recs,
     }
     return json.dumps(blob, sort_keys=True, indent=1)
 
@@ -596,28 +612,14 @@ def cost_table_dict(table) -> dict:
     recs = []
     for counts in sorted(table.states, key=lambda c: (sum(c), c)):
         st = table.states[counts]
-        rec: dict = {
+        recs.append({
             "depth": st.depth,
             "counts": list(st.counts),
             "z1": _frac_text(st.z1),
             "z2": _frac_text(st.z2),
             "g": _frac_text(st.g),
             "rho": _int_slice_json(table.rho[counts]),
-        }
-        if counts in table.d:
-            zs = table.z0_star[counts]
-            rec["d"] = _int_slice_json(table.d[counts])
-            rec["z0_star"] = None if zs is None else _frac_text(zs)
-            sm = table.split[counts]
-            rec["split"] = [
-                {"operand": op, "slope": s, "width": _ratio_text(w, sm.scale)}
-                for op, s, w in sm.parts
-            ]
-        else:
-            rec["d"] = None
-            rec["z0_star"] = None
-            rec["split"] = None
-        recs.append(rec)
+        })
     head = {
         "p1": [_frac_text(v) for v in model.p1],
         "p2": [_frac_text(v) for v in model.p2],

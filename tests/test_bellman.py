@@ -40,6 +40,7 @@ from npkw.pwl import pwl, pwl_eval
 from oracles import (
     brute_minimax_value,
     cost_table_text,
+    frac_recursion,
     frac_recursion_json,
     simplex_grid,
 )
@@ -241,6 +242,8 @@ def parsed(table):
 def test_json_round_trip():
     table = backward_recursion(fig_model(4))
     blob = parsed(table)
+    assert all(rec.keys() == {"counts", "depth", "g", "rho", "z1", "z2"}
+               for rec in blob["states"])
     back = cost_table_from_json(blob)
     assert back.model == table.model
     assert back.rho == table.rho
@@ -264,6 +267,23 @@ def test_reader_checks_records_against_the_header():
     blob = parsed(table)
     blob["states"][1]["z1"] = "8/10"  # (0, 1): z1 = 4/5
     assert cost_table_from_json(blob).rho == table.rho
+
+
+def test_reader_takes_records_in_any_order():
+    table = backward_recursion(fig_model(5))
+    blob = parsed(table)
+    blob["states"].reverse()  # the root last
+    back = cost_table_from_json(blob)
+    assert back.rho == table.rho and back.split == table.split
+
+
+def test_reader_refuses_a_field_it_does_not_store():
+    # a table that still stores the derivable fields must be written again
+    blob = parsed(backward_recursion(fig_model(5)))
+    blob["states"][0].update(d=None, split=None, z0_star=None)
+    with pytest.raises(ValueError, match=r"state \(0, 0\): unknown field "
+                                         r"'d', 'split', 'z0_star'"):
+        cost_table_from_json(blob)
 
 
 @pytest.mark.parametrize("horizon", [10**6, 4, 6])
@@ -359,10 +379,7 @@ def test_cost_table_text_matches_fraction_recursion(k, w1, w2, lam1, lam2,
     if lam1 == lam2:
         lam2 += Fraction(1, 3)
     model = make_model(p1, p2, lam1, lam2, horizon)
-    table = backward_recursion(model)
-    text = cost_table_to_json_str(table)
-    assert text == frac_recursion_json(p1, p2, lam1, lam2, horizon)
-    assert text == cost_table_text(table)
+    text = _assert_matches_fraction_recursion(model)
     assert cost_table_to_json_str(
         cost_table_from_json(json.loads(text))) == text
 
@@ -374,11 +391,32 @@ def test_cost_table_text_matches_fraction_recursion_on_the_workloads():
         bernoulli_model("0.7", "0.4", "7/3", 5, 11),
         make_model(["1/2", "1/4", "1/4"], ["1/4", "1/4", "1/2"], 20, 20, 6),
     ):
-        table = backward_recursion(model)
-        text = cost_table_to_json_str(table)
-        assert text == frac_recursion_json(model.p1, model.p2, model.lam1,
-                                           model.lam2, model.horizon)
-        assert text == cost_table_text(table)
+        _assert_matches_fraction_recursion(model)
+
+
+def _assert_matches_fraction_recursion(model) -> str:
+    """The table's text, and the continuation slices, split maps and
+    thresholds it does not store, equal the Fraction recursion's."""
+    table = backward_recursion(model)
+    text = cost_table_to_json_str(table)
+    args = (model.p1, model.p2, model.lam1, model.lam2, model.horizon)
+    assert text == frac_recursion_json(*args)
+    assert text == cost_table_text(table)
+    solved = frac_recursion(*args)
+    internal = {c for c, st in solved.items() if st.d is not None}
+    assert table.d.keys() == table.split.keys() == table.z0_star.keys() \
+        == internal
+    for counts in internal:
+        want = solved[counts]
+        d_slice, sm = table.d[counts], table.split[counts]
+        assert (d_slice.value_at_zero, d_slice.segments,
+                d_slice.domain_upper) == (want.d.value_at_zero,
+                                          want.d.segments,
+                                          want.d.domain_upper)
+        assert (sm.n_operands, sm.entries, sm.target) == (
+            want.split.n_operands, want.split.entries, want.split.target)
+        assert table.z0_star[counts] == want.z0_star
+    return text
 
 
 # ---------------------------------------------------------------------------

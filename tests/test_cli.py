@@ -161,8 +161,7 @@ def test_eval_rejects_non_pmf(table9, capsys):
     assert main(["eval", "--table", str(table9), "--probe", "0.5,-0.5,1"]) == 2
 
 
-def test_eval_rejects_a_probe_of_the_wrong_length_before_extraction(
-        table9, tmp_path, monkeypatch, capsys):
+def _check_wrong_length_probes(command, table9, tmp_path, monkeypatch, capsys):
     tern = tmp_path / "tern.json"
     assert main(["design", "--pmf1", "1/2,1/4,1/4", "--pmf2", "1/4,1/4,1/2",
                  "--lambda", "20", "--horizon", "3", "--out", str(tern)]) == 0
@@ -177,13 +176,25 @@ def test_eval_rejects_a_probe_of_the_wrong_length_before_extraction(
         (tern, ["0.65,0.35"], "has 2 entries, but the model's alphabet has 3"),
         (tern, ["1/3,1/3,1/3", "1/2,1/2"], "probe 1/2,1/2 has 2 entries"),
     ):
-        argv = ["eval", "--table", str(table)]
+        if command == "simulate" and len(probes) > 1:
+            continue  # simulate takes one probe
+        argv = [command, "--table", str(table)]
         for probe in probes:
             argv += ["--probe", probe]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and want in captured.err
         assert captured.out == ""
+
+
+def test_eval_rejects_a_probe_of_the_wrong_length_before_extraction(
+        table9, tmp_path, monkeypatch, capsys):
+    _check_wrong_length_probes("eval", table9, tmp_path, monkeypatch, capsys)
+
+
+def test_simulate_rejects_a_probe_of_the_wrong_length_before_extraction(
+        table9, tmp_path, monkeypatch, capsys):
+    _check_wrong_length_probes("simulate", table9, tmp_path, monkeypatch, capsys)
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +325,59 @@ def test_verify_rejects_corrupt_file(tmp_path, capsys):
 
 
 def test_verify_catches_tampered_slice(table9, tmp_path, capsys):
-    # bump one continuation-cost slope: extraction promises stop matching
+    # bump one cost-slice slope: the table no longer solves its model
     data = json.loads(table9.read_text())
     root = next(s for s in data["states"] if s["depth"] == 0)
-    root["d"]["segments"][-1]["slope"] -= 1
+    root["rho"]["segments"][-1]["slope"] -= 1
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(data))
     rc = main(["verify", "--table", str(bad)])
     captured = capsys.readouterr()
     assert rc == 1
     assert "verification error" in captured.err or "FAIL" in captured.out
+
+
+def _edit_number(rec, field):
+    """Add one to a stored number of the record, in place."""
+    if field == "slope":
+        rec["rho"]["segments"][-1]["slope"] += 1
+        return
+    if field in ("z1", "z2", "g"):
+        holder, key = rec, field
+    elif field == "width":
+        holder, key = rec["rho"]["segments"][0], "width"
+    else:
+        holder, key = rec["rho"], field
+    holder[key] = str(F(holder[key]) + 1)
+
+
+@pytest.mark.parametrize("field", ["z1", "z2", "g", "slope", "width",
+                                   "value_at_zero", "domain_upper"])
+@pytest.mark.parametrize("index", [0, 7, 30, -1])
+def test_verify_names_the_state_of_any_edited_number(table9, tmp_path, capsys,
+                                                     field, index):
+    data = json.loads(table9.read_text())
+    rec = data["states"][index]
+    _edit_number(rec, field)
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(data))
+    assert main(["verify", "--table", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert f"state {tuple(rec['counts'])}: stored " in captured.err
+
+
+def test_verify_refuses_a_record_with_a_field_it_does_not_store(
+        table9, tmp_path, capsys):
+    data = json.loads(table9.read_text())
+    data["states"][5]["d"] = None
+    bad = tmp_path / "old.json"
+    bad.write_text(json.dumps(data))
+    assert main(["verify", "--table", str(bad)]) == 1
+    captured = capsys.readouterr()
+    counts = tuple(data["states"][5]["counts"])
+    assert f"state {counts}: unknown field 'd'" in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_verify_rejects_a_table_whose_header_was_edited(tmp_path, capsys):
@@ -428,6 +482,22 @@ def test_out_into_a_missing_directory_fails_before_any_solve(
     captured = capsys.readouterr()
     assert captured.err == f"error: no such directory: {missing}\n"
     assert captured.out == "" and not missing.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", *MODEL9],
+    ["eval", *MODEL9],
+])
+def test_out_naming_a_directory_fails_before_any_solve(
+        argv, tmp_path, monkeypatch, capsys):
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("solved before the output path was checked")
+
+    monkeypatch.setattr(cli, "backward_recursion", no_solve)
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --out names a directory: {tmp_path}\n"
+    assert captured.out == "" and os.listdir(tmp_path) == []
 
 
 def test_out_in_the_working_directory_needs_no_directory(tmp_path,
