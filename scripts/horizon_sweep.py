@@ -4,11 +4,12 @@
 For equal error weights the average error probability of the designed test
 falls out of the root cost slice alone (cost identity: value = E[tau] +
 lambda * (alpha1 + alpha2), worst-case E[tau] = right slope at full mass),
-so the sweep never extracts a policy tree.  Prints one line per odd
-horizon next to the three-sample majority vote for scale, then the exact
-drop of the minimax value from each horizon to the next: while the drops stay
-positive, a test allowed more samples is strictly better (the paper's
-"can be nontruncated").
+so the sweep never extracts a policy tree, and one pass of `horizon_roots`
+gives the root slice at every horizon.  Prints one line per odd horizon next
+to the three-sample majority vote for scale, then the exact drop of the
+minimax value from each horizon to the next: while the drops stay positive,
+a test allowed more samples is strictly better (the paper's "can be
+nontruncated").
 
     python scripts/horizon_sweep.py --max-horizon 21
 """
@@ -18,9 +19,9 @@ from fractions import Fraction
 
 from npkw import (
     FsstDesign,
-    backward_recursion,
     bernoulli_model,
     fsst_analyze,
+    horizon_roots,
     pwl_eval,
     slope_right,
 )
@@ -40,10 +41,11 @@ def main() -> None:
     print()
     print("horizon  worst-case E[tau]  average error  minimax value")
     values = []
-    for n in range(3, args.max_horizon + 1, 2):
-        model = bernoulli_model(args.theta1, args.theta2,
-                                lam1=args.lam, lam2=args.lam, horizon=n)
-        root = backward_recursion(model).rho[(0, 0)]
+    # horizon_roots reads the PMFs and the weights, not the model's horizon
+    model = bernoulli_model(args.theta1, args.theta2, lam1=args.lam,
+                            lam2=args.lam, horizon=3)
+    roots = horizon_roots(model, range(3, args.max_horizon + 1, 2))
+    for n, root in roots.items():
         value = pwl_eval(root, 1)
         e_tau = slope_right(root, 1)
         avg = (value - e_tau) / (2 * args.lam)

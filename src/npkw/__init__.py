@@ -43,6 +43,7 @@ from npkw.bellman import (
     bernoulli_model,
     cost_table_from_json,
     cost_table_to_json_str,
+    horizon_roots,
     kwt_truncation_bound,
     kwt_truncation_closed_form,
     make_model,
@@ -99,7 +100,8 @@ __all__ = [
     "supconv", "split_at",
     # model + value recursion
     "NominalModel", "DesignState", "CostTable", "make_model",
-    "bernoulli_model", "backward_recursion", "stopping_threshold",
+    "bernoulli_model", "backward_recursion", "horizon_roots",
+    "stopping_threshold",
     "kwt_truncation_bound", "kwt_truncation_closed_form",
     "model_to_json", "model_from_json", "cost_table_to_json_str",
     "cost_table_from_json",

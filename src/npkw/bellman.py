@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor, gcd, lcm, log
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .pwl import (
     PwlConcave,
@@ -37,8 +37,10 @@ from .pwl import (
     cap_min_const,
     crossing_point,
     lift_identity,
+    merge_scaled,
     pwl,
     rat,
+    restrict,
     supconv,
 )
 
@@ -266,6 +268,84 @@ def backward_recursion(model: NominalModel) -> CostTable:
             z0_star[st.counts] = t_star
 
     return CostTable(model, states, rho, d, split, z0_star)
+
+
+def horizon_roots(model: NominalModel,
+                  horizons: Iterable[int]) -> dict[int, PwlConcave]:
+    """The root cost slice on [0, 1] at each horizon, from one pass, keyed
+    by horizon in increasing order.
+
+    Equals ``backward_recursion(model at horizon n).rho[root]`` for each n
+    (``model.horizon`` itself is ignored), but solves classes instead of
+    states.  A state with likelihoods z1 > 0 and z2 and r samples left has
+    ``rho(z0) = z1 * W[l, r](z0 / z1)`` with ``l = z2 / z1``, where
+
+        W[l, 0] = gamma(l) = min(lam1, lam2 * l),
+        W[l, r](t) = min(gamma(l), t + sup over sum b_x = t of
+                     sum_x p1x * W[l * p2x / p1x, r - 1](b_x / p1x)),
+
+    the sum running over the symbols with p1x > 0 (a symbol with p1x = 0
+    leads to z1 = 0, where rho is 0).  Each operand is its W with widths
+    and value times p1x and the same integer slopes.  W is flat from its
+    cap crossing on, at most gamma <= lam1, so every W is kept on
+    [0, max(lam1, 1)]: the operands' domains sum to that, and the root,
+    ``W[1, n]`` on [0, 1], lies inside it.  States of different depths and
+    horizons that share (l, r) are solved once: the fast model's sweep
+    over the odd horizons 3..39 merges 780 classes where the 19 recursions
+    solve 5,529 internal states.
+    """
+    horizons = set(horizons)
+    if not horizons:
+        return {}
+    if min(horizons) < 1:
+        raise ValueError("horizons must be integers >= 1")
+    # symbols with p1x > 0, as (p1x numerator, p1x denominator, p2x / p1x)
+    symbols = [(p1.numerator, p1.denominator, p2 / p1)
+               for p1, p2 in zip(model.p1, model.p2) if p1 > 0]
+    upper = max(model.lam1, Fraction(1))
+    up, uq = upper.numerator, upper.denominator
+
+    def gamma(ratio: tuple[int, int]) -> Fraction:
+        return min(model.lam1, model.lam2 * Fraction(*ratio))
+
+    # the classes each count of samples left needs, with their children;
+    # a likelihood ratio l is the pair (numerator, denominator) in lowest
+    # terms, which hashes faster than a Fraction
+    top = max(horizons)
+    needed: list[dict[tuple[int, int], tuple[tuple[int, int], ...]]] = \
+        [{} for _ in range(top + 1)]
+    for r in range(top, 0, -1):
+        if r in horizons:
+            needed[r].setdefault((1, 1), ())
+        for num, den in needed[r]:
+            kids = []
+            for _, _, q in symbols:
+                n, d = num * q.numerator, den * q.denominator
+                g = gcd(n, d)
+                kids.append((n // g, d // g))
+            needed[r][num, den] = tuple(kids)
+            for kid in kids:
+                needed[r - 1].setdefault(kid, ())
+
+    roots: dict[int, PwlConcave] = {}
+    below = {ratio: pwl(gamma(ratio), [(0, upper)]) for ratio in needed[0]}
+    for r in range(1, top + 1):
+        level = {}
+        for ratio, kids in needed[r].items():
+            fs = [below[kid] for kid in kids]
+            scale = lcm(*(b * f.scale for (_, b, _), f in zip(symbols, fs)))
+            mults = [scale // (b * f.scale) * a
+                     for (a, b, _), f in zip(symbols, fs)]
+            target = up * (scale // uq)
+            v0, segs, _ = merge_scaled(fs, mults, scale, target)
+            # t + the merge: every slope one higher
+            lifted = PwlConcave.reduced(
+                scale, v0, [(s + 1, w) for s, w in segs], target)
+            level[ratio] = cap_min_const(lifted, gamma(ratio))
+        if r in horizons:
+            roots[r] = restrict(level[1, 1], 1)
+        below = level
+    return roots
 
 
 def stopping_threshold(table: CostTable, counts: tuple[int, ...]) -> Fraction | None:

@@ -44,6 +44,7 @@ from .bellman import (
     bernoulli_model,
     cost_table_from_json,
     cost_table_to_json_str,
+    horizon_roots,
     make_model,
 )
 from .policy import (
@@ -169,12 +170,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise UsageError("trials must be at least 1")
     out = getattr(args, "out", None)
     # every output lands beside the --out path (`tree` and `compare` add
-    # suffixes), so a missing directory fails here rather than after a solve
-    if out and not os.path.isdir(os.path.dirname(out) or "."):
-        raise UsageError(f"no such directory: {os.path.dirname(out)}")
-    # `design` and `eval` write to the --out path itself
-    if out and args.command in ("design", "eval") and os.path.isdir(out):
-        raise UsageError(f"--out names a directory: {out}")
+    # suffixes), so a missing directory or an output path that is a
+    # directory fails here rather than after a solve
+    if out:
+        if not os.path.isdir(os.path.dirname(out) or "."):
+            raise UsageError(f"no such directory: {os.path.dirname(out)}")
+        for path in _out_paths(args.command, out):
+            if os.path.isdir(path):
+                raise UsageError(f"--out names a directory: {path}")
     return RunConfig(
         model=model,
         table_path=table_path,
@@ -186,6 +189,19 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         trials=trials,
         strategy=getattr(args, "strategy", "fixed") or "fixed",
     )
+
+
+def _out_paths(command: str, out: str) -> list[str]:
+    """The files a command writes for ``--out out``: `tree` writes a .dot
+    and a .json beside one base (a trailing .dot is dropped from it), and
+    `compare` three CSV tables."""
+    if command == "tree":
+        base = out[:-4] if out.endswith(".dot") else out
+        return [base + ".dot", base + ".json"]
+    if command == "compare":
+        return [f"{out}_{table}.csv"
+                for table in ("curves", "thresholds", "sweep")]
+    return [out]
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -271,10 +287,10 @@ def cmd_tree(cfg: RunConfig) -> int:
     dot = tree_to_dot(root)
     blob = tree_to_json(root) + "\n"
     if cfg.out:
-        base = cfg.out[:-4] if cfg.out.endswith(".dot") else cfg.out
-        _write_atomic(base + ".dot", dot)
-        _write_atomic(base + ".json", blob)
-        print(f"policy tree written: {base}.dot {base}.json")
+        dot_path, json_path = _out_paths("tree", cfg.out)
+        _write_atomic(dot_path, dot)
+        _write_atomic(json_path, blob)
+        print(f"policy tree written: {dot_path} {json_path}")
     else:
         sys.stdout.write(dot)
     return 0
@@ -343,17 +359,12 @@ def _sweep_rows(model: NominalModel) -> list[str]:
     grows through odd values, against the three-sample majority vote."""
     fsst_err = sum(fsst_analyze(FsstDesign(3, 2), model), Fraction(0)) / 2
     rows = ["horizon,average_error,fsst_average_error"]
-    for n in range(3, model.horizon + 1, 2):
-        sub = make_model(
-            list(model.p1), list(model.p2),
-            lam1=model.lam1, lam2=model.lam2, horizon=n,
-        )
-        table = backward_recursion(sub)
-        root = table.rho[(0,) * sub.alphabet_size]
+    roots = horizon_roots(model, range(3, model.horizon + 1, 2))
+    for n, root in roots.items():
         # minimax cost = E + lam1 a1 + lam2 a2 and the saddle expected
         # sample size is the root slope at z0 = 1, so the equal-lambda
         # average error falls out of the root slice alone
-        avg = (pwl_eval(root, 1) - slope_right(root, 1)) / (2 * sub.lam1)
+        avg = (pwl_eval(root, 1) - slope_right(root, 1)) / (2 * model.lam1)
         rows.append(f"{n},{_sig12(avg)},{_sig12(fsst_err)}")
     return rows
 
@@ -382,21 +393,19 @@ def cmd_compare(cfg: RunConfig) -> int:
         + sample_size_curve(fsst, model, grid)
         + sample_size_curve(kwt, model, grid)
     )
-    tables = (
-        ("curves", curves),
-        ("thresholds", "\n".join(_threshold_rows(sprt, fsst, matched)) + "\n"),
-        ("sweep", "\n".join(_sweep_rows(model)) + "\n"),
+    tables = (  # in the order of _out_paths("compare", ...)
+        curves,
+        "\n".join(_threshold_rows(sprt, fsst, matched)) + "\n",
+        "\n".join(_sweep_rows(model)) + "\n",
     )
 
     if cfg.out:
-        names = []
-        for suffix, text in tables:
-            path = f"{cfg.out}_{suffix}.csv"
+        names = _out_paths("compare", cfg.out)
+        for path, text in zip(names, tables):
             _write_atomic(path, text)
-            names.append(path)
         print("comparison tables written: " + " ".join(names))
     else:
-        for _, text in tables:
+        for text in tables:
             print(text)
     return 0
 

@@ -26,9 +26,13 @@ Sup-convolution of concave functions is the classic "merge segments by
 decreasing slope" construction.  Slope ties are broken by operand index
 (lowest operand first); recording the consumed segments yields a
 ``SplitMap`` from which the maximizing allocation at any point of the
-domain can be read back exactly (``split_at``).  A point ``t = p/q`` is
-compared with a cumulative width ``W/scale`` as ``p*scale`` against
-``W*q``, so no rational is built until a result is returned.
+domain can be read back exactly (``split_at``).  The merge itself,
+``merge_scaled``, also takes each operand as ``t -> c * f(t / c)`` (the
+same slopes, value and widths times c) through its integer multipliers,
+and ``restrict`` cuts a function to a shorter domain.  A point
+``t = p/q`` is compared with a cumulative width ``W/scale`` as
+``p*scale`` against ``W*q``, so no rational is built until a result is
+returned.
 """
 
 from __future__ import annotations
@@ -361,19 +365,8 @@ def cap_min_const(f: PwlConcave, c: RationalLike, *,
         upper = f.upper * (scale // f.scale)
         segs = ((0, upper),) if upper else ()
         return PwlConcave.reduced(scale, lp * (scale // lq), segs, upper)
-    tp, tq = _ratio(t_star)
-    scale = lcm(f.scale, tq)
+    scale, cut, new = _prefix(f, t_star)
     m = scale // f.scale
-    cut = tp * (scale // tq)  # t_star over the new scale
-    room = cut
-    new: list[tuple[int, int]] = []
-    for slope, width in f.segs:
-        width *= m
-        take = width if width < room else room
-        new.append((slope, take))
-        room -= take
-        if room == 0:
-            break
     upper = f.upper * m
     tail = upper - cut
     if tail > 0:
@@ -382,6 +375,33 @@ def cap_min_const(f: PwlConcave, c: RationalLike, *,
         else:
             new.append((0, tail))
     return PwlConcave.reduced(scale, f.v0 * m, new, upper)
+
+
+def _prefix(f: PwlConcave,
+            u: RationalLike) -> tuple[int, int, list[tuple[int, int]]]:
+    """f's segments on [0, u] for 0 <= u <= domain_upper, over the lcm of
+    f's scale and u's denominator: (that scale, u over it, the segments)."""
+    up, uq = _ratio(u)
+    scale = lcm(f.scale, uq)
+    m = scale // f.scale
+    cut = up * (scale // uq)
+    room = cut
+    new: list[tuple[int, int]] = []
+    for slope, width in f.segs:
+        if room == 0:
+            break
+        width *= m
+        take = width if width < room else room
+        new.append((slope, take))
+        room -= take
+    return scale, cut, new
+
+
+def restrict(f: PwlConcave, u: RationalLike) -> PwlConcave:
+    """f restricted to [0, u], for 0 <= u <= domain_upper."""
+    _in_domain(f, *_ratio(u))
+    scale, cut, segs = _prefix(f, u)
+    return PwlConcave.reduced(scale, f.v0 * (scale // f.scale), segs, cut)
 
 
 def lift_identity(f: PwlConcave) -> PwlConcave:
@@ -476,19 +496,39 @@ def supconv(
     if tp < 0:
         raise ValueError("target_domain must be nonnegative")
     scale = lcm(tq, *(f.scale for f in fs))
+    target = tp * (scale // tq)
+    value0, segs, pool = merge_scaled(
+        fs, [scale // f.scale for f in fs], scale, target)
+    result = PwlConcave.reduced(scale, value0, segs, target)
+    parts = [(op, slope, width) for slope, op, width in pool]
+    return result, SplitMap.reduced(len(fs), scale, parts, target)
+
+
+def merge_scaled(
+    fs: Sequence[PwlConcave], mults: Sequence[int], scale: int, target: int
+) -> tuple[int, list[tuple[int, int]], list[tuple[int, int, int]]]:
+    """The sup-convolution merge in integers over ``scale``.
+
+    Operand ``op`` enters with its value at zero and its widths multiplied
+    by ``mults[op]``: over ``scale`` that is ``f`` itself when the
+    multiplier is ``scale // f.scale``, and the function
+    ``t -> c * f(t / c)`` (same slopes, value and widths times c) when it
+    is c times that.  Returns the value at zero and the merged
+    (slope, width) segments up to ``target``, both over ``scale`` and not
+    reduced, and the sorted pool of every operand segment as
+    (slope, operand, width) triples.
+    """
     value0 = 0
     cap = 0
     pool: list[tuple[int, int, int]] = []
-    for op, f in enumerate(fs):
-        m = scale // f.scale
+    for op, (f, m) in enumerate(zip(fs, mults)):
         value0 += f.v0 * m
         cap += f.upper * m
         pool.extend((slope, op, width * m) for slope, width in f.segs)
-    target = tp * (scale // tq)
     if target > cap:
         raise ValueError(
-            f"target_domain {Fraction(tp, tq)} exceeds total operand domain "
-            f"{Fraction(cap, scale)}"
+            f"target_domain {Fraction(target, scale)} exceeds total operand "
+            f"domain {Fraction(cap, scale)}"
         )
     # Highest slope first; operand index breaks ties deterministically.
     pool.sort(key=lambda e: (-e[0], e[1]))
@@ -504,9 +544,7 @@ def supconv(
         else:
             segs.append((slope, take))
         room -= take
-    result = PwlConcave.reduced(scale, value0, segs, target)
-    parts = [(op, slope, width) for slope, op, width in pool]
-    return result, SplitMap.reduced(len(fs), scale, parts, target)
+    return value0, segs, pool
 
 
 def split_at(sm: SplitMap, t: RationalLike) -> tuple[Fraction, ...]:

@@ -19,7 +19,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from npkw.bellman import (
     CostTable,
@@ -30,6 +30,7 @@ from npkw.bellman import (
     child_counts,
     cost_table_from_json,
     cost_table_to_json_str,
+    horizon_roots,
     kwt_truncation_bound,
     kwt_truncation_closed_form,
     make_model,
@@ -417,6 +418,66 @@ def _assert_matches_fraction_recursion(model) -> str:
             want.split.n_operands, want.split.entries, want.split.target)
         assert table.z0_star[counts] == want.z0_star
     return text
+
+
+# ---------------------------------------------------------------------------
+# root slices of many horizons from one class recursion
+# ---------------------------------------------------------------------------
+
+def _recursion_roots(model, horizons):
+    """The root slice of ``backward_recursion`` at each horizon."""
+    root = (0,) * model.alphabet_size
+    return {n: backward_recursion(make_model(model.p1, model.p2, model.lam1,
+                                             model.lam2, n)).rho[root]
+            for n in horizons}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.sampled_from([2, 3]),
+    w1=pmf_weights,
+    w2=pmf_weights,
+    lam1=st.fractions(min_value=Fraction(1, 5), max_value=40, max_denominator=9),
+    lam2=st.fractions(min_value=Fraction(1, 5), max_value=40, max_denominator=9),
+    horizons=st.sets(st.integers(min_value=1, max_value=8), min_size=1,
+                     max_size=4),
+)
+# lam1 < 1, where the classes are kept on [0, 1]; zero probabilities
+@example(k=2, w1=[1, 1, 0], w2=[3, 1, 0], lam1=Fraction(1, 5),
+         lam2=Fraction(2, 3), horizons={1, 2, 5, 8})
+@example(k=3, w1=[0, 1, 1], w2=[1, 0, 2], lam1=Fraction(7, 2),
+         lam2=Fraction(1, 2), horizons={1, 3, 6})
+def test_horizon_roots_equal_each_horizons_recursion(k, w1, w2, lam1, lam2,
+                                                     horizons):
+    w1, w2 = w1[:k], w2[:k]
+    if sum(w1) == 0 or sum(w2) == 0:
+        return
+    p1 = [Fraction(w, sum(w1)) for w in w1]
+    p2 = [Fraction(w, sum(w2)) for w in w2]
+    if p1 == p2:
+        return
+    model = make_model(p1, p2, lam1, lam2, 1)
+    assert horizon_roots(model, horizons) == _recursion_roots(model, horizons)
+
+
+@pytest.mark.parametrize("model, horizons", [
+    # the sweeps of `compare` on ref15 and fast40
+    (fig_model(15), range(3, 16, 2)),
+    (bernoulli_model("0.9", "0.1", 3, 3, 40), range(3, 40, 2)),
+    (make_model(["1/2", "1/4", "1/4"], ["1/4", "1/4", "1/2"], 20, 20, 6),
+     range(1, 7)),
+])
+def test_horizon_roots_equal_the_recursions_on_the_workloads(model, horizons):
+    roots = horizon_roots(model, horizons)
+    assert list(roots) == list(horizons)
+    assert roots == _recursion_roots(model, horizons)
+
+
+def test_horizon_roots_ignores_the_models_horizon_and_checks_its_own():
+    assert horizon_roots(fig_model(2), [5]) == horizon_roots(fig_model(9), [5])
+    assert horizon_roots(fig_model(2), []) == {}
+    with pytest.raises(ValueError, match="horizons must be integers >= 1"):
+        horizon_roots(fig_model(2), [0, 3])
 
 
 # ---------------------------------------------------------------------------

@@ -484,20 +484,48 @@ def test_out_into_a_missing_directory_fails_before_any_solve(
     assert captured.out == "" and not missing.exists()
 
 
+def _rejects_out_directory(argv, out, directory, tmp_path, monkeypatch,
+                           capsys):
+    """``argv --out OUT`` exits 2 naming DIRECTORY, an existing directory
+    where an output would go, before any solve and writing nothing; OUT and
+    DIRECTORY are relative to tmp_path, which None names."""
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("solved before the output path was checked")
+
+    for name in ("backward_recursion", "horizon_roots", "sprt_design"):
+        monkeypatch.setattr(cli, name, no_solve)
+    out = tmp_path / out if out else tmp_path
+    directory = tmp_path / directory if directory else tmp_path
+    directory.mkdir(exist_ok=True)
+    before = os.listdir(tmp_path)
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --out names a directory: {directory}\n"
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == before and os.listdir(directory) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["design", *MODEL9],
     ["eval", *MODEL9],
 ])
 def test_out_naming_a_directory_fails_before_any_solve(
         argv, tmp_path, monkeypatch, capsys):
-    def no_solve(*_args, **_kwargs):
-        raise AssertionError("solved before the output path was checked")
+    _rejects_out_directory(argv, None, None, tmp_path, monkeypatch, capsys)
 
-    monkeypatch.setattr(cli, "backward_recursion", no_solve)
-    assert main([*argv, "--out", str(tmp_path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: --out names a directory: {tmp_path}\n"
-    assert captured.out == "" and os.listdir(tmp_path) == []
+
+@pytest.mark.parametrize("argv, out, directory", [
+    # `tree` writes OUT.dot and OUT.json, `compare` OUT_<table>.csv
+    (["tree", *MODEL9, "--depth", "2"], "F", "F.json"),
+    (["tree", *MODEL9, "--depth", "2"], "F", "F.dot"),
+    (["tree", *MODEL9, "--depth", "2"], "F.dot", "F.json"),
+    (["compare", *MODEL9], "C", "C_curves.csv"),
+    (["compare", *MODEL9], "C", "C_thresholds.csv"),
+    (["compare", *MODEL9], "C", "C_sweep.csv"),
+])
+def test_suffixed_out_naming_a_directory_fails_before_any_solve(
+        argv, out, directory, tmp_path, monkeypatch, capsys):
+    _rejects_out_directory(argv, out, directory, tmp_path, monkeypatch, capsys)
 
 
 def test_out_in_the_working_directory_needs_no_directory(tmp_path,

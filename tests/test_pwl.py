@@ -1,6 +1,7 @@
 """Unit and property tests for the exact PWL algebra."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +13,11 @@ from npkw.pwl import (
     crossing_point,
     debug_dump,
     lift_identity,
+    merge_scaled,
     pwl,
     pwl_eval,
     rat,
+    restrict,
     slope_left,
     slope_right,
     split_at,
@@ -488,3 +491,38 @@ def test_supconv_and_split_match_oracle(fs, data):
         assert split_at(sm, t) == frac_split_at(o_sm, t)
     with pytest.raises(ValueError):
         split_at(sm, target + Fraction(1, 97))
+
+
+@settings(**SETTINGS)
+@given(slices(), st.data())
+def test_restrict_keeps_the_function_on_the_shorter_domain(f, data):
+    u = data.draw(points_in(f))
+    g = restrict(f, u)
+    assert g.domain_upper == u
+    assert PwlConcave.reduced(g.scale, g.v0, g.segs, g.upper) == g
+    for _ in range(3):
+        t = data.draw(points_in(g))
+        assert pwl_eval(g, t) == pwl_eval(f, t)
+    with pytest.raises(ValueError):
+        restrict(f, f.domain_upper + Fraction(1, 97))
+
+
+@settings(**SETTINGS)
+@given(st.lists(slices(max_segments=3), min_size=1, max_size=3), st.data())
+def test_weighted_merge_is_the_supconv_of_the_scaled_functions(fs, data):
+    """Multiplier c * (scale // f.scale) merges t -> c * f(t / c), the
+    function with f's slopes and c times its value and widths."""
+    weights = [data.draw(st.fractions(min_value=Fraction(1, 9), max_value=3,
+                                      max_denominator=9)) for _ in fs]
+    total = sum((c * f.domain_upper for c, f in zip(weights, fs)), Fraction(0))
+    target = total * data.draw(points)
+    scale = lcm(target.denominator,
+                *(c.denominator * f.scale for c, f in zip(weights, fs)))
+    mults = [scale // (c.denominator * f.scale) * c.numerator
+             for c, f in zip(weights, fs)]
+    upper = int(target * scale)
+    v0, segs, _ = merge_scaled(fs, mults, scale, upper)
+    scaled = [pwl(c * f.value_at_zero, [(s, c * w) for s, w in f.segments])
+              for c, f in zip(weights, fs)]
+    assert PwlConcave.reduced(scale, v0, segs, upper) == \
+        supconv(scaled, target)[0]
