@@ -6,7 +6,10 @@ the three benchmark workloads (`ref15`, `fast40`, `tern10`) and on the
 README's 21-sample examples, each workload in a fresh temporary directory:
 `design`, `tree --depth 7` (to files and to stdout), `eval` with its default
 probes and with `--probe 0.65,0.35`, `verify`, `simulate` with the `fixed`
-and the `lfd` strategy, and `compare`.  For every run it prints the exit
+and the `lfd` strategy, and `compare`, then inputs the command line must
+reject with exit code 2 (a model flag beside `--table`, `--lambda` beside
+`--lambda1`, `--depth 0`, a probe of the wrong length, `--table` for
+`compare`, a directory as the table).  For every run it prints the exit
 code and the sha256 of stdout, of stderr and of every file the run wrote or
 changed.  Paths are relative to the working directory, so two checkouts
 print the same lines exactly when their outputs are byte-identical:
@@ -51,6 +54,14 @@ def workload_runs(flags: str, uniform: str) -> list[str]:
         f"simulate --table T.json --probe {uniform} --trials 2000 --seed 1",
         "simulate --table T.json --strategy lfd --trials 2000 --seed 1",
         f"compare {flags} --out C",
+        "verify --table T.json --horizon 7",
+        "eval --table T.json --lambda 3",
+        f"design {flags} --lambda1 3 --out U.json",
+        "tree --table T.json --depth 0",
+        "eval --table T.json --probe 1,0,0,0",
+        "simulate --table T.json --probe 1,0,0,0",
+        "compare --table T.json",
+        "verify --table .",
     ]
 
 

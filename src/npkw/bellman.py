@@ -81,8 +81,10 @@ class NominalModel:
             raise ValueError("the two hypotheses must differ")
         if self.lam1 <= 0 or self.lam2 <= 0:
             raise ValueError("error weights must be positive")
-        if not isinstance(self.horizon, int) or self.horizon < 1:
-            raise ValueError("horizon must be an integer >= 1")
+        # exactly an int: a table header's true, 2.5 or "7" is no horizon
+        if type(self.horizon) is not int or self.horizon < 1:
+            raise ValueError(
+                f"horizon must be an integer >= 1, not {self.horizon!r}")
 
     @property
     def alphabet_size(self) -> int:
@@ -478,7 +480,7 @@ def model_from_json(d: dict) -> NominalModel:
         tuple(frac(v) for v in d["p2"]),
         frac(d["lambda1"]),
         frac(d["lambda2"]),
-        int(d["horizon"]),
+        d["horizon"],
     )
 
 

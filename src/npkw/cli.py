@@ -6,9 +6,12 @@ Subcommands: ``design`` (backward recursion, cost-table JSON), ``tree``
 ``verify`` (equalization + support certificates, exit code 0/1), and
 ``simulate`` (seeded Monte Carlo).
 
-Every numeric flag is parsed as an exact rational — ``0.8`` means 4/5,
-never a binary float.  All outputs are deterministic given the flags (plus
-``--seed`` for simulate); files are written atomically via temp + rename.
+``design`` and ``compare`` take the model as flags; the other four take
+flags or a ``--table`` from ``design``, never both.  Every input is checked
+before any solve, and every numeric flag is parsed as an exact rational —
+``0.8`` means 4/5, never a binary float.  All outputs are deterministic
+given the flags (plus ``--seed`` for simulate); files are written
+atomically via temp + rename.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
@@ -19,7 +22,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -46,6 +48,7 @@ from .bellman import (
     cost_table_to_json_str,
     horizon_roots,
     make_model,
+    model_from_json,
 )
 from .policy import (
     ExtractionError,
@@ -59,7 +62,7 @@ from .policy import (
 )
 from .pwl import pwl_eval, slope_left, slope_right
 
-__all__ = ["RunConfig", "main", "build_parser"]
+__all__ = ["main", "build_parser"]
 
 
 class UsageError(Exception):
@@ -106,89 +109,120 @@ def _grid(text: str) -> list[Fraction]:
     return points
 
 
-@dataclass
-class RunConfig:
-    """Validated command inputs: the model (or a cost-table path) plus the
-    command-specific options."""
-
-    model: Optional[NominalModel]
-    table_path: Optional[str]
-    out: Optional[str]
-    depth: Optional[int]
-    probes: Optional[list[tuple[Fraction, ...]]]
-    grid: Optional[list[Fraction]]
-    seed: int
-    trials: int
-    strategy: str
+_MODEL_FLAGS = ("theta1", "theta2", "pmf1", "pmf2", "lambda", "lambda1",
+                "lambda2", "horizon")
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    model = None
-    table_path = getattr(args, "table", None)
-    has_thetas = args.theta1 is not None or args.theta2 is not None
-    has_pmfs = getattr(args, "pmf1", None) is not None or \
-        getattr(args, "pmf2", None) is not None
-    if has_thetas and has_pmfs:
-        raise UsageError("give either --theta1/--theta2 or --pmf1/--pmf2")
-    if has_thetas or has_pmfs:
-        lam1 = args.lambda1 if args.lambda1 is not None else args.lam
-        lam2 = args.lambda2 if args.lambda2 is not None else args.lam
-        if lam1 is None or lam2 is None:
-            raise UsageError("model flags need --lambda (or --lambda1/--lambda2)")
-        lam1, lam2 = _rat(lam1), _rat(lam2)
-        if lam1 <= 0 or lam2 <= 0:
-            raise UsageError("lambda must be positive")
-        if args.horizon is None:
-            raise UsageError("model flags need --horizon")
-        if args.horizon < 1:
-            raise UsageError("horizon must be at least 1")
-        try:
-            if has_thetas:
-                if args.theta1 is None or args.theta2 is None:
-                    raise UsageError("need both --theta1 and --theta2")
-                t1, t2 = _rat(args.theta1), _rat(args.theta2)
-                if not (0 < t1 < 1 and 0 < t2 < 1):
-                    raise UsageError("theta must lie strictly inside (0, 1)")
-                model = bernoulli_model(
-                    t1, t2, lam1=lam1, lam2=lam2, horizon=args.horizon
-                )
-            else:
-                if args.pmf1 is None or args.pmf2 is None:
-                    raise UsageError("need both --pmf1 and --pmf2")
-                model = make_model(
-                    list(_pmf(args.pmf1)), list(_pmf(args.pmf2)),
-                    lam1=lam1, lam2=lam2, horizon=args.horizon,
-                )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    probes = None
-    if getattr(args, "probe", None):
-        probes = [_pmf(p) for p in args.probe]
-    grid = _grid(args.grid) if getattr(args, "grid", None) else None
-    trials = getattr(args, "trials", 1000)
-    if trials < 1:
-        raise UsageError("trials must be at least 1")
+def _check(args: argparse.Namespace) -> tuple[NominalModel, Optional[dict]]:
+    """Check every input before any work.  Return the model, from the model
+    flags or from the header of the ``--table`` file, and that file parsed
+    (None for model flags); the ``--probe`` and ``--grid`` texts are
+    replaced by their exact values."""
+    given = [name for name in _MODEL_FLAGS if getattr(args, name) is not None]
+    data = None
+    if getattr(args, "table", None) is not None:
+        if given:
+            raise UsageError("--table states the model; drop "
+                             + ", ".join("--" + name for name in given))
+        model, data = _read_header(args.table)
+    else:
+        model = _model_from_flags(args, given)
+    command, k = args.command, model.alphabet_size
+    if command == "tree" and args.depth < 1:
+        raise UsageError("depth must be at least 1")
+    if command == "simulate":
+        if args.trials < 1:
+            raise UsageError("trials must be at least 1")
+        if args.probe and len(args.probe) > 1:
+            raise UsageError("simulate takes at most one --probe")
+        if args.probe and args.strategy != "fixed":
+            raise UsageError(f"--probe sets the data PMF of the fixed strategy; "
+                             f"the {args.strategy} strategy takes none")
+    if "probe" in args:
+        args.probe = [_pmf(p) for p in args.probe or ()]
+        for probe in args.probe:
+            if len(probe) != k:
+                raise UsageError(
+                    f"probe {','.join(map(_frac, probe))} has {len(probe)} "
+                    f"entries, but the model's alphabet has {k} symbols")
+    if command == "compare":
+        if k != 2:
+            raise UsageError("compare baselines are defined for binary alphabets")
+        if model.lam1 != model.lam2:
+            raise UsageError("horizon sweep needs lambda1 == lambda2")
+        if model.horizon < 3:
+            raise UsageError("horizon sweep needs --horizon >= 3")
+        args.grid = _grid(args.grid)
     out = getattr(args, "out", None)
     # every output lands beside the --out path (`tree` and `compare` add
     # suffixes), so a missing directory or an output path that is a
     # directory fails here rather than after a solve
-    if out:
+    if out is not None:
+        if not out:
+            raise UsageError("--out is empty")
         if not os.path.isdir(os.path.dirname(out) or "."):
             raise UsageError(f"no such directory: {os.path.dirname(out)}")
-        for path in _out_paths(args.command, out):
+        for path in _out_paths(command, out):
             if os.path.isdir(path):
                 raise UsageError(f"--out names a directory: {path}")
-    return RunConfig(
-        model=model,
-        table_path=table_path,
-        out=out,
-        depth=getattr(args, "depth", None),
-        probes=probes,
-        grid=grid,
-        seed=getattr(args, "seed", 0) or 0,
-        trials=trials,
-        strategy=getattr(args, "strategy", "fixed") or "fixed",
-    )
+    return model, data
+
+
+def _model_from_flags(args: argparse.Namespace,
+                      given: list[str]) -> NominalModel:
+    if "lambda" in given and ("lambda1" in given or "lambda2" in given):
+        raise UsageError("give either --lambda or --lambda1/--lambda2")
+    has_thetas = "theta1" in given or "theta2" in given
+    has_pmfs = "pmf1" in given or "pmf2" in given
+    if has_thetas and has_pmfs:
+        raise UsageError("give either --theta1/--theta2 or --pmf1/--pmf2")
+    if not (has_thetas or has_pmfs):
+        raise UsageError("need --theta1/--theta2 or --pmf1/--pmf2"
+                         + (" or --table" if "table" in args else ""))
+    lam = getattr(args, "lambda")
+    lam1, lam2 = (args.lambda1, args.lambda2) if lam is None else (lam, lam)
+    if lam1 is None or lam2 is None:
+        raise UsageError("model flags need --lambda (or --lambda1/--lambda2)")
+    lam1, lam2 = _rat(lam1), _rat(lam2)
+    if lam1 <= 0 or lam2 <= 0:
+        raise UsageError("lambda must be positive")
+    if args.horizon is None:
+        raise UsageError("model flags need --horizon")
+    if args.horizon < 1:
+        raise UsageError("horizon must be at least 1")
+    try:
+        if has_thetas:
+            if args.theta1 is None or args.theta2 is None:
+                raise UsageError("need both --theta1 and --theta2")
+            t1, t2 = _rat(args.theta1), _rat(args.theta2)
+            if not (0 < t1 < 1 and 0 < t2 < 1):
+                raise UsageError("theta must lie strictly inside (0, 1)")
+            return bernoulli_model(t1, t2, lam1=lam1, lam2=lam2,
+                                   horizon=args.horizon)
+        if args.pmf1 is None or args.pmf2 is None:
+            raise UsageError("need both --pmf1 and --pmf2")
+        return make_model(list(_pmf(args.pmf1)), list(_pmf(args.pmf2)),
+                          lam1=lam1, lam2=lam2, horizon=args.horizon)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _corrupt(path: str, exc: Exception) -> ExtractionError:
+    return ExtractionError(f"cost table {path!r} is corrupt: {exc}")
+
+
+def _read_header(path: str) -> tuple[NominalModel, dict]:
+    """The model a cost table states in its header, and the table parsed."""
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+        return model_from_json(data["model"]), data
+    except FileNotFoundError as exc:
+        raise UsageError(f"no such cost table: {path}") from exc
+    except OSError as exc:
+        raise UsageError(f"cannot read cost table {path}: {exc.strerror}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _corrupt(path, exc) from exc
 
 
 def _out_paths(command: str, out: str) -> list[str]:
@@ -221,20 +255,16 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _load_table(cfg: RunConfig) -> CostTable:
-    if cfg.table_path is not None:
-        try:
-            with open(cfg.table_path) as handle:
-                return cost_table_from_json(json.load(handle))
-        except FileNotFoundError as exc:
-            raise UsageError(f"no such cost table: {cfg.table_path}") from exc
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ExtractionError(
-                f"cost table {cfg.table_path!r} is corrupt: {exc}"
-            ) from exc
-    if cfg.model is None:
-        raise UsageError("need --table or model flags")
-    return backward_recursion(cfg.model)
+def _load_table(args: argparse.Namespace, model: NominalModel,
+                data: Optional[dict]) -> CostTable:
+    """The solved design: the recursion on the model, or the ``--table``
+    file, whose reader solves the model in its header again."""
+    if data is None:
+        return backward_recursion(model)
+    try:
+        return cost_table_from_json(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _corrupt(args.table, exc) from exc
 
 
 def _frac(x: Fraction) -> str:
@@ -243,51 +273,32 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _check_probe_lengths(probes: Optional[list[tuple[Fraction, ...]]],
-                         k: int) -> None:
-    """Every probe must be a PMF over the model's k symbols; checked after
-    the table is loaded and before the tree is extracted."""
-    for probe in probes or ():
-        if len(probe) != k:
-            raise UsageError(
-                f"probe {','.join(_frac(v) for v in probe)} has {len(probe)} "
-                f"entries, but the model's alphabet has {k} symbols"
-            )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_design(cfg: RunConfig) -> int:
-    if cfg.model is None:
-        raise UsageError("design needs model flags (no --table input)")
-    table = backward_recursion(cfg.model)
-    root = table.rho[(0,) * cfg.model.alphabet_size]
+def cmd_design(args: argparse.Namespace, table: CostTable) -> int:
+    model = table.model
+    root = table.rho[(0,) * model.alphabet_size]
     value = pwl_eval(root, 1)
-    print(f"horizon: {cfg.model.horizon}  alphabet: {cfg.model.alphabet_size}")
+    print(f"horizon: {model.horizon}  alphabet: {model.alphabet_size}")
     print(f"root value at z0 = 1: {_frac(value)} ~= {_sig12(value)}")
     print(
         "expected sample size at the saddle "
         f"(root slope at z0 = 1): {slope_right(root, 1)}"
     )
     print(f"root slope at z0 = 0: {slope_right(root, 0)}")
-    out = cfg.out or "cost_table.json"
-    _write_atomic(out, cost_table_to_json_str(table) + "\n")
-    print(f"cost table written: {out}")
+    _write_atomic(args.out, cost_table_to_json_str(table) + "\n")
+    print(f"cost table written: {args.out}")
     return 0
 
 
-def cmd_tree(cfg: RunConfig) -> int:
-    table = _load_table(cfg)
-    depth = cfg.depth if cfg.depth is not None else 7
-    if depth < 1:
-        raise UsageError("depth must be at least 1")
-    root = extract_tree(table, max_depth=depth)
+def cmd_tree(args: argparse.Namespace, table: CostTable) -> int:
+    root = extract_tree(table, max_depth=args.depth)
     dot = tree_to_dot(root)
     blob = tree_to_json(root) + "\n"
-    if cfg.out:
-        dot_path, json_path = _out_paths("tree", cfg.out)
+    if args.out:
+        dot_path, json_path = _out_paths("tree", args.out)
         _write_atomic(dot_path, dot)
         _write_atomic(json_path, blob)
         print(f"policy tree written: {dot_path} {json_path}")
@@ -296,13 +307,11 @@ def cmd_tree(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    table = _load_table(cfg)
+def cmd_eval(args: argparse.Namespace, table: CostTable) -> int:
+    root = extract_tree(table)
     model = table.model
     k = model.alphabet_size
-    _check_probe_lengths(cfg.probes, k)
-    root = extract_tree(table)
-    probes = cfg.probes or [
+    probes = args.probe or [
         tuple(model.p1), tuple(model.p2),
         tuple(Fraction(1, k) for _ in range(k)),
     ]
@@ -319,7 +328,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         e = rep.expected_sample_size
         print(f"{probe_txt} | {_frac(e)} | {_sig12(e)}")
 
-    if cfg.out:
+    if args.out:
         payload = {
             "alpha1": _frac(a1),
             "alpha2": _frac(a2),
@@ -334,8 +343,8 @@ def cmd_eval(cfg: RunConfig) -> int:
                 for rep in reports
             ],
         }
-        _write_atomic(cfg.out, json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        print(f"evaluation report written: {cfg.out}")
+        _write_atomic(args.out, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        print(f"evaluation report written: {args.out}")
     return 0
 
 
@@ -369,18 +378,7 @@ def _sweep_rows(model: NominalModel) -> list[str]:
     return rows
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    if cfg.model is None:
-        raise UsageError("compare needs model flags")
-    model = cfg.model
-    if model.alphabet_size != 2:
-        raise UsageError("compare baselines are defined for binary alphabets")
-    if model.lam1 != model.lam2:
-        raise UsageError("horizon sweep needs lambda1 == lambda2")
-    if model.horizon < 3:
-        raise UsageError("horizon sweep needs --horizon >= 3")
-    grid = cfg.grid or [Fraction(i, 20) for i in range(1, 20)]
-
+def cmd_compare(args: argparse.Namespace, model: NominalModel) -> int:
     sprt = sprt_design(model, Fraction(1, 10_000))
     fsst = fsst_design(model, Fraction(1, 10_000))
     try:
@@ -389,9 +387,9 @@ def cmd_compare(cfg: RunConfig) -> int:
         raise UsageError(f"cannot match the SPRT's errors: {exc}") from exc
     kwt = kwt_design(model, (Fraction(1, 2), Fraction(1, 2)))
     curves = curves_to_csv(
-        sample_size_curve(sprt.design, model, grid)
-        + sample_size_curve(fsst, model, grid)
-        + sample_size_curve(kwt, model, grid)
+        sample_size_curve(sprt.design, model, args.grid)
+        + sample_size_curve(fsst, model, args.grid)
+        + sample_size_curve(kwt, model, args.grid)
     )
     tables = (  # in the order of _out_paths("compare", ...)
         curves,
@@ -399,8 +397,8 @@ def cmd_compare(cfg: RunConfig) -> int:
         "\n".join(_sweep_rows(model)) + "\n",
     )
 
-    if cfg.out:
-        names = _out_paths("compare", cfg.out)
+    if args.out:
+        names = _out_paths("compare", args.out)
         for path, text in zip(names, tables):
             _write_atomic(path, text)
         print("comparison tables written: " + " ".join(names))
@@ -410,8 +408,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    table = _load_table(cfg)
+def cmd_verify(args: argparse.Namespace, table: CostTable) -> int:
     root = extract_tree(table)
     cert = verify_equalization(root)
     support = verify_lfd_support(root, table.model)
@@ -434,28 +431,19 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 1
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    if cfg.probes and len(cfg.probes) > 1:
-        raise UsageError("simulate takes at most one --probe")
-    if cfg.probes and cfg.strategy != "fixed":
-        raise UsageError(
-            f"--probe sets the data PMF of the fixed strategy; the "
-            f"{cfg.strategy} strategy takes none"
-        )
-    table = _load_table(cfg)
-    k = table.model.alphabet_size
-    _check_probe_lengths(cfg.probes, k)
+def cmd_simulate(args: argparse.Namespace, table: CostTable) -> int:
     root = extract_tree(table)
-    if cfg.probes:
-        pmf: Optional[list] = list(cfg.probes[0])
-    elif cfg.strategy == "fixed":
+    k = table.model.alphabet_size
+    if args.probe:
+        pmf: Optional[list] = list(args.probe[0])
+    elif args.strategy == "fixed":
         pmf = [Fraction(1, k) for _ in range(k)]
     else:
         pmf = None
     try:
         rep = simulate(
-            root, trials=cfg.trials, seed=cfg.seed,
-            strategy=cfg.strategy, pmf=pmf,
+            root, trials=args.trials, seed=args.seed,
+            strategy=args.strategy, pmf=pmf,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -482,11 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--pmf2", help="comma-separated PMF under H2")
     shared.add_argument("--lambda1", help="false H2 decision penalty")
     shared.add_argument("--lambda2", help="false H1 decision penalty")
-    shared.add_argument(
-        "--lambda", dest="lam", help="sets both penalties at once"
-    )
+    shared.add_argument("--lambda", help="sets both penalties at once")
     shared.add_argument("--horizon", type=int, help="maximum sample count")
-    shared.add_argument("--table", help="cost-table JSON from `design`")
 
     parser = argparse.ArgumentParser(
         prog="npkw",
@@ -496,11 +481,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", parents=[shared],
                        help="run the backward recursion, save the cost table")
-    p.add_argument("--out", help="output JSON path (default cost_table.json)")
+    p.add_argument("--out", default="cost_table.json",
+                   help="output JSON path (default cost_table.json)")
 
     p = sub.add_parser("tree", parents=[shared],
                        help="export the decision tree as DOT + JSON")
-    p.add_argument("--depth", type=int, help="levels to export (default 7)")
+    p.add_argument("--depth", type=int, default=7,
+                   help="levels to export (default 7)")
     p.add_argument("--out", help="output base path (writes .dot and .json)")
 
     p = sub.add_parser("eval", parents=[shared],
@@ -511,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", parents=[shared],
                        help="baseline curves, thresholds, horizon sweep")
-    p.add_argument("--grid", help="theta grid: a,b,c or lo:hi:count")
+    p.add_argument("--grid", default="1/20:19/20:19",
+                   help="theta grid: a,b,c or lo:hi:count (default 1/20:19/20:19)")
     p.add_argument("--out", help="CSV base path (writes three tables)")
 
     sub.add_parser("verify", parents=[shared],
@@ -525,6 +513,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strategy", default="fixed",
                    choices=("fixed", "alternating", "lfd"))
+    # `design` and `compare` take model flags only; the other parsers share
+    # one action, as `parents=` shares actions, without a parser object
+    table = sub.choices["tree"].add_argument(
+        "--table", help="cost-table JSON from `design`")
+    for name in ("eval", "verify", "simulate"):
+        sub.choices[name]._add_action(table)
     return parser
 
 
@@ -532,18 +526,18 @@ _DISPATCH = {
     "design": cmd_design,
     "tree": cmd_tree,
     "eval": cmd_eval,
-    "compare": cmd_compare,
     "verify": cmd_verify,
     "simulate": cmd_simulate,
 }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _DISPATCH[args.command](cfg)
+        model, data = _check(args)
+        if args.command == "compare":  # the one command that solves no table
+            return cmd_compare(args, model)
+        return _DISPATCH[args.command](args, _load_table(args, model, data))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

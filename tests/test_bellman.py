@@ -16,6 +16,7 @@ same model, horizon 2:
 """
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -294,6 +295,18 @@ def test_reader_rejects_an_edited_horizon_before_building_states(horizon):
     blob["model"]["horizon"] = horizon
     with pytest.raises(ValueError, match="header gives horizon"):
         cost_table_from_json(blob)
+
+
+@pytest.mark.parametrize("horizon", [5.0, 2.5, "5", True])
+def test_reader_takes_only_a_json_integer_horizon(horizon):
+    # int() once read 2.5 as 2 and "5" as 5, and the model took True as 1
+    blob = parsed(backward_recursion(fig_model(5)))
+    blob["model"]["horizon"] = horizon
+    with pytest.raises(ValueError, match=rf"horizon must be an integer >= 1, "
+                                         rf"not {re.escape(repr(horizon))}"):
+        cost_table_from_json(blob)
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        make_model(["1/2", "1/2"], ["1/4", "3/4"], 1, 1, horizon)
 
 
 def test_reader_rejects_missing_and_repeated_states():

@@ -537,6 +537,117 @@ def test_out_in_the_working_directory_needs_no_directory(tmp_path,
     assert sorted(os.listdir(tmp_path)) == ["f.dot", "f.json", "t.json"]
 
 
+# ---------------------------------------------------------------------------
+# the input stage: every input is checked before any solve
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    def fail(*_args, **_kwargs):
+        raise AssertionError("solved before the input was checked")
+
+    for name in ("backward_recursion", "cost_table_from_json",
+                 "horizon_roots", "sprt_design", "extract_tree"):
+        monkeypatch.setattr(cli, name, fail)
+
+
+@pytest.mark.parametrize("command", ["tree", "eval", "verify", "simulate"])
+@pytest.mark.parametrize("flag, value", [
+    ("--theta1", "0.9"), ("--theta2", "0.1"), ("--pmf1", "1/2,1/2"),
+    ("--pmf2", "1/4,3/4"), ("--lambda", "3"), ("--lambda1", "3"),
+    ("--lambda2", "3"), ("--horizon", "7"),
+])
+def test_table_takes_no_model_flag(table9, no_solve, capsys, command, flag,
+                                   value):
+    # the table states its model: a flag beside it used to be ignored
+    assert main([command, "--table", str(table9), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --table states the model; drop {flag}\n"
+    assert captured.out == ""
+
+
+def test_table_names_every_model_flag_given_beside_it(table9, no_solve,
+                                                      capsys):
+    assert main(["verify", "--table", str(table9), *MODEL9]) == 2
+    assert capsys.readouterr().err == (
+        "error: --table states the model; drop --theta1, --theta2, "
+        "--lambda, --horizon\n")
+
+
+@pytest.mark.parametrize("extra", [["--lambda1", "3"], ["--lambda2", "3"],
+                                   ["--lambda1", "20", "--lambda2", "20"]])
+def test_lambda_excludes_lambda1_and_lambda2(no_solve, tmp_path, capsys,
+                                             extra):
+    # `--lambda 20 --lambda1 3` used to design lambda1 = 3, lambda2 = 20
+    assert main(["design", *MODEL9, *extra,
+                 "--out", str(tmp_path / "t.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: give either --lambda or "
+                            "--lambda1/--lambda2\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["design"], ["compare"], ["design", *MODEL9],
+                                  ["compare", *MODEL9]])
+def test_design_and_compare_take_no_table(table9, no_solve, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--table", str(table9)])
+    assert exc.value.code == 2
+
+
+WRONG_LENGTH = "probe 1/3,1/3,1/3 has 3 entries, but the model's alphabet has 2"
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["tree", "--depth", "0"], "depth must be at least 1"),
+    (["tree", "--depth", "-3"], "depth must be at least 1"),
+    (["eval", "--probe", "1/3,1/3,1/3"], WRONG_LENGTH + " symbols"),
+    (["simulate", "--probe", "1/3,1/3,1/3"], WRONG_LENGTH + " symbols"),
+])
+@pytest.mark.parametrize("model", ["table", "flags"])
+def test_bad_options_exit_2_before_any_solve(table9, no_solve, capsys, argv,
+                                             want, model):
+    source = ["--table", str(table9)] if model == "table" else MODEL9
+    assert main([*argv, *source]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {want}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["design", "tree", "eval", "compare"])
+def test_an_empty_out_exits_2_before_any_solve(tmp_path, no_solve,
+                                               monkeypatch, capsys, command):
+    # `design --out ""` used to write cost_table.json, the others stdout
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *MODEL9, "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --out is empty\n" and captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["tree", "eval", "verify", "simulate"])
+def test_a_table_that_cannot_be_read_exits_2(tmp_path, no_solve, capsys,
+                                             command):
+    assert main([command, "--table", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: cannot read cost table {tmp_path}: "
+                            "Is a directory\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("horizon", [2.5, "9", True])
+def test_verify_names_a_horizon_that_is_not_an_integer(table9, tmp_path,
+                                                       capsys, horizon):
+    # int() once read 2.5 as 2 and reported "header gives horizon 2"
+    data = json.loads(table9.read_text())
+    data["model"]["horizon"] = horizon
+    bad = tmp_path / "h.json"
+    bad.write_text(json.dumps(data))
+    assert main(["verify", "--table", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert f"horizon must be an integer >= 1, not {horizon!r}" in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_bad_strategy_is_usage_error(table9):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--table", str(table9), "--strategy", "bogus"])
