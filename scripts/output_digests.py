@@ -9,7 +9,10 @@ probes and with `--probe 0.65,0.35`, `verify`, `simulate` with the `fixed`
 and the `lfd` strategy, and `compare`, then inputs the command line must
 reject with exit code 2 (a model flag beside `--table`, `--lambda` beside
 `--lambda1`, `--depth 0`, a probe of the wrong length, `--table` for
-`compare`, a directory as the table).  For every run it prints the exit
+`compare`, a directory as the table).  The benchmark workloads are all
+mirror-symmetric, so it also runs `design`, `verify` and `eval` on one
+model that is not (0.7 vs 0.4 with lambda 20 vs 30, horizon 15), where
+the recursion merges every state.  For every run it prints the exit
 code and the sha256 of stdout, of stderr and of every file the run wrote or
 changed.  Paths are relative to the working directory, so two checkouts
 print the same lines exactly when their outputs are byte-identical:
@@ -41,6 +44,7 @@ WORKLOADS = {
                "--horizon 10", "1/3,1/3,1/3"),
 }
 MODEL21 = BERNOULLI.format("0.8", "0.2", 20, 21)
+ASYMMETRIC = "--theta1 0.7 --theta2 0.4 --lambda1 20 --lambda2 30 --horizon 15"
 
 
 def workload_runs(flags: str, uniform: str) -> list[str]:
@@ -72,6 +76,12 @@ README_RUNS = [
     "verify --table design.json",
     "simulate --table design.json --probe 0.5,0.5 --trials 10000 --seed 7",
     f"compare {MODEL21} --out tables",
+]
+
+ASYMMETRIC_RUNS = [
+    f"design {ASYMMETRIC} --out T.json",
+    "verify --table T.json",
+    "eval --table T.json --out R.json",
 ]
 
 
@@ -108,6 +118,7 @@ def main() -> None:
     for label, (flags, uniform) in WORKLOADS.items():
         run_all(label, workload_runs(flags, uniform))
     run_all("readme", README_RUNS)
+    run_all("asym15", ASYMMETRIC_RUNS)
 
 
 if __name__ == "__main__":

@@ -49,7 +49,6 @@ from npkw.bellman import (
     make_model,
     model_from_json,
     model_to_json,
-    stopping_threshold,
 )
 from npkw.policy import (
     Decision,
@@ -101,7 +100,6 @@ __all__ = [
     # model + value recursion
     "NominalModel", "DesignState", "CostTable", "make_model",
     "bernoulli_model", "backward_recursion", "horizon_roots",
-    "stopping_threshold",
     "kwt_truncation_bound", "kwt_truncation_closed_form",
     "model_to_json", "model_from_json", "cost_table_to_json_str",
     "cost_table_from_json",

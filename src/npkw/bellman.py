@@ -21,6 +21,12 @@ with rho at the horizon equal to the stopping risk g.  The sup-convolution
 is where the adversary's one-step choice is optimized out: allocating a_x of
 the current likelihood z0 to symbol x corresponds to the adversary placing
 probability a_x / z0 on x.
+
+A model is mirror-symmetric when lam1 == lam2 and an involution sigma of
+the alphabet has p2[x] = p1[sigma(x)] (the coin 0.8 vs 0.2 with equal
+weights, where sigma swaps the two symbols).  Then the count vector c and
+its mirror, with counts c[sigma(y)], swap z1 and z2, so they have the same
+g, rho, d and threshold, and the recursion solves each mirror pair once.
 """
 
 from __future__ import annotations
@@ -180,12 +186,6 @@ def _state_maker(model: NominalModel,
     return make
 
 
-def make_state(model: NominalModel, counts: tuple[int, ...]) -> DesignState:
-    if len(counts) != model.alphabet_size or any(c < 0 for c in counts):
-        raise ValueError("counts must be nonnegative, one per symbol")
-    return _state_maker(model, sum(counts))(counts)
-
-
 def _counts_at_depth(k: int, n: int) -> Iterator[tuple[int, ...]]:
     """All count vectors over k symbols summing to n, lexicographic."""
     if k == 1:
@@ -222,6 +222,11 @@ class CostTable:
     the children), its :class:`SplitMap`, and the stopping threshold
     ``z0_star`` — the exact crossing of z0 + d(z0) with g, with None meaning
     the cap never binds on [0, 1] (continuing is strictly better everywhere).
+
+    In a mirror-symmetric model (see :func:`_mirror`) a state and its
+    mirror share one ``rho``, one ``d`` and one ``z0_star`` object (all
+    immutable), and the mirror's split map is the state's with every
+    operand index mapped through sigma.
     """
 
     model: NominalModel
@@ -243,31 +248,78 @@ def child_counts(counts: tuple[int, ...], x: int) -> tuple[int, ...]:
     return tuple(c)
 
 
+def _mirror(model: NominalModel) -> tuple[int, ...] | None:
+    """The involution sigma of the alphabet with p2[x] = p1[sigma(x)], as
+    the tuple of sigma(0), ..., sigma(K-1), or None unless lam1 == lam2 and
+    one exists.  Each symbol x is paired with an unused symbol y where
+    (p1y, p2y) = (p2x, p1x); a symbol with p1x == p2x maps to itself."""
+    if model.lam1 != model.lam2:
+        return None
+    unused: dict[tuple[Fraction, Fraction], list[int]] = {}
+    for x in reversed(range(model.alphabet_size)):
+        unused.setdefault((model.p1[x], model.p2[x]), []).append(x)
+    sigma = list(range(model.alphabet_size))
+    for x, (a, b) in enumerate(zip(model.p1, model.p2)):
+        if a < b:
+            partners = unused.get((b, a))
+            if not partners:
+                return None
+            y = partners.pop()
+            sigma[x], sigma[y] = y, x
+    if any(model.p2[x] != model.p1[y] for x, y in enumerate(sigma)):
+        return None  # a symbol with p1x > p2x was left unpaired
+    return tuple(sigma)
+
+
 def backward_recursion(model: NominalModel) -> CostTable:
-    """Run the exact backward recursion over all count states."""
+    """Run the exact backward recursion over all count states.
+
+    In a mirror-symmetric model a state whose mirror comes first in
+    lexicographic order reuses the mirror's slices and threshold, and takes
+    the mirror's split map with each operand index mapped through sigma
+    and the parts re-sorted by (-slope, operand): exactly the record the
+    merge would build, since one operand's slopes are distinct."""
     per_depth = build_states(model)
     k = model.alphabet_size
+    sigma = _mirror(model)
     states: dict[tuple[int, ...], DesignState] = {}
     rho: dict[tuple[int, ...], PwlConcave] = {}
     d: dict[tuple[int, ...], PwlConcave] = {}
     split: dict[tuple[int, ...], SplitMap] = {}
     z0_star: dict[tuple[int, ...], Fraction | None] = {}
 
+    # each state whose mirror comes first in lexicographic order, to that
+    # mirror (empty unless the model is mirror-symmetric)
+    twins = {} if sigma is None else {
+        st.counts: mirror for sts in per_depth.values() for st in sts
+        if (mirror := tuple(st.counts[y] for y in sigma)) < st.counts}
+
     for st in per_depth[model.horizon]:
         states[st.counts] = st
-        rho[st.counts] = pwl(st.g, [(0, 1)])
+        m = twins.get(st.counts)
+        rho[st.counts] = pwl(st.g, [(0, 1)]) if m is None else rho[m]
 
     for n in range(model.horizon - 1, -1, -1):
         for st in per_depth[n]:
-            states[st.counts] = st
-            children = [rho[child_counts(st.counts, x)] for x in range(k)]
+            counts = st.counts
+            states[counts] = st
+            m = twins.get(counts)
+            if m is not None:
+                rho[counts], d[counts] = rho[m], d[m]
+                z0_star[counts] = z0_star[m]
+                sm = split[m]
+                split[counts] = SplitMap(k, sm.scale, tuple(sorted(
+                    ((sigma[op], s, w) for op, s, w in sm.parts),
+                    key=lambda e: (-e[1], e[0]))), sm.upper)
+                continue
+            children = [rho[child_counts(counts, x)] for x in range(k)]
             d_slice, sm = supconv(children, 1)
             lifted = lift_identity(d_slice)
             t_star = crossing_point(lifted, st.g)
-            rho[st.counts] = cap_min_const(lifted, st.g, crossing=t_star)
-            d[st.counts] = d_slice
-            split[st.counts] = sm
-            z0_star[st.counts] = t_star
+            rho[counts] = cap_min_const(lifted, st.g, crossing=t_star)
+            d[counts] = d_slice
+            split[counts] = sm
+            z0_star[counts] = t_star
 
     return CostTable(model, states, rho, d, split, z0_star)
 
@@ -348,17 +400,6 @@ def horizon_roots(model: NominalModel,
             roots[r] = restrict(level[1, 1], 1)
         below = level
     return roots
-
-
-def stopping_threshold(table: CostTable, counts: tuple[int, ...]) -> Fraction | None:
-    """z0 threshold above which stopping is strictly optimal at this state.
-
-    None means the state never stops for any z0 in [0, 1] (the sentinel for
-    "always continue"); a value of exactly 1 means stopping only becomes
-    optimal at the right edge of the domain.  Horizon states always stop and
-    have no threshold entry — asking for one raises KeyError.
-    """
-    return table.z0_star[counts]
 
 
 # ---------------------------------------------------------------------------
@@ -487,30 +528,36 @@ def model_from_json(d: dict) -> NominalModel:
 _RECORD_FIELDS = frozenset(("counts", "depth", "g", "rho", "z1", "z2"))
 
 
-def _check_record(rec: dict, st: DesignState, f: PwlConcave) -> None:
+def _check_record(rec: dict, st: DesignState, f: PwlConcave,
+                  rho_known: bool) -> None:
     """Raise :class:`ExtractionError` naming the state and the field unless
     the record stores exactly the state ``st`` and its cost slice ``f``.
-    Rationals compare by value, as ``n * den == d * num``."""
-    rho = rec["rho"]
-    segs = rho["segments"]
+    Rationals compare by value, as ``n * den == d * num``.  With
+    ``rho_known`` the record's ``rho`` is one that already passed for
+    ``f`` and is not compared again."""
     want = [(name, rec[name], v.numerator, v.denominator)
             for name, v in (("z1", st.z1), ("z2", st.z2), ("g", st.g))]
-    want += [("rho value_at_zero", rho["value_at_zero"], f.v0, f.scale),
-             ("rho domain_upper", rho["domain_upper"], f.upper, f.scale)]
-    want += [(f"rho segment {i} width", seg["width"], w, f.scale)
-             for i, (seg, (_, w)) in enumerate(zip(segs, f.segs))]
+    slopes = [s for s, _ in f.segs]
+    stored_slopes = slopes
+    if not rho_known:
+        rho = rec["rho"]
+        segs = rho["segments"]
+        want += [("rho value_at_zero", rho["value_at_zero"], f.v0, f.scale),
+                 ("rho domain_upper", rho["domain_upper"], f.upper, f.scale)]
+        want += [(f"rho segment {i} width", seg["width"], w, f.scale)
+                 for i, (seg, (_, w)) in enumerate(zip(segs, f.segs))]
+        stored_slopes = [seg["slope"] for seg in segs]
     for field, text, num, den in want:
         n, d = _parse_ratio(text)
         if n * den != d * num:
             raise ExtractionError(
                 f"state {st.counts}: stored {field} = {text}, but the model "
                 f"header gives {_ratio_str(num, den)}")
-    slopes = [seg["slope"] for seg in segs]
-    if (rec["depth"], slopes) != (st.depth, [s for s, _ in f.segs]):
+    if (rec["depth"], stored_slopes) != (st.depth, slopes):
         raise ExtractionError(
             f"state {st.counts}: stored depth = {rec['depth']} and rho slopes "
-            f"= {slopes}, but the model header gives {st.depth} and "
-            f"{[s for s, _ in f.segs]}")
+            f"= {stored_slopes}, but the model header gives {st.depth} and "
+            f"{slopes}")
 
 
 def cost_table_from_json(d: dict) -> CostTable:
@@ -521,6 +568,10 @@ def cost_table_from_json(d: dict) -> CostTable:
     stored number to equal the recomputed one by value; a record that
     differs raises :class:`ExtractionError` naming the state and the field.
     The root is checked first, then the other states by (depth, counts).
+    Mirrored states share one slice object (see :class:`CostTable`), and
+    a record whose ``rho`` equals, as parsed JSON, one that already passed
+    for the same object skips the number-by-number slice check; any other
+    record is checked by value, so an edit is named at its own state.
     Before the solve, the records must reach exactly the header's horizon,
     number one per state and hold no field beyond the six the writer
     stores, so an edited horizon costs no solve of its size.
@@ -550,10 +601,15 @@ def cost_table_from_json(d: dict) -> CostTable:
                              f"the table again with `npkw design`")
         stored[counts] = rec
     table = backward_recursion(model)
+    passed: dict[int, dict] = {}  # by slice object: a stored rho that matched
     for counts in sorted(table.states, key=lambda c: (sum(c), c)):
         if counts not in stored:
             raise ValueError(f"counts {counts} are not stored")
-        _check_record(stored[counts], table.states[counts], table.rho[counts])
+        rec, f = stored[counts], table.rho[counts]
+        known = passed.get(id(f))
+        _check_record(rec, table.states[counts], f,
+                      known is not None and rec["rho"] == known)
+        passed.setdefault(id(f), rec["rho"])
     return table
 
 
@@ -569,13 +625,14 @@ def _slice_text(f: PwlConcave) -> str:
             f'    "value_at_zero": "{_ratio_str(f.v0, scale)}"\n   }}')
 
 
-def _record_text(table: CostTable, counts: tuple[int, ...]) -> str:
+def _record_text(table: CostTable, counts: tuple[int, ...],
+                 rho_text: str) -> str:
     st = table.states[counts]
     counts_text = ",\n".join(f"    {c}" for c in counts)
     return (f'  {{\n   "counts": [\n{counts_text}\n   ],\n'
             f'   "depth": {st.depth},\n'
             f'   "g": "{_frac_str(st.g)}",\n'
-            f'   "rho": {_slice_text(table.rho[counts])},\n'
+            f'   "rho": {rho_text},\n'
             f'   "z1": "{_frac_str(st.z1)}",\n'
             f'   "z2": "{_frac_str(st.z2)}"\n  }}')
 
@@ -589,15 +646,23 @@ def cost_table_to_json_str(table: CostTable) -> str:
     so the bytes are stable across runs.  A record holds the state (its
     ``counts``, ``depth``, ``z1``, ``z2`` and ``g``) and its cost slice
     ``rho``; the continuation slices, split maps and thresholds follow from
-    the model and are not stored.
+    the model and are not stored.  Each distinct slice object is formatted
+    once: mirrored states share one.
     """
     model = table.model
+    slice_texts: dict[int, str] = {}  # by slice object
+
+    def record(counts: tuple[int, ...]) -> str:
+        f = table.rho[counts]
+        text = slice_texts.get(id(f))
+        if text is None:
+            text = slice_texts[id(f)] = _slice_text(f)
+        return _record_text(table, counts, text)
+
     head = model_to_json(model)
     p1, p2 = (",\n".join(f'   "{v}"' for v in head[key]) for key in ("p1", "p2"))
     records = ",\n".join(
-        _record_text(table, counts)
-        for counts in sorted(table.states, key=lambda c: (sum(c), c))
-    )
+        map(record, sorted(table.states, key=lambda c: (sum(c), c))))
     return (f'{{\n "model": {{\n  "horizon": {model.horizon},\n'
             f'  "lambda1": "{head["lambda1"]}",\n'
             f'  "lambda2": "{head["lambda2"]}",\n'

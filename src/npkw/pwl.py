@@ -592,15 +592,3 @@ def split_at(sm: SplitMap, t: RationalLike) -> tuple[Fraction, ...]:
         raise AssertionError("split map shorter than its target")
     return tuple(Fraction(a, scale) for a in alloc)
 
-
-def debug_dump(f: PwlConcave) -> str:
-    """Plain-text dump: header ``f0 num/den U num/den`` then one
-    ``slope width_num/width_den`` line per segment."""
-    f0, upper = f.value_at_zero, f.domain_upper
-    lines = [
-        f"f0 {f0.numerator}/{f0.denominator} "
-        f"U {upper.numerator}/{upper.denominator}"
-    ]
-    for slope, width in f.segments:
-        lines.append(f"{slope} {width.numerator}/{width.denominator}")
-    return "\n".join(lines)

@@ -22,6 +22,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from npkw import bellman
 from npkw.bellman import (
     CostTable,
     ExtractionError,
@@ -35,8 +36,8 @@ from npkw.bellman import (
     kwt_truncation_bound,
     kwt_truncation_closed_form,
     make_model,
-    make_state,
-    stopping_threshold,
+    _mirror,
+    _state_maker,
 )
 from npkw.pwl import pwl, pwl_eval
 from oracles import (
@@ -75,7 +76,7 @@ def test_model_validation():
 
 def test_state_likelihoods_pinned():
     # two successes in three samples: the worked example values
-    st_ = make_state(fig_model(5), (1, 2))
+    st_ = _state_maker(fig_model(5), 3)((1, 2))
     assert st_.depth == 3
     assert st_.z1 == Fraction(16, 125)
     assert st_.z2 == Fraction(4, 125)
@@ -108,7 +109,7 @@ def test_horizon_1_exact():
     root = table.rho[(0, 0)]
     assert root == pwl(8, [(1, 1)])
     assert table.root_value() == 9
-    assert stopping_threshold(table, (0, 0)) is None  # always-continue sentinel
+    assert table.z0_star[(0, 0)] is None  # always-continue sentinel
 
 
 def test_horizon_2_exact():
@@ -117,11 +118,11 @@ def test_horizon_2_exact():
     assert table.states[(1, 1)].g == Fraction(16, 5)
     # a second sample never pays at depth 1: capped at z0 = 0
     assert table.rho[(1, 0)] == pwl(4, [(0, 1)])
-    assert stopping_threshold(table, (1, 0)) == 0
+    assert table.z0_star[(1, 0)] == 0
     assert table.rho[(0, 0)] == pwl(8, [(1, 1)])
     assert table.root_value() == 9
     with pytest.raises(KeyError):
-        stopping_threshold(table, (2, 0))  # horizon states have no threshold
+        table.z0_star[(2, 0)]  # horizon states have no threshold
 
 
 def test_internal_state_identities():
@@ -271,6 +272,25 @@ def test_reader_checks_records_against_the_header():
     assert cost_table_from_json(blob).rho == table.rho
 
 
+def test_reader_names_an_edit_in_the_second_record_of_a_mirror_pair():
+    # (0, 2) and (2, 0) share one slice object, and the record of (2, 0)
+    # comes second: its rho is checked by value unless it equals the first
+    table = backward_recursion(fig_model(5))
+    assert table.rho[(2, 0)] is table.rho[(0, 2)]
+    blob = parsed(table)
+    first, second = blob["states"][3], blob["states"][5]
+    assert (first["counts"], second["counts"]) == ([0, 2], [2, 0])
+    assert second["rho"] == first["rho"]
+    second["rho"]["segments"][0]["width"] = "65/625"  # 64/625
+    with pytest.raises(ExtractionError, match=r"state \(2, 0\): stored rho "
+                                         r"segment 0 width = 65/625"):
+        cost_table_from_json(blob)
+    # the same rational written unreduced is the same record
+    blob = parsed(table)
+    blob["states"][5]["rho"]["segments"][0]["width"] = "128/1250"
+    assert cost_table_from_json(blob).rho == table.rho
+
+
 def test_reader_takes_records_in_any_order():
     table = backward_recursion(fig_model(5))
     blob = parsed(table)
@@ -406,6 +426,80 @@ def test_cost_table_text_matches_fraction_recursion_on_the_workloads():
         make_model(["1/2", "1/4", "1/4"], ["1/4", "1/4", "1/2"], 20, 20, 6),
     ):
         _assert_matches_fraction_recursion(model)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.sampled_from([2, 3, 4]),
+    weights=st.lists(st.integers(min_value=0, max_value=6), min_size=4,
+                     max_size=4),
+    order=st.permutations(range(4)),
+    pairs=st.integers(min_value=1, max_value=2),
+    lam=st.fractions(min_value=Fraction(1, 5), max_value=40, max_denominator=9),
+    horizon=st.integers(min_value=1, max_value=6),
+)
+@example(k=2, weights=[1, 4, 0, 0], order=[0, 1, 2, 3], pairs=1, lam=20,
+         horizon=6)
+@example(k=4, weights=[2, 0, 1, 1], order=[3, 0, 2, 1], pairs=2,
+         lam=Fraction(7, 2), horizon=4)
+def test_mirror_symmetric_tables_match_fraction_recursion(k, weights, order,
+                                                          pairs, lam, horizon):
+    """p2 = p1 o sigma with equal weights: the recursion solves one state
+    of each mirror pair, and the oracle, which solves every state, checks
+    the shared slices and the permuted split maps."""
+    w = weights[:k]
+    if sum(w) == 0 or (k == 4 and horizon > 4):
+        return
+    order = [x for x in order if x < k]
+    sigma = list(range(k))
+    for a, b in zip(order[0:2 * pairs:2], order[1:2 * pairs:2]):
+        sigma[a], sigma[b] = b, a
+    p1 = [Fraction(v, sum(w)) for v in w]
+    p2 = [p1[sigma[x]] for x in range(k)]
+    if p1 == p2:
+        return
+    model = make_model(p1, p2, lam, lam, horizon)
+    found = _mirror(model)
+    assert found is not None
+    assert all(model.p2[x] == model.p1[found[x]] for x in range(k))
+    assert all(found[found[x]] == x for x in range(k))
+    text = _assert_matches_fraction_recursion(model)
+    assert cost_table_to_json_str(
+        cost_table_from_json(json.loads(text))) == text
+
+
+def test_mirror_pairs_symbols_or_finds_none():
+    assert _mirror(fig_model(3)) == (1, 0)
+    tern = make_model(["1/2", "1/4", "1/4"], ["1/4", "1/4", "1/2"], 20, 20, 3)
+    assert _mirror(tern) == (2, 1, 0)
+    # a symbol with p1x > p2x before its partner, and a fixed symbol
+    assert _mirror(make_model(["1/2", "1/4", "1/4"], ["1/4", "1/2", "1/4"],
+                              1, 1, 3)) == (1, 0, 2)
+    # unequal weights; p2 = p1 o a 3-cycle, which is no involution
+    assert _mirror(bernoulli_model("0.8", "0.2", 20, 19, 3)) is None
+    assert _mirror(make_model(["1/2", "1/3", "1/6"], ["1/3", "1/6", "1/2"],
+                              1, 1, 3)) is None
+    assert _mirror(bernoulli_model("0.7", "0.4", 5, 5, 3)) is None
+
+
+@pytest.mark.parametrize("model, merges", [
+    # one merge per mirror pair of internal states: ref15, fast40, tern10
+    (fig_model(15), 64),
+    (bernoulli_model("0.9", "0.1", 3, 3, 40), 420),
+    (make_model(["1/2", "1/4", "1/4"], ["1/4", "1/4", "1/2"], 20, 20, 10),
+     125),
+    # no mirror: every one of the 66 internal states is merged
+    (bernoulli_model("0.7", "0.4", "7/3", 5, 11), 66),
+])
+def test_recursion_merges_each_mirror_pair_once(monkeypatch, model, merges):
+    calls = []
+    supconv = bellman.supconv
+    monkeypatch.setattr(bellman, "supconv",
+                        lambda *args: calls.append(1) or supconv(*args))
+    table = backward_recursion(model)
+    assert len(calls) == merges
+    assert len(table.d) == sum(len(build_states(model)[n])
+                               for n in range(model.horizon))
 
 
 def _assert_matches_fraction_recursion(model) -> str:

@@ -11,7 +11,6 @@ from npkw.pwl import (
     SuperDiff,
     cap_min_const,
     crossing_point,
-    debug_dump,
     lift_identity,
     merge_scaled,
     pwl,
@@ -207,11 +206,6 @@ def test_split_at_out_of_range():
     _, sm = supconv([f, f], 1)
     with pytest.raises(ValueError):
         split_at(sm, 2)
-
-
-def test_debug_dump_format():
-    f = pwl("3/4", [(2, "1/4"), (1, "3/4")])
-    assert debug_dump(f) == "f0 3/4 U 1/1\n2 1/4\n1 3/4"
 
 
 # ---------------------------------------------------------------------------
