@@ -12,7 +12,11 @@ reject with exit code 2 (a model flag beside `--table`, `--lambda` beside
 `compare`, a directory as the table).  The benchmark workloads are all
 mirror-symmetric, so it also runs `design`, `verify` and `eval` on one
 model that is not (0.7 vs 0.4 with lambda 20 vs 30, horizon 15), where
-the recursion merges every state.  For every run it prints the exit
+the recursion merges every state.  Three more `compare` runs cover a
+non-default `--grid` on `ref15` and two coins not symmetric about 1/2:
+0.7 vs 0.4, whose SPRT errors no test stopping by sample 80 matches
+(exit 2), and 0.8 vs 0.6, which has no symmetric SPRT or FSST at all and
+exits 2 before any solve.  For every run it prints the exit
 code and the sha256 of stdout, of stderr and of every file the run wrote or
 changed.  Paths are relative to the working directory, so two checkouts
 print the same lines exactly when their outputs are byte-identical:
@@ -45,6 +49,7 @@ WORKLOADS = {
 }
 MODEL21 = BERNOULLI.format("0.8", "0.2", 20, 21)
 ASYMMETRIC = "--theta1 0.7 --theta2 0.4 --lambda1 20 --lambda2 30 --horizon 15"
+COINS = BERNOULLI.format("{}", "{}", 20, 15)
 
 
 def workload_runs(flags: str, uniform: str) -> list[str]:
@@ -85,6 +90,13 @@ ASYMMETRIC_RUNS = [
 ]
 
 
+COMPARE_RUNS = [
+    f"compare {WORKLOADS['ref15'][0]} --grid 1/7:6/7:11 --out G",
+    f"compare {COINS.format('0.7', '0.4')} --out C",
+    f"compare {COINS.format('0.8', '0.6')} --out C",
+]
+
+
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -119,6 +131,7 @@ def main() -> None:
         run_all(label, workload_runs(flags, uniform))
     run_all("readme", README_RUNS)
     run_all("asym15", ASYMMETRIC_RUNS)
+    run_all("coins", COMPARE_RUNS)
 
 
 if __name__ == "__main__":

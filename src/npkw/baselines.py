@@ -81,45 +81,64 @@ class SprtAnalysis:
 
 
 def _first_step_solve(
-    design: SprtDesign, theta: Fraction, source: Callable[[int], Fraction]
-) -> dict[int, Fraction]:
-    """Solve v(t) = source(t) + theta*v(t+1) + (1-theta)*v(t-1) on the
-    transient states with v(lower) = v(upper) = 0, exactly.
+    design: SprtDesign, theta: Fraction, source: Callable[[int], int]
+) -> Fraction:
+    """v(0) of v(t) = source(t)/D + theta*v(t+1) + (1-theta)*v(t-1) on the
+    transient states with v(lower) = v(upper) = 0, exactly, where
+    theta = a/D in lowest terms and ``source`` gives integers.
 
     The first-step system is tridiagonal; a single forward sweep carrying
-    v(t) as an affine function of the unknown v(lower+1) solves it without
-    building a matrix.
+    v(t) as an affine function of the unknown s = v(lower+1) solves it
+    without building a matrix.  Multiplying a*v(t+1) = D*v(t) -
+    b*v(t-1) - source(t) (b = D - a) through by a**k, k = t - lower - 1,
+    keeps it in integers: v(t) = (A_t*s + B_t) / a**k with
+
+        A_{t+1} = D*A_t - a*b*A_{t-1},
+        B_{t+1} = D*B_t - a*b*B_{t-1} - source(t) * a**k,
+
+    from A = B = 0 at lower and A = 1, B = 0 at lower + 1.  A_t is the sum
+    of a**i * b**(k-i) over i <= k, so A_upper > 0 and v(upper) = 0 gives
+    s = -B_upper / A_upper; only v(0) becomes a ``Fraction``.
     """
     lo, hi = design.lower, design.upper
-    # v(t) = a(t) * s + b(t) with s = v(lo+1)
-    a = {lo: Fraction(0), lo + 1: Fraction(1)}
-    b = {lo: Fraction(0), lo + 1: Fraction(0)}
+    a, den = theta.numerator, theta.denominator
+    ab = a * (den - a)
+    a_prev, a_cur, b_prev, b_cur = 0, 1, 0, 0
+    power = 1  # a**k at the current t
     for t in range(lo + 1, hi):
-        a[t + 1] = (a[t] - (1 - theta) * a[t - 1]) / theta
-        b[t + 1] = (b[t] - source(t) - (1 - theta) * b[t - 1]) / theta
-    if a[hi] == 0:  # pragma: no cover - impossible for theta in (0,1)
-        raise ArithmeticError("degenerate chain")
-    s = -b[hi] / a[hi]
-    return {t: a[t] * s + b[t] for t in range(lo, hi + 1)}
+        if t == 0:
+            a_zero, b_zero, power_zero = a_cur, b_cur, power
+        a_prev, a_cur = a_cur, den * a_cur - ab * a_prev
+        b_prev, b_cur = b_cur, den * b_cur - ab * b_prev - source(t) * power
+        power *= a
+    # v(0) = (A_0 * s + B_0) / a**k0 with s = -B_upper / A_upper
+    return Fraction(b_zero * a_cur - a_zero * b_cur, a_cur * power_zero)
+
+
+def _p_decide_h1(design: SprtDesign, theta: Fraction) -> Fraction:
+    """P(absorb at upper | start 0).  As a function of the start it solves
+    the homogeneous recurrence with boundary 1 at upper and 0 at lower;
+    subtracting the boundary turns it into a zero-boundary solve whose
+    source, theta = a/D, fires on the state next to upper (the only place a
+    single step reaches the upper boundary)."""
+    a, top = theta.numerator, design.upper - 1
+    return _first_step_solve(design, theta, lambda t: a if t == top else 0)
+
+
+def _check_theta(theta: RationalLike) -> Fraction:
+    th = rat(theta)
+    if not 0 < th < 1:
+        raise ValueError("theta must lie strictly inside (0, 1)")
+    return th
 
 
 def sprt_analyze(design: SprtDesign, theta: RationalLike) -> SprtAnalysis:
     """Exact absorption probabilities, mean sample size and tail for an
     SPRT run on Bernoulli(theta) data."""
-    th = rat(theta)
-    if not 0 < th < 1:
-        raise ValueError("theta must lie strictly inside (0, 1)")
+    th = _check_theta(theta)
     lo, hi = design.lower, design.upper
-
-    # P(absorb at upper | start t) satisfies the homogeneous recurrence with
-    # boundary 1 at hi, 0 at lo.  Subtracting the boundary turns it into a
-    # zero-boundary solve whose source fires on the state adjacent to hi
-    # (the only place a single step reaches the upper boundary).
-    hit = _first_step_solve(
-        design, th, lambda t: th if t == hi - 1 else Fraction(0)
-    )
-    p_h1 = hit[0]
-    mean = _first_step_solve(design, th, lambda t: Fraction(1))[0]
+    p_h1 = _p_decide_h1(design, th)
+    mean = _first_step_solve(design, th, lambda t: th.denominator)
 
     # distribution over transient statistic values after k steps; its total
     # mass is P(tau > k).  Advanced lazily and never recomputed.
@@ -154,12 +173,10 @@ def sprt_analyze(design: SprtDesign, theta: RationalLike) -> SprtAnalysis:
 
 
 def sprt_errors(design: SprtDesign, model: NominalModel) -> tuple[Fraction, Fraction]:
-    """(alpha1, alpha2): wrong-decision probabilities under the hypotheses."""
-    t1, t2 = _require_coin(model)
-    return (
-        sprt_analyze(design, t1).p_decide_h2,
-        sprt_analyze(design, t2).p_decide_h1,
-    )
+    """(alpha1, alpha2): wrong-decision probabilities under the hypotheses.
+    Solves only the absorption probabilities."""
+    t1, t2 = (_check_theta(t) for t in _require_coin(model))
+    return 1 - _p_decide_h1(design, t1), _p_decide_h1(design, t2)
 
 
 @dataclass(frozen=True)
@@ -173,26 +190,31 @@ def sprt_design(model: NominalModel, alpha_target: RationalLike) -> SprtDesignRe
     """Smallest symmetric thresholds (upper = -lower) with both exact
     errors at or below the target.
 
-    The search is exhaustive over integers; Wald's bound caps it, since a
-    threshold at b costs at least the likelihood ratio it takes to get
-    there, giving error <= target already at
-    b = ln((1-target)/target) / |per-step log likelihood ratio|.
+    Defined for 0 < theta2 < 1/2 < theta1 < 1 only (``ValueError``
+    otherwise): with r = (1-theta)/theta the walk T_n started at 0 reaches
+    -b before b with probability r**b / (1 + r**b), so the errors at
+    threshold b are alpha1 = r1**b / (1 + r1**b) and
+    alpha2 = 1 / (1 + r2**b).  They fall to 0 exactly when r1 < 1 < r2,
+    and both are at most the target once r1**b and r2**-b are at most
+    target / (1 - target).  The search is exhaustive over integers up to
+    that b, computed in floats and padded by 4.
     """
     target = rat(alpha_target)
     if not 0 < target < 1:
         raise ValueError("alpha_target must lie in (0, 1)")
     t1, t2 = _require_coin(model)
-    step_llr = min(
-        abs(math.log(float(t1) / float(t2))),
-        abs(math.log((1 - float(t1)) / (1 - float(t2)))),
-    )
-    cap = math.ceil(math.log((1 - float(target)) / float(target)) / step_llr) + 4
+    if not 0 < t2 < Fraction(1, 2) < t1 < 1:
+        raise ValueError("symmetric SPRT thresholds need "
+                         "0 < theta2 < 1/2 < theta1 < 1")
+    step = min(math.log(t1 / (1 - t1)), math.log((1 - t2) / t2))
+    cap = math.ceil(math.log((1 - target) / target) / step) + 4
     for b in range(1, cap + 1):
         design = SprtDesign(lower=-b, upper=b)
         a1, a2 = sprt_errors(design, model)
         if a1 <= target and a2 <= target:
             return SprtDesignReport(design, a1, a2)
-    raise ArithmeticError("threshold search exceeded the Wald cap")  # pragma: no cover
+    # unreachable unless float rounding shrank the cap below 4 steps
+    raise ArithmeticError("threshold search exceeded the walk's cap")
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +245,17 @@ class FsstDesign:
         return None
 
 
-def _binom_pmf(n: int, theta: Fraction) -> list[Fraction]:
-    out = []
-    for s in range(n + 1):
-        out.append(math.comb(n, s) * theta**s * (1 - theta) ** (n - s))
-    return out
-
-
 def _fsst_p_h1(design: FsstDesign, theta: Fraction) -> Fraction:
-    pmf = _binom_pmf(design.n, theta)
-    p = sum(pmf[design.k:], Fraction(0))
+    """P(decide H1) at Bernoulli(theta), theta = a/D: the binomial tail
+    from k, plus half the tie count's mass, as one integer over 2 * D**n."""
+    a, den = theta.numerator, theta.denominator
+    b, n = den - a, design.n
+    total = 2 * sum(math.comb(n, s) * a**s * b ** (n - s)
+                    for s in range(design.k, n + 1))
     tie = design.tie_count
     if tie is not None:
-        p += pmf[tie] / 2
-    return p
+        total += math.comb(n, tie) * a**tie * b ** (n - tie)
+    return Fraction(total, 2 * den**n)
 
 
 def fsst_analyze(design: FsstDesign, model: NominalModel) -> tuple[Fraction, Fraction]:
@@ -290,70 +309,83 @@ class KwtDesign:
         return self.continue_bounds[-1][0] + 1
 
 
-def kwt_design(model: NominalModel, p0_worst: Iterable[RationalLike]) -> KwtDesign:
-    """Backward induction for min E_P0[tau] + lam1*alpha1 + lam2*alpha2.
+def _kwt_tables(
+    theta1: Fraction, theta2: Fraction, p0: tuple[Fraction, Fraction],
+    horizon: int,
+) -> list[tuple[list[int], list[int], list[int]]]:
+    """The lambda-free integer tables of the Kiefer-Weiss induction.
 
-    ``p0_worst`` is the sampling distribution the test is tuned against —
-    Bernoulli(1/2) is the worst case for symmetric hypotheses.  All three
-    measures are exchangeable, so per-path values depend only on (n, m)
-    and the objective splits path by path: no binomial weights needed.
-
-    The induction runs in integers.  With D the lcm of the denominators of
-    theta1, theta2 and both entries of ``p0_worst`` (so every per-symbol
-    probability is an integer over D) and L the lcm of the two lambda
-    denominators, every value at (n, m) — the stop risks lam*z, the
-    sampling mass P0(path) and the values of later states — is multiplied
-    by the one positive constant L * D**horizon.  A stop risk becomes
-    (lam1*L) * a1**m * b1**(n-m) * D**(horizon-n), the sampling mass
-    L * g1**m * g0**(n-m) * D**(horizon-n), and sums of later values stay
-    sums.  Every comparison is the exact rational one times that constant,
-    so the actions and bounds are those of the rational recursion.
+    With D the lcm of the denominators of theta1, theta2 and both entries
+    of ``p0`` (so every per-symbol probability is an integer over D), row n
+    holds three lists over m = 0..n, each value times D**horizon: the stop
+    risk of deciding H2 with its lambda1 factored out,
+    theta1**m * (1-theta1)**(n-m); that of deciding H1 with lambda2
+    factored out, the same in theta2; and the P0 sampling mass
+    p0[1]**m * p0[0]**(n-m).
     """
-    _require_coin(model)
-    p0 = tuple(rat(v) for v in p0_worst)
-    if len(p0) != 2 or any(v < 0 for v in p0) or sum(p0) != 1:
-        raise ValueError("p0_worst must be a PMF on {failure, success}")
-    horizon = model.horizon
-    t1, t2 = model.p1[1], model.p2[1]
-    den = math.lcm(t1.denominator, t2.denominator,
+    den = math.lcm(theta1.denominator, theta2.denominator,
                    p0[0].denominator, p0[1].denominator)
-    lam_den = math.lcm(model.lam1.denominator, model.lam2.denominator)
 
-    def powers(prob: Fraction, scale: int = 1) -> list[int]:
+    def powers(prob: Fraction) -> list[int]:
         base = prob.numerator * (den // prob.denominator)
-        out = [scale]
+        out = [1]
         for _ in range(horizon):
             out.append(out[-1] * base)
         return out
 
-    # risk tables carry their lambda, the sampling table carries L
-    a1 = powers(t1, model.lam1.numerator * (lam_den // model.lam1.denominator))
-    b1 = powers(1 - t1)
-    a2 = powers(t2, model.lam2.numerator * (lam_den // model.lam2.denominator))
-    b2 = powers(1 - t2)
-    g1 = powers(p0[1], lam_den)
-    g0 = powers(p0[0])
-    rest = powers(Fraction(1))  # rest[k] = D**k
+    a1, b1, a2, b2, g1, g0, rest = (
+        powers(p) for p in (theta1, 1 - theta1, theta2, 1 - theta2,
+                            p0[1], p0[0], Fraction(1)))  # rest[k] = D**k
+    rows = []
+    for n in range(horizon + 1):
+        scale = rest[horizon - n]
+        rows.append(tuple([x[m] * y[n - m] * scale for m in range(n + 1)]
+                          for x, y in ((a1, b1), (a2, b2), (g1, g0))))
+    return rows
 
+
+def _kwt_pass(
+    tables: list[tuple[list[int], list[int], list[int]]],
+    p0: tuple[Fraction, Fraction],
+    lam1: Fraction,
+    lam2: Fraction,
+) -> KwtDesign:
+    """The backward pass of the Kiefer-Weiss induction over ``tables``
+    (from ``_kwt_tables``) at the weights lam1, lam2.
+
+    With L the lcm of the two lambda denominators, every value at (n, m) —
+    the stop risks lam*z, the sampling mass P0(path) and the values of
+    later states — is multiplied by the one positive constant
+    L * D**horizon: a stop risk is its table entry times lam*L, the
+    sampling mass its entry times L, and sums of later values stay sums.
+    Every comparison is the exact rational one times that constant, so the
+    actions and bounds are those of the rational recursion.
+    """
+    horizon = len(tables) - 1
+    lam_den = math.lcm(lam1.denominator, lam2.denominator)
+    l1 = lam1.numerator * (lam_den // lam1.denominator)
+    l2 = lam2.numerator * (lam_den // lam2.denominator)
     actions: dict[tuple[int, int], str] = {}
     later: list[int] = []  # scaled values of the states at n + 1
     for n in range(horizon, -1, -1):
-        scale = rest[horizon - n]
+        risk1, risk2, mass = tables[n]
+        # the value of sampling on; None at the horizon, where all stop
+        conts = ([None] * (n + 1) if n == horizon else
+                 [lam_den * g + u + v for g, u, v in zip(mass, later, later[1:])])
         row = []
-        for m in range(n + 1):
-            r1 = a1[m] * b1[n - m] * scale  # paid when deciding H2
-            r2 = a2[m] * b2[n - m] * scale  # paid when deciding H1
-            stop = min(r1, r2)
-            if n < horizon:
-                cont = g1[m] * g0[n - m] * scale + later[m + 1] + later[m]
-            if n == horizon or stop <= cont:
-                row.append(stop)
-                actions[(n, m)] = (
-                    "H1" if r2 < r1 else "H2" if r1 < r2 else "randomized"
-                )
+        for m, (r1, r2, cont) in enumerate(zip(risk1, risk2, conts)):
+            r1 *= l1  # paid when deciding H2
+            r2 *= l2  # paid when deciding H1
+            if r1 < r2:
+                stop, act = r1, "H2"
+            elif r2 < r1:
+                stop, act = r2, "H1"
             else:
-                row.append(cont)
-                actions[(n, m)] = "continue"
+                stop, act = r1, "randomized"
+            if cont is not None and cont < stop:
+                stop, act = cont, "continue"
+            row.append(stop)
+            actions[n, m] = act
         later = row
 
     # Bounds are reported over *reachable* continuation states: backward
@@ -374,6 +406,26 @@ def kwt_design(model: NominalModel, p0_worst: Iterable[RationalLike]) -> KwtDesi
     )
 
 
+def kwt_design(model: NominalModel, p0_worst: Iterable[RationalLike]) -> KwtDesign:
+    """Backward induction for min E_P0[tau] + lam1*alpha1 + lam2*alpha2.
+
+    ``p0_worst`` is the sampling distribution the test is tuned against —
+    Bernoulli(1/2) is the worst case for symmetric hypotheses.  All three
+    measures are exchangeable, so per-path values depend only on (n, m)
+    and the objective splits path by path: no binomial weights needed.
+
+    The induction runs in integers, in two parts: ``_kwt_tables`` builds
+    the stop risks and sampling masses, which do not depend on lambda, and
+    ``_kwt_pass`` multiplies in the weights and compares.
+    """
+    _require_coin(model)
+    p0 = tuple(rat(v) for v in p0_worst)
+    if len(p0) != 2 or any(v < 0 for v in p0) or sum(p0) != 1:
+        raise ValueError("p0_worst must be a PMF on {failure, success}")
+    tables = _kwt_tables(model.p1[1], model.p2[1], p0, model.horizon)
+    return _kwt_pass(tables, p0, model.lam1, model.lam2)
+
+
 def kwt_analyze(
     design: KwtDesign, model: NominalModel, theta: RationalLike
 ) -> tuple[Fraction, Fraction, Fraction]:
@@ -385,9 +437,7 @@ def kwt_analyze(
     iteration pushes those integer counts forward and adds each mass to its
     sum as an integer over 2 * D**horizon (the 2 for randomized ties), so
     only the three results are reduced."""
-    th = rat(theta)
-    if not 0 < th < 1:
-        raise ValueError("theta must lie strictly inside (0, 1)")
+    th = _check_theta(theta)
     horizon = design.horizon
     den = th.denominator
     a = th.numerator
@@ -451,11 +501,13 @@ def kwt_matched(
 ) -> tuple[KwtDesign, NominalModel]:
     """The Kiefer-Weiss test at least as accurate as the given errors.
 
-    Doubles the common error weight lambda = 2, 4, 8, ... and solves
-    ``kwt_design`` at ``horizon`` under Bernoulli(1/2) until the design's
-    exact errors are at most ``alpha1`` under the first hypothesis and
-    ``alpha2`` under the second.  Returns the design and the model it was
-    solved for (the hypotheses of ``model`` with that lambda and horizon).
+    Doubles the common error weight lambda = 2, 4, 8, ... and solves the
+    design at ``horizon`` under Bernoulli(1/2), as ``kwt_design`` would,
+    until the design's exact errors are at most ``alpha1`` under the first
+    hypothesis and ``alpha2`` under the second.  The lambda-free tables are
+    built once and only the backward pass runs per lambda.  Returns the
+    design and the model it was solved for (the hypotheses of ``model``
+    with that lambda and horizon).
 
     Raises ``ValueError`` in two cases.  Before any solve, when
     ``alpha1 + alpha2`` lies below the least error sum of any test that
@@ -478,12 +530,13 @@ def kwt_matched(
     t1, t2 = _require_coin(model)
     frozen = horizon * math.lcm(t1.denominator, t2.denominator, 2) ** horizon
     half = (Fraction(1, 2), Fraction(1, 2))
+    tables = _kwt_tables(t1, t2, half, horizon)  # shared by every lambda
     previous = None
     lam = 2
     while True:
+        design = _kwt_pass(tables, half, Fraction(lam), Fraction(lam))
         probe = make_model(list(model.p1), list(model.p2),
                            lam1=lam, lam2=lam, horizon=horizon)
-        design = kwt_design(probe, half)
         if design.actions != previous:  # an unchanged table has not matched
             _, _, h2 = kwt_analyze(design, probe, t1)
             _, h1, _ = kwt_analyze(design, probe, t2)

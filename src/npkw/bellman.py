@@ -200,13 +200,24 @@ def build_states(model: NominalModel) -> dict[int, list[DesignState]]:
     """Per-depth lists of states, depth 0..horizon, lexicographic counts.
 
     Depth n holds C(n + K - 1, K - 1) states (count vectors, not histories);
-    e.g. K = 2 at depth 21 gives 22 states.
+    e.g. K = 2 at depth 21 gives 22 states.  In a mirror-symmetric model
+    (see :func:`_mirror`) a state whose mirror comes first takes the
+    mirror's z1 and z2 swapped and its g, which lam1 == lam2 keeps.
     """
     out: dict[int, list[DesignState]] = {}
     k = model.alphabet_size
     make = _state_maker(model, model.horizon)
+    sigma = _mirror(model)
     for n in range(model.horizon + 1):
-        states = [make(c) for c in _counts_at_depth(k, n)]
+        made: dict[tuple[int, ...], DesignState] = {}
+        for c in _counts_at_depth(k, n):
+            mirror = None if sigma is None else tuple(c[y] for y in sigma)
+            if mirror is not None and mirror < c:
+                st = made[mirror]
+                made[c] = DesignState(n, c, st.z2, st.z1, st.g)
+            else:
+                made[c] = make(c)
+        states = list(made.values())
         assert len(states) == comb(n + k - 1, k - 1)
         out[n] = states
     return out

@@ -148,6 +148,12 @@ def _check(args: argparse.Namespace) -> tuple[NominalModel, Optional[dict]]:
     if command == "compare":
         if k != 2:
             raise UsageError("compare baselines are defined for binary alphabets")
+        t1, t2 = model.p1[1], model.p2[1]
+        if not 0 < t2 < Fraction(1, 2) < t1 < 1:
+            # the SPRT and FSST thresholds are symmetric in T_n
+            raise UsageError(
+                f"compare needs 0 < theta2 < 1/2 < theta1 < 1, got theta1 = "
+                f"{_frac(t1)} and theta2 = {_frac(t2)}")
         if model.lam1 != model.lam2:
             raise UsageError("horizon sweep needs lambda1 == lambda2")
         if model.horizon < 3:

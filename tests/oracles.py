@@ -5,10 +5,13 @@ method (grid search, direct enumeration, closed forms, plain dynamic
 programs), so agreement is
 evidence rather than tautology.  Oracles favour clarity over speed.
 
-``FracPwl``, ``FracSplit``, the ``frac_*`` functions and
-``kwt_analyze_fraction`` keep the package's earlier ``Fraction``
+``FracPwl``, ``FracSplit``, the ``frac_*`` functions,
+``kwt_analyze_fraction``, ``sprt_first_step_fraction`` and
+``fsst_p_h1_fraction`` keep the package's earlier ``Fraction``
 implementations of the PWL algebra, the design recursion, the simulation
-draw and ``kwt_analyze``.  They compute the same things in another
+draw, ``kwt_analyze``, the SPRT first-step solve and the FSST tails;
+``kwt_matched_per_lambda`` keeps the earlier matched search, which solved
+``kwt_design`` afresh at every lambda.  They compute the same things in another
 representation; the package's integer code must agree with them exactly.
 Likewise ``cost_table_text``, ``tree_json_text`` and ``tree_dot_text`` keep
 the package's earlier exporters, which built one dict per record and
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 from npkw.pwl import PwlConcave, SuperDiff, pwl_eval
 
@@ -275,6 +279,59 @@ def kwt_fraction_induction(
         bounds.append((n, 2 * live[0] - n, 2 * live[-1] - n))
         reachable = {m + step for m in live for step in (0, 1)}
     return actions, tuple(bounds)
+
+
+def sprt_first_step_fraction(design, theta: Fraction,
+                             source) -> dict[int, Fraction]:
+    """Solve v(t) = source(t) + theta*v(t+1) + (1-theta)*v(t-1) on the
+    transient states of an SPRT with v(lower) = v(upper) = 0, in
+    ``Fraction``s, for every t from lower to upper.
+
+    One forward sweep carries v(t) as an affine function a(t)*s + b(t) of
+    the unknown s = v(lower+1); the package runs the same sweep on integer
+    numerators over powers of theta's numerator instead.
+    """
+    lo, hi = design.lower, design.upper
+    a = {lo: Fraction(0), lo + 1: Fraction(1)}
+    b = {lo: Fraction(0), lo + 1: Fraction(0)}
+    for t in range(lo + 1, hi):
+        a[t + 1] = (a[t] - (1 - theta) * a[t - 1]) / theta
+        b[t + 1] = (b[t] - source(t) - (1 - theta) * b[t - 1]) / theta
+    s = -b[hi] / a[hi]
+    return {t: a[t] * s + b[t] for t in range(lo, hi + 1)}
+
+
+def fsst_p_h1_fraction(design, theta: Fraction) -> Fraction:
+    """P(decide H1) of a fixed-sample test at Bernoulli(theta): the binomial
+    PMF in ``Fraction``s, summed from k, plus half the tie count's mass."""
+    pmf = [comb(design.n, s) * theta**s * (1 - theta) ** (design.n - s)
+           for s in range(design.n + 1)]
+    p = sum(pmf[design.k:], Fraction(0))
+    if design.tie_count is not None:
+        p += pmf[design.tie_count] / 2
+    return p
+
+
+def kwt_matched_per_lambda(model, alpha1, alpha2, horizon: int = 80):
+    """The matched Kiefer-Weiss search with ``kwt_design`` solved afresh at
+    each lambda = 2, 4, 8, ...; the package builds the lambda-free tables
+    once and runs only the backward pass per lambda.  Returns the design
+    and model of the first lambda whose errors are at most the targets
+    (the caller picks targets that some lambda meets)."""
+    from npkw.baselines import kwt_analyze, kwt_design
+    from npkw.bellman import make_model
+
+    t1, t2 = model.p1[1], model.p2[1]
+    half = (Fraction(1, 2), Fraction(1, 2))
+    lam = 2
+    while True:
+        probe = make_model(list(model.p1), list(model.p2),
+                           lam1=lam, lam2=lam, horizon=horizon)
+        design = kwt_design(probe, half)
+        if (kwt_analyze(design, probe, t1)[2] <= alpha1
+                and kwt_analyze(design, probe, t2)[1] <= alpha2):
+            return design, probe
+        lam *= 2
 
 
 # ---------------------------------------------------------------------------

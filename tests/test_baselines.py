@@ -33,10 +33,20 @@ from npkw.baselines import (
     sprt_design,
     sprt_errors,
     _error_sum_floor,
+    _fsst_p_h1,
+    _kwt_pass,
+    _kwt_tables,
 )
+from npkw import baselines
 from npkw.bellman import bernoulli_model
 
-from oracles import kwt_analyze_fraction, kwt_fraction_induction
+from oracles import (
+    fsst_p_h1_fraction,
+    kwt_analyze_fraction,
+    kwt_fraction_induction,
+    kwt_matched_per_lambda,
+    sprt_first_step_fraction,
+)
 
 FIG = bernoulli_model("0.8", "0.2", lam1=20, lam2=20, horizon=21)
 HALF = (F(1, 2), F(1, 2))
@@ -157,6 +167,48 @@ def test_sprt_rejects_bad_inputs():
         sprt_design(trinomial, "0.1")
 
 
+@given(
+    theta=st.fractions(min_value="1/1000", max_value="999/1000",
+                       max_denominator=1000),
+    lower=st.integers(min_value=-12, max_value=-1),
+    upper=st.integers(min_value=1, max_value=12),
+)
+@settings(max_examples=80, deadline=None)
+def test_sprt_integer_solve_matches_fraction_oracle(theta, lower, upper):
+    design = SprtDesign(lower, upper)
+    an = sprt_analyze(design, theta)
+    hit = sprt_first_step_fraction(
+        design, theta, lambda t: theta if t == upper - 1 else F(0))
+    mean = sprt_first_step_fraction(design, theta, lambda t: F(1))
+    assert an.p_decide_h1 == hit[0]
+    assert an.p_decide_h2 == 1 - hit[0]
+    assert an.expected_sample_size == mean[0]
+
+
+def test_sprt_design_on_a_coin_not_symmetric_about_one_half():
+    # T_n's errors at threshold b are r1**b / (1 + r1**b) and
+    # 1 / (1 + r2**b) with r = (1 - theta) / theta; for 0.7 vs 0.4 the
+    # first b meeting 1e-4 is 23, beyond the per-sample likelihood-ratio
+    # cap (21) the search once used
+    model = bernoulli_model("0.7", "0.4", lam1=20, lam2=20, horizon=15)
+    r1, r2 = F(3, 7), F(3, 2)
+    rep = sprt_design(model, F(1, 10_000))
+    assert rep.design == SprtDesign(-23, 23)
+    assert rep.alpha1 == r1**23 / (1 + r1**23)
+    assert rep.alpha2 == 1 / (1 + r2**23)
+    assert max(sprt_errors(SprtDesign(-22, 22), model)) > F(1, 10_000)
+
+
+@pytest.mark.parametrize("theta1, theta2", [
+    ("0.8", "0.6"), ("0.2", "0.8"), ("0.4", "0.1"), ("0.5", "0.2"),
+    ("0.8", "0.5"),
+])
+def test_sprt_design_needs_theta2_below_one_half_below_theta1(theta1, theta2):
+    model = bernoulli_model(theta1, theta2, lam1=20, lam2=20, horizon=15)
+    with pytest.raises(ValueError, match="theta2 < 1/2 < theta1"):
+        sprt_design(model, F(1, 10_000))
+
+
 # ---------------------------------------------------------------------------
 # FSST
 # ---------------------------------------------------------------------------
@@ -208,6 +260,28 @@ def test_fsst_brute_force_equivalence(n, data, theta):
     assert a2 == wrongs[1]       # data from theta2, H1 is the error
     # decision probabilities are a partition: errors + correct sum to one
     assert a1 + right1 == 1
+
+
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    data=st.data(),
+    theta=st.fractions(min_value="1/1000", max_value="999/1000",
+                       max_denominator=1000),
+)
+@settings(max_examples=80, deadline=None)
+def test_fsst_integer_tail_matches_fraction_oracle(n, data, theta):
+    k = data.draw(st.sampled_from([n // 2 + 1, (n + 2) // 2])
+                  | st.integers(min_value=0, max_value=n + 1))
+    design = FsstDesign(n, k)
+    assert _fsst_p_h1(design, theta) == fsst_p_h1_fraction(design, theta)
+
+
+def test_fsst_integer_tail_matches_fraction_oracle_on_even_ties():
+    for n in (2, 10, 40):
+        design = FsstDesign(n, n // 2 + 1)
+        assert design.tie_count == n // 2
+        for theta in (F(1, 2), F(4, 5), F(3, 997)):
+            assert _fsst_p_h1(design, theta) == fsst_p_h1_fraction(design, theta)
 
 
 def test_fsst_design_targets():
@@ -361,6 +435,50 @@ def test_kwt_analyze_matches_fraction_oracle(theta1, theta2, lam, horizon,
                             horizon=horizon)
     design = kwt_design(model, (1 - p0_success, p0_success))
     assert kwt_analyze(design, model, theta) == kwt_analyze_fraction(design, theta)
+
+
+@given(
+    theta1=st.fractions(min_value="1/30", max_value="29/30", max_denominator=30),
+    theta2=st.fractions(min_value="1/30", max_value="29/30", max_denominator=30),
+    weights=st.lists(
+        st.tuples(st.fractions(min_value="1/7", max_value=300, max_denominator=9),
+                  st.fractions(min_value="1/7", max_value=300, max_denominator=9)),
+        min_size=1, max_size=4),
+    horizon=st.integers(min_value=1, max_value=24),
+    p0_success=st.sampled_from([F(0), F(1, 2), F(1, 3), F(3, 4)]),
+)
+@settings(max_examples=50, deadline=None)
+def test_kwt_pass_on_shared_tables_matches_fraction_oracle(
+        theta1, theta2, weights, horizon, p0_success):
+    """One set of lambda-free tables serves every weight pair, unequal
+    rational weights included."""
+    assume(theta1 != theta2 and weights[0][0] != weights[0][1])
+    p0 = (1 - p0_success, p0_success)
+    tables = _kwt_tables(theta1, theta2, p0, horizon)
+    for lam1, lam2 in weights:
+        design = _kwt_pass(tables, p0, lam1, lam2)
+        actions, bounds = kwt_fraction_induction(
+            theta1, theta2, lam1, lam2, horizon, p0)
+        assert design.actions == actions
+        assert design.continue_bounds == bounds
+        model = bernoulli_model(theta1, theta2, lam1=lam1, lam2=lam2,
+                                horizon=horizon)
+        assert kwt_design(model, p0) == design
+
+
+@pytest.mark.parametrize("theta1, theta2", [("0.8", "0.2"), ("0.9", "0.1")])
+def test_kwt_matched_equals_per_lambda_search(theta1, theta2, monkeypatch):
+    model = bernoulli_model(theta1, theta2, lam1=3, lam2=3, horizon=15)
+    sprt = sprt_design(model, F(1, 10_000))
+    built = []
+    monkeypatch.setattr(baselines, "_kwt_tables",
+                        lambda *args: built.append(args) or _kwt_tables(*args))
+    design, probe = kwt_matched(model, sprt.alpha1, sprt.alpha2)
+    assert len(built) == 1  # the tables are built once for every lambda
+    want_design, want_probe = kwt_matched_per_lambda(
+        model, sprt.alpha1, sprt.alpha2)
+    assert probe == want_probe
+    assert design == want_design
 
 
 def test_kwt_analyze_randomized_ties_match_fraction_oracle():

@@ -36,6 +36,7 @@ from npkw.bellman import (
     kwt_truncation_bound,
     kwt_truncation_closed_form,
     make_model,
+    _counts_at_depth,
     _mirror,
     _state_maker,
 )
@@ -91,6 +92,25 @@ def test_state_counting():
     # three symbols: C(n+2, 2) states at depth n
     m3 = make_model(["1/2", "1/2", "0"], ["1/2", "0", "1/2"], 20, 20, 4)
     assert len(build_states(m3)[4]) == 15
+
+
+@pytest.mark.parametrize("model", [
+    fig_model(9),
+    make_model(["1/2", "1/4", "1/4"], ["1/4", "1/4", "1/2"], 20, 20, 7),
+    make_model(["1/2", "1/2", "0"], ["1/2", "0", "1/2"], 20, 20, 6),
+    make_model(["1/10", "3/5", "0", "3/10"], ["0", "3/10", "1/10", "3/5"],
+               "7/3", "7/3", 5),
+    bernoulli_model("0.7", "0.4", 20, 30, 8),  # no mirror
+])
+def test_states_built_from_a_mirror_equal_direct_states(model):
+    # a mirror state takes its partner's z1 and z2 swapped and its g
+    direct = _state_maker(model, model.horizon)
+    per_depth = build_states(model)
+    for n, states in per_depth.items():
+        assert [st_.counts for st_ in states] == list(_counts_at_depth(
+            model.alphabet_size, n))
+        for st_ in states:
+            assert st_ == direct(st_.counts)
 
 
 def test_child_counts():

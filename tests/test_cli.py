@@ -282,6 +282,41 @@ def test_compare_unmatchable_model_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("coin, got", [
+    (["--theta1", "0.8", "--theta2", "0.6"], "theta1 = 4/5 and theta2 = 3/5"),
+    (["--theta1", "0.2", "--theta2", "0.8"], "theta1 = 1/5 and theta2 = 4/5"),
+    (["--theta1", "0.4", "--theta2", "0.1"], "theta1 = 2/5 and theta2 = 1/10"),
+    (["--theta1", "0.5", "--theta2", "0.2"], "theta1 = 1/2 and theta2 = 1/5"),
+    (["--pmf1", "0,1", "--pmf2", "4/5,1/5"], "theta1 = 1 and theta2 = 1/5"),
+])
+def test_compare_needs_theta2_below_one_half_below_theta1(no_solve, tmp_path,
+                                                          capsys, coin, got):
+    # the symmetric SPRT and FSST thresholds never reach 1e-4 on such a
+    # coin; a sure success under H1 used to end in a math domain error
+    argv = ["compare", *coin, "--lambda", "20", "--horizon", "15",
+            "--out", str(tmp_path / "c")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: compare needs 0 < theta2 < 1/2 < theta1 < 1, got {got}\n")
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_compare_on_a_coin_not_symmetric_about_one_half_exits_2(tmp_path,
+                                                                 capsys):
+    # 0.7 vs 0.4 used to end in a traceback: the SPRT's threshold search
+    # stopped at 21, below the b = 23 that meets 1e-4; now the SPRT is
+    # found, and its errors sum below the floor of any test stopping by
+    # sample 80
+    argv = ["compare", "--theta1", "0.7", "--theta2", "0.4", "--lambda",
+            "20", "--horizon", "15", "--out", str(tmp_path / "c")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot match the SPRT's errors: ")
+    assert "least error sum" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compare_designs_each_baseline_once(monkeypatch, capsys):
     calls = {"sprt": 0, "fsst": 0}
 
