@@ -5,8 +5,10 @@ Runs the command line of the checkout this script sits in (its ``src/``) on
 the three benchmark workloads (`ref15`, `fast40`, `tern10`) and on the
 README's 21-sample examples, each workload in a fresh temporary directory:
 `design`, `tree --depth 7` (to files and to stdout), `eval` with its default
-probes and with `--probe 0.65,0.35`, `verify`, `simulate` with the `fixed`
-and the `lfd` strategy, and `compare`, then inputs the command line must
+probes, with `--probe 0.65,0.35` and with a point-mass probe (`1,0`, or
+`0,1,0` on the ternary workload), `verify`, `simulate` with the `fixed`,
+the `lfd` and the `alternating` strategy, and `compare`, then inputs the
+command line must
 reject with exit code 2 (a model flag beside `--table`, `--lambda` beside
 `--lambda1`, `--depth 0`, a probe of the wrong length, `--table` for
 `compare`, a directory as the table).  The benchmark workloads are all
@@ -16,7 +18,10 @@ the recursion merges every state.  Three more `compare` runs cover a
 non-default `--grid` on `ref15` and two coins not symmetric about 1/2:
 0.7 vs 0.4, whose SPRT errors no test stopping by sample 80 matches
 (exit 2), and 0.8 vs 0.6, which has no symmetric SPRT or FSST at all and
-exits 2 before any solve.  For every run it prints the exit
+exits 2 before any solve.  Last come the parser's own outputs: `npkw`
+with no arguments, `npkw --help`, `npkw <command> --help` for each of the
+six commands and an unknown command (help is formatted for 80 columns).
+For every run it prints the exit
 code and the sha256 of stdout, of stderr and of every file the run wrote or
 changed.  Paths are relative to the working directory, so two checkouts
 print the same lines exactly when their outputs are byte-identical:
@@ -41,27 +46,29 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
 BERNOULLI = "--theta1 {} --theta2 {} --lambda {} --horizon {}"
-WORKLOADS = {
-    "ref15": (BERNOULLI.format("0.8", "0.2", 20, 15), "1/2,1/2"),
-    "fast40": (BERNOULLI.format("0.9", "0.1", 3, 40), "1/2,1/2"),
+WORKLOADS = {  # flags, the uniform probe, a point-mass probe
+    "ref15": (BERNOULLI.format("0.8", "0.2", 20, 15), "1/2,1/2", "1,0"),
+    "fast40": (BERNOULLI.format("0.9", "0.1", 3, 40), "1/2,1/2", "1,0"),
     "tern10": ("--pmf1 1/2,1/4,1/4 --pmf2 1/4,1/4,1/2 --lambda 20 "
-               "--horizon 10", "1/3,1/3,1/3"),
+               "--horizon 10", "1/3,1/3,1/3", "0,1,0"),
 }
 MODEL21 = BERNOULLI.format("0.8", "0.2", 20, 21)
 ASYMMETRIC = "--theta1 0.7 --theta2 0.4 --lambda1 20 --lambda2 30 --horizon 15"
 COINS = BERNOULLI.format("{}", "{}", 20, 15)
 
 
-def workload_runs(flags: str, uniform: str) -> list[str]:
+def workload_runs(flags: str, uniform: str, point: str) -> list[str]:
     return [
         f"design {flags} --out T.json",
         "tree --table T.json --depth 7 --out F",
         "tree --table T.json --depth 7",
         "eval --table T.json --out R.json",
         "eval --table T.json --probe 0.65,0.35 --out P.json",
+        f"eval --table T.json --probe {point} --out Q.json",
         "verify --table T.json",
         f"simulate --table T.json --probe {uniform} --trials 2000 --seed 1",
         "simulate --table T.json --strategy lfd --trials 2000 --seed 1",
+        "simulate --table T.json --strategy alternating --trials 2000",
         f"compare {flags} --out C",
         "verify --table T.json --horizon 7",
         "eval --table T.json --lambda 3",
@@ -97,6 +104,12 @@ COMPARE_RUNS = [
 ]
 
 
+PARSER_RUNS = ["", "--help",
+               *(f"{command} --help" for command in
+                 ("design", "tree", "eval", "compare", "verify", "simulate")),
+               "bogus"]
+
+
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -110,7 +123,8 @@ def snapshot(work: str) -> dict[str, str]:
 
 
 def run_all(label: str, runs: list[str]) -> None:
-    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1",
+               COLUMNS="80")
     with tempfile.TemporaryDirectory(prefix="npkw-digests-") as work:
         for argv in runs:
             before = snapshot(work)
@@ -127,11 +141,12 @@ def run_all(label: str, runs: list[str]) -> None:
 
 
 def main() -> None:
-    for label, (flags, uniform) in WORKLOADS.items():
-        run_all(label, workload_runs(flags, uniform))
+    for label, (flags, uniform, point) in WORKLOADS.items():
+        run_all(label, workload_runs(flags, uniform, point))
     run_all("readme", README_RUNS)
     run_all("asym15", ASYMMETRIC_RUNS)
     run_all("coins", COMPARE_RUNS)
+    run_all("parser", PARSER_RUNS)
 
 
 if __name__ == "__main__":

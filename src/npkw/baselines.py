@@ -48,6 +48,16 @@ def _require_coin(model: NominalModel) -> tuple[Fraction, Fraction]:
     return model.p1[1], model.p2[1]  # success probabilities
 
 
+def _require_symmetric_coin(model: NominalModel) -> tuple[Fraction, Fraction]:
+    """The success probabilities of a coin on either side of 1/2, where the
+    SPRT's and the FSST's symmetric thresholds reach any error target."""
+    t1, t2 = _require_coin(model)
+    if not 0 < t2 < Fraction(1, 2) < t1 < 1:
+        raise ValueError("symmetric thresholds need "
+                         "0 < theta2 < 1/2 < theta1 < 1")
+    return t1, t2
+
+
 # ---------------------------------------------------------------------------
 # SPRT: exact random-walk absorption analysis
 # ---------------------------------------------------------------------------
@@ -202,10 +212,7 @@ def sprt_design(model: NominalModel, alpha_target: RationalLike) -> SprtDesignRe
     target = rat(alpha_target)
     if not 0 < target < 1:
         raise ValueError("alpha_target must lie in (0, 1)")
-    t1, t2 = _require_coin(model)
-    if not 0 < t2 < Fraction(1, 2) < t1 < 1:
-        raise ValueError("symmetric SPRT thresholds need "
-                         "0 < theta2 < 1/2 < theta1 < 1")
+    t1, t2 = _require_symmetric_coin(model)
     step = min(math.log(t1 / (1 - t1)), math.log((1 - t2) / t2))
     cap = math.ceil(math.log((1 - target) / target) / step) + 4
     for b in range(1, cap + 1):
@@ -266,10 +273,16 @@ def fsst_analyze(design: FsstDesign, model: NominalModel) -> tuple[Fraction, Fra
 
 def fsst_design(model: NominalModel, alpha_target: RationalLike) -> FsstDesign:
     """Smallest n meeting the target with the symmetric count threshold
-    k = ceil((n+1)/2)."""
+    k = ceil((n+1)/2).
+
+    Defined for 0 < theta2 < 1/2 < theta1 < 1 only (``ValueError``
+    otherwise): on any other coin one of the majority vote's errors does
+    not fall to 0 as n grows, and no n meets a small target.
+    """
     target = rat(alpha_target)
     if not 0 < target < 1:
         raise ValueError("alpha_target must lie in (0, 1)")
+    _require_symmetric_coin(model)
     n = 1
     while True:
         design = FsstDesign(n=n, k=(n + 2) // 2)

@@ -468,64 +468,70 @@ def cmd_simulate(args: argparse.Namespace, table: CostTable) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--theta1", help="success probability under H1")
-    shared.add_argument("--theta2", help="success probability under H2")
-    shared.add_argument("--pmf1", help="comma-separated PMF under H1")
-    shared.add_argument("--pmf2", help="comma-separated PMF under H2")
-    shared.add_argument("--lambda1", help="false H2 decision penalty")
-    shared.add_argument("--lambda2", help="false H1 decision penalty")
-    shared.add_argument("--lambda", help="sets both penalties at once")
-    shared.add_argument("--horizon", type=int, help="maximum sample count")
+# each subcommand with its line in `npkw --help`
+_COMMANDS = {
+    "design": "run the backward recursion, save the cost table",
+    "tree": "export the decision tree as DOT + JSON",
+    "eval": "exact E[tau], errors, stopping-time PMF",
+    "compare": "baseline curves, thresholds, horizon sweep",
+    "verify": "check equalization + support certificates",
+    "simulate": "seeded Monte Carlo rollouts of the policy",
+}
 
+
+def build_parser(
+        commands: Sequence[str] = tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The ``npkw`` parser.  Every subcommand is listed, for the help text
+    and the choice check, but only those in ``commands`` get their flags
+    (-h included): `main` builds the flags of the one subcommand its
+    arguments name, the only one argparse can hand them to."""
     parser = argparse.ArgumentParser(
         prog="npkw",
         description="exact sequential-test design against adversarial data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("design", parents=[shared],
-                       help="run the backward recursion, save the cost table")
-    p.add_argument("--out", default="cost_table.json",
-                   help="output JSON path (default cost_table.json)")
-
-    p = sub.add_parser("tree", parents=[shared],
-                       help="export the decision tree as DOT + JSON")
-    p.add_argument("--depth", type=int, default=7,
-                   help="levels to export (default 7)")
-    p.add_argument("--out", help="output base path (writes .dot and .json)")
-
-    p = sub.add_parser("eval", parents=[shared],
-                       help="exact E[tau], errors, stopping-time PMF")
-    p.add_argument("--probe", action="append",
-                   help="probe PMF, comma separated (repeatable)")
-    p.add_argument("--out", help="JSON report path")
-
-    p = sub.add_parser("compare", parents=[shared],
-                       help="baseline curves, thresholds, horizon sweep")
-    p.add_argument("--grid", default="1/20:19/20:19",
-                   help="theta grid: a,b,c or lo:hi:count (default 1/20:19/20:19)")
-    p.add_argument("--out", help="CSV base path (writes three tables)")
-
-    sub.add_parser("verify", parents=[shared],
-                   help="check equalization + support certificates")
-
-    p = sub.add_parser("simulate", parents=[shared],
-                       help="seeded Monte Carlo rollouts of the policy")
-    p.add_argument("--probe", action="append",
-                   help="data-generating PMF for the fixed strategy (once)")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strategy", default="fixed",
-                   choices=("fixed", "alternating", "lfd"))
-    # `design` and `compare` take model flags only; the other parsers share
-    # one action, as `parents=` shares actions, without a parser object
-    table = sub.choices["tree"].add_argument(
-        "--table", help="cost-table JSON from `design`")
-    for name in ("eval", "verify", "simulate"):
-        sub.choices[name]._add_action(table)
+    for name, text in _COMMANDS.items():
+        built = name in commands
+        p = sub.add_parser(name, help=text, add_help=built)
+        if built:
+            _add_arguments(p, name)
     return parser
+
+
+def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
+    p.add_argument("--theta1", help="success probability under H1")
+    p.add_argument("--theta2", help="success probability under H2")
+    p.add_argument("--pmf1", help="comma-separated PMF under H1")
+    p.add_argument("--pmf2", help="comma-separated PMF under H2")
+    p.add_argument("--lambda1", help="false H2 decision penalty")
+    p.add_argument("--lambda2", help="false H1 decision penalty")
+    p.add_argument("--lambda", help="sets both penalties at once")
+    p.add_argument("--horizon", type=int, help="maximum sample count")
+    if name == "design":
+        p.add_argument("--out", default="cost_table.json",
+                       help="output JSON path (default cost_table.json)")
+    elif name == "tree":
+        p.add_argument("--depth", type=int, default=7,
+                       help="levels to export (default 7)")
+        p.add_argument("--out", help="output base path (writes .dot and .json)")
+    elif name == "eval":
+        p.add_argument("--probe", action="append",
+                       help="probe PMF, comma separated (repeatable)")
+        p.add_argument("--out", help="JSON report path")
+    elif name == "compare":
+        p.add_argument("--grid", default="1/20:19/20:19",
+                       help="theta grid: a,b,c or lo:hi:count (default 1/20:19/20:19)")
+        p.add_argument("--out", help="CSV base path (writes three tables)")
+    elif name == "simulate":
+        p.add_argument("--probe", action="append",
+                       help="data-generating PMF for the fixed strategy (once)")
+        p.add_argument("--trials", type=int, default=1000)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--strategy", default="fixed",
+                       choices=("fixed", "alternating", "lfd"))
+    # `design` and `compare` take model flags only
+    if name not in ("design", "compare"):
+        p.add_argument("--table", help="cost-table JSON from `design`")
 
 
 _DISPATCH = {
@@ -538,7 +544,12 @@ _DISPATCH = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse hands the arguments to the subcommand its first positional
+    # names; the parser's only option, -h, takes no value, so that is the
+    # first argument naming a subcommand, if argparse gets that far
+    chosen = [a for a in argv if a in _COMMANDS][:1]
+    args = build_parser(chosen).parse_args(argv)
     try:
         model, data = _check(args)
         if args.command == "compare":  # the one command that solves no table

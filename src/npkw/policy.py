@@ -23,6 +23,17 @@ at the right edge — the reading consistent with the subtree's actual
 conditional expectations when a child is consumed to its full domain).
 Extraction validates these laws and raises :class:`ExtractionError` on any
 inconsistency rather than patching over it.
+
+The public fields and results are ``Fraction``s, but the walks over the
+DAG run in integers.  Extraction keys its memo on z0's numerator and
+denominator, compares z0 with the stopping threshold by cross-multiplying
+and builds each LFD entry from the two integer pairs.  Evaluation and the
+equalization certificate put every ``p_continue`` over m, the lcm of
+their denominators: survival into depth n is an integer over m**n, the
+base pass's per-count weights at depth n are over m**(n+1), a probe of
+integers over P contracts them as integer monomials over P**n, and the
+certificate's path values at j levels above the deepest one are over
+m**j.  Each public number is one ``Fraction`` built at the end.
 """
 
 from __future__ import annotations
@@ -93,13 +104,18 @@ class PolicyNode:
 
 
 def _stop_decision(state: DesignState, model: NominalModel) -> Decision:
-    lhs = model.lam1 * state.z1
-    rhs = model.lam2 * state.z2
+    # lam1 * z1 against lam2 * z2, cross-multiplied
+    l1, l2, z1, z2 = model.lam1, model.lam2, state.z1, state.z2
+    lhs = l1.numerator * z1.numerator * l2.denominator * z2.denominator
+    rhs = l2.numerator * z2.numerator * l1.denominator * z1.denominator
     if lhs > rhs:
         return Decision.H1
     if lhs < rhs:
         return Decision.H2
     return Decision.RANDOMIZED
+
+
+_ZERO = Fraction(0)
 
 
 def _stop_node(state: DesignState, z0: Fraction, model: NominalModel,
@@ -111,7 +127,7 @@ def _stop_node(state: DesignState, z0: Fraction, model: NominalModel,
         )
     return PolicyNode(
         state=state, z0=z0, e_enter=0, e_continue=None,
-        p_continue=Fraction(0), decision=_stop_decision(state, model),
+        p_continue=_ZERO, decision=_stop_decision(state, model),
         lfd_probs=None, children=None, sure_stop_state=sure_state,
     )
 
@@ -146,7 +162,9 @@ def _extract(
     max_depth: Optional[int],
     memo: dict,
 ) -> PolicyNode:
-    key = (counts, z0, promised)
+    # z0 enters the key as its two integers: hashing a Fraction costs a
+    # modular inverse, and equal Fractions have equal lowest terms
+    key = (counts, z0.numerator, z0.denominator, promised)
     node = memo.get(key)
     if node is None:
         node = memo[key] = _extract_node(table, counts, z0, promised,
@@ -170,9 +188,13 @@ def _extract_node(
     z0_star = table.z0_star[counts]
     sure_state = z0_star == 0  # stopping already matches continuing at zero mass
     d_slice = table.d[counts]
+    zn, zd = z0.numerator, z0.denominator
 
-    if z0 > 0:
-        if z0_star is not None and z0 > z0_star:
+    if zn > 0:
+        # z0 against the kink, cross-multiplied: > 0 past it, 0 at it
+        side = -1 if z0_star is None else \
+            zn * z0_star.denominator - z0_star.numerator * zd
+        if side > 0:
             return _stop_node(state, z0, model, promised, sure_state)
         # Continuing is optimal (strictly below the kink) or tied (at it).
         # The equalized continuation slope c may sit anywhere in the
@@ -181,7 +203,7 @@ def _extract_node(
         # promise pins the choice instead where one exists.
         d_right = slope_right(d_slice, z0)  # linear extension at the edge
         d_left = slope_left(d_slice, z0)
-        if z0_star is not None and z0 == z0_star:
+        if side == 0:
             # stopping weight is free at the kink; the promise pins it
             e_enter = 0 if promised is None else promised
             if e_enter == 0:
@@ -213,7 +235,7 @@ def _extract_node(
         if promised is None or promised == 0:
             return _stop_node(state, z0, model, promised, sure_state)
         e_enter = promised
-        c = max(slope_right(d_slice, Fraction(0)), e_enter - 1)
+        c = max(slope_right(d_slice, 0), e_enter - 1)
 
     e_continue = 1 + c
     if not 0 <= e_enter <= e_continue:
@@ -223,7 +245,7 @@ def _extract_node(
     # the entry label must be a supergradient of the node's own cost slice
     # (unbounded above at the left endpoint of the domain)
     rho_sd = superdiff(table.rho[counts], z0)
-    contained = (e_enter >= rho_sd.lo) if z0 == 0 \
+    contained = (e_enter >= rho_sd.lo) if zn == 0 \
         else (rho_sd.lo <= e_enter <= rho_sd.hi)
     if not contained:
         raise ExtractionError(
@@ -232,11 +254,14 @@ def _extract_node(
         )
 
     p_continue = Fraction(e_enter, e_continue)
-    decision = None if p_continue == 1 else _stop_decision(state, model)
+    decision = None if e_enter == e_continue \
+        else _stop_decision(state, model)
 
     alloc = split_at(table.split[counts], z0)
-    if z0 > 0:
-        lfd = tuple(a / z0 for a in alloc)
+    if zn > 0:
+        # a / z0 in lowest terms from the two pairs of integers
+        lfd = tuple(Fraction(a.numerator * zd, a.denominator * zn)
+                    for a in alloc)
     else:
         # limiting allocation direction as z0 -> 0+: the merge's first slope
         # class, shared in proportion to segment widths (uniform when every
@@ -306,19 +331,38 @@ def iter_unique_nodes(root: PolicyNode) -> Iterator[PolicyNode]:
             stack.extend(reversed(node.children))
 
 
-def _by_depth(root: PolicyNode) -> list[PolicyNode]:
-    """Unique nodes in nondecreasing depth order (a topological order: every
-    parent sits strictly above its children)."""
-    return sorted(iter_unique_nodes(root), key=lambda n: n.depth)
+_DISPLAY_CUT = ("tree was cut at a display depth limit; rebuild it with "
+                "max_depth=None for evaluation")
 
 
-def _require_full(root: PolicyNode) -> None:
-    for node in iter_unique_nodes(root):
-        if node.p_continue > 0 and node.children is None:
-            raise ValueError(
-                "tree was cut at a display depth limit; rebuild it with "
-                "max_depth=None for evaluation"
-            )
+def _levels(root: PolicyNode) -> list[list[PolicyNode]]:
+    """Unique nodes level by level below the root (every parent sits one
+    level above its children).  Raises ``ValueError`` on a tree cut at a
+    display depth: a node that may continue but has no children."""
+    levels = []
+    level = [root]
+    seen = {id(root)}
+    while level:
+        levels.append(level)
+        below = []
+        for node in level:
+            if node.children is None:
+                if node.p_continue:
+                    raise ValueError(_DISPLAY_CUT)
+                continue
+            for child in node.children:
+                if id(child) not in seen:
+                    seen.add(id(child))
+                    below.append(child)
+        level = below
+    return levels
+
+
+def _survival_scale(levels: list[list[PolicyNode]]) -> int:
+    """The lcm m of the denominators of every ``p_continue``: a product of
+    n of them is an integer over m**n."""
+    return lcm(*{node.p_continue.denominator
+                 for level in levels for node in level})
 
 
 def max_conditional_remaining(root: PolicyNode) -> int:
@@ -400,47 +444,60 @@ def evaluate(root: PolicyNode, probe: list[RationalLike]) -> EvalReport:
     if len(pmf) != k or any(v < 0 for v in pmf) or sum(pmf) != 1:
         raise ValueError("probe must be a PMF over the model alphabet")
 
-    _, alpha1, alpha2, cont_w, stop_w = _eval_base(root)
+    alpha1, alpha2, m, cont_w, stop_w = _eval_base(root)
 
     # Every history reaching a state has the same probe likelihood (it is a
     # function of the symbol counts alone), so the probe-independent
     # survival aggregates cached per count vector contract the whole walk
-    # to one term per reachable count class.
-    def mono(counts: tuple[int, ...]) -> Fraction:
-        out = Fraction(1)
-        for x, c in enumerate(counts):
-            if c:
-                out *= pmf[x] ** c
-        return out
+    # to one term per reachable count class.  With the probe as integers
+    # q[x] over P, a depth-n likelihood is the monomial prod q[x]**c[x] over
+    # P**n, and the depth-n aggregates are over m**(n+1): each depth
+    # contracts to one integer over P**n * m**(n+1).
+    den = lcm(*(v.denominator for v in pmf))
+    powers = []
+    for v in pmf:
+        q = v.numerator * (den // v.denominator)
+        row = [1]
+        for _ in range(len(cont_w)):
+            row.append(row[-1] * q)
+        powers.append(row)
 
-    e_tau = Fraction(0)
-    stop_pmf: dict[int, Fraction] = {}
-    zero = Fraction(0)
-    for counts, weight in cont_w.items():
-        like = mono(counts)
-        if like > 0:
-            e_tau += like * weight
-    for counts, weight in stop_w.items():
-        like = mono(counts)
-        if like > 0:
-            d = sum(counts)
-            stop_pmf[d] = stop_pmf.get(d, zero) + like * weight
+    def contract(weights: dict[tuple[int, ...], int]) -> int:
+        total = 0
+        for counts, weight in weights.items():
+            for x, c in enumerate(counts):
+                if c:
+                    weight *= powers[x][c]
+            total += weight
+        return total
 
-    pmf_rows = tuple(sorted(stop_pmf.items()))
-    total = sum(stop_pmf.values(), Fraction(0))
-    assert total == 1, f"stop-time PMF sums to {total}"
-    return EvalReport(pmf, e_tau, alpha1, alpha2, pmf_rows)
+    # sums over depths by Horner's rule, over (P*m)**(depths - 1) * m
+    scale = den * m
+    one = scale ** (len(cont_w) - 1) * m
+    e_num = 0
+    for level in cont_w:
+        e_num = e_num * scale + contract(level)
+
+    rows = []
+    total = 0
+    for n, level in enumerate(stop_w):
+        mass = contract(level)
+        total = total * scale + mass
+        if mass:
+            rows.append((n, Fraction(mass, den ** n * m ** (n + 1))))
+    assert total == one, f"stop-time PMF sums to {Fraction(total, one)}"
+    return EvalReport(pmf, Fraction(e_num, one), alpha1, alpha2, tuple(rows))
 
 
 def _eval_base(root: PolicyNode) -> tuple[
-    list[PolicyNode], Fraction, Fraction,
-    dict[tuple[int, ...], Fraction], dict[tuple[int, ...], Fraction],
+    Fraction, Fraction, int,
+    list[dict[tuple[int, ...], int]], list[dict[tuple[int, ...], int]],
 ]:
     """Probe-independent evaluation aggregates, cached on the root.
 
-    One pass over the shared structure computes the survival-only path
-    aggregate ``srv[n] = sum over histories reaching n of survival``
-    (the stopping coins are data-independent) and from it
+    One pass over the shared structure, level by level, computes the
+    survival-only path aggregate ``srv[n] = sum over histories reaching n
+    of survival`` (the stopping coins are data-independent) and from it
 
     * the two error probabilities, which integrate the per-state
       hypothesis likelihoods against ``srv`` and do not depend on any
@@ -450,44 +507,77 @@ def _eval_base(root: PolicyNode) -> tuple[
       these is exact because the probe likelihood of a history is a
       function of its symbol counts alone.
 
+    Everything is an integer over one denominator per depth: with m from
+    :func:`_survival_scale`, survival into depth n is over m**n, and the
+    weights of depth n, one list entry per depth, are over m**(n+1).  The
+    errors of depth n are over 2 * L * m**(n+1), L the lcm of the
+    likelihood denominators there (the D**n of ``bellman._state_maker``
+    or a divisor of it); one ``Fraction`` per depth is summed.  Returns
+    ``(alpha1, alpha2, m, continuation weights, stopping weights)``.
+
     The cache assumes the tree is not mutated after its first evaluation.
     """
     cached = root.__dict__.get("_eval_base")
     if cached is not None:
         return cached
 
-    _require_full(root)
-    order = _by_depth(root)
-    alpha1 = Fraction(0)
-    alpha2 = Fraction(0)
-    zero = Fraction(0)
-    cont_w: dict[tuple[int, ...], Fraction] = {}
-    stop_w: dict[tuple[int, ...], Fraction] = {}
-    srv: dict[int, Fraction] = {id(root): Fraction(1)}
-    for node in order:
-        sr = srv.get(id(node), zero)
-        if sr == 0:
-            continue
-        p = node.p_continue
-        counts = node.state.counts
-        if p < 1:
-            stopped = sr * (1 - p)
-            stop_w[counts] = stop_w.get(counts, zero) + stopped
-            if node.decision is Decision.H2:
-                alpha1 += node.state.z1 * stopped
-            elif node.decision is Decision.H1:
-                alpha2 += node.state.z2 * stopped
-            elif node.decision is Decision.RANDOMIZED:
-                alpha1 += node.state.z1 * stopped / 2
-                alpha2 += node.state.z2 * stopped / 2
-        if p > 0:
-            srv_step = sr * p
-            cont_w[counts] = cont_w.get(counts, zero) + srv_step
-            for child in node.children:
-                cid = id(child)
-                srv[cid] = srv.get(cid, zero) + srv_step
+    levels = _levels(root)
+    m = _survival_scale(levels)
+    alpha1 = alpha2 = _ZERO
+    cont_w: list[dict[tuple[int, ...], int]] = []
+    stop_w: list[dict[tuple[int, ...], int]] = []
+    srv = {id(root): 1}
+    scale = m  # m**(n+1) at depth n
+    for level in levels:
+        go_w: dict[tuple[int, ...], int] = {}
+        stop: dict[tuple[int, ...], int] = {}
+        # per count vector: its state, then twice the stopped weight that
+        # errs under H1 (deciding H2) and under H2 (deciding H1)
+        errs: dict[tuple[int, ...], list] = {}
+        for node in level:
+            sr = srv.get(id(node))
+            if not sr:
+                continue
+            p = node.p_continue
+            pn, pd = p.numerator, p.denominator
+            sr *= m // pd
+            counts = node.state.counts
+            if pn < pd:
+                stopped = sr * (pd - pn)
+                stop[counts] = stop.get(counts, 0) + stopped
+                decision = node.decision
+                if decision is not None:
+                    err = errs.get(counts)
+                    if err is None:
+                        err = errs[counts] = [node.state, 0, 0]
+                    if decision is Decision.H2:
+                        err[1] += 2 * stopped
+                    elif decision is Decision.H1:
+                        err[2] += 2 * stopped
+                    else:
+                        err[1] += stopped
+                        err[2] += stopped
+            if pn:
+                go = sr * pn
+                go_w[counts] = go_w.get(counts, 0) + go
+                for child in node.children:
+                    cid = id(child)
+                    srv[cid] = srv.get(cid, 0) + go
+        if errs:
+            like = lcm(*(z.denominator for state, _, _ in errs.values()
+                         for z in (state.z1, state.z2)))
+            e1 = e2 = 0
+            for state, w1, w2 in errs.values():
+                z1, z2 = state.z1, state.z2
+                e1 += z1.numerator * (like // z1.denominator) * w1
+                e2 += z2.numerator * (like // z2.denominator) * w2
+            alpha1 += Fraction(e1, 2 * like * scale)
+            alpha2 += Fraction(e2, 2 * like * scale)
+        cont_w.append(go_w)
+        stop_w.append(stop)
+        scale *= m
 
-    base = (order, alpha1, alpha2, cont_w, stop_w)
+    base = (alpha1, alpha2, m, cont_w, stop_w)
     root.__dict__["_eval_base"] = base
     return base
 
@@ -527,49 +617,56 @@ def verify_equalization(root: PolicyNode) -> EqualizationCertificate:
     a single value when all of them agree and ``None`` otherwise.  The
     per-path quantities the certificate is defined over fold through
     ``e = p * (1 + e_child)``, so the recursion reproduces the exhaustive
-    path walk exactly while touching each distinct node once.
+    path walk exactly while touching each distinct node once.  With m from
+    :func:`_survival_scale`, every value at the level ``last - j`` is an
+    integer over m**j, so ``max`` and the equality tests compare ints.
     """
-    _require_full(root)
+    levels = _levels(root)
+    m = _survival_scale(levels)
     c_root = root.e_enter
 
-    max_e: dict[int, Fraction] = {}       # worst path from here
-    eq: dict[int, Optional[Fraction]] = {}  # common positive-path value
+    max_e: dict[int, int] = {}       # worst path from here
+    eq: dict[int, Optional[int]] = {}  # common positive-path value
     n_paths: dict[int, int] = {}
     n_pos: dict[int, int] = {}
-    zero = Fraction(0)
+    dens = []  # the denominator of each level, deepest first
 
-    for node in reversed(_by_depth(root)):
-        nid = id(node)
-        p = node.p_continue
-        if p == 0 or node.children is None:
-            max_e[nid] = zero
-            eq[nid] = zero
-            n_paths[nid] = 1
-            n_pos[nid] = 1
-            continue
-        max_e[nid] = p * (1 + max(max_e[id(ch)] for ch in node.children))
-        n_paths[nid] = sum(n_paths[id(ch)] for ch in node.children)
-        vals = {
-            eq[id(ch)]
-            for x, ch in enumerate(node.children) if node.lfd_probs[x] > 0
-        }
-        eq[nid] = p * (1 + vals.pop()) if len(vals) == 1 and None not in vals \
-            else None
-        n_pos[nid] = sum(
-            n_pos[id(ch)]
-            for x, ch in enumerate(node.children) if node.lfd_probs[x] > 0
-        )
+    below, den = 0, 1  # the denominators of the level below and of this one
+    for level in reversed(levels):
+        for node in level:
+            nid = id(node)
+            p = node.p_continue
+            if not p:
+                max_e[nid] = 0
+                eq[nid] = 0
+                n_paths[nid] = 1
+                n_pos[nid] = 1
+                continue
+            kids = node.children
+            lfd = node.lfd_probs
+            f = p.numerator * (m // p.denominator)
+            max_e[nid] = f * (below + max(max_e[id(ch)] for ch in kids))
+            n_paths[nid] = sum(n_paths[id(ch)] for ch in kids)
+            vals = {eq[id(ch)] for x, ch in enumerate(kids) if lfd[x]}
+            eq[nid] = f * (below + vals.pop()) \
+                if len(vals) == 1 and None not in vals else None
+            n_pos[nid] = sum(n_pos[id(ch)]
+                             for x, ch in enumerate(kids) if lfd[x])
+        dens.append(den)
+        below, den = den, den * m
+    dens.reverse()
 
-    pos_equal = eq[id(root)] == c_root
-    ok = pos_equal and max_e[id(root)] <= c_root
+    top = c_root * dens[0]
+    pos_equal = eq[id(root)] == top
+    ok = pos_equal and max_e[id(root)] <= top
     violating: list[tuple[tuple[int, ...], Fraction]] = []
     if not ok:
-        violating = _equalization_witnesses(root, c_root, max_e, eq)
+        violating = _equalization_witnesses(root, c_root, max_e, eq, dens)
 
     return EqualizationCertificate(
         c_root=c_root,
         passes=ok,
-        max_path_expectation=max_e[id(root)],
+        max_path_expectation=Fraction(max_e[id(root)], dens[0]),
         q0_path_expectations_equal=pos_equal,
         n_paths=n_paths[id(root)],
         n_q0_positive_paths=n_pos[id(root)],
@@ -580,20 +677,22 @@ def verify_equalization(root: PolicyNode) -> EqualizationCertificate:
 def _equalization_witnesses(
     root: PolicyNode,
     c_root: int,
-    max_e: dict[int, Fraction],
-    eq: dict[int, Optional[Fraction]],
+    max_e: dict[int, int],
+    eq: dict[int, Optional[int]],
+    dens: list[int],
 ) -> list[tuple[tuple[int, ...], Fraction]]:
     """Concrete offending paths for a failed certificate (up to 8).
 
     Walks only subtrees known to contain a deviation: a positive path whose
     expectation differs from ``c_root``, or the worst path when it exceeds
     ``c_root``.  The DFS carries absolute survival and accumulated
-    expectation like the exhaustive walk would.
+    expectation like the exhaustive walk would.  ``max_e`` and ``eq`` are
+    over ``dens[n]`` at the level n below the root.
     """
     found: list[tuple[tuple[int, ...], Fraction]] = []
 
     # worst path, when it overshoots
-    if max_e[id(root)] > c_root:
+    if max_e[id(root)] > c_root * dens[0]:
         node, path = root, []
         surv, acc = Fraction(1), Fraction(0)
         while node.p_continue > 0 and node.children is not None:
@@ -619,7 +718,8 @@ def _equalization_witnesses(
             if node.lfd_probs[x] == 0:
                 continue
             v = eq[id(child)]
-            if v is not None and acc + surv * v == c_root:
+            if v is not None and \
+                    acc + surv * Fraction(v, dens[len(path) + 1]) == c_root:
                 continue  # every positive path below lands exactly right
             stack.append((child, path + (x,), surv, acc))
     return found
@@ -648,7 +748,6 @@ class LfdSupportReport:
 
 
 def verify_lfd_support(root: PolicyNode, model: NominalModel) -> LfdSupportReport:
-    _require_full(root)
     support = tuple(
         x for x in range(model.alphabet_size)
         if model.p1[x] > 0 and model.p2[x] > 0
@@ -661,8 +760,10 @@ def verify_lfd_support(root: PolicyNode, model: NominalModel) -> LfdSupportRepor
         if id(node) in seen:
             continue  # shared subtree: checked at its first occurrence
         seen.add(id(node))
-        if node.p_continue == 0 or node.children is None:
+        if not node.p_continue:
             continue
+        if node.children is None:
+            raise ValueError(_DISPLAY_CUT)
         if node.z0 > 0:
             bad = any(
                 node.lfd_probs[x] == 0 and not node.children[x].sure_stop_state
@@ -744,8 +845,8 @@ def simulate(
     so results are reproducible and independent of trial order.  All
     comparisons are exact: uniforms are 64-bit dyadic rationals compared
     against exact probabilities, biasing each event by less than 2**-64.
+    A trial that reaches the cut of a display tree raises ``ValueError``.
     """
-    _require_full(root)
     k = len(root.state.counts)
     if strategy == "fixed":
         if pmf is None:
@@ -779,6 +880,8 @@ def simulate(
                 else:
                     n_h2 += 1
                 break
+            if node.children is None:
+                raise ValueError(_DISPLAY_CUT)
             if strategy == "fixed":
                 x = _pick(rng.getrandbits(64), *fixed_cum)
             elif strategy == "alternating":

@@ -16,6 +16,9 @@ representation; the package's integer code must agree with them exactly.
 Likewise ``cost_table_text``, ``tree_json_text`` and ``tree_dot_text`` keep
 the package's earlier exporters, which built one dict per record and
 serialized it with ``json.dumps``; the direct writers must match their bytes.
+``frac_eval_base``, ``frac_evaluate`` and ``frac_verify_equalization`` keep
+the policy layer's earlier ``Fraction`` evaluation pass, probe contraction
+and equalization fold, which the integer versions must match exactly.
 """
 
 from __future__ import annotations
@@ -762,3 +765,147 @@ def tree_dot_text(root) -> str:
     emit(root)
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the policy layer's earlier Fraction evaluation and equalization fold
+# ---------------------------------------------------------------------------
+
+def _frac_by_depth(root) -> list:
+    """Unique nodes sorted by depth, after rejecting a display cut."""
+    seen: set[int] = set()
+    nodes = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.p_continue > 0 and node.children is None:
+            raise ValueError("tree was cut at a display depth limit")
+        nodes.append(node)
+        if node.children:
+            stack.extend(reversed(node.children))
+    return sorted(nodes, key=lambda n: n.depth)
+
+
+def frac_eval_base(root):
+    """(alpha1, alpha2, continuation weight, stopping weight), the weights
+    per count vector, from one Fraction pass of survival products."""
+    from npkw.policy import Decision
+
+    alpha1 = alpha2 = Fraction(0)
+    cont_w: dict = {}
+    stop_w: dict = {}
+    srv = {id(root): Fraction(1)}
+    for node in _frac_by_depth(root):
+        sr = srv.get(id(node), Fraction(0))
+        if sr == 0:
+            continue
+        p = node.p_continue
+        counts = node.state.counts
+        if p < 1:
+            stopped = sr * (1 - p)
+            stop_w[counts] = stop_w.get(counts, Fraction(0)) + stopped
+            if node.decision is Decision.H2:
+                alpha1 += node.state.z1 * stopped
+            elif node.decision is Decision.H1:
+                alpha2 += node.state.z2 * stopped
+            elif node.decision is Decision.RANDOMIZED:
+                alpha1 += node.state.z1 * stopped / 2
+                alpha2 += node.state.z2 * stopped / 2
+        if p > 0:
+            step = sr * p
+            cont_w[counts] = cont_w.get(counts, Fraction(0)) + step
+            for child in node.children:
+                srv[id(child)] = srv.get(id(child), Fraction(0)) + step
+    return alpha1, alpha2, cont_w, stop_w
+
+
+def frac_evaluate(root, probe):
+    """``evaluate``'s report, contracting the probe in Fractions."""
+    from npkw.policy import EvalReport
+
+    pmf = tuple(Fraction(v) for v in probe)
+    alpha1, alpha2, cont_w, stop_w = frac_eval_base(root)
+
+    def mono(counts) -> Fraction:
+        out = Fraction(1)
+        for x, c in enumerate(counts):
+            out *= pmf[x] ** c
+        return out
+
+    e_tau = sum((mono(c) * w for c, w in cont_w.items()), Fraction(0))
+    stop_pmf: dict[int, Fraction] = {}
+    for counts, weight in stop_w.items():
+        like = mono(counts)
+        if like > 0:
+            d = sum(counts)
+            stop_pmf[d] = stop_pmf.get(d, Fraction(0)) + like * weight
+    assert sum(stop_pmf.values()) == 1
+    return EvalReport(pmf, e_tau, alpha1, alpha2,
+                      tuple(sorted(stop_pmf.items())))
+
+
+def frac_verify_equalization(root):
+    """``verify_equalization``'s certificate from a Fraction fold, with the
+    offending paths found by the same pruned search in Fractions."""
+    from npkw.policy import EqualizationCertificate
+
+    c_root = root.e_enter
+    max_e: dict = {}
+    eq: dict = {}
+    n_paths: dict = {}
+    n_pos: dict = {}
+    for node in reversed(_frac_by_depth(root)):
+        nid = id(node)
+        p = node.p_continue
+        if p == 0 or node.children is None:
+            max_e[nid], eq[nid], n_paths[nid], n_pos[nid] = (
+                Fraction(0), Fraction(0), 1, 1)
+            continue
+        kids = node.children
+        positive = [ch for x, ch in enumerate(kids) if node.lfd_probs[x] > 0]
+        max_e[nid] = p * (1 + max(max_e[id(ch)] for ch in kids))
+        n_paths[nid] = sum(n_paths[id(ch)] for ch in kids)
+        vals = {eq[id(ch)] for ch in positive}
+        eq[nid] = p * (1 + vals.pop()) \
+            if len(vals) == 1 and None not in vals else None
+        n_pos[nid] = sum(n_pos[id(ch)] for ch in positive)
+
+    pos_equal = eq[id(root)] == c_root
+    ok = pos_equal and max_e[id(root)] <= c_root
+    found: list = []
+    if not ok and max_e[id(root)] > c_root:
+        node, path = root, []
+        surv, acc = Fraction(1), Fraction(0)
+        while node.p_continue > 0 and node.children is not None:
+            surv *= node.p_continue
+            acc += surv
+            x = max(range(len(node.children)),
+                    key=lambda i: max_e[id(node.children[i])])
+            path.append(x)
+            node = node.children[x]
+        found.append((tuple(path), acc))
+    stack = [] if ok else [(root, (), Fraction(1), Fraction(0))]
+    while stack and len(found) < 8:
+        node, path, surv, acc = stack.pop()
+        surv = surv * node.p_continue
+        acc = acc + surv
+        if surv == 0 or node.children is None:
+            if acc != c_root:
+                found.append((path, acc))
+            continue
+        for x, child in enumerate(node.children):
+            if node.lfd_probs[x] == 0:
+                continue
+            v = eq[id(child)]
+            if v is not None and acc + surv * v == c_root:
+                continue
+            stack.append((child, path + (x,), surv, acc))
+
+    return EqualizationCertificate(
+        c_root=c_root, passes=ok, max_path_expectation=max_e[id(root)],
+        q0_path_expectations_equal=pos_equal, n_paths=n_paths[id(root)],
+        n_q0_positive_paths=n_pos[id(root)], violating_paths=tuple(found),
+    )

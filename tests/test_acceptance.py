@@ -31,7 +31,7 @@ from npkw.bellman import (
 )
 from npkw.cli import main
 from npkw.policy import (
-    _by_depth,
+    _levels,
     evaluate,
     extract_tree,
     find_node,
@@ -239,7 +239,7 @@ def test_criterion_06_lfd_support(fig_tree, fig_model, fig_display):
     # there are root paths to it.
     n_histories = {id(fig_tree): 1}
     degenerate = 0
-    for node in _by_depth(fig_tree):
+    for node in (node for level in _levels(fig_tree) for node in level):
         mult = n_histories[id(node)]
         if node.p_continue > 0 and node.lfd_probs is not None:
             for x, q in enumerate(node.lfd_probs):

@@ -209,6 +209,23 @@ def test_sprt_design_needs_theta2_below_one_half_below_theta1(theta1, theta2):
         sprt_design(model, F(1, 10_000))
 
 
+@pytest.mark.parametrize("theta1, theta2", [
+    ("0.8", "0.6"), ("0.2", "0.8"), ("0.4", "0.1"), ("0.5", "0.2"),
+    ("0.8", "0.5"),
+])
+def test_fsst_design_needs_theta2_below_one_half_below_theta1(
+        theta1, theta2, monkeypatch):
+    # the check comes before any tail: on 0.8 vs 0.6 the search used to
+    # walk n toward 10,000 with ever larger tails
+    def no_tail(*_args):
+        raise AssertionError("fsst_design computed a tail")
+
+    monkeypatch.setattr(baselines, "fsst_analyze", no_tail)
+    model = bernoulli_model(theta1, theta2, lam1=20, lam2=20, horizon=15)
+    with pytest.raises(ValueError, match="theta2 < 1/2 < theta1"):
+        fsst_design(model, F(1, 10_000))
+
+
 # ---------------------------------------------------------------------------
 # FSST
 # ---------------------------------------------------------------------------

@@ -45,6 +45,8 @@ from npkw.pwl import pwl, pwl_eval, slope_right
 from oracles import (
     best_response_cost,
     frac_draw,
+    frac_evaluate,
+    frac_verify_equalization,
     tree_dot_text,
     tree_json_text,
 )
@@ -504,6 +506,77 @@ def test_exporters_match_the_dict_oracles_on_the_ternary_cut():
     root = extract_tree(backward_recursion(model), max_depth=7)
     assert tree_to_json(root) == tree_json_text(root)
     assert tree_to_dot(root) == tree_dot_text(root)
+
+
+# ---------------------------------------------------------------------------
+# integer evaluation and equalization against the Fraction oracles
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([2, 3]), w1=weights, w2=weights,
+       lam1=st.integers(min_value=1, max_value=40),
+       lam2=st.integers(min_value=1, max_value=40),
+       horizon=st.integers(min_value=1, max_value=6), probe=weights)
+@example(k=3, w1=[2, 2, 0], w2=[1, 0, 3], lam1=20, lam2=40, horizon=1,
+         probe=[0, 1, 0])
+@example(k=2, w1=[1, 4, 0], w2=[4, 1, 0], lam1=20, lam2=30, horizon=6,
+         probe=[0, 1, 0])
+def test_integer_evaluation_matches_the_fraction_oracles(
+        k, w1, w2, lam1, lam2, horizon, probe):
+    """``evaluate`` on the model's PMFs, a drawn probe and every point mass,
+    and ``verify_equalization``, equal the Fraction passes exactly."""
+    w1, w2, probe = w1[:k], w2[:k], probe[:k]
+    assume(sum(w1) and sum(w2) and sum(probe) and lam1 != lam2)
+    p1 = [Fraction(w, sum(w1)) for w in w1]
+    p2 = [Fraction(w, sum(w2)) for w in w2]
+    assume(p1 != p2)
+    root = extract_tree(backward_recursion(make_model(p1, p2, lam1, lam2,
+                                                      horizon)))
+    point_masses = [[int(x == y) for x in range(k)] for y in range(k)]
+    drawn = [Fraction(w, sum(probe)) for w in probe]
+    for pmf in (p1, p2, drawn, *point_masses):
+        assert evaluate(root, pmf) == frac_evaluate(root, pmf)
+    assert verify_equalization(root) == frac_verify_equalization(root)
+
+
+def test_randomized_stop_matches_the_fraction_oracles():
+    # after one sample of symbol 0, lam1 * z1 = 20/2 = 40/4 = lam2 * z2:
+    # the test stops there and decides by a fair coin
+    model = make_model(["1/2", "1/2", "0"], ["1/4", "0", "3/4"],
+                       lam1=20, lam2=40, horizon=1)
+    root = extract_tree(backward_recursion(model))
+    tie = root.children[0]
+    assert root.p_continue == 1 and tie.p_continue == 0
+    assert tie.decision is Decision.RANDOMIZED
+    assert model.lam1 * tie.state.z1 == model.lam2 * tie.state.z2 > 0
+    for pmf in (model.p1, model.p2, [1, 0, 0], ["1/3"] * 3):
+        rep = evaluate(root, list(pmf))
+        assert rep == frac_evaluate(root, list(pmf))
+    # half of P1(symbol 0) and half of P2(symbol 0)
+    assert (rep.alpha1, rep.alpha2) == (Fraction(1, 4), Fraction(1, 8))
+    assert verify_equalization(root) == frac_verify_equalization(root)
+
+
+def test_mutated_certificates_match_the_fraction_oracle():
+    _, _, root = small_fig(8)
+    # a node that stops with positive probability, made to continue surely,
+    # lengthens its paths past c_root: the worst-path witness is reported
+    victim = next(node for node in iter_unique_nodes(root)
+                  if 0 < node.p_continue < 1)
+    victim.p_continue = Fraction(1)
+    cert = verify_equalization(root)
+    assert cert.max_path_expectation > cert.c_root
+    assert cert.violating_paths
+    assert cert == frac_verify_equalization(root)
+
+    # a sure-continue node made to stop half the time shortens them
+    _, _, root = small_fig(8)
+    find_node(root, (1, 1)).p_continue = Fraction(1, 2)
+    cert = verify_equalization(root)
+    assert not cert.q0_path_expectations_equal and cert.violating_paths
+    assert cert == frac_verify_equalization(root)
+    for pmf in (["4/5", "1/5"], [0, 1]):
+        assert evaluate(root, pmf) == frac_evaluate(root, pmf)
 
 
 # ---------------------------------------------------------------------------
