@@ -14,17 +14,20 @@ reject with exit code 2 (a model flag beside `--table`, `--lambda` beside
 `compare`, a directory as the table).  The benchmark workloads are all
 mirror-symmetric, so it also runs `design`, `verify` and `eval` on one
 model that is not (0.7 vs 0.4 with lambda 20 vs 30, horizon 15), where
-the recursion merges every state.  Three more `compare` runs cover a
-non-default `--grid` on `ref15` and two coins not symmetric about 1/2:
-0.7 vs 0.4, whose SPRT errors no test stopping by sample 80 matches
-(exit 2), and 0.8 vs 0.6, which has no symmetric SPRT or FSST at all and
-exits 2 before any solve.  Last come the parser's own outputs: `npkw`
-with no arguments, `npkw --help`, `npkw <command> --help` for each of the
-six commands and an unknown command (help is formatted for 80 columns).
-For every run it prints the exit
-code and the sha256 of stdout, of stderr and of every file the run wrote or
-changed.  Paths are relative to the working directory, so two checkouts
-print the same lines exactly when their outputs are byte-identical:
+the recursion merges every state.  Five more `compare` runs cover a
+non-default `--grid` on `ref15` and four coins that are not mirror
+images of themselves: 0.8 vs 0.15, whose Kiefer-Weiss stop labels cross
+off the centre line of each row; 0.85 vs 0.3, whose lambda search runs to
+2**353 without a match (exit 2); 0.7 vs 0.4, whose SPRT errors no test
+stopping by sample 80 matches (exit 2); and 0.8 vs 0.6, which has no
+symmetric SPRT or FSST at all and exits 2 before any solve.  Last come
+the parser's own outputs: `npkw` with no arguments, `npkw --help`,
+`npkw <command> --help` for each of the six commands and an unknown
+command (help is formatted for 80 columns).  For every run it prints the
+exit code and the sha256 of stdout, of stderr and of every file the run
+wrote or changed.  Paths are relative to the working directory, so two
+checkouts print the same lines exactly when their outputs are
+byte-identical:
 
     python3 scripts/output_digests.py > new.txt
     python3 /path/to/other/checkout/scripts/output_digests.py > old.txt
@@ -99,6 +102,8 @@ ASYMMETRIC_RUNS = [
 
 COMPARE_RUNS = [
     f"compare {WORKLOADS['ref15'][0]} --grid 1/7:6/7:11 --out G",
+    f"compare {COINS.format('0.8', '0.15')} --out C",
+    f"compare {COINS.format('0.85', '0.3')} --out C",
     f"compare {COINS.format('0.7', '0.4')} --out C",
     f"compare {COINS.format('0.8', '0.6')} --out C",
 ]

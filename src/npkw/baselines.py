@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .bellman import NominalModel, make_model
-from .pwl import RationalLike, rat
+from .pwl import RationalLike, decimal_str, rat
 
 __all__ = [
     "SprtDesign",
@@ -322,10 +321,18 @@ class KwtDesign:
         return self.continue_bounds[-1][0] + 1
 
 
+def _powers(base: int, top: int) -> list[int]:
+    """base**k for k = 0..top."""
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * base)
+    return out
+
+
 def _kwt_tables(
     theta1: Fraction, theta2: Fraction, p0: tuple[Fraction, Fraction],
     horizon: int,
-) -> list[tuple[list[int], list[int], list[int]]]:
+) -> tuple[list[tuple[list[int], ...]], dict]:
     """The lambda-free integer tables of the Kiefer-Weiss induction.
 
     With D the lcm of the denominators of theta1, theta2 and both entries
@@ -334,31 +341,42 @@ def _kwt_tables(
     risk of deciding H2 with its lambda1 factored out,
     theta1**m * (1-theta1)**(n-m); that of deciding H1 with lambda2
     factored out, the same in theta2; and the P0 sampling mass
-    p0[1]**m * p0[0]**(n-m).
+    p0[1]**m * p0[0]**(n-m).  The rows come with an empty memo, where
+    ``_kwt_pass`` keeps the stop labels of each ratio lambda1/lambda2.
     """
     den = math.lcm(theta1.denominator, theta2.denominator,
                    p0[0].denominator, p0[1].denominator)
-
-    def powers(prob: Fraction) -> list[int]:
-        base = prob.numerator * (den // prob.denominator)
-        out = [1]
-        for _ in range(horizon):
-            out.append(out[-1] * base)
-        return out
-
     a1, b1, a2, b2, g1, g0, rest = (
-        powers(p) for p in (theta1, 1 - theta1, theta2, 1 - theta2,
-                            p0[1], p0[0], Fraction(1)))  # rest[k] = D**k
+        _powers(p.numerator * (den // p.denominator), horizon)
+        for p in (theta1, 1 - theta1, theta2, 1 - theta2, p0[1], p0[0],
+                  Fraction(1)))  # rest[k] = D**k
     rows = []
     for n in range(horizon + 1):
         scale = rest[horizon - n]
         rows.append(tuple([x[m] * y[n - m] * scale for m in range(n + 1)]
                           for x, y in ((a1, b1), (a2, b2), (g1, g0))))
-    return rows
+    return rows, {}
+
+
+def _run(xs: list[int], x: int, ys: list[int], y: int,
+         near: tuple[int, int]) -> tuple[int, int]:
+    """(start, stop) of the m with x*xs[m] > y*ys[m] in a row, where those
+    m form a prefix or a suffix; the search walks from the edge of
+    ``near``, the run of the row before."""
+    n = len(xs) - 1
+    first = x * xs[0] > y * ys[0]
+    if first == (x * xs[n] > y * ys[n]):
+        return (0, n + 1) if first else (0, 0)
+    b = min(max(near[1] if near[0] == 0 else near[0], 1), n)
+    while b > 1 and (x * xs[b - 1] > y * ys[b - 1]) != first:
+        b -= 1
+    while (x * xs[b] > y * ys[b]) == first:
+        b += 1
+    return (0, b) if first else (b, n + 1)
 
 
 def _kwt_pass(
-    tables: list[tuple[list[int], list[int], list[int]]],
+    tables: tuple[list[tuple[list[int], ...]], dict],
     p0: tuple[Fraction, Fraction],
     lam1: Fraction,
     lam2: Fraction,
@@ -366,40 +384,74 @@ def _kwt_pass(
     """The backward pass of the Kiefer-Weiss induction over ``tables``
     (from ``_kwt_tables``) at the weights lam1, lam2.
 
-    With L the lcm of the two lambda denominators, every value at (n, m) —
-    the stop risks lam*z, the sampling mass P0(path) and the values of
-    later states — is multiplied by the one positive constant
-    L * D**horizon: a stop risk is its table entry times lam*L, the
-    sampling mass its entry times L, and sums of later values stay sums.
-    Every comparison is the exact rational one times that constant, so the
-    actions and bounds are those of the rational recursion.
+    Every value is scaled by the one positive constant L * D**horizon, L
+    the lcm of the lambda denominators: a stop risk is its table entry
+    times lam*L, the sampling mass its entry times L, and sums of later
+    values stay sums, so each comparison is the exact rational one.
+
+    Each entry of a row is c * u**m * v**(n-m) with u, v >= 0, so the m
+    where one weighted entry beats another form a prefix or a suffix of
+    the row (``_run``).  Hence:
+
+    * Labels: a row's stop labels are runs H2 | randomized | H1 (or the
+      reverse) around one crossing of lam1*R1 and lam2*R2.  They depend
+      only on lam1/lam2, and the memo of ``tables`` keeps them per ratio.
+    * Band: a state whose stop risk min(lam1*R1, lam2*R2) is at most its
+      sampling mass M never continues, as continuing costs M plus later
+      values >= 0.  So the states that can continue form one interval.
+      Values are computed there only; a child outside the next row's band
+      takes its stop risk.
     """
-    horizon = len(tables) - 1
+    rows, memo = tables
+    horizon = len(rows) - 1
     lam_den = math.lcm(lam1.denominator, lam2.denominator)
     l1 = lam1.numerator * (lam_den // lam1.denominator)
     l2 = lam2.numerator * (lam_den // lam2.denominator)
-    actions: dict[tuple[int, int], str] = {}
-    later: list[int] = []  # scaled values of the states at n + 1
-    for n in range(horizon, -1, -1):
-        risk1, risk2, mass = tables[n]
-        # the value of sampling on; None at the horizon, where all stop
-        conts = ([None] * (n + 1) if n == horizon else
-                 [lam_den * g + u + v for g, u, v in zip(mass, later, later[1:])])
-        row = []
-        for m, (r1, r2, cont) in enumerate(zip(risk1, risk2, conts)):
-            r1 *= l1  # paid when deciding H2
-            r2 *= l2  # paid when deciding H1
-            if r1 < r2:
-                stop, act = r1, "H2"
-            elif r2 < r1:
-                stop, act = r2, "H1"
+    if lam1 / lam2 not in memo:
+        stops = memo[lam1 / lam2] = {}
+        h1 = h2 = (0, 0)
+        for n in range(horizon, -1, -1):
+            r1, r2, _ = rows[n]
+            row = ["randomized"] * (n + 1)
+            h1 = _run(r1, l1, r2, l2, h1)  # deciding H2 costs more
+            h2 = _run(r2, l2, r1, l1, h2)
+            row[h1[0]:h1[1]] = ["H1"] * (h1[1] - h1[0])
+            row[h2[0]:h2[1]] = ["H2"] * (h2[1] - h2[0])
+            stops.update(((n, m), act) for m, act in enumerate(row))
+    actions = memo[lam1 / lam2].copy()
+
+    later: list[int] = []  # scaled values of row n + 1 on [lo, hi)
+    lo = hi = 0
+    band1 = band2 = (0, 0)
+    for n in range(horizon - 1, -1, -1):
+        r1, r2, mass = rows[n]
+        band1 = _run(r1, l1, mass, lam_den, band1)
+        band2 = _run(r2, l2, mass, lam_den, band2)
+        start, stop = max(band1[0], band2[0]), min(band1[1], band2[1])
+        if start >= stop:
+            later, lo, hi = [], 0, 0
+            continue
+        # the children [start, stop]: row n + 1's values where they are
+        # known, stop risks on either side
+        c1, c2, _ = rows[n + 1]
+        mid = min(max(lo, start), stop + 1)
+        end = max(min(hi, stop + 1), mid)
+        kids = ([min(l1 * u, l2 * v) for u, v in zip(c1[start:mid], c2[start:mid])]
+                + later[mid - lo:end - lo]
+                + [min(l1 * u, l2 * v)
+                   for u, v in zip(c1[end:stop + 1], c2[end:stop + 1])])
+        later, lo, hi = [], start, stop
+        for m, u, v, g, k0, k1 in zip(range(start, stop), r1[start:stop],
+                                      r2[start:stop], mass[start:stop],
+                                      kids, kids[1:]):
+            u *= l1
+            v *= l2
+            cont = lam_den * g + k0 + k1
+            if cont < u and cont < v:
+                actions[n, m] = "continue"
+                later.append(cont)
             else:
-                stop, act = r1, "randomized"
-            if cont is not None and cont < stop:
-                stop, act = cont, "continue"
-            row.append(stop)
-            actions[n, m] = act
-        later = row
+                later.append(u if u < v else v)
 
     # Bounds are reported over *reachable* continuation states: backward
     # induction also labels states the test can never enter, and those can
@@ -451,17 +503,8 @@ def kwt_analyze(
     sum as an integer over 2 * D**horizon (the 2 for randomized ties), so
     only the three results are reduced."""
     th = _check_theta(theta)
-    horizon = design.horizon
-    den = th.denominator
-    a = th.numerator
-
-    def powers(base: int) -> list[int]:
-        out = [1]
-        for _ in range(horizon):
-            out.append(out[-1] * base)
-        return out
-
-    pa, pb, pd = powers(a), powers(den - a), powers(den)
+    horizon, a, den = design.horizon, th.numerator, th.denominator
+    pa, pb, pd = (_powers(v, horizon) for v in (a, den - a, den))
     paths: dict[int, int] = {0: 1}
     e_tau = 0  # over D**horizon
     h1 = 0     # over 2 * D**horizon
@@ -548,13 +591,12 @@ def kwt_matched(
     lam = 2
     while True:
         design = _kwt_pass(tables, half, Fraction(lam), Fraction(lam))
-        probe = make_model(list(model.p1), list(model.p2),
-                           lam1=lam, lam2=lam, horizon=horizon)
         if design.actions != previous:  # an unchanged table has not matched
-            _, _, h2 = kwt_analyze(design, probe, t1)
-            _, h1, _ = kwt_analyze(design, probe, t2)
+            _, _, h2 = kwt_analyze(design, model, t1)
+            _, h1, _ = kwt_analyze(design, model, t2)
             if h2 <= target1 and h1 <= target2:
-                return design, probe
+                return design, make_model(list(model.p1), list(model.p2),
+                                          lam1=lam, lam2=lam, horizon=horizon)
         if lam > frozen:
             raise ValueError(
                 f"no Kiefer-Weiss test at horizon {horizon} reaches "
@@ -606,19 +648,11 @@ def sample_size_curve(design, model: NominalModel, theta_grid) -> list[CurveRow]
     return rows
 
 
-def _sig12(x: Fraction) -> str:
-    """12 significant digits, exactly rounded."""
-    with localcontext() as ctx:
-        ctx.prec = 12
-        d = Decimal(x.numerator) / Decimal(x.denominator)
-    return str(d)
-
-
 def curves_to_csv(rows: Iterable[CurveRow]) -> str:
     lines = ["theta,expected_sample_size,alpha1,alpha2,test_name"]
     for r in rows:
         lines.append(",".join((
-            _sig12(r.theta), _sig12(r.expected_sample_size),
-            _sig12(r.alpha1), _sig12(r.alpha2), r.test_name,
+            decimal_str(r.theta), decimal_str(r.expected_sample_size),
+            decimal_str(r.alpha1), decimal_str(r.alpha2), r.test_name,
         )))
     return "\n".join(lines) + "\n"

@@ -37,7 +37,6 @@ from .baselines import (
     kwt_matched,
     sample_size_curve,
     sprt_design,
-    _sig12,
 )
 from .bellman import (
     CostTable,
@@ -60,7 +59,7 @@ from .policy import (
     verify_equalization,
     verify_lfd_support,
 )
-from .pwl import pwl_eval, slope_left, slope_right
+from .pwl import decimal_str, pwl_eval, slope_left, slope_right
 
 __all__ = ["main", "build_parser"]
 
@@ -288,7 +287,7 @@ def cmd_design(args: argparse.Namespace, table: CostTable) -> int:
     root = table.rho[(0,) * model.alphabet_size]
     value = pwl_eval(root, 1)
     print(f"horizon: {model.horizon}  alphabet: {model.alphabet_size}")
-    print(f"root value at z0 = 1: {_frac(value)} ~= {_sig12(value)}")
+    print(f"root value at z0 = 1: {_frac(value)} ~= {decimal_str(value)}")
     print(
         "expected sample size at the saddle "
         f"(root slope at z0 = 1): {slope_right(root, 1)}"
@@ -325,14 +324,14 @@ def cmd_eval(args: argparse.Namespace, table: CostTable) -> int:
 
     a1, a2 = reports[0].alpha1, reports[0].alpha2
     avg = (a1 + a2) / 2
-    print(f"alpha1 = {_frac(a1)} ~= {_sig12(a1)}")
-    print(f"alpha2 = {_frac(a2)} ~= {_sig12(a2)}")
-    print(f"average error ~= {_sig12(avg)}")
+    print(f"alpha1 = {_frac(a1)} ~= {decimal_str(a1)}")
+    print(f"alpha2 = {_frac(a2)} ~= {decimal_str(a2)}")
+    print(f"average error ~= {decimal_str(avg)}")
     print("probe | E[tau] | E[tau] ~=")
     for rep in reports:
         probe_txt = ",".join(_frac(v) for v in rep.probe)
         e = rep.expected_sample_size
-        print(f"{probe_txt} | {_frac(e)} | {_sig12(e)}")
+        print(f"{probe_txt} | {_frac(e)} | {decimal_str(e)}")
 
     if args.out:
         payload = {
@@ -380,7 +379,7 @@ def _sweep_rows(model: NominalModel) -> list[str]:
         # sample size is the root slope at z0 = 1, so the equal-lambda
         # average error falls out of the root slice alone
         avg = (pwl_eval(root, 1) - slope_right(root, 1)) / (2 * model.lam1)
-        rows.append(f"{n},{_sig12(avg)},{_sig12(fsst_err)}")
+        rows.append(f"{n},{decimal_str(avg)},{decimal_str(fsst_err)}")
     return rows
 
 
@@ -456,7 +455,7 @@ def cmd_simulate(args: argparse.Namespace, table: CostTable) -> int:
     print(f"trials: {rep.trials}  seed: {rep.seed}  strategy: {rep.strategy}")
     print(
         f"mean sample size: {_frac(rep.mean_sample_size)} "
-        f"~= {_sig12(rep.mean_sample_size)}"
+        f"~= {decimal_str(rep.mean_sample_size)}"
     )
     print(f"max sample size: {rep.max_sample_size}")
     print(f"H1 frequency: {_frac(rep.freq_h1)}")

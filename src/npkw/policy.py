@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from math import lcm
@@ -54,7 +53,9 @@ from .bellman import (
     _frac_str,
     child_counts,
 )
-from .pwl import RationalLike, rat, slope_left, slope_right, split_at, superdiff
+from .pwl import (
+    RationalLike, decimal_str, rat, slope_left, slope_right, split_at, superdiff,
+)
 
 
 class Decision(Enum):
@@ -908,15 +909,6 @@ def simulate(
 # exports
 # ---------------------------------------------------------------------------
 
-def _dec(x: Fraction, places: int = 6) -> str:
-    """Exactly-rounded fixed-point decimal rendering of a rational."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        d = Decimal(x.numerator) / Decimal(x.denominator)
-        q = d.quantize(Decimal(1).scaleb(-places))
-    return f"{q:f}"
-
-
 _STOP_COLORS = {
     Decision.H1: "#b3d1ff",
     Decision.H2: "#ffbdbd",
@@ -935,7 +927,7 @@ def _dot_attrs(node: PolicyNode) -> tuple[str, tuple[str, ...]]:
              f'fillcolor="#{level:02x}{level:02x}{level:02x}"];')
     if node.children is None:
         return attrs, ()
-    return attrs, tuple(f'[label="{_frac_str(p)} ({_dec(p)})"];'
+    return attrs, tuple(f'[label="{_frac_str(p)} ({decimal_str(p, 6)})"];'
                         for p in node.lfd_probs)
 
 

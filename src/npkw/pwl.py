@@ -38,6 +38,7 @@ returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -66,6 +67,28 @@ def rat(x: RationalLike) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass a string, int or Fraction")
     return Fraction(x)
+
+
+def decimal_str(x: Fraction, places: int | None = None) -> str:
+    """``x`` as a decimal, rounded once, half-even, from its exact value.
+
+    With ``places``: fixed point with that many digits after the point.
+    Without: 12 significant digits, written as ``str(Decimal)`` writes
+    them, so an exact quotient drops trailing zeros and a small or large
+    magnitude takes an exponent.
+
+    >>> decimal_str(Fraction(2, 3), 6), decimal_str(Fraction(1, 4), 6)
+    ('0.666667', '0.250000')
+    >>> decimal_str(Fraction(2, 3)), decimal_str(Fraction(1, 4))
+    ('0.666666666667', '0.25')
+    """
+    if places is not None:
+        sign = "-" if x < 0 else ""
+        q = round(abs(x) * 10**places)  # half to even, on the exact value
+        return f"{Decimal(f'{sign}{q}E-{places}'):f}"
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = 12, ROUND_HALF_EVEN
+        return str(Decimal(x.numerator) / Decimal(x.denominator))
 
 
 def _ratio(x: RationalLike) -> tuple[int, int]:

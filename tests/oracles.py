@@ -11,8 +11,10 @@ evidence rather than tautology.  Oracles favour clarity over speed.
 implementations of the PWL algebra, the design recursion, the simulation
 draw, ``kwt_analyze``, the SPRT first-step solve and the FSST tails;
 ``kwt_matched_per_lambda`` keeps the earlier matched search, which solved
-``kwt_design`` afresh at every lambda.  They compute the same things in another
-representation; the package's integer code must agree with them exactly.
+``kwt_design`` afresh at every lambda, and ``kwt_pass_per_state`` the
+earlier Kiefer-Weiss backward pass over every state of the grid.  They
+compute the same things in another representation; the package's integer
+code must agree with them exactly.
 Likewise ``cost_table_text``, ``tree_json_text`` and ``tree_dot_text`` keep
 the package's earlier exporters, which built one dict per record and
 serialized it with ``json.dumps``; the direct writers must match their bytes.
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 from npkw.pwl import PwlConcave, SuperDiff, pwl_eval
 
@@ -335,6 +337,54 @@ def kwt_matched_per_lambda(model, alpha1, alpha2, horizon: int = 80):
                 and kwt_analyze(design, probe, t2)[1] <= alpha2):
             return design, probe
         lam *= 2
+
+
+def kwt_pass_per_state(tables, p0, lam1: Fraction, lam2: Fraction):
+    """``_kwt_pass`` over every state of the grid: the package's earlier
+    integer backward pass, which compares both stop risks with the value of
+    sampling on at each of the grid's states.  The package computes values
+    only on each row's band of states that can continue and reads the
+    stop labels off runs around each row's crossing.  Reads only the rows
+    of ``tables`` (from ``_kwt_tables``), not its memo."""
+    from npkw.baselines import KwtDesign
+
+    rows = tables[0]
+    horizon = len(rows) - 1
+    lam_den = lcm(lam1.denominator, lam2.denominator)
+    l1 = lam1.numerator * (lam_den // lam1.denominator)
+    l2 = lam2.numerator * (lam_den // lam2.denominator)
+    actions: dict[tuple[int, int], str] = {}
+    later: list[int] = []  # scaled values of the states at n + 1
+    for n in range(horizon, -1, -1):
+        risk1, risk2, mass = rows[n]
+        # the value of sampling on; None at the horizon, where all stop
+        conts = ([None] * (n + 1) if n == horizon else
+                 [lam_den * g + u + v for g, u, v in zip(mass, later, later[1:])])
+        row = []
+        for m, (r1, r2, cont) in enumerate(zip(risk1, risk2, conts)):
+            r1 *= l1  # paid when deciding H2
+            r2 *= l2  # paid when deciding H1
+            if r1 < r2:
+                stop, act = r1, "H2"
+            elif r2 < r1:
+                stop, act = r2, "H1"
+            else:
+                stop, act = r1, "randomized"
+            if cont is not None and cont < stop:
+                stop, act = cont, "continue"
+            row.append(stop)
+            actions[n, m] = act
+        later = row
+    bounds = []
+    frontier = {0}
+    for n in range(horizon):
+        live = sorted(m for m in frontier if actions[(n, m)] == "continue")
+        if not live:
+            break
+        bounds.append((n, 2 * live[0] - n, 2 * live[-1] - n))
+        frontier = {m for base in live for m in (base, base + 1)}
+    return KwtDesign(horizon=horizon, p0=p0, actions=actions,
+                     continue_bounds=tuple(bounds))
 
 
 # ---------------------------------------------------------------------------

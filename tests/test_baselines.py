@@ -38,13 +38,14 @@ from npkw.baselines import (
     _kwt_tables,
 )
 from npkw import baselines
-from npkw.bellman import bernoulli_model
+from npkw.bellman import bernoulli_model, make_model
 
 from oracles import (
     fsst_p_h1_fraction,
     kwt_analyze_fraction,
     kwt_fraction_induction,
     kwt_matched_per_lambda,
+    kwt_pass_per_state,
     sprt_first_step_fraction,
 )
 
@@ -481,6 +482,55 @@ def test_kwt_pass_on_shared_tables_matches_fraction_oracle(
         model = bernoulli_model(theta1, theta2, lam1=lam1, lam2=lam2,
                                 horizon=horizon)
         assert kwt_design(model, p0) == design
+
+
+@given(
+    theta1=st.fractions(min_value="1/30", max_value="29/30", max_denominator=30),
+    theta2=st.fractions(min_value="1/30", max_value="29/30", max_denominator=30),
+    weights=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=60),
+                  st.fractions(min_value="1/9", max_value=9, max_denominator=9)),
+        min_size=1, max_size=4),
+    horizon=st.integers(min_value=1, max_value=40),
+    p0_success=st.sampled_from([F(0), F(1), F(1, 2), F(1, 3), F(3, 4)]),
+)
+@settings(max_examples=50, deadline=None)
+def test_kwt_pass_matches_the_per_state_pass_at_large_weights(
+        theta1, theta2, weights, horizon, p0_success):
+    """At weights 2**k * (1, r) the band of states that can continue spans
+    most of the grid; the banded pass, its label runs kept per weight
+    ratio on shared tables, equals the pass over every state."""
+    assume(theta1 != theta2)
+    p0 = (1 - p0_success, p0_success)
+    tables = _kwt_tables(theta1, theta2, p0, horizon)
+    for k, ratio in weights:
+        lam1, lam2 = F(2**k), F(2**k) * ratio
+        assert (_kwt_pass(tables, p0, lam1, lam2)
+                == kwt_pass_per_state(tables, p0, lam1, lam2))
+
+
+@given(
+    coins=st.sampled_from([(0, F(1, 2)), (1, F(1, 3)), (0, 1), (1, 0),
+                           (F(2, 5), 1), (F(3, 4), 0)]),
+    lam1=st.fractions(min_value="1/7", max_value=10**6, max_denominator=7),
+    lam2=st.fractions(min_value="1/7", max_value=10**6, max_denominator=7),
+    horizon=st.integers(min_value=1, max_value=16),
+    p0_success=st.sampled_from([F(0), F(1), F(1, 2), F(2, 9)]),
+)
+@settings(max_examples=60, deadline=None)
+def test_kwt_design_on_coins_with_a_zero_entry_matches_fraction_oracle(
+        coins, lam1, lam2, horizon, p0_success):
+    """theta = 0 or 1 zeroes a stop risk on all but one state of a row,
+    so the risks tie over runs of states."""
+    theta1, theta2 = coins
+    model = make_model([1 - theta1, theta1], [1 - theta2, theta2],
+                       lam1=lam1, lam2=lam2, horizon=horizon)
+    p0 = (1 - p0_success, p0_success)
+    design = kwt_design(model, p0)
+    actions, bounds = kwt_fraction_induction(
+        F(theta1), F(theta2), lam1, lam2, horizon, p0)
+    assert design.actions == actions
+    assert design.continue_bounds == bounds
 
 
 @pytest.mark.parametrize("theta1, theta2", [("0.8", "0.2"), ("0.9", "0.1")])

@@ -11,6 +11,7 @@ from npkw.pwl import (
     SuperDiff,
     cap_min_const,
     crossing_point,
+    decimal_str,
     lift_identity,
     merge_scaled,
     pwl,
@@ -62,6 +63,30 @@ def test_negative_bits_rejected():
         pwl(0, [(-1, 1)])
     with pytest.raises(TypeError):
         rat(0.8)  # binary floats are not exact
+
+
+def test_decimal_str_rounds_the_exact_value_once():
+    # x lies just below the midpoint 0.0000015; a 50-digit quotient rounds
+    # it onto the midpoint, and a second rounding to 6 places then gave
+    # 0.000002
+    x = Fraction(15 * 10**50 - 1, 10**57)
+    assert x < Fraction(15, 10**7)
+    assert decimal_str(x, 6) == "0.000001"
+    # exact midpoints go to the even neighbour, in both formats
+    assert decimal_str(Fraction(15, 10**7), 6) == "0.000002"
+    assert decimal_str(Fraction(25, 10**7), 6) == "0.000002"
+    assert decimal_str(Fraction(1234567890125, 10**13)) == "0.123456789012"
+    assert decimal_str(Fraction(1234567890135, 10**13)) == "0.123456789014"
+    # the fixed format keeps every place; the significant-digit format
+    # writes an exact quotient without trailing zeros and takes an
+    # exponent outside Decimal's plain range
+    assert [decimal_str(Fraction(v), 6) for v in ("0", "1", "1/4", "2/3")] == [
+        "0.000000", "1.000000", "0.250000", "0.666667"]
+    assert [decimal_str(Fraction(v)) for v in ("0", "1/4", "2/3")] == [
+        "0", "0.25", "0.666666666667"]
+    assert decimal_str(Fraction(1, 10**8)) == "1E-8"
+    assert decimal_str(Fraction(10**15 + 1)) == "1.00000000000E+15"
+    assert decimal_str(Fraction(-1, 10**8), 6) == "-0.000000"
 
 
 def test_empty_domain_is_legal():
