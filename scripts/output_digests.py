@@ -12,9 +12,10 @@ command line must
 reject with exit code 2 (a model flag beside `--table`, `--lambda` beside
 `--lambda1`, `--depth 0`, a probe of the wrong length, `--table` for
 `compare`, a directory as the table).  The benchmark workloads are all
-mirror-symmetric, so it also runs `design`, `verify` and `eval` on one
-model that is not (0.7 vs 0.4 with lambda 20 vs 30, horizon 15), where
-the recursion merges every state.  Five more `compare` runs cover a
+mirror-symmetric, so it also runs `design`, `verify`, `eval`,
+`tree --depth 7` and `simulate --strategy lfd` on one model that is not
+(0.7 vs 0.4 with lambda 20 vs 30, horizon 15), where the recursion merges
+every state and extraction reads every split map directly.  Five more `compare` runs cover a
 non-default `--grid` on `ref15` and four coins that are not mirror
 images of themselves: 0.8 vs 0.15, whose Kiefer-Weiss stop labels cross
 off the centre line of each row; 0.85 vs 0.3, whose lambda search runs to
@@ -97,6 +98,8 @@ ASYMMETRIC_RUNS = [
     f"design {ASYMMETRIC} --out T.json",
     "verify --table T.json",
     "eval --table T.json --out R.json",
+    "tree --table T.json --depth 7",
+    "simulate --table T.json --strategy lfd --trials 2000 --seed 1",
 ]
 
 

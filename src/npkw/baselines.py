@@ -593,8 +593,8 @@ def kwt_matched(
         design = _kwt_pass(tables, half, Fraction(lam), Fraction(lam))
         if design.actions != previous:  # an unchanged table has not matched
             _, _, h2 = kwt_analyze(design, model, t1)
-            _, h1, _ = kwt_analyze(design, model, t2)
-            if h2 <= target1 and h1 <= target2:
+            # the error under the second hypothesis only once the first fits
+            if h2 <= target1 and kwt_analyze(design, model, t2)[1] <= target2:
                 return design, make_model(list(model.p1), list(model.p2),
                                           lam1=lam, lam2=lam, horizon=horizon)
         if lam > frozen:

@@ -31,7 +31,8 @@ g, rho, d and threshold, and the recursion solves each mirror pair once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, floor, gcd, lcm, log
 from typing import Callable, Iterable, Iterator
@@ -42,12 +43,11 @@ from .pwl import (
     SplitMap,
     cap_min_const,
     crossing_point,
-    lift_identity,
     merge_scaled,
     pwl,
     rat,
     restrict,
-    supconv,
+    supconv,  # noqa: F401 (the benchmark's tracer wraps it at this name)
 )
 
 
@@ -223,29 +223,102 @@ def build_states(model: NominalModel) -> dict[int, list[DesignState]]:
     return out
 
 
+class _Derived(Mapping):
+    """A read-only mapping over the keys of ``keys`` whose entry for a key
+    is ``make(self, key)``, built on its first read and then kept.  ``make``
+    is handed the mapping rather than holding it, so a table and its views
+    form no reference cycle and are freed as soon as they are dropped."""
+
+    def __init__(self, keys: Mapping, make: Callable) -> None:
+        self._keys = keys
+        self._make = make
+        self._made: dict = {}
+
+    def __getitem__(self, key):
+        made = self._made.get(key)
+        if made is None:
+            if key not in self._keys:
+                raise KeyError(key)
+            made = self._made[key] = self._make(self, key)
+        return made
+
+    def __contains__(self, key) -> bool:
+        return key in self._keys
+
+    def __iter__(self) -> Iterator:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
 @dataclass
 class CostTable:
     """Output of the backward recursion.
 
     Per count vector: the optimal cost slice ``rho`` (a PWL function of the
     adversary likelihood z0 on [0, 1]).  For internal states (depth <
-    horizon) additionally the continuation slice ``d`` (sup-convolution of
-    the children), its :class:`SplitMap`, and the stopping threshold
-    ``z0_star`` — the exact crossing of z0 + d(z0) with g, with None meaning
-    the cap never binds on [0, 1] (continuing is strictly better everywhere).
+    horizon) additionally the lifted continuation slice ``lifted``,
+    z0 + d(z0) with d the sup-convolution of the children's slices, and
+    the stopping threshold ``z0_star`` — the exact crossing of ``lifted``
+    with g, with None meaning the cap never binds on [0, 1] (continuing is
+    strictly better everywhere).
 
-    In a mirror-symmetric model (see :func:`_mirror`) a state and its
-    mirror share one ``rho``, one ``d`` and one ``z0_star`` object (all
-    immutable), and the mirror's split map is the state's with every
-    operand index mapped through sigma.
+    ``d`` and ``split`` are read-only mappings over every internal state,
+    each entry built and validated on its first read and then kept: ``d``
+    is ``lifted`` with every slope one lower, and ``split`` the
+    :class:`SplitMap` of the merge, from the sorted pool of operand
+    segments that ``pools`` keeps with its scale.
+
+    In a mirror-symmetric model (see :func:`_mirror`) ``twins`` maps each
+    state whose mirror comes first in lexicographic order to that mirror.
+    The two share one ``rho``, one ``lifted``, one ``d`` and one
+    ``z0_star`` object (all immutable).  Only the mirror that comes first
+    has a pool; the other's split map is its map with every operand index
+    mapped through ``sigma`` and the parts re-sorted by (-slope, operand):
+    exactly the record the merge would build, since one operand's slopes
+    are distinct.
     """
 
     model: NominalModel
     states: dict[tuple[int, ...], DesignState]
     rho: dict[tuple[int, ...], PwlConcave]
-    d: dict[tuple[int, ...], PwlConcave]
-    split: dict[tuple[int, ...], SplitMap]
+    lifted: dict[tuple[int, ...], PwlConcave]
     z0_star: dict[tuple[int, ...], Fraction | None]
+    pools: dict[tuple[int, ...], tuple[int, list[tuple[int, int, int]]]]
+    twins: dict[tuple[int, ...], tuple[int, ...]]
+    sigma: tuple[int, ...] | None
+    d: Mapping[tuple[int, ...], PwlConcave] = field(init=False, repr=False,
+                                                    compare=False)
+    split: Mapping[tuple[int, ...], SplitMap] = field(init=False, repr=False,
+                                                      compare=False)
+
+    def __post_init__(self) -> None:
+        lifted, twins, pools, sigma = \
+            self.lifted, self.twins, self.pools, self.sigma
+        k = self.model.alphabet_size
+
+        def make_d(d: Mapping, counts: tuple[int, ...]) -> PwlConcave:
+            twin = twins.get(counts)
+            if twin is not None:
+                return d[twin]
+            f = lifted[counts]
+            return PwlConcave(f.scale, f.v0,
+                              tuple((s - 1, w) for s, w in f.segs), f.upper)
+
+        def make_split(split: Mapping, counts: tuple[int, ...]) -> SplitMap:
+            twin = twins.get(counts)
+            if twin is not None:
+                sm = split[twin]
+                return SplitMap(k, sm.scale, tuple(sorted(
+                    ((sigma[op], s, w) for op, s, w in sm.parts),
+                    key=lambda e: (-e[1], e[0]))), sm.upper)
+            scale, pool = pools[counts]
+            return SplitMap.reduced(k, scale, [(op, s, w) for s, op, w in pool],
+                                    scale)
+
+        self.d = _Derived(lifted, make_d)
+        self.split = _Derived(lifted, make_split)
 
     def root_value(self) -> Fraction:
         """rho(1) at the empty history: the minimax cost of the design."""
@@ -282,22 +355,38 @@ def _mirror(model: NominalModel) -> tuple[int, ...] | None:
     return tuple(sigma)
 
 
+def _merge_step(
+    fs: list[PwlConcave], mults: list[int], scale: int, target: int,
+    cap: Fraction,
+) -> tuple[PwlConcave, Fraction | None, PwlConcave, list[tuple[int, int, int]]]:
+    """One state's step: merge the operands (see :func:`merge_scaled`) up
+    to ``target`` over ``scale``, lift the merge to t + merge(t), find where
+    the lift crosses ``cap`` and cap it there.  Returns the lifted slice,
+    the crossing, the capped slice and the sorted pool of the merge."""
+    v0, segs, pool = merge_scaled(fs, mults, scale, target)
+    lifted = PwlConcave.reduced(scale, v0, [(s + 1, w) for s, w in segs],
+                                target)
+    crossing = crossing_point(lifted, cap)
+    return lifted, crossing, cap_min_const(lifted, cap, crossing=crossing), pool
+
+
 def backward_recursion(model: NominalModel) -> CostTable:
     """Run the exact backward recursion over all count states.
 
-    In a mirror-symmetric model a state whose mirror comes first in
-    lexicographic order reuses the mirror's slices and threshold, and takes
-    the mirror's split map with each operand index mapped through sigma
-    and the parts re-sorted by (-slope, operand): exactly the record the
-    merge would build, since one operand's slopes are distinct."""
+    Each state takes one :func:`_merge_step` of its children's slices on
+    [0, 1], capped at its stopping risk g; the table keeps the lifted slice,
+    the crossing, the capped slice and the pool, and builds ``d`` and
+    ``split`` only where they are read (see :class:`CostTable`).  In a
+    mirror-symmetric model a state whose mirror comes first in
+    lexicographic order reuses the mirror's slices and threshold."""
     per_depth = build_states(model)
     k = model.alphabet_size
     sigma = _mirror(model)
     states: dict[tuple[int, ...], DesignState] = {}
     rho: dict[tuple[int, ...], PwlConcave] = {}
-    d: dict[tuple[int, ...], PwlConcave] = {}
-    split: dict[tuple[int, ...], SplitMap] = {}
+    lifted: dict[tuple[int, ...], PwlConcave] = {}
     z0_star: dict[tuple[int, ...], Fraction | None] = {}
+    pools: dict[tuple[int, ...], tuple[int, list[tuple[int, int, int]]]] = {}
 
     # each state whose mirror comes first in lexicographic order, to that
     # mirror (empty unless the model is mirror-symmetric)
@@ -316,23 +405,16 @@ def backward_recursion(model: NominalModel) -> CostTable:
             states[counts] = st
             m = twins.get(counts)
             if m is not None:
-                rho[counts], d[counts] = rho[m], d[m]
+                rho[counts], lifted[counts] = rho[m], lifted[m]
                 z0_star[counts] = z0_star[m]
-                sm = split[m]
-                split[counts] = SplitMap(k, sm.scale, tuple(sorted(
-                    ((sigma[op], s, w) for op, s, w in sm.parts),
-                    key=lambda e: (-e[1], e[0]))), sm.upper)
                 continue
-            children = [rho[child_counts(counts, x)] for x in range(k)]
-            d_slice, sm = supconv(children, 1)
-            lifted = lift_identity(d_slice)
-            t_star = crossing_point(lifted, st.g)
-            rho[counts] = cap_min_const(lifted, st.g, crossing=t_star)
-            d[counts] = d_slice
-            split[counts] = sm
-            z0_star[counts] = t_star
+            fs = [rho[child_counts(counts, x)] for x in range(k)]
+            scale = lcm(*(f.scale for f in fs))
+            lifted[counts], z0_star[counts], rho[counts], pool = _merge_step(
+                fs, [scale // f.scale for f in fs], scale, scale, st.g)
+            pools[counts] = scale, pool
 
-    return CostTable(model, states, rho, d, split, z0_star)
+    return CostTable(model, states, rho, lifted, z0_star, pools, twins, sigma)
 
 
 def horizon_roots(model: NominalModel,
@@ -351,13 +433,14 @@ def horizon_roots(model: NominalModel,
 
     the sum running over the symbols with p1x > 0 (a symbol with p1x = 0
     leads to z1 = 0, where rho is 0).  Each operand is its W with widths
-    and value times p1x and the same integer slopes.  W is flat from its
-    cap crossing on, at most gamma <= lam1, so every W is kept on
-    [0, max(lam1, 1)]: the operands' domains sum to that, and the root,
-    ``W[1, n]`` on [0, 1], lies inside it.  States of different depths and
-    horizons that share (l, r) are solved once: the fast model's sweep
-    over the odd horizons 3..39 merges 780 classes where the 19 recursions
-    solve 5,529 internal states.
+    and value times p1x and the same integer slopes, and each class takes
+    the recursion's :func:`_merge_step`.  W is flat from its cap crossing
+    on, at most gamma <= lam1, so every W is kept on [0, max(lam1, 1)]:
+    the operands' domains sum to that, and the root, ``W[1, n]`` on
+    [0, 1], lies inside it.  States of different depths and horizons that
+    share (l, r) are solved once: the fast model's sweep over the odd
+    horizons 3..39 merges 780 classes where the 19 recursions solve 5,529
+    internal states.
     """
     horizons = set(horizons)
     if not horizons:
@@ -369,9 +452,14 @@ def horizon_roots(model: NominalModel,
                for p1, p2 in zip(model.p1, model.p2) if p1 > 0]
     upper = max(model.lam1, Fraction(1))
     up, uq = upper.numerator, upper.denominator
+    lam1, lam2 = model.lam1, model.lam2
+    a1, b1 = lam1.numerator, lam1.denominator
+    a2, b2 = lam2.numerator, lam2.denominator
 
     def gamma(ratio: tuple[int, int]) -> Fraction:
-        return min(model.lam1, model.lam2 * Fraction(*ratio))
+        # lam2 * l against lam1, cross-multiplied
+        num, den = a2 * ratio[0], b2 * ratio[1]
+        return lam1 if a1 * den <= num * b1 else Fraction(num, den)
 
     # the classes each count of samples left needs, with their children;
     # a likelihood ratio l is the pair (numerator, denominator) in lowest
@@ -401,12 +489,8 @@ def horizon_roots(model: NominalModel,
             scale = lcm(*(b * f.scale for (_, b, _), f in zip(symbols, fs)))
             mults = [scale // (b * f.scale) * a
                      for (a, b, _), f in zip(symbols, fs)]
-            target = up * (scale // uq)
-            v0, segs, _ = merge_scaled(fs, mults, scale, target)
-            # t + the merge: every slope one higher
-            lifted = PwlConcave.reduced(
-                scale, v0, [(s + 1, w) for s, w in segs], target)
-            level[ratio] = cap_min_const(lifted, gamma(ratio))
+            _, _, level[ratio], _ = _merge_step(
+                fs, mults, scale, up * (scale // uq), gamma(ratio))
         if r in horizons:
             roots[r] = restrict(level[1, 1], 1)
         below = level

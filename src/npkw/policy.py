@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .bellman import (
@@ -152,7 +153,7 @@ def extract_tree(table: CostTable, max_depth: Optional[int] = None) -> PolicyNod
     # its counts, its mass and its parent's promise, and its depth, hence the
     # display cut too, is that of its counts (extraction starts at the root).
     root_counts = (0,) * table.model.alphabet_size
-    return _extract(table, root_counts, Fraction(1), None, max_depth, {})
+    return _extract(table, root_counts, Fraction(1), None, max_depth, {}, {})
 
 
 def _extract(
@@ -162,33 +163,57 @@ def _extract(
     promised: Optional[int],
     max_depth: Optional[int],
     memo: dict,
+    rows: dict,
 ) -> PolicyNode:
     # z0 enters the key as its two integers: hashing a Fraction costs a
     # modular inverse, and equal Fractions have equal lowest terms
     key = (counts, z0.numerator, z0.denominator, promised)
     node = memo.get(key)
     if node is None:
-        node = memo[key] = _extract_node(table, counts, z0, promised,
-                                         max_depth, memo)
+        row = rows.get(counts)
+        if row is None:
+            row = rows[counts] = _row(table, counts)
+        node = memo[key] = _extract_node(table, row, z0, promised,
+                                         max_depth, memo, rows)
     return node
+
+
+def _row(table: CostTable, counts: tuple[int, ...]) -> tuple:
+    """What extraction reads of one state, looked up once per state:
+    ``(state, z0_star, sure_state, lifted, rho, split map, perm)``, with
+    ``lifted`` None at the horizon.  A mirror state (see
+    :class:`~npkw.bellman.CostTable`) reads its partner's split map, and
+    ``perm`` maps the partner's allocation to its own: its own map is the
+    partner's with the operands mapped through sigma, and ``split_at``
+    depends only on the slope classes, so its allocation to symbol x is
+    the partner's to sigma(x)."""
+    state = table.states[counts]
+    if state.depth == table.model.horizon:
+        return state, None, True, None, None, None, None
+    z0_star = table.z0_star[counts]
+    twin = table.twins.get(counts)
+    sm = table.split[counts if twin is None else twin]
+    # stopping already matches continuing at zero mass
+    return (state, z0_star, z0_star == 0, table.lifted[counts],
+            table.rho[counts], sm,
+            None if twin is None else itemgetter(*table.sigma))
 
 
 def _extract_node(
     table: CostTable,
-    counts: tuple[int, ...],
+    row: tuple,
     z0: Fraction,
     promised: Optional[int],
     max_depth: Optional[int],
     memo: dict,
+    rows: dict,
 ) -> PolicyNode:
     model = table.model
-    state = table.states[counts]
-    if state.depth == model.horizon:
+    state, z0_star, sure_state, lifted, rho, sm, perm = row
+    if lifted is None:
         return _stop_node(state, z0, model, promised, True)
 
-    z0_star = table.z0_star[counts]
-    sure_state = z0_star == 0  # stopping already matches continuing at zero mass
-    d_slice = table.d[counts]
+    counts = state.counts
     zn, zd = z0.numerator, z0.denominator
 
     if zn > 0:
@@ -199,11 +224,12 @@ def _extract_node(
             return _stop_node(state, z0, model, promised, sure_state)
         # Continuing is optimal (strictly below the kink) or tied (at it).
         # The equalized continuation slope c may sit anywhere in the
-        # superdifferential of the continuation slice at z0; the right
+        # superdifferential of the continuation slice d at z0; the right
         # derivative is the canonical smallest choice, and a parent's
-        # promise pins the choice instead where one exists.
-        d_right = slope_right(d_slice, z0)  # linear extension at the edge
-        d_left = slope_left(d_slice, z0)
+        # promise pins the choice instead where one exists.  d's slopes are
+        # the lifted slice's less one, segment by segment.
+        d_right = slope_right(lifted, z0) - 1  # linear extension at the edge
+        d_left = slope_left(lifted, z0) - 1
         if side == 0:
             # stopping weight is free at the kink; the promise pins it
             e_enter = 0 if promised is None else promised
@@ -236,7 +262,7 @@ def _extract_node(
         if promised is None or promised == 0:
             return _stop_node(state, z0, model, promised, sure_state)
         e_enter = promised
-        c = max(slope_right(d_slice, 0), e_enter - 1)
+        c = max(slope_right(lifted, 0) - 1, e_enter - 1)
 
     e_continue = 1 + c
     if not 0 <= e_enter <= e_continue:
@@ -245,7 +271,7 @@ def _extract_node(
         )
     # the entry label must be a supergradient of the node's own cost slice
     # (unbounded above at the left endpoint of the domain)
-    rho_sd = superdiff(table.rho[counts], z0)
+    rho_sd = superdiff(rho, z0)
     contained = (e_enter >= rho_sd.lo) if zn == 0 \
         else (rho_sd.lo <= e_enter <= rho_sd.hi)
     if not contained:
@@ -258,7 +284,9 @@ def _extract_node(
     decision = None if e_enter == e_continue \
         else _stop_decision(state, model)
 
-    alloc = split_at(table.split[counts], z0)
+    alloc = split_at(sm, z0)
+    if perm is not None:
+        alloc = perm(alloc)
     if zn > 0:
         # a / z0 in lowest terms from the two pairs of integers
         lfd = tuple(Fraction(a.numerator * zd, a.denominator * zn)
@@ -268,12 +296,14 @@ def _extract_node(
         # class, shared in proportion to segment widths (uniform when every
         # child slice is flat and the split is wholly indifferent); the
         # widths share one scale, so their integers give the proportions
-        parts = table.split[counts].parts
+        parts = sm.parts
         weights = [0] * model.alphabet_size
         for op, slope, width in parts:
             if slope != parts[0][1]:
                 break
             weights[op] += width
+        if perm is not None:
+            weights = perm(weights)
         total = sum(weights)
         if total == 0:
             lfd = tuple(
@@ -290,7 +320,7 @@ def _extract_node(
         # equalization: every child is promised c, weighted or not
         children = tuple(
             _extract(table, child_counts(counts, x), alloc[x], c,
-                     max_depth, memo)
+                     max_depth, memo, rows)
             for x in range(model.alphabet_size)
         )
 
@@ -841,9 +871,10 @@ def simulate(
         ``lfd``         replay the adversary: sample each symbol from the
                         current node's LFD PMF.
 
-    Determinism: trial t uses its own generator seeded with the string
-    ``"{seed}:{t}"`` (string seeding is stable across platforms and runs),
-    so results are reproducible and independent of trial order.  All
+    Determinism: trial t draws from one generator reseeded with the string
+    ``"{seed}:{t}"``, the state ``random.Random(f"{seed}:{t}")`` starts in
+    (string seeding is stable across platforms and runs), so results are
+    reproducible and independent of trial order.  All
     comparisons are exact: uniforms are 64-bit dyadic rationals compared
     against exact probabilities, biasing each event by less than 2**-64.
     A trial that reaches the cut of a display tree raises ``ValueError``.
@@ -859,20 +890,26 @@ def simulate(
     elif strategy not in ("alternating", "lfd"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    # the lfd strategy's cumulative PMF per node, built on the first visit
+    # per node, built on the first visit: the stop test u / 2**64 >= p as
+    # the integers (den, num * 2**64) of p, and the lfd strategy's
+    # cumulative PMF
+    stop_at: dict[int, tuple[int, int]] = {}
     lfd_cum: dict[int, tuple[tuple[int, ...], int]] = {}
     total_tau = 0
     max_tau = 0
     n_h1 = 0
     n_h2 = 0
+    rng = random.Random()
     for t in range(trials):
-        rng = random.Random(f"{seed}:{t}")
+        rng.seed(f"{seed}:{t}")
         node = root
         steps = 0
         while True:
-            p = node.p_continue
-            # stop when u / 2**64 >= p
-            if rng.getrandbits(64) * p.denominator >= p.numerator * _UNIT:
+            test = stop_at.get(id(node))
+            if test is None:
+                p = node.p_continue
+                test = stop_at[id(node)] = (p.denominator, p.numerator * _UNIT)
+            if rng.getrandbits(64) * test[0] >= test[1]:
                 d = node.decision
                 if d is Decision.RANDOMIZED:  # H1 when u / 2**64 < 1/2
                     d = Decision.H1 if rng.getrandbits(64) < _UNIT // 2 else Decision.H2

@@ -15,8 +15,10 @@ same model, horizon 2:
   a second sample can never pay for itself there).  Root again z0 + 8.
 """
 
+import gc
 import json
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -513,13 +515,27 @@ def test_mirror_pairs_symbols_or_finds_none():
 ])
 def test_recursion_merges_each_mirror_pair_once(monkeypatch, model, merges):
     calls = []
-    supconv = bellman.supconv
-    monkeypatch.setattr(bellman, "supconv",
-                        lambda *args: calls.append(1) or supconv(*args))
+    merge_scaled = bellman.merge_scaled
+    monkeypatch.setattr(bellman, "merge_scaled",
+                        lambda *args: calls.append(1) or merge_scaled(*args))
     table = backward_recursion(model)
     assert len(calls) == merges
-    assert len(table.d) == sum(len(build_states(model)[n])
-                               for n in range(model.horizon))
+    internal = sum(len(build_states(model)[n]) for n in range(model.horizon))
+    assert len(table.d) == len(table.split) == internal
+
+
+def test_a_table_and_its_views_are_freed_without_the_cycle_collector():
+    # views that held their table would keep every solve alive until a
+    # cyclic collection, which a long run pays at unpredictable points
+    table = backward_recursion(fig_model(5))
+    assert all(table.d.values()) and all(table.split.values())
+    ref = weakref.ref(table)
+    gc.disable()
+    try:
+        del table
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def _assert_matches_fraction_recursion(model) -> str:

@@ -41,7 +41,7 @@ from npkw.policy import (
     _cumulative,
     _pick,
 )
-from npkw.pwl import pwl, pwl_eval, slope_right
+from npkw.pwl import SplitMap, pwl, pwl_eval, slope_right, split_at
 from oracles import (
     best_response_cost,
     frac_draw,
@@ -292,9 +292,10 @@ def test_support_rejects_starved_branch():
 def test_extraction_error_on_inconsistent_table():
     model = bernoulli_model(horizon=3, **FIG_MODEL)
     table = backward_recursion(model)
-    # flatten one continuation slice: the root's promise to that child can
-    # no longer be honored, which extraction must refuse to paper over
-    table.d[(1, 0)] = pwl(4, [(0, 1)])
+    # flatten one continuation slice, which extraction reads lifted (every
+    # slope one higher): the root's promise to that child can no longer be
+    # honored, which extraction must refuse to paper over
+    table.lifted[(1, 0)] = pwl(4, [(1, 1)])
     with pytest.raises(ExtractionError):
         extract_tree(table)
 
@@ -410,6 +411,83 @@ def test_saddle_random_models(t1, t2, lam1, lam2, horizon):
         + model.lam1 * rep1.alpha1 + model.lam2 * rep1.alpha2
     assert cost == rho1
     assert best_response_cost(root, model.lam1, model.lam2) == rho1
+
+
+# ---------------------------------------------------------------------------
+# split maps: built where extraction reads them, mirrors read through sigma
+# ---------------------------------------------------------------------------
+
+def test_split_maps_are_built_only_where_extraction_reads_them(monkeypatch):
+    made = []
+    post_init = SplitMap.__post_init__
+    monkeypatch.setattr(SplitMap, "__post_init__",
+                        lambda sm: made.append(sm) or post_init(sm))
+    table = backward_recursion(bernoulli_model("0.9", "0.1", 3, 3, 40))
+    assert made == []  # the solve keeps the merge pools, not the maps
+    root = extract_tree(table)
+    # the design stops after one sample: extraction visits the root and the
+    # mirror pair (1, 0), (0, 1), and reads the map of (0, 1) for both
+    assert len({node.state.counts for node in iter_unique_nodes(root)}) == 3
+    assert 0 < len(made) <= 3
+    assert len(table.split) == 820  # every internal state on demand
+
+
+pmf_weights = st.lists(st.integers(min_value=0, max_value=6), min_size=3,
+                       max_size=3)
+
+
+def _own_map_lfd(table, node):
+    """The node's LFD read from the split map of its own state, with no
+    detour through a mirror partner."""
+    sm = table.split[node.state.counts]
+    z0 = node.z0
+    if z0 > 0:
+        return tuple(a / z0 for a in split_at(sm, z0))
+    weights = [0] * len(node.state.counts)
+    for op, slope, width in sm.parts:
+        if slope != sm.parts[0][1]:
+            break
+        weights[op] += width
+    total = sum(weights)
+    if total == 0:
+        return tuple(Fraction(1, len(weights)) for _ in weights)
+    return tuple(Fraction(w, total) for w in weights)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.sampled_from([2, 3]),
+    w1=pmf_weights,
+    w2=pmf_weights,
+    mirror=st.booleans(),
+    lam1=st.fractions(min_value=Fraction(1, 5), max_value=40, max_denominator=9),
+    lam2=st.fractions(min_value=Fraction(1, 5), max_value=40, max_denominator=9),
+    horizon=st.integers(min_value=1, max_value=5),
+    z0=st.fractions(min_value=0, max_value=1, max_denominator=40),
+)
+@example(k=3, w1=[1, 2, 0], w2=[0, 0, 0], mirror=True, lam1=Fraction(20),
+         lam2=Fraction(1), horizon=5, z0=Fraction(1, 3))
+def test_allocation_read_through_sigma_equals_the_mirrors_own(
+        k, w1, w2, mirror, lam1, lam2, horizon, z0):
+    w1, w2 = w1[:k], w2[:k]
+    assume(sum(w1) > 0)
+    p1 = [Fraction(w, sum(w1)) for w in w1]
+    if mirror:  # p2 = p1 reversed, with equal weights: sigma reverses
+        p2, lam2 = p1[::-1], lam1
+    else:
+        assume(sum(w2) > 0)
+        p2 = [Fraction(w, sum(w2)) for w in w2]
+    assume(p1 != p2)
+    table = backward_recursion(make_model(p1, p2, lam1, lam2, horizon))
+    assert table.sigma is not None or not mirror
+    for counts, twin in table.twins.items():
+        if counts in table.split:
+            own = split_at(table.split[counts], z0)
+            read = split_at(table.split[twin], z0)
+            assert own == tuple(read[y] for y in table.sigma)
+    for node in iter_unique_nodes(extract_tree(table)):
+        if node.lfd_probs is not None:
+            assert node.lfd_probs == _own_map_lfd(table, node)
 
 
 # ---------------------------------------------------------------------------
