@@ -21,6 +21,8 @@ The command-line entry point (``npkw``) wraps the same calls; see the
 README for the subcommands.
 """
 
+import importlib
+
 from npkw.pwl import (
     PwlConcave,
     Rational,
@@ -38,6 +40,7 @@ from npkw.pwl import (
 from npkw.bellman import (
     CostTable,
     DesignState,
+    ExtractionError,
     NominalModel,
     backward_recursion,
     bernoulli_model,
@@ -50,45 +53,41 @@ from npkw.bellman import (
     model_from_json,
     model_to_json,
 )
-from npkw.policy import (
-    Decision,
-    EqualizationCertificate,
-    EvalReport,
-    ExtractionError,
-    LfdSupportReport,
-    PolicyNode,
-    SimReport,
-    evaluate,
-    extract_tree,
-    find_node,
-    iter_nodes,
-    iter_unique_nodes,
-    lfd_range,
-    max_conditional_remaining,
-    simulate,
-    tree_to_dot,
-    tree_to_json,
-    verify_equalization,
-    verify_lfd_support,
-)
-from npkw.baselines import (
-    CurveRow,
-    FsstDesign,
-    KwtDesign,
-    SprtAnalysis,
-    SprtDesign,
-    SprtDesignReport,
-    curves_to_csv,
-    fsst_analyze,
-    fsst_design,
-    kwt_analyze,
-    kwt_design,
-    kwt_matched,
-    sample_size_curve,
-    sprt_analyze,
-    sprt_design,
-    sprt_errors,
-)
+
+# The policy layer and the baselines load on the first use of one of their
+# names (PEP 562), so that a subcommand compiles only the modules it runs.
+_LAZY = {
+    "policy": (
+        "Decision", "EqualizationCertificate", "EvalReport",
+        "LfdSupportReport", "PolicyNode", "SimReport", "evaluate",
+        "extract_tree", "find_node", "iter_nodes", "iter_unique_nodes",
+        "lfd_range", "max_conditional_remaining", "simulate", "tree_to_dot",
+        "tree_to_json", "verify_equalization", "verify_lfd_support",
+    ),
+    "baselines": (
+        "CurveRow", "FsstDesign", "KwtDesign", "SprtAnalysis", "SprtDesign",
+        "SprtDesignReport", "curves_to_csv", "fsst_analyze", "fsst_design",
+        "kwt_analyze", "kwt_design", "kwt_matched", "sample_size_curve",
+        "sprt_analyze", "sprt_design", "sprt_errors",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:  # `npkw.policy` before any import of it
+        return importlib.import_module(f"{__name__}.{name}")
+    for module, names in _LAZY.items():
+        if name in names:
+            value = getattr(importlib.import_module(f"{__name__}.{module}"),
+                            name)
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

@@ -4,7 +4,9 @@ Subcommands: ``design`` (backward recursion, cost-table JSON), ``tree``
 (policy export as DOT + JSON), ``eval`` (exact per-probe performance),
 ``compare`` (baseline curves/thresholds and the horizon sweep as CSV),
 ``verify`` (equalization + support certificates, exit code 0/1), and
-``simulate`` (seeded Monte Carlo).
+``simulate`` (seeded Monte Carlo).  Beyond ``pwl`` and ``bellman``, the
+four policy commands load ``policy`` and ``compare`` loads ``baselines``;
+``design`` loads neither.
 
 ``design`` and ``compare`` take the model as flags; the other four take
 flags or a ``--table`` from ``design``, never both.  Every input is checked
@@ -18,6 +20,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -25,21 +28,9 @@ import tempfile
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .baselines import (
-    FsstDesign,
-    KwtDesign,
-    SprtDesignReport,
-    curves_to_csv,
-    fsst_analyze,
-    fsst_design,
-    kwt_analyze,  # unused here; benchmark/tracer.py times it by this name
-    kwt_design,
-    kwt_matched,
-    sample_size_curve,
-    sprt_design,
-)
 from .bellman import (
     CostTable,
+    ExtractionError,
     NominalModel,
     backward_recursion,
     bernoulli_model,
@@ -49,17 +40,38 @@ from .bellman import (
     make_model,
     model_from_json,
 )
-from .policy import (
-    ExtractionError,
-    evaluate,
-    extract_tree,
-    simulate,
-    tree_to_dot,
-    tree_to_json,
-    verify_equalization,
-    verify_lfd_support,
-)
 from .pwl import decimal_str, pwl_eval, slope_left, slope_right
+
+# Names of the modules that only some subcommands run, bound into this
+# module's globals when `main` picks such a subcommand, or on the first
+# lookup of one from outside (`npkw.cli.extract_tree`).  The subcommands
+# call them by these bare names, so a wrapper set on `npkw.cli` is what
+# they call.
+_LAZY = {
+    "policy": ("evaluate", "extract_tree", "simulate", "tree_to_dot",
+               "tree_to_json", "verify_equalization", "verify_lfd_support"),
+    "baselines": ("FsstDesign", "KwtDesign", "SprtDesignReport",
+                  "curves_to_csv", "fsst_analyze", "fsst_design",
+                  "kwt_analyze", "kwt_design", "kwt_matched",
+                  "sample_size_curve", "sprt_design"),
+}
+
+
+def _bind(module: str) -> None:
+    """Import ``npkw.<module>`` and bind its `_LAZY` names here; a name
+    already set (a wrapper put on this module) is kept."""
+    loaded = importlib.import_module(f"{__package__}.{module}")
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = ["main", "build_parser"]
 
@@ -533,6 +545,10 @@ def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
         p.add_argument("--table", help="cost-table JSON from `design`")
 
 
+# the module each subcommand runs beyond `pwl` and `bellman`
+_RUNS = {"tree": "policy", "eval": "policy", "verify": "policy",
+         "simulate": "policy", "compare": "baselines"}
+
 _DISPATCH = {
     "design": cmd_design,
     "tree": cmd_tree,
@@ -549,6 +565,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # first argument naming a subcommand, if argparse gets that far
     chosen = [a for a in argv if a in _COMMANDS][:1]
     args = build_parser(chosen).parse_args(argv)
+    if args.command in _RUNS:
+        # compiled before a --table is read, so that the compiler's passing
+        # memory is not added to a loaded table's
+        _bind(_RUNS[args.command])
     try:
         model, data = _check(args)
         if args.command == "compare":  # the one command that solves no table

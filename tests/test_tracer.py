@@ -10,13 +10,18 @@ its file, unchanged, and run it against the current package.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from npkw import cli
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "benchmark" / "tracer.py"
 MODULES = ("baselines", "bellman", "cli", "policy", "pwl")
 
 
@@ -39,6 +44,11 @@ def _attributes():
 
 
 def test_install_and_remove_restore_every_name(tracer_module):
+    # `install` binds the names `cli` loads lazily, and `remove` leaves
+    # them bound; bind them first, so that every name must be restored
+    for names in cli._LAZY.values():
+        for name in names:
+            getattr(cli, name)
     before = _attributes()
     tracer = tracer_module.Tracer()
     tracer.install()
@@ -82,3 +92,47 @@ def test_traced_design_counts_every_internal_state(tracer_module, tmp_path,
     assert counts["pwl.split_at_calls"] > 0
     assert counts["policy.dag_nodes"] > 0
     assert report["bellman.table_read_s"]["value"] > 0
+
+
+# The benchmark's traced pass in a fresh interpreter, in its order: the
+# tracer is installed right after `import npkw.cli`, before any subcommand
+# has loaded the policy layer or the baselines.
+FRESH_TRACED_RUN = """
+import contextlib, importlib.util, io, json, sys
+import npkw.bellman
+import npkw.cli as cli
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer_module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_module)
+model = ["--theta1", "0.8", "--theta2", "0.2", "--lambda", "20",
+         "--horizon", "5"]
+table = sys.argv[2] + "/t.json"
+tracer = tracer_module.Tracer()
+tracer.install()
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["design", *model, "--out", table]) == 0
+        assert cli.main(["verify", "--table", table]) == 0
+        assert cli.main(["compare", *model, "--grid", "0.5",
+                         "--out", sys.argv[2] + "/c"]) == 0
+finally:
+    tracer.remove()
+report = tracer.report(1.0)
+print(json.dumps({name: report[name]["value"]
+                  for name in tracer_module.COUNT_METRICS}))
+"""
+
+
+def test_tracer_installed_before_any_command_counts_the_lazy_layers(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (str(ROOT / "src") + os.pathsep
+                         + env.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH_TRACED_RUN, str(TRACER_PATH),
+         str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(done.stdout.splitlines()[-1])
+    assert counts["policy.dag_nodes"] > 0
+    assert counts["policy.paths"] > 0
+    assert counts["baselines.kwt_design_calls"] == 1
