@@ -15,7 +15,7 @@ reject with exit code 2 (a model flag beside `--table`, `--lambda` beside
 mirror-symmetric, so it also runs `design`, `verify`, `eval`,
 `tree --depth 7` and `simulate --strategy lfd` on one model that is not
 (0.7 vs 0.4 with lambda 20 vs 30, horizon 15), where the recursion merges
-every state and extraction reads every split map directly.  Five more `compare` runs cover a
+every state and extraction reads each state's own merge pool.  Five more `compare` runs cover a
 non-default `--grid` on `ref15` and four coins that are not mirror
 images of themselves: 0.8 vs 0.15, whose Kiefer-Weiss stop labels cross
 off the centre line of each row; 0.85 vs 0.3, whose lambda search runs to

@@ -33,7 +33,6 @@ from npkw.pwl import (
     rat,
     slope_left,
     slope_right,
-    split_at,
     supconv,
     superdiff,
 )
@@ -95,7 +94,7 @@ __all__ = [
     # exact piecewise-linear machinery
     "PwlConcave", "Rational", "SuperDiff", "pwl", "pwl_eval", "rat",
     "superdiff", "slope_left", "slope_right", "crossing_point",
-    "supconv", "split_at",
+    "supconv",
     # model + value recursion
     "NominalModel", "DesignState", "CostTable", "make_model",
     "bernoulli_model", "backward_recursion", "horizon_roots",

@@ -40,7 +40,6 @@ from typing import Callable, Iterable, Iterator
 from .pwl import (
     PwlConcave,
     RationalLike,
-    SplitMap,
     cap_min_const,
     crossing_point,
     merge_scaled,
@@ -264,20 +263,20 @@ class CostTable:
     with g, with None meaning the cap never binds on [0, 1] (continuing is
     strictly better everywhere).
 
-    ``d`` and ``split`` are read-only mappings over every internal state,
-    each entry built and validated on its first read and then kept: ``d``
-    is ``lifted`` with every slope one lower, and ``split`` the
-    :class:`SplitMap` of the merge, from the sorted pool of operand
-    segments that ``pools`` keeps with its scale.
+    ``pools`` keeps, per merged state, the merge record ``(scale, pool)``:
+    the sorted pool of operand segments over its scale, which
+    :func:`~npkw.pwl.split_at` reads.  ``d`` is a read-only mapping over
+    every internal state whose entry, ``lifted`` with every slope one
+    lower, is built on its first read and then kept.
 
     In a mirror-symmetric model (see :func:`_mirror`) ``twins`` maps each
     state whose mirror comes first in lexicographic order to that mirror.
     The two share one ``rho``, one ``lifted``, one ``d`` and one
     ``z0_star`` object (all immutable).  Only the mirror that comes first
-    has a pool; the other's split map is its map with every operand index
-    mapped through ``sigma`` and the parts re-sorted by (-slope, operand):
-    exactly the record the merge would build, since one operand's slopes
-    are distinct.
+    has a pool.  The other's would be that pool with every operand index
+    mapped through ``sigma`` and the entries re-sorted by (-slope,
+    operand): the same slope classes with the operands relabelled, so its
+    allocation to symbol x is its partner's to sigma(x).
     """
 
     model: NominalModel
@@ -290,13 +289,9 @@ class CostTable:
     sigma: tuple[int, ...] | None
     d: Mapping[tuple[int, ...], PwlConcave] = field(init=False, repr=False,
                                                     compare=False)
-    split: Mapping[tuple[int, ...], SplitMap] = field(init=False, repr=False,
-                                                      compare=False)
 
     def __post_init__(self) -> None:
-        lifted, twins, pools, sigma = \
-            self.lifted, self.twins, self.pools, self.sigma
-        k = self.model.alphabet_size
+        lifted, twins = self.lifted, self.twins
 
         def make_d(d: Mapping, counts: tuple[int, ...]) -> PwlConcave:
             twin = twins.get(counts)
@@ -306,19 +301,7 @@ class CostTable:
             return PwlConcave(f.scale, f.v0,
                               tuple((s - 1, w) for s, w in f.segs), f.upper)
 
-        def make_split(split: Mapping, counts: tuple[int, ...]) -> SplitMap:
-            twin = twins.get(counts)
-            if twin is not None:
-                sm = split[twin]
-                return SplitMap(k, sm.scale, tuple(sorted(
-                    ((sigma[op], s, w) for op, s, w in sm.parts),
-                    key=lambda e: (-e[1], e[0]))), sm.upper)
-            scale, pool = pools[counts]
-            return SplitMap.reduced(k, scale, [(op, s, w) for s, op, w in pool],
-                                    scale)
-
         self.d = _Derived(lifted, make_d)
-        self.split = _Derived(lifted, make_split)
 
     def root_value(self) -> Fraction:
         """rho(1) at the empty history: the minimax cost of the design."""
@@ -375,8 +358,8 @@ def backward_recursion(model: NominalModel) -> CostTable:
 
     Each state takes one :func:`_merge_step` of its children's slices on
     [0, 1], capped at its stopping risk g; the table keeps the lifted slice,
-    the crossing, the capped slice and the pool, and builds ``d`` and
-    ``split`` only where they are read (see :class:`CostTable`).  In a
+    the crossing, the capped slice and the pool, and builds ``d`` only
+    where it is read (see :class:`CostTable`).  In a
     mirror-symmetric model a state whose mirror comes first in
     lexicographic order reuses the mirror's slices and threshold."""
     per_depth = build_states(model)
@@ -740,7 +723,7 @@ def cost_table_to_json_str(table: CostTable) -> str:
     as ``json.dumps(..., sort_keys=True, indent=1)`` prints those records,
     so the bytes are stable across runs.  A record holds the state (its
     ``counts``, ``depth``, ``z1``, ``z2`` and ``g``) and its cost slice
-    ``rho``; the continuation slices, split maps and thresholds follow from
+    ``rho``; the continuation slices, merge pools and thresholds follow from
     the model and are not stored.  Each distinct slice object is formatted
     once: mirrored states share one.
     """

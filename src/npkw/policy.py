@@ -24,16 +24,20 @@ conditional expectations when a child is consumed to its full domain).
 Extraction validates these laws and raises :class:`ExtractionError` on any
 inconsistency rather than patching over it.
 
-The public fields and results are ``Fraction``s, but the walks over the
-DAG run in integers.  Extraction keys its memo on z0's numerator and
-denominator, compares z0 with the stopping threshold by cross-multiplying
-and builds each LFD entry from the two integer pairs.  Evaluation and the
-equalization certificate put every ``p_continue`` over m, the lcm of
-their denominators: survival into depth n is an integer over m**n, the
-base pass's per-count weights at depth n are over m**(n+1), a probe of
-integers over P contracts them as integer monomials over P**n, and the
-certificate's path values at j levels above the deepest one are over
-m**j.  Each public number is one ``Fraction`` built at the end.
+The public fields and results are ``Fraction``s, but extraction and the
+walks over the DAG run in integers.  A node keeps z0 as its reduced pair
+and the LFD as integers over one denominator, with ``Fraction`` views.
+:func:`~npkw.pwl.split_at` reads a state's merge pool and returns the
+allocation of z0 over one denominator: the LFD is the allocation over its
+sum, and a child's z0 is its entry reduced by one gcd.  One integer scan
+gives both one-sided slopes of the lifted slice, and z0 is compared with
+the stopping threshold by cross-multiplying.
+Evaluation and the equalization certificate put every ``p_continue`` over
+m, the lcm of their denominators: survival into depth n is an integer over
+m**n, the base pass's per-count weights at depth n are over m**(n+1), a
+probe of integers over P contracts them as integer monomials over P**n,
+and the certificate's path values at j levels above the deepest one are
+over m**j.  Each public number is one ``Fraction`` built at the end.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -52,11 +57,10 @@ from .bellman import (
     ExtractionError,
     NominalModel,
     _frac_str,
+    _ratio_str,
     child_counts,
 )
-from .pwl import (
-    RationalLike, decimal_str, rat, slope_left, slope_right, split_at, superdiff,
-)
+from .pwl import RationalLike, _sides, decimal_str, rat, split_at
 
 
 class Decision(Enum):
@@ -67,7 +71,6 @@ class Decision(Enum):
     RANDOMIZED = "randomized"  # likelihoods tie exactly: fair coin
 
 
-@dataclass
 class PolicyNode:
     """The extracted design at one observable history.
 
@@ -76,6 +79,11 @@ class PolicyNode:
     label — so every history with the same triple shares one object, also in
     display cuts (whose cut depth is a function of the counts).  Mutating a
     node changes it at every history that reaches it.
+
+    z0 is kept as its reduced pair ``z0_num / z0_den`` and the LFD as the
+    integers ``lfd_num`` over the positive ``lfd_den``; ``z0`` and
+    ``lfd_probs`` are their ``Fraction`` views, built on each read, and
+    assigning to a view sets the integers.
 
     ``decision`` is None while continuing for sure; ``e_continue``,
     ``lfd_probs`` and ``children`` are None at sure-stop nodes.  A node with
@@ -90,15 +98,55 @@ class PolicyNode:
     may disagree.
     """
 
-    state: DesignState
-    z0: Fraction
-    e_enter: int
-    e_continue: Optional[int]
-    p_continue: Fraction
-    decision: Optional[Decision]
-    lfd_probs: Optional[tuple[Fraction, ...]]
-    children: Optional[tuple["PolicyNode", ...]]
-    sure_stop_state: bool = False
+    __slots__ = ("state", "z0_num", "z0_den", "e_enter", "e_continue",
+                 "p_continue", "decision", "lfd_num", "lfd_den", "children",
+                 "sure_stop_state", "_eval_cache")
+
+    def __init__(self, state: DesignState, z0_num: int, z0_den: int,
+                 e_enter: int, e_continue: Optional[int],
+                 p_continue: Fraction, decision: Optional[Decision],
+                 lfd_num: Optional[tuple[int, ...]], lfd_den: Optional[int],
+                 children: Optional[tuple["PolicyNode", ...]],
+                 sure_stop_state: bool = False) -> None:
+        self.state = state
+        self.z0_num = z0_num
+        self.z0_den = z0_den
+        self.e_enter = e_enter
+        self.e_continue = e_continue
+        self.p_continue = p_continue
+        self.decision = decision
+        self.lfd_num = lfd_num
+        self.lfd_den = lfd_den
+        self.children = children
+        self.sure_stop_state = sure_stop_state
+        self._eval_cache = None  # see _eval_base
+
+    @property
+    def z0(self) -> Fraction:
+        return Fraction(self.z0_num, self.z0_den)
+
+    @z0.setter
+    def z0(self, value: RationalLike) -> None:
+        v = rat(value)
+        self.z0_num, self.z0_den = v.numerator, v.denominator
+
+    @property
+    def lfd_probs(self) -> Optional[tuple[Fraction, ...]]:
+        if self.lfd_num is None:
+            return None
+        den = self.lfd_den
+        return tuple(Fraction(n, den) for n in self.lfd_num)
+
+    @lfd_probs.setter
+    def lfd_probs(self, probs: Optional[tuple[RationalLike, ...]]) -> None:
+        if probs is None:
+            self.lfd_num = self.lfd_den = None
+            return
+        probs = tuple(map(rat, probs))
+        den = lcm(*(p.denominator for p in probs))
+        self.lfd_num = tuple(p.numerator * (den // p.denominator)
+                             for p in probs)
+        self.lfd_den = den
 
     @property
     def depth(self) -> int:
@@ -120,20 +168,6 @@ def _stop_decision(state: DesignState, model: NominalModel) -> Decision:
 _ZERO = Fraction(0)
 
 
-def _stop_node(state: DesignState, z0: Fraction, model: NominalModel,
-               promised: Optional[int], sure_state: bool) -> PolicyNode:
-    if promised not in (None, 0):
-        raise ExtractionError(
-            f"state {state.counts}: parent promises {promised} remaining "
-            "samples to a node that stops surely"
-        )
-    return PolicyNode(
-        state=state, z0=z0, e_enter=0, e_continue=None,
-        p_continue=_ZERO, decision=_stop_decision(state, model),
-        lfd_probs=None, children=None, sure_stop_state=sure_state,
-    )
-
-
 def extract_tree(table: CostTable, max_depth: Optional[int] = None) -> PolicyNode:
     """Materialize the optimal policy / LFD tree from a solved cost table.
 
@@ -152,183 +186,178 @@ def extract_tree(table: CostTable, max_depth: Optional[int] = None) -> PolicyNod
     # Hash-consed on (counts, z0, promise): a subtree reads only the table at
     # its counts, its mass and its parent's promise, and its depth, hence the
     # display cut too, is that of its counts (extraction starts at the root).
-    root_counts = (0,) * table.model.alphabet_size
-    return _extract(table, root_counts, Fraction(1), None, max_depth, {}, {})
+    # z0 enters the key as its reduced pair: hashing a Fraction costs a
+    # modular inverse.
+    k = table.model.alphabet_size
+    memo: dict[tuple, PolicyNode] = {}
+    rows: dict[tuple[int, ...], tuple] = {}
+    shared_p: dict[tuple[int, int], Fraction] = {}  # p_continue by labels
+
+    def extract(counts: tuple[int, ...], zn: int, zd: int,
+                promised: Optional[int]) -> PolicyNode:
+        key = (counts, zn, zd, promised)
+        node = memo.get(key)
+        if node is None:
+            row = rows.get(counts)
+            if row is None:
+                row = rows[counts] = _row(table, counts, max_depth)
+            node = memo[key] = extract_node(row, zn, zd, promised)
+        return node
+
+    def extract_node(row: tuple, zn: int, zd: int,
+                     promised: Optional[int]) -> PolicyNode:
+        state, decision, sure_state, lifted, rho, z0_star, record, perm, \
+            kids = row
+        if lifted is None:
+            return _stop_node(state, zn, zd, decision, promised, True)
+        counts = state.counts
+
+        if zn > 0:
+            # z0 against the kink, cross-multiplied: > 0 past it, 0 at it
+            side = -1 if z0_star is None else \
+                zn * z0_star[1] - z0_star[0] * zd
+            if side > 0:
+                return _stop_node(state, zn, zd, decision, promised,
+                                  sure_state)
+            # Continuing is optimal (strictly below the kink) or tied (at
+            # it).  The equalized continuation slope c may sit anywhere in
+            # the superdifferential of the continuation slice d at z0; the
+            # right derivative is the canonical smallest choice, and a
+            # parent's promise pins the choice instead where one exists.
+            # d's slopes are the lifted slice's less one, segment by
+            # segment; the right one is linearly extended at the edge.
+            _, d_left, d_right = _sides(lifted, zn, zd)
+            d_left -= 1
+            d_right -= 1
+            if side == 0:
+                # stopping weight is free at the kink; the promise pins it
+                e_enter = 0 if promised is None else promised
+                if e_enter == 0:
+                    return _stop_node(state, zn, zd, decision, None,
+                                      sure_state)
+                c = max(d_right, e_enter - 1)
+                if c > d_left:
+                    raise ExtractionError(
+                        f"state {counts}: promise {e_enter} needs "
+                        f"continuation slope {e_enter - 1}, outside "
+                        f"[{d_right}, {d_left}]"
+                    )
+            else:
+                if promised is None:
+                    c = d_right
+                else:
+                    c = promised - 1
+                    if not d_right <= c <= d_left:
+                        raise ExtractionError(
+                            f"state {counts}: sure-continue promise "
+                            f"{promised} needs slope {c}, outside "
+                            f"[{d_right}, {d_left}]"
+                        )
+                e_enter = 1 + c
+        else:
+            # Zero adversary mass: the least favorable distribution never
+            # comes here, so stopping and continuing cost the same (the
+            # continuation value ties the stopping cost at z0 = 0 whenever
+            # stopping is optimal).  The node keeps the parent's promise
+            # alive so that the expected sample size stays equalized along
+            # *every* symbol path, not just the positively-weighted ones.
+            if promised is None or promised == 0:
+                return _stop_node(state, zn, zd, decision, promised,
+                                  sure_state)
+            e_enter = promised
+            c = max(_sides(lifted, 0, 1)[2] - 1, e_enter - 1)
+
+        e_continue = 1 + c
+        if not 0 <= e_enter <= e_continue:
+            raise ExtractionError(
+                f"state {counts}: entry label {e_enter} outside "
+                f"[0, {e_continue}]"
+            )
+        # the entry label must be a supergradient of the node's own cost
+        # slice (unbounded above at the left endpoint of the domain)
+        lo, hi, _ = _sides(rho, zn, zd)
+        if not (e_enter >= lo if zn == 0 else lo <= e_enter <= hi):
+            raise ExtractionError(
+                f"state {counts}: e_enter {e_enter} outside the "
+                f"superdifferential [{lo}, {hi}] of the cost slice at "
+                f"z0 = {Fraction(zn, zd)}"
+            )
+
+        labels = (e_enter, e_continue)
+        p_continue = shared_p.get(labels)
+        if p_continue is None:
+            p_continue = shared_p[labels] = Fraction(e_enter, e_continue)
+
+        alloc, den = split_at(record, k, zn, zd)
+        if perm is not None:
+            alloc = perm(alloc)
+        if zn > 0:
+            # the allocation sums to z0, so a / z0 is a over that sum
+            lfd = tuple(alloc)
+            lfd_den = sum(lfd)
+        else:
+            # limiting allocation direction as z0 -> 0+: the merge's first
+            # slope class, shared in proportion to segment widths (uniform
+            # when the merge has no segment at all)
+            pool = record[1]
+            weights = [0] * k
+            for slope, op, width in pool:
+                if slope != pool[0][0]:
+                    break
+                weights[op] += width
+            lfd = tuple(weights if perm is None else perm(weights))
+            lfd_den = sum(lfd)
+            if lfd_den == 0:
+                lfd, lfd_den = (1,) * k, k
+
+        children: Optional[tuple[PolicyNode, ...]] = None
+        if kids is not None:
+            # equalization: every child is promised c, weighted or not
+            children = tuple(
+                extract(kid, a // (g := gcd(a, den)), den // g, c)
+                for kid, a in zip(kids, alloc))
+        return PolicyNode(state, zn, zd, e_enter, e_continue, p_continue,
+                          decision if e_enter != e_continue else None,
+                          lfd, lfd_den, children, sure_state)
+
+    return extract((0,) * k, 1, 1, None)
 
 
-def _extract(
-    table: CostTable,
-    counts: tuple[int, ...],
-    z0: Fraction,
-    promised: Optional[int],
-    max_depth: Optional[int],
-    memo: dict,
-    rows: dict,
-) -> PolicyNode:
-    # z0 enters the key as its two integers: hashing a Fraction costs a
-    # modular inverse, and equal Fractions have equal lowest terms
-    key = (counts, z0.numerator, z0.denominator, promised)
-    node = memo.get(key)
-    if node is None:
-        row = rows.get(counts)
-        if row is None:
-            row = rows[counts] = _row(table, counts)
-        node = memo[key] = _extract_node(table, row, z0, promised,
-                                         max_depth, memo, rows)
-    return node
-
-
-def _row(table: CostTable, counts: tuple[int, ...]) -> tuple:
+def _row(table: CostTable, counts: tuple[int, ...],
+         max_depth: Optional[int]) -> tuple:
     """What extraction reads of one state, looked up once per state:
-    ``(state, z0_star, sure_state, lifted, rho, split map, perm)``, with
-    ``lifted`` None at the horizon.  A mirror state (see
-    :class:`~npkw.bellman.CostTable`) reads its partner's split map, and
-    ``perm`` maps the partner's allocation to its own: its own map is the
-    partner's with the operands mapped through sigma, and ``split_at``
-    depends only on the slope classes, so its allocation to symbol x is
-    the partner's to sigma(x)."""
+    ``(state, stop decision, sure_state, lifted, rho, z0_star as a pair,
+    merge record, perm, child counts)``, with ``lifted`` None at the
+    horizon and the child counts None at a display cut.  A mirror state
+    (see :class:`~npkw.bellman.CostTable`) reads its partner's pool, and
+    ``perm`` maps the partner's allocation to its own: its allocation to
+    symbol x is the partner's to sigma(x)."""
     state = table.states[counts]
+    decision = _stop_decision(state, table.model)
     if state.depth == table.model.horizon:
-        return state, None, True, None, None, None, None
+        return state, decision, True, None, None, None, None, None, None
     z0_star = table.z0_star[counts]
     twin = table.twins.get(counts)
-    sm = table.split[counts if twin is None else twin]
+    kids = None if max_depth is not None and state.depth >= max_depth else \
+        tuple(child_counts(counts, x) for x in range(len(counts)))
     # stopping already matches continuing at zero mass
-    return (state, z0_star, z0_star == 0, table.lifted[counts],
-            table.rho[counts], sm,
-            None if twin is None else itemgetter(*table.sigma))
+    return (state, decision, z0_star == 0, table.lifted[counts],
+            table.rho[counts],
+            None if z0_star is None else (z0_star.numerator,
+                                          z0_star.denominator),
+            table.pools[counts if twin is None else twin],
+            None if twin is None else itemgetter(*table.sigma), kids)
 
 
-def _extract_node(
-    table: CostTable,
-    row: tuple,
-    z0: Fraction,
-    promised: Optional[int],
-    max_depth: Optional[int],
-    memo: dict,
-    rows: dict,
-) -> PolicyNode:
-    model = table.model
-    state, z0_star, sure_state, lifted, rho, sm, perm = row
-    if lifted is None:
-        return _stop_node(state, z0, model, promised, True)
-
-    counts = state.counts
-    zn, zd = z0.numerator, z0.denominator
-
-    if zn > 0:
-        # z0 against the kink, cross-multiplied: > 0 past it, 0 at it
-        side = -1 if z0_star is None else \
-            zn * z0_star.denominator - z0_star.numerator * zd
-        if side > 0:
-            return _stop_node(state, z0, model, promised, sure_state)
-        # Continuing is optimal (strictly below the kink) or tied (at it).
-        # The equalized continuation slope c may sit anywhere in the
-        # superdifferential of the continuation slice d at z0; the right
-        # derivative is the canonical smallest choice, and a parent's
-        # promise pins the choice instead where one exists.  d's slopes are
-        # the lifted slice's less one, segment by segment.
-        d_right = slope_right(lifted, z0) - 1  # linear extension at the edge
-        d_left = slope_left(lifted, z0) - 1
-        if side == 0:
-            # stopping weight is free at the kink; the promise pins it
-            e_enter = 0 if promised is None else promised
-            if e_enter == 0:
-                return _stop_node(state, z0, model, None, sure_state)
-            c = max(d_right, e_enter - 1)
-            if c > d_left:
-                raise ExtractionError(
-                    f"state {counts}: promise {e_enter} needs continuation "
-                    f"slope {e_enter - 1}, outside [{d_right}, {d_left}]"
-                )
-        else:
-            if promised is None:
-                c = d_right
-            else:
-                c = promised - 1
-                if not d_right <= c <= d_left:
-                    raise ExtractionError(
-                        f"state {counts}: sure-continue promise {promised} "
-                        f"needs slope {c}, outside [{d_right}, {d_left}]"
-                    )
-            e_enter = 1 + c
-    else:
-        # Zero adversary mass: the least favorable distribution never comes
-        # here, so stopping and continuing cost the same (the continuation
-        # value ties the stopping cost at z0 = 0 whenever stopping is
-        # optimal).  The node keeps the parent's promise alive so that the
-        # expected sample size stays equalized along *every* symbol path,
-        # not just the positively-weighted ones.
-        if promised is None or promised == 0:
-            return _stop_node(state, z0, model, promised, sure_state)
-        e_enter = promised
-        c = max(slope_right(lifted, 0) - 1, e_enter - 1)
-
-    e_continue = 1 + c
-    if not 0 <= e_enter <= e_continue:
+def _stop_node(state: DesignState, zn: int, zd: int, decision: Decision,
+               promised: Optional[int], sure_state: bool) -> PolicyNode:
+    if promised not in (None, 0):
         raise ExtractionError(
-            f"state {counts}: entry label {e_enter} outside [0, {e_continue}]"
+            f"state {state.counts}: parent promises {promised} remaining "
+            "samples to a node that stops surely"
         )
-    # the entry label must be a supergradient of the node's own cost slice
-    # (unbounded above at the left endpoint of the domain)
-    rho_sd = superdiff(rho, z0)
-    contained = (e_enter >= rho_sd.lo) if zn == 0 \
-        else (rho_sd.lo <= e_enter <= rho_sd.hi)
-    if not contained:
-        raise ExtractionError(
-            f"state {counts}: e_enter {e_enter} outside the superdifferential "
-            f"[{rho_sd.lo}, {rho_sd.hi}] of the cost slice at z0 = {z0}"
-        )
-
-    p_continue = Fraction(e_enter, e_continue)
-    decision = None if e_enter == e_continue \
-        else _stop_decision(state, model)
-
-    alloc = split_at(sm, z0)
-    if perm is not None:
-        alloc = perm(alloc)
-    if zn > 0:
-        # a / z0 in lowest terms from the two pairs of integers
-        lfd = tuple(Fraction(a.numerator * zd, a.denominator * zn)
-                    for a in alloc)
-    else:
-        # limiting allocation direction as z0 -> 0+: the merge's first slope
-        # class, shared in proportion to segment widths (uniform when every
-        # child slice is flat and the split is wholly indifferent); the
-        # widths share one scale, so their integers give the proportions
-        parts = sm.parts
-        weights = [0] * model.alphabet_size
-        for op, slope, width in parts:
-            if slope != parts[0][1]:
-                break
-            weights[op] += width
-        if perm is not None:
-            weights = perm(weights)
-        total = sum(weights)
-        if total == 0:
-            lfd = tuple(
-                Fraction(1, model.alphabet_size)
-                for _ in range(model.alphabet_size)
-            )
-        else:
-            lfd = tuple(Fraction(w, total) for w in weights)
-
-    children: Optional[tuple[PolicyNode, ...]]
-    if max_depth is not None and state.depth >= max_depth:
-        children = None
-    else:
-        # equalization: every child is promised c, weighted or not
-        children = tuple(
-            _extract(table, child_counts(counts, x), alloc[x], c,
-                     max_depth, memo, rows)
-            for x in range(model.alphabet_size)
-        )
-
-    return PolicyNode(
-        state=state, z0=z0, e_enter=e_enter, e_continue=e_continue,
-        p_continue=p_continue, decision=decision, lfd_probs=lfd,
-        children=children, sure_stop_state=sure_state,
-    )
+    return PolicyNode(state, zn, zd, 0, None, _ZERO, decision, None, None,
+                      None, sure_state)
 
 
 # ---------------------------------------------------------------------------
@@ -417,19 +446,22 @@ def lfd_range(root: PolicyNode, symbol: int = 1) -> tuple[Fraction, Fraction]:
     adversary abandons because the next sample surely ends the test there.
     Both are excluded — the range covers the genuine randomized transitions.
     """
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
+    lo: Optional[tuple[int, int]] = None  # as (numerator, denominator)
+    hi: Optional[tuple[int, int]] = None
     for node in iter_unique_nodes(root):
-        if node.lfd_probs is None or node.p_continue == 0 or node.z0 == 0:
+        if node.lfd_num is None or node.p_continue == 0 or node.z0_num == 0:
             continue
-        v = node.lfd_probs[symbol]
-        if not 0 < v < 1:
+        n, d = node.lfd_num[symbol], node.lfd_den
+        if not 0 < n < d:
             continue
-        lo = v if lo is None else min(lo, v)
-        hi = v if hi is None else max(hi, v)
+        # compared with the extremes so far, cross-multiplied
+        if lo is None or n * lo[1] < lo[0] * d:
+            lo = n, d
+        if hi is None or n * hi[1] > hi[0] * d:
+            hi = n, d
     if lo is None:
         raise ValueError("empty tree: no randomized transitions to range over")
-    return lo, hi
+    return Fraction(*lo), Fraction(*hi)
 
 
 def find_node(root: PolicyNode, symbols: tuple[int, ...]) -> PolicyNode:
@@ -546,9 +578,10 @@ def _eval_base(root: PolicyNode) -> tuple[
     or a divisor of it); one ``Fraction`` per depth is summed.  Returns
     ``(alpha1, alpha2, m, continuation weights, stopping weights)``.
 
-    The cache assumes the tree is not mutated after its first evaluation.
+    The result is cached on the root, which assumes the tree is not
+    mutated after its first evaluation.
     """
-    cached = root.__dict__.get("_eval_base")
+    cached = root._eval_cache
     if cached is not None:
         return cached
 
@@ -608,8 +641,7 @@ def _eval_base(root: PolicyNode) -> tuple[
         stop_w.append(stop)
         scale *= m
 
-    base = (alpha1, alpha2, m, cont_w, stop_w)
-    root.__dict__["_eval_base"] = base
+    base = root._eval_cache = (alpha1, alpha2, m, cont_w, stop_w)
     return base
 
 
@@ -674,7 +706,7 @@ def verify_equalization(root: PolicyNode) -> EqualizationCertificate:
                 n_pos[nid] = 1
                 continue
             kids = node.children
-            lfd = node.lfd_probs
+            lfd = node.lfd_num
             f = p.numerator * (m // p.denominator)
             max_e[nid] = f * (below + max(max_e[id(ch)] for ch in kids))
             n_paths[nid] = sum(n_paths[id(ch)] for ch in kids)
@@ -746,7 +778,7 @@ def _equalization_witnesses(
                 found.append((path, acc))
             continue
         for x, child in enumerate(node.children):
-            if node.lfd_probs[x] == 0:
+            if node.lfd_num[x] == 0:
                 continue
             v = eq[id(child)]
             if v is not None and \
@@ -795,14 +827,14 @@ def verify_lfd_support(root: PolicyNode, model: NominalModel) -> LfdSupportRepor
             continue
         if node.children is None:
             raise ValueError(_DISPLAY_CUT)
-        if node.z0 > 0:
+        if node.z0_num > 0:
+            lfd = node.lfd_num  # over the positive lfd_den
             bad = any(
-                node.lfd_probs[x] == 0 and not node.children[x].sure_stop_state
+                lfd[x] == 0 and not node.children[x].sure_stop_state
                 for x in support
             )
             outside = any(
-                node.lfd_probs[x] > 0 for x in range(len(node.lfd_probs))
-                if x not in support
+                lfd[x] > 0 for x in range(len(lfd)) if x not in support
             )
             if outside and not all(ch.sure_stop_state for ch in node.children):
                 bad = True
@@ -838,12 +870,8 @@ _UNIT = 1 << 64  # draws are 64-bit integers u standing for u / 2**64
 def _cumulative(pmf: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
     """Running sums of a PMF as integer numerators over one denominator."""
     den = lcm(*(p.denominator for p in pmf))
-    acc = 0
-    cum = []
-    for p in pmf:
-        acc += p.numerator * (den // p.denominator)
-        cum.append(acc)
-    return tuple(cum), den
+    return tuple(accumulate(p.numerator * (den // p.denominator)
+                            for p in pmf)), den
 
 
 def _pick(u: int, cum: tuple[int, ...], den: int) -> int:
@@ -927,7 +955,8 @@ def simulate(
             else:
                 cum = lfd_cum.get(id(node))
                 if cum is None:
-                    cum = lfd_cum[id(node)] = _cumulative(node.lfd_probs)
+                    cum = lfd_cum[id(node)] = (
+                        tuple(accumulate(node.lfd_num)), node.lfd_den)
                 x = _pick(rng.getrandbits(64), *cum)
             node = node.children[x]
             steps += 1
@@ -1008,8 +1037,9 @@ def _json_pieces(node: PolicyNode, level: int) -> tuple[str, str, str]:
     of the export: the text before the first child, between two children,
     and after the last (the whole node, then "" and "", at a leaf)."""
     pad0, pad1, pad2 = (" " * (2 * level + i) for i in range(3))
-    lfd = "null" if not node.lfd_probs else "[\n" + ",\n".join(
-        f'{pad2}"{_frac_str(p)}"' for p in node.lfd_probs) + f"\n{pad1}]"
+    lfd = "null" if not node.lfd_num else "[\n" + ",\n".join(
+        f'{pad2}"{_ratio_str(n, node.lfd_den)}"' for n in node.lfd_num) \
+        + f"\n{pad1}]"
     counts = ",\n".join(f"{pad2}{c}" for c in node.state.counts)
     decision = "null" if node.decision is None else f'"{node.decision.value}"'
     e_continue = "null" if node.e_continue is None else node.e_continue
@@ -1020,7 +1050,7 @@ def _json_pieces(node: PolicyNode, level: int) -> tuple[str, str, str]:
               f'{pad1}"e_enter": {node.e_enter},\n'
               f'{pad1}"lfd": {lfd},\n'
               f'{pad1}"p_continue": "{_frac_str(node.p_continue)}",\n'
-              f'{pad1}"z0": "{_frac_str(node.z0)}"\n{pad0}}}')
+              f'{pad1}"z0": "{node.z0_num}/{node.z0_den}"\n{pad0}}}')
     if node.children is None:
         return f'{{\n{pad1}"children": null,\n{fields}', "", ""
     return (f'{{\n{pad1}"children": [\n{pad2}', f",\n{pad2}",

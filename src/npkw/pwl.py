@@ -24,12 +24,13 @@ functions.  The public views (``value_at_zero``, ``segments``,
 
 Sup-convolution of concave functions is the classic "merge segments by
 decreasing slope" construction.  Slope ties are broken by operand index
-(lowest operand first); recording the consumed segments yields a
-``SplitMap`` from which the maximizing allocation at any point of the
-domain can be read back exactly (``split_at``).  The merge itself,
-``merge_scaled``, also takes each operand as ``t -> c * f(t / c)`` (the
-same slopes, value and widths times c) through its integer multipliers,
-and ``restrict`` cuts a function to a shorter domain.  A point
+(lowest operand first); the sorted pool of operand segments is the merge
+record from which ``split_at`` reads back the maximizing allocation at any
+point of the domain exactly, as integers over one denominator.  The
+merge itself, ``merge_scaled``, also takes each operand as
+``t -> c * f(t / c)`` (the same slopes, value and widths times c) through
+its integer multipliers, and ``restrict`` cuts a function to a shorter
+domain.  A point
 ``t = p/q`` is compared with a cumulative width ``W/scale`` as
 ``p*scale`` against ``W*q``, so no rational is built until a result is
 returned.
@@ -271,6 +272,33 @@ def pwl_eval(f: PwlConcave, t: RationalLike) -> Fraction:
     return Fraction(v, f.scale)  # t == domain_upper after all segments
 
 
+def _sides(f: PwlConcave, p: int, q: int) -> tuple[int, int, int]:
+    """One scan of f at t = p/q (q > 0): the superdifferential's ``lo``
+    and ``hi`` and the linearly extended right slope (see
+    :func:`superdiff` and :func:`slope_right`)."""
+    ps = _in_domain(f, p, q)
+    segs = f.segs
+    if not segs:  # single-point domain
+        return 0, 0, 0
+    if p == 0:
+        first = segs[0][0]
+        return first, first, first
+    acc = 0
+    for i, (slope, width) in enumerate(segs):
+        acc += width
+        aq = acc * q
+        if ps < aq:
+            # strictly inside segment i (segment starts are handled as the
+            # previous iteration's t == acc, and t == 0 above)
+            return slope, slope, slope
+        if ps == aq:
+            if i + 1 < len(segs):
+                right = segs[i + 1][0]
+                return right, slope, right
+            return 0, slope, slope  # t == domain_upper
+    raise AssertionError("unreachable: domain scan fell through")
+
+
 def superdiff(f: PwlConcave, t: RationalLike) -> SuperDiff:
     """Superdifferential of f at t, with the edge conventions of the class.
 
@@ -281,27 +309,8 @@ def superdiff(f: PwlConcave, t: RationalLike) -> SuperDiff:
         superdiff(f, 0)      ->  SuperDiff(lo=3, hi=3)
         superdiff(f, 1)      ->  SuperDiff(lo=0, hi=1)
     """
-    p, q = _ratio(t)
-    ps = _in_domain(f, p, q)
-    segs = f.segs
-    if not segs:  # single-point domain
-        return SuperDiff(0, 0)
-    if p == 0:
-        first = segs[0][0]
-        return SuperDiff(first, first)
-    acc = 0
-    for i, (slope, width) in enumerate(segs):
-        acc += width
-        aq = acc * q
-        if ps < aq:
-            # strictly inside segment i (segment starts are handled as the
-            # previous iteration's t == acc, and t == 0 above)
-            return SuperDiff(slope, slope)
-        if ps == aq:
-            if i + 1 < len(segs):
-                return SuperDiff(segs[i + 1][0], slope)
-            return SuperDiff(0, slope)  # t == domain_upper
-    raise AssertionError("unreachable: domain scan fell through")
+    lo, hi, _ = _sides(f, *_ratio(t))
+    return SuperDiff(lo, hi)
 
 
 def slope_left(f: PwlConcave, t: RationalLike) -> int:
@@ -310,7 +319,7 @@ def slope_left(f: PwlConcave, t: RationalLike) -> int:
     Equals ``superdiff(f, t).hi`` everywhere — provided separately for
     readability at call sites that care about one side only.
     """
-    return superdiff(f, t).hi
+    return _sides(f, *_ratio(t))[1]
 
 
 def slope_right(f: PwlConcave, t: RationalLike) -> int:
@@ -324,18 +333,7 @@ def slope_right(f: PwlConcave, t: RationalLike) -> int:
     domain, the continuation values of the subtree keep growing at the last
     segment's rate.
     """
-    p, q = _ratio(t)
-    ps = _in_domain(f, p, q)
-    if not f.segs:
-        return 0
-    if ps == f.upper * q:
-        return f.segs[-1][0]
-    acc = 0
-    for slope, width in f.segs:
-        acc += width
-        if ps < acc * q:
-            return slope
-    raise AssertionError("unreachable: domain scan fell through")
+    return _sides(f, *_ratio(t))[2]
 
 
 def crossing_point(f: PwlConcave, c: RationalLike) -> Fraction | None:
@@ -437,76 +435,19 @@ def lift_identity(f: PwlConcave) -> PwlConcave:
     )
 
 
-@dataclass(frozen=True)
-class SplitMap:
-    """Record of a sup-convolution merge, for exact allocation read-back.
-
-    ``parts`` lists every operand segment in merge order as
-    (operand index, slope, width * scale) triples with their full widths —
-    the record may extend past the target, since :func:`split_at` needs the
-    complete composition of the slope class the target lands in.
-    ``upper`` is the target times ``scale``; like :class:`PwlConcave` the
-    integers are reduced, and ``entries`` and ``target`` are their
-    ``Fraction`` views.  :func:`split_at` walks the record to recover the
-    canonical maximizing allocation at any point of the result's domain.
-    """
-
-    n_operands: int
-    scale: int
-    parts: tuple[tuple[int, int, int], ...]
-    upper: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.scale, int) or self.scale <= 0:
-            raise ValueError("scale must be a positive integer")
-        if not isinstance(self.upper, int) or self.upper < 0:
-            raise ValueError("target must be a nonnegative rational")
-        common = gcd(self.scale, self.upper)
-        for op, slope, width in self.parts:
-            if not 0 <= op < self.n_operands:
-                raise ValueError(f"operand {op} out of range")
-            if not isinstance(slope, int) or slope < 0:
-                raise ValueError("slopes must be nonnegative integers")
-            if not isinstance(width, int) or width <= 0:
-                raise ValueError("segment widths must be positive")
-            if common != 1:
-                common = gcd(common, width)
-        if common != 1:
-            raise ValueError("scale and numerators share a common factor")
-
-    @classmethod
-    def reduced(cls, n_operands: int, scale: int,
-                parts: Sequence[tuple[int, int, int]], upper: int) -> "SplitMap":
-        """The record with these integers over ``scale``, in lowest terms."""
-        g = gcd(scale, upper, *[w for _, _, w in parts])
-        if g != 1:
-            scale //= g
-            upper //= g
-            parts = [(op, s, w // g) for op, s, w in parts]
-        return cls(n_operands, scale, tuple(parts), upper)
-
-    @property
-    def entries(self) -> tuple[tuple[int, int, Fraction], ...]:
-        """(operand, slope, width) triples with the widths as Fractions."""
-        scale = self.scale
-        return tuple((op, s, Fraction(w, scale)) for op, s, w in self.parts)
-
-    @property
-    def target(self) -> Fraction:
-        return Fraction(self.upper, self.scale)
-
-
 def supconv(
     fs: Sequence[PwlConcave], target_domain: RationalLike
-) -> tuple[PwlConcave, SplitMap]:
+) -> tuple[PwlConcave, tuple[int, list[tuple[int, int, int]]]]:
     """Sup-convolution of ``fs`` restricted to [0, target_domain].
 
     Merges all operand segments by decreasing slope (ties broken by operand
     index, lowest first) and truncates at the target length, which must not
     exceed the sum of the operand domains (the allocation constraint is
-    infeasible beyond it).  Returns the result together with the
-    :class:`SplitMap` of consumed segments.  The operands are put over the
-    lcm of their scales (and of the target's denominator) first.
+    infeasible beyond it).  Returns the result together with the merge
+    record ``(scale, pool)`` that :func:`split_at` reads: the sorted pool
+    of every operand segment, as (slope, operand, width) triples over
+    ``scale``, the lcm of the operands' scales and of the target's
+    denominator.
 
     The value at 0 is the sum of the operands' values at 0, and the result's
     superdifferential at any t is the intersection of the operands'
@@ -522,9 +463,7 @@ def supconv(
     target = tp * (scale // tq)
     value0, segs, pool = merge_scaled(
         fs, [scale // f.scale for f in fs], scale, target)
-    result = PwlConcave.reduced(scale, value0, segs, target)
-    parts = [(op, slope, width) for slope, op, width in pool]
-    return result, SplitMap.reduced(len(fs), scale, parts, target)
+    return PwlConcave.reduced(scale, value0, segs, target), (scale, pool)
 
 
 def merge_scaled(
@@ -570,48 +509,48 @@ def merge_scaled(
     return value0, segs, pool
 
 
-def split_at(sm: SplitMap, t: RationalLike) -> tuple[Fraction, ...]:
-    """Canonical maximizing allocation (a_1, ..., a_K) with sum == t.
+def split_at(record: tuple[int, Sequence[tuple[int, int, int]]], k: int,
+             p: int, q: int) -> tuple[list[int], int]:
+    """Canonical maximizing allocation (a_1, ..., a_k) with sum == t, for
+    t = p/q (q > 0) between 0 and the operands' total domain.
 
-    Walks the merge record slope class by slope class.  Classes strictly
-    above the landing slope are consumed whole; the class t lands in is
-    shared among its member segments in proportion to their widths.  Any
-    split of the landing class maximizes — proportional sharing is the
-    canonical choice: it is symmetric, keeps every competing branch
-    positively weighted, and is continuous in t.
+    ``record`` is a merge's ``(scale, pool)`` as :func:`supconv` returns
+    it and the recursion keeps it, over k operands.  The walk goes slope
+    class by slope class.  Classes strictly above the landing slope are
+    consumed whole; the class t lands in is shared among its member
+    segments in proportion to their widths.  Any split of the landing
+    class maximizes — proportional sharing is the canonical choice: it is
+    symmetric, keeps every competing branch positively weighted, and is
+    continuous in t.  Returns the allocation as integer numerators over
+    one positive denominator, not reduced.
     """
-    p, q = _ratio(t)
-    scale = sm.scale
+    scale, pool = record
+    if p < 0:
+        raise ValueError(f"{Fraction(p, q)} outside the merged domain")
     x = p * scale  # t still to allocate, over scale * q
-    if p < 0 or x > sm.upper * q:
-        raise ValueError(f"{Fraction(p, q)} outside [0, {sm.target}]")
-    alloc = [0] * sm.n_operands  # whole classes taken, over scale
-    parts = sm.parts
+    alloc = [0] * k  # whole classes taken, over scale
     i = 0
-    n = len(parts)
-    while x > 0 and i < n:
-        slope = parts[i][1]
+    n = len(pool)
+    while x > 0:
+        if i == n:
+            total = sum(w for _, _, w in pool)
+            raise ValueError(f"{Fraction(p, q)} outside the merged domain "
+                             f"[0, {Fraction(total, scale)}]")
+        slope = pool[i][0]
         j = i
         class_width = 0
-        while j < n and parts[j][1] == slope:
-            class_width += parts[j][2]
+        while j < n and pool[j][0] == slope:
+            class_width += pool[j][2]
             j += 1
         cq = class_width * q
-        if x >= cq:
-            for op, _s, width in parts[i:j]:
-                alloc[op] += width
-            x -= cq
-            i = j
-        else:
+        if x < cq:
             # operand op gets alloc[op] / scale + width * x / (cq * scale)
-            share = [0] * sm.n_operands
-            for op, _s, width in parts[i:j]:
-                share[op] += width
-            den = cq * scale
-            return tuple(
-                Fraction(a * cq + w * x, den) for a, w in zip(alloc, share)
-            )
-    if x != 0:
-        raise AssertionError("split map shorter than its target")
-    return tuple(Fraction(a, scale) for a in alloc)
-
+            alloc = [a * cq for a in alloc]
+            for _, op, width in pool[i:j]:
+                alloc[op] += width * x
+            return alloc, cq * scale
+        for _, op, width in pool[i:j]:
+            alloc[op] += width
+        x -= cq
+        i = j
+    return alloc, scale

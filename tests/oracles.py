@@ -20,7 +20,8 @@ the package's earlier exporters, which built one dict per record and
 serialized it with ``json.dumps``; the direct writers must match their bytes.
 ``frac_eval_base``, ``frac_evaluate`` and ``frac_verify_equalization`` keep
 the policy layer's earlier ``Fraction`` evaluation pass, probe contraction
-and equalization fold, which the integer versions must match exactly.
+and equalization fold, and ``frac_extract_tree`` its earlier extraction over
+``Fraction`` split maps; the integer versions must match them exactly.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from fractions import Fraction
 from itertools import product
 from math import comb, lcm
 
+from npkw.bellman import ExtractionError, child_counts
+from npkw.policy import Decision
 from npkw.pwl import PwlConcave, SuperDiff, pwl_eval
 
 
@@ -592,6 +595,145 @@ def frac_split_at(sm: FracSplit, t: Fraction) -> tuple[Fraction, ...]:
     if x != 0:
         raise AssertionError("split map shorter than its target")
     return tuple(alloc)
+
+
+# ---------------------------------------------------------------------------
+# the policy layer's earlier Fraction extraction
+# ---------------------------------------------------------------------------
+
+@dataclass(eq=False)
+class FracNode:
+    """A node of :func:`frac_extract_tree`: the fields of ``PolicyNode``,
+    with ``z0`` and ``lfd_probs`` kept as Fractions."""
+
+    state: object
+    z0: Fraction
+    e_enter: int
+    e_continue: int | None
+    p_continue: Fraction
+    decision: Decision | None
+    lfd_probs: tuple[Fraction, ...] | None
+    children: tuple["FracNode", ...] | None
+    sure_stop_state: bool
+
+
+def frac_extract_tree(table, max_depth: int | None = None) -> FracNode:
+    """The policy extraction as the package wrote it over ``Fraction``
+    split maps: every slope read, threshold comparison, allocation and LFD
+    entry is a ``Fraction`` computation, and the nodes are hash-consed on
+    ``(counts, z0, promise)``.  Each state's split map is the
+    :class:`FracSplit` of :func:`frac_supconv` over the table's slices of
+    its children, so neither the solve's pools nor the mirror pairing are
+    read.  Checks run in the package's order and raise the same
+    ``ExtractionError`` messages."""
+    model = table.model
+    k = model.alphabet_size
+    memo: dict = {}
+    splits: dict = {}
+
+    def decision_of(state) -> Decision:
+        lhs, rhs = model.lam1 * state.z1, model.lam2 * state.z2
+        return (Decision.H1 if lhs > rhs else
+                Decision.H2 if lhs < rhs else Decision.RANDOMIZED)
+
+    def stop(state, z0, promised, sure_state) -> FracNode:
+        if promised not in (None, 0):
+            raise ExtractionError(
+                f"state {state.counts}: parent promises {promised} remaining "
+                "samples to a node that stops surely")
+        return FracNode(state, z0, 0, None, Fraction(0), decision_of(state),
+                        None, None, sure_state)
+
+    def split_map(counts) -> FracSplit:
+        sm = splits.get(counts)
+        if sm is None:
+            ops = [frac_of(table.rho[child_counts(counts, x)])
+                   for x in range(k)]
+            sm = splits[counts] = frac_supconv(ops, 1)[1]
+        return sm
+
+    def extract(counts, z0, promised) -> FracNode:
+        key = (counts, z0, promised)
+        if key not in memo:
+            memo[key] = extract_node(counts, z0, promised)
+        return memo[key]
+
+    def extract_node(counts, z0, promised) -> FracNode:
+        state = table.states[counts]
+        if state.depth == model.horizon:
+            return stop(state, z0, promised, True)
+        z0_star = table.z0_star[counts]
+        sure_state = z0_star == 0
+        lifted = frac_of(table.lifted[counts])
+        if z0 > 0:
+            if z0_star is not None and z0 > z0_star:
+                return stop(state, z0, promised, sure_state)
+            d_right = frac_slope_right(lifted, z0) - 1
+            d_left = frac_superdiff(lifted, z0).hi - 1
+            if z0 == z0_star:
+                e_enter = 0 if promised is None else promised
+                if e_enter == 0:
+                    return stop(state, z0, None, sure_state)
+                c = max(d_right, e_enter - 1)
+                if c > d_left:
+                    raise ExtractionError(
+                        f"state {counts}: promise {e_enter} needs "
+                        f"continuation slope {e_enter - 1}, outside "
+                        f"[{d_right}, {d_left}]")
+            else:
+                if promised is None:
+                    c = d_right
+                else:
+                    c = promised - 1
+                    if not d_right <= c <= d_left:
+                        raise ExtractionError(
+                            f"state {counts}: sure-continue promise "
+                            f"{promised} needs slope {c}, outside "
+                            f"[{d_right}, {d_left}]")
+                e_enter = 1 + c
+        else:
+            if promised is None or promised == 0:
+                return stop(state, z0, promised, sure_state)
+            e_enter = promised
+            c = max(frac_slope_right(lifted, Fraction(0)) - 1, e_enter - 1)
+
+        e_continue = 1 + c
+        if not 0 <= e_enter <= e_continue:
+            raise ExtractionError(
+                f"state {counts}: entry label {e_enter} outside "
+                f"[0, {e_continue}]")
+        sd = frac_superdiff(frac_of(table.rho[counts]), z0)
+        if not (e_enter >= sd.lo if z0 == 0 else sd.lo <= e_enter <= sd.hi):
+            raise ExtractionError(
+                f"state {counts}: e_enter {e_enter} outside the "
+                f"superdifferential [{sd.lo}, {sd.hi}] of the cost slice at "
+                f"z0 = {z0}")
+
+        p_continue = Fraction(e_enter, e_continue)
+        sm = split_map(counts)
+        alloc = frac_split_at(sm, z0)
+        if z0 > 0:
+            lfd = tuple(a / z0 for a in alloc)
+        else:
+            # the first slope class, shared in proportion to its widths
+            weights = [Fraction(0)] * k
+            for op, slope, width in sm.entries:
+                if slope != sm.entries[0][1]:
+                    break
+                weights[op] += width
+            total = sum(weights)
+            lfd = tuple(w / total if total else Fraction(1, k)
+                        for w in weights)
+        children = None
+        if max_depth is None or state.depth < max_depth:
+            children = tuple(extract(child_counts(counts, x), alloc[x], c)
+                             for x in range(k))
+        return FracNode(
+            state, z0, e_enter, e_continue, p_continue,
+            None if e_enter == e_continue else decision_of(state), lfd,
+            children, sure_state)
+
+    return extract((0,) * k, Fraction(1), None)
 
 
 def _frac_text(v: Fraction) -> str:

@@ -274,8 +274,7 @@ def test_json_round_trip():
     assert back.rho == table.rho
     assert back.d == table.d
     assert back.z0_star == table.z0_star
-    for counts, sm in table.split.items():
-        assert back.split[counts].entries == sm.entries
+    assert back.pools == table.pools
 
 
 def test_reader_checks_records_against_the_header():
@@ -318,7 +317,7 @@ def test_reader_takes_records_in_any_order():
     blob = parsed(table)
     blob["states"].reverse()  # the root last
     back = cost_table_from_json(blob)
-    assert back.rho == table.rho and back.split == table.split
+    assert back.rho == table.rho and back.pools == table.pools
 
 
 def test_reader_refuses_a_field_it_does_not_store():
@@ -468,7 +467,7 @@ def test_mirror_symmetric_tables_match_fraction_recursion(k, weights, order,
                                                           pairs, lam, horizon):
     """p2 = p1 o sigma with equal weights: the recursion solves one state
     of each mirror pair, and the oracle, which solves every state, checks
-    the shared slices and the permuted split maps."""
+    the shared slices and the permuted merge pools."""
     w = weights[:k]
     if sum(w) == 0 or (k == 4 and horizon > 4):
         return
@@ -519,16 +518,16 @@ def test_recursion_merges_each_mirror_pair_once(monkeypatch, model, merges):
     monkeypatch.setattr(bellman, "merge_scaled",
                         lambda *args: calls.append(1) or merge_scaled(*args))
     table = backward_recursion(model)
-    assert len(calls) == merges
+    assert len(calls) == len(table.pools) == merges
     internal = sum(len(build_states(model)[n]) for n in range(model.horizon))
-    assert len(table.d) == len(table.split) == internal
+    assert len(table.d) == internal
 
 
 def test_a_table_and_its_views_are_freed_without_the_cycle_collector():
     # views that held their table would keep every solve alive until a
     # cyclic collection, which a long run pays at unpredictable points
     table = backward_recursion(fig_model(5))
-    assert all(table.d.values()) and all(table.split.values())
+    assert all(table.d.values())
     ref = weakref.ref(table)
     gc.disable()
     try:
@@ -539,8 +538,10 @@ def test_a_table_and_its_views_are_freed_without_the_cycle_collector():
 
 
 def _assert_matches_fraction_recursion(model) -> str:
-    """The table's text, and the continuation slices, split maps and
-    thresholds it does not store, equal the Fraction recursion's."""
+    """The table's text, and the continuation slices, merge pools and
+    thresholds it does not store, equal the Fraction recursion's.  A
+    mirror state, which keeps no pool, is compared through its partner's
+    with the operands mapped through sigma and re-sorted."""
     table = backward_recursion(model)
     text = cost_table_to_json_str(table)
     args = (model.p1, model.p2, model.lam1, model.lam2, model.horizon)
@@ -548,17 +549,21 @@ def _assert_matches_fraction_recursion(model) -> str:
     assert text == cost_table_text(table)
     solved = frac_recursion(*args)
     internal = {c for c, st in solved.items() if st.d is not None}
-    assert table.d.keys() == table.split.keys() == table.z0_star.keys() \
-        == internal
+    assert table.d.keys() == table.z0_star.keys() == internal
+    assert table.pools.keys() == internal - table.twins.keys()
     for counts in internal:
         want = solved[counts]
-        d_slice, sm = table.d[counts], table.split[counts]
+        d_slice = table.d[counts]
         assert (d_slice.value_at_zero, d_slice.segments,
                 d_slice.domain_upper) == (want.d.value_at_zero,
                                           want.d.segments,
                                           want.d.domain_upper)
-        assert (sm.n_operands, sm.entries, sm.target) == (
-            want.split.n_operands, want.split.entries, want.split.target)
+        twin = table.twins.get(counts)
+        scale, pool = table.pools[counts if twin is None else twin]
+        entries = sorted(
+            ((op if twin is None else table.sigma[op], s, Fraction(w, scale))
+             for s, op, w in pool), key=lambda e: (-e[1], e[0]))
+        assert entries == list(want.split.entries)
         assert table.z0_star[counts] == want.z0_star
     return text
 

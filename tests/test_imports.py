@@ -89,6 +89,10 @@ MODULES = tuple(importlib.import_module(f"npkw.{name}")
 
 
 def test_every_public_name_is_the_object_its_modules_hold():
+    # the public names speak Fraction: the merge record and its integer
+    # read-back stay in `npkw.pwl`
+    assert not {"SplitMap", "split_at"} & set(npkw.__all__)
+    assert not hasattr(npkw, "SplitMap") and not hasattr(npkw, "split_at")
     for name in npkw.__all__:
         value = getattr(npkw, name)
         holders = [module for module in MODULES if name in vars(module)]

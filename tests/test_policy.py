@@ -18,11 +18,15 @@ alpha1 = alpha2 = P(at most one success in 3 | theta=0.8) = 13/125.
 
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from npkw.bellman import backward_recursion, bernoulli_model, make_model
+import npkw.policy as policy
+from npkw.bellman import (
+    backward_recursion, bernoulli_model, child_counts, make_model,
+)
 from npkw.policy import (
     Decision,
     ExtractionError,
@@ -41,11 +45,12 @@ from npkw.policy import (
     _cumulative,
     _pick,
 )
-from npkw.pwl import SplitMap, pwl, pwl_eval, slope_right, split_at
+from npkw.pwl import merge_scaled, pwl, pwl_eval, slope_right, split_at
 from oracles import (
     best_response_cost,
     frac_draw,
     frac_evaluate,
+    frac_extract_tree,
     frac_verify_equalization,
     tree_dot_text,
     tree_json_text,
@@ -414,43 +419,64 @@ def test_saddle_random_models(t1, t2, lam1, lam2, horizon):
 
 
 # ---------------------------------------------------------------------------
-# split maps: built where extraction reads them, mirrors read through sigma
+# merge pools: read where extraction splits, mirrors read through sigma
 # ---------------------------------------------------------------------------
 
-def test_split_maps_are_built_only_where_extraction_reads_them(monkeypatch):
-    made = []
-    post_init = SplitMap.__post_init__
-    monkeypatch.setattr(SplitMap, "__post_init__",
-                        lambda sm: made.append(sm) or post_init(sm))
+def test_extraction_reads_the_pools_of_the_states_it_splits(monkeypatch):
+    read = []
+    split = policy.split_at
+    monkeypatch.setattr(policy, "split_at",
+                        lambda record, *args: read.append(record)
+                        or split(record, *args))
     table = backward_recursion(bernoulli_model("0.9", "0.1", 3, 3, 40))
-    assert made == []  # the solve keeps the merge pools, not the maps
+    # one merge record per mirror pair of the 820 internal states
+    assert len(table.pools) == 420
     root = extract_tree(table)
     # the design stops after one sample: extraction visits the root and the
-    # mirror pair (1, 0), (0, 1), and reads the map of (0, 1) for both
-    assert len({node.state.counts for node in iter_unique_nodes(root)}) == 3
-    assert 0 < len(made) <= 3
-    assert len(table.split) == 820  # every internal state on demand
+    # mirror pair (1, 0), (0, 1), and splits the root's mass only, reading
+    # the record the solve keeps
+    assert {node.state.counts for node in iter_unique_nodes(root)} == \
+        {(0, 0), (1, 0), (0, 1)}
+    assert len(read) == 1 and read[0] is table.pools[(0, 0)]
 
 
 pmf_weights = st.lists(st.integers(min_value=0, max_value=6), min_size=3,
                        max_size=3)
 
 
-def _own_map_lfd(table, node):
-    """The node's LFD read from the split map of its own state, with no
+def _own_pool(table, counts):
+    """The merge record of a state from its own children's slices, as the
+    solve would keep it had it merged the state itself."""
+    k = table.model.alphabet_size
+    fs = [table.rho[child_counts(counts, x)] for x in range(k)]
+    scale = lcm(*(f.scale for f in fs))
+    _, _, pool = merge_scaled(fs, [scale // f.scale for f in fs], scale,
+                              scale)
+    return scale, pool
+
+
+def _alloc(record, k, z0):
+    nums, den = split_at(record, k, z0.numerator, z0.denominator)
+    assert den > 0 and sum(nums) * z0.denominator == den * z0.numerator
+    return tuple(Fraction(n, den) for n in nums)
+
+
+def _own_pool_lfd(table, node):
+    """The node's LFD read from the pool of its own state's merge, with no
     detour through a mirror partner."""
-    sm = table.split[node.state.counts]
+    k = len(node.state.counts)
+    scale, pool = _own_pool(table, node.state.counts)
     z0 = node.z0
     if z0 > 0:
-        return tuple(a / z0 for a in split_at(sm, z0))
-    weights = [0] * len(node.state.counts)
-    for op, slope, width in sm.parts:
-        if slope != sm.parts[0][1]:
+        return tuple(a / z0 for a in _alloc((scale, pool), k, z0))
+    weights = [0] * k
+    for slope, op, width in pool:
+        if slope != pool[0][0]:
             break
         weights[op] += width
     total = sum(weights)
     if total == 0:
-        return tuple(Fraction(1, len(weights)) for _ in weights)
+        return tuple(Fraction(1, k) for _ in weights)
     return tuple(Fraction(w, total) for w in weights)
 
 
@@ -480,14 +506,156 @@ def test_allocation_read_through_sigma_equals_the_mirrors_own(
     assume(p1 != p2)
     table = backward_recursion(make_model(p1, p2, lam1, lam2, horizon))
     assert table.sigma is not None or not mirror
+    for counts, record in table.pools.items():
+        assert record == _own_pool(table, counts)
     for counts, twin in table.twins.items():
-        if counts in table.split:
-            own = split_at(table.split[counts], z0)
-            read = split_at(table.split[twin], z0)
+        if counts in table.lifted:  # an internal state
+            own = _alloc(_own_pool(table, counts), k, z0)
+            read = _alloc(table.pools[twin], k, z0)
             assert own == tuple(read[y] for y in table.sigma)
     for node in iter_unique_nodes(extract_tree(table)):
         if node.lfd_probs is not None:
-            assert node.lfd_probs == _own_map_lfd(table, node)
+            assert node.lfd_probs == _own_pool_lfd(table, node)
+
+
+# ---------------------------------------------------------------------------
+# integer extraction against the Fraction oracle
+# ---------------------------------------------------------------------------
+
+def _assert_same_dag(root, want):
+    """Node by node, the fields of ``root`` equal those of the oracle's
+    ``want``, and one node object of each corresponds to one of the other
+    (the same sharing)."""
+    pairs: dict[int, int] = {}
+    stack = [(root, want)]
+    while stack:
+        node, oracle = stack.pop()
+        if id(node) in pairs:
+            assert pairs[id(node)] == id(oracle)
+            continue
+        pairs[id(node)] = id(oracle)
+        assert (node.state.counts, node.z0, node.e_enter, node.e_continue,
+                node.p_continue, node.decision, node.lfd_probs,
+                node.sure_stop_state) == (
+            oracle.state.counts, oracle.z0, oracle.e_enter,
+            oracle.e_continue, oracle.p_continue, oracle.decision,
+            oracle.lfd_probs, oracle.sure_stop_state)
+        assert (node.children is None) == (oracle.children is None)
+        stack.extend(zip(node.children or (), oracle.children or ()))
+    assert len(set(pairs.values())) == len(pairs)
+
+
+def _outcome(extract, table, cut):
+    # a lifted slope of 0 ends in a label pair (0, 0), a ZeroDivisionError
+    try:
+        return extract(table, cut), None
+    except (ExtractionError, ZeroDivisionError) as exc:
+        return None, (type(exc), str(exc))
+
+
+@st.composite
+def _tampered_slices(draw, max_slope=12, kink=None):
+    """A slice on [0, 1] of one or two segments, the kink drawn or at
+    ``kink``."""
+    value = draw(st.fractions(min_value=0, max_value=40, max_denominator=7))
+    hi = draw(st.integers(min_value=0, max_value=max_slope))
+    lo = draw(st.integers(min_value=0, max_value=hi))
+    if kink is None or draw(st.booleans()):
+        kink = draw(st.fractions(min_value=0, max_value=1, max_denominator=11))
+    return pwl(value, [(hi, kink), (lo, 1 - kink)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.sampled_from([2, 3]),
+    w1=pmf_weights,
+    w2=pmf_weights,
+    mirror=st.booleans(),
+    lam1=st.fractions(min_value=Fraction(1, 5), max_value=40, max_denominator=9),
+    lam2=st.fractions(min_value=Fraction(1, 5), max_value=40, max_denominator=9),
+    horizon=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+@example(k=3, w1=[1, 2, 0], w2=[0, 0, 0], mirror=True, lam1=Fraction(20),
+         lam2=Fraction(1), horizon=5, data=None)
+@example(k=2, w1=[4, 1, 0], w2=[0, 0, 0], mirror=True, lam1=Fraction(20),
+         lam2=Fraction(20), horizon=6, data=None)
+def test_integer_extraction_matches_the_fraction_oracle(
+        k, w1, w2, mirror, lam1, lam2, horizon, data):
+    """Full trees and display cuts equal the Fraction extraction node by
+    node, sharing included, and a table edited at one state raises the
+    oracle's ``ExtractionError`` message or yields the oracle's tree."""
+    w1, w2 = w1[:k], w2[:k]
+    assume(sum(w1) > 0)
+    p1 = [Fraction(w, sum(w1)) for w in w1]
+    if mirror:  # p2 = p1 reversed, with equal weights: sigma reverses
+        p2, lam2 = p1[::-1], lam1
+    else:
+        assume(sum(w2) > 0)
+        p2 = [Fraction(w, sum(w2)) for w in w2]
+    assume(p1 != p2)
+    table = backward_recursion(make_model(p1, p2, lam1, lam2, horizon))
+    cuts = [None, horizon - 1] if data is None else \
+        [None, data.draw(st.integers(min_value=1, max_value=horizon))]
+    for cut in cuts:
+        _assert_same_dag(extract_tree(table, cut), frac_extract_tree(table, cut))
+    if data is None:
+        return
+
+    # an edited table: the lifted slice of a state where a node continues,
+    # kinked at that node's z0 or elsewhere, and with the threshold moved
+    # to that z0 or not; an internal state's threshold; or the root's cost
+    # slice, which no merge reads
+    what = data.draw(st.sampled_from(["lifted", "kink", "z0_star", "rho"]))
+    if what in ("lifted", "kink"):
+        node = data.draw(st.sampled_from([
+            node for node in iter_unique_nodes(extract_tree(table))
+            if node.p_continue] or [None]))
+        assume(node is not None)
+        table.lifted[node.state.counts] = data.draw(_tampered_slices(
+            3 if what == "kink" else 12, node.z0))
+        if what == "kink":
+            table.z0_star[node.state.counts] = node.z0
+    elif what == "z0_star":
+        counts = data.draw(st.sampled_from(sorted(table.lifted)))
+        table.z0_star[counts] = data.draw(
+            st.none() | st.fractions(min_value=0, max_value=1,
+                                     max_denominator=13))
+    else:
+        table.rho[(0,) * k] = data.draw(_tampered_slices())
+    cut = cuts[1]
+    got, error = _outcome(extract_tree, table, cut)
+    want, want_error = _outcome(frac_extract_tree, table, cut)
+    assert error == want_error
+    if error is None:
+        _assert_same_dag(got, want)
+
+
+@pytest.mark.parametrize("counts, slopes, kink, message", [
+    ((0, 0), (1, 1), False, "state (1, 0): sure-continue promise 0 needs "
+     "slope -1, outside [1, 1]"),
+    ((0, 0), (4, 4), False, "state (0, 0): e_enter 4 outside the "
+     "superdifferential [0, 3] of the cost slice at z0 = 1"),
+    ((0, 1), (0, 0), True, "state (0, 1): promise 2 needs continuation "
+     "slope 1, outside [-1, -1]"),
+    ((0, 2), (2, 0), False, "state (1, 2): parent promises 1 remaining "
+     "samples to a node that stops surely"),
+], ids=["sure-continue", "superdifferential", "kink", "sure-stop"])
+def test_extraction_errors_match_the_fraction_oracle(counts, slopes, kink,
+                                                     message):
+    """One edited lifted slice per message, with the threshold moved to
+    the mass of a node that continues there for the kink's message."""
+    table = backward_recursion(bernoulli_model(horizon=3, **FIG_MODEL))
+    if kink:
+        table.z0_star[counts] = next(
+            node.z0 for node in iter_unique_nodes(extract_tree(table))
+            if node.state.counts == counts and node.p_continue)
+    table.lifted[counts] = pwl(1, [(slopes[0], "1/2"), (slopes[1], "1/2")])
+    with pytest.raises(ExtractionError) as got:
+        extract_tree(table)
+    with pytest.raises(ExtractionError) as want:
+        frac_extract_tree(table)
+    assert str(got.value) == str(want.value) == message
 
 
 # ---------------------------------------------------------------------------

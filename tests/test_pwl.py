@@ -41,6 +41,14 @@ from oracles import (
 SETTINGS = {"max_examples": 100, "deadline": None}
 
 
+def split(record, k, t):
+    """``split_at`` at the rational t, as Fractions."""
+    t = Fraction(t)
+    nums, den = split_at(record, k, t.numerator, t.denominator)
+    assert den > 0
+    return tuple(Fraction(n, den) for n in nums)
+
+
 # ---------------------------------------------------------------------------
 # construction / canonical form
 # ---------------------------------------------------------------------------
@@ -185,23 +193,28 @@ def test_lift_identity():
 
 def test_supconv_identical_single_segment():
     f = pwl(0, [(1, 1)])
-    res, sm = supconv([f, f], 1)
+    res, record = supconv([f, f], 1)
     assert res.segments == ((1, Fraction(1)),)
     assert res.value_at_zero == 0
+    assert record == (1, [(1, 0, 1), (1, 1, 1)])
     # tied slope class shared in proportion to widths: an even split
-    assert split_at(sm, 1) == (Fraction(1, 2), Fraction(1, 2))
-    assert split_at(sm, "1/2") == (Fraction(1, 4), Fraction(1, 4))
+    assert split(record, 2, 1) == (Fraction(1, 2), Fraction(1, 2))
+    assert split(record, 2, "1/2") == (Fraction(1, 4), Fraction(1, 4))
+    # numerators over one denominator, not reduced
+    assert split_at(record, 2, 2, 4) == ([2, 2], 8)
 
 
 def test_supconv_merge_order_and_values():
     f1 = pwl(1, [(3, "1/2"), (1, "1/2")])
     f2 = pwl(0, [(2, 1)])
-    res, sm = supconv([f1, f2], 1)
+    res, record = supconv([f1, f2], 1)
     # slopes consumed: 3 (op0, 1/2) then 2 (op1, 1/2 of its width)
     assert res.segments == ((3, Fraction(1, 2)), (2, Fraction(1, 2)))
     assert res.value_at_zero == 1
-    assert split_at(sm, 1) == (Fraction(1, 2), Fraction(1, 2))
-    assert split_at(sm, "3/4") == (Fraction(1, 2), Fraction(1, 4))
+    # the pool keeps every operand segment whole, over the common scale
+    assert record == (2, [(3, 0, 1), (2, 1, 2), (1, 0, 1)])
+    assert split(record, 2, 1) == (Fraction(1, 2), Fraction(1, 2))
+    assert split(record, 2, "3/4") == (Fraction(1, 2), Fraction(1, 4))
     # value equals the best allocation's sum
     assert pwl_eval(res, 1) == pwl_eval(f1, "1/2") + pwl_eval(f2, "1/2")
 
@@ -210,9 +223,9 @@ def test_supconv_symmetric_kink_splits_equally():
     # both operands kink at 1/2 with the target landing exactly on the
     # merged class boundary: the split comes out equal
     f = pwl(0, [(2, "1/2"), (0, "1/2")])
-    res, sm = supconv([f, f], 1)
+    res, record = supconv([f, f], 1)
     assert res.segments == ((2, Fraction(1)),)
-    assert split_at(sm, 1) == (Fraction(1, 2), Fraction(1, 2))
+    assert split(record, 2, 1) == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_supconv_target_bounds():
@@ -221,16 +234,19 @@ def test_supconv_target_bounds():
         supconv([f, f], 3)
     res, _ = supconv([f, f], 2)
     assert res.domain_upper == 2
-    res0, sm0 = supconv([f, f], 0)
+    res0, record0 = supconv([f, f], 0)
     assert res0.segments == ()
-    assert split_at(sm0, 0) == (Fraction(0), Fraction(0))
+    assert split(record0, 2, 0) == (Fraction(0), Fraction(0))
 
 
 def test_split_at_out_of_range():
+    # the pool holds the operands' whole domains: t may reach their total
     f = pwl(0, [(1, 1)])
-    _, sm = supconv([f, f], 1)
-    with pytest.raises(ValueError):
-        split_at(sm, 2)
+    _, record = supconv([f, f], 1)
+    assert split(record, 2, 2) == (Fraction(1), Fraction(1))
+    for t in (Fraction(-1, 3), Fraction(2) + Fraction(1, 97)):
+        with pytest.raises(ValueError, match="outside the merged domain"):
+            split(record, 2, t)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +331,7 @@ def test_superdiff_is_a_supergradient_interval(f, frac):
 def test_supconv_against_grid_oracle(fs, frac):
     total = sum(f.domain_upper for f in fs)
     t = total * frac
-    res, sm = supconv(fs, total)
+    res, _ = supconv(fs, total)
     exact = pwl_eval(res, t)
     steps = 64
     approx = grid_supconv_max(fs, t, steps)
@@ -333,8 +349,8 @@ def test_supconv_against_grid_oracle(fs, frac):
 def test_split_is_feasible_and_achieves_value(fs, frac):
     total = sum(f.domain_upper for f in fs)
     t = total * frac
-    res, sm = supconv(fs, total)
-    alloc = split_at(sm, t)
+    res, record = supconv(fs, total)
+    alloc = split(record, len(fs), t)
     assert sum(alloc) == t
     for a, f in zip(alloc, fs):
         assert 0 <= a <= f.domain_upper
@@ -363,9 +379,9 @@ def test_supconv_superdiff_intersects_operands(fs, frac):
     t = total * frac
     if t == 0 or t == total:
         return
-    res, sm = supconv(fs, total)
+    res, record = supconv(fs, total)
     sd = superdiff(res, t)
-    alloc = split_at(sm, t)
+    alloc = split(record, len(fs), t)
     for f, a in zip(fs, alloc):
         op_sd = superdiff(f, a)
         lo = op_sd.lo if a < f.domain_upper else 0  # clamped half-line at edge
@@ -500,16 +516,17 @@ def test_supconv_and_split_match_oracle(fs, data):
         with pytest.raises(ValueError):
             frac_supconv(ops, target)
         return
-    res, sm = supconv(fs, target)
+    res, (scale, pool) = supconv(fs, target)
     o_res, o_sm = frac_supconv(ops, target)
     assert_same(res, o_res)
-    assert (sm.n_operands, sm.entries, sm.target) == \
-        (o_sm.n_operands, o_sm.entries, o_sm.target)
+    assert [(op, s, Fraction(w, scale)) for s, op, w in pool] == \
+        list(o_sm.entries)
+    assert o_sm.target == res.domain_upper
     for _ in range(3):
         t = data.draw(points_in(res))
-        assert split_at(sm, t) == frac_split_at(o_sm, t)
+        assert split((scale, pool), len(fs), t) == frac_split_at(o_sm, t)
     with pytest.raises(ValueError):
-        split_at(sm, target + Fraction(1, 97))
+        split((scale, pool), len(fs), total + Fraction(1, 97))
 
 
 @settings(**SETTINGS)
