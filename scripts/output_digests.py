@@ -15,16 +15,20 @@ reject with exit code 2 (a model flag beside `--table`, `--lambda` beside
 mirror-symmetric, so it also runs `design`, `verify`, `eval`,
 `tree --depth 7` and `simulate --strategy lfd` on one model that is not
 (0.7 vs 0.4 with lambda 20 vs 30, horizon 15), where the recursion merges
-every state and extraction reads each state's own merge pool.  Five more `compare` runs cover a
-non-default `--grid` on `ref15` and four coins that are not mirror
-images of themselves: 0.8 vs 0.15, whose Kiefer-Weiss stop labels cross
-off the centre line of each row; 0.85 vs 0.3, whose lambda search runs to
-2**353 without a match (exit 2); 0.7 vs 0.4, whose SPRT errors no test
-stopping by sample 80 matches (exit 2); and 0.8 vs 0.6, which has no
-symmetric SPRT or FSST at all and exits 2 before any solve.  Last come
-the parser's own outputs: `npkw` with no arguments, `npkw --help`,
-`npkw <command> --help` for each of the six commands and an unknown
-command (help is formatted for 80 columns).  For every run it prints the
+every state and extraction reads each state's own merge pool.  Six more
+`compare` runs cover a non-default `--grid` on `ref15`; the reference coin
+at lambda 1/2, horizon 9, where the horizon sweep's classes live on
+[0, 1], the edge of its mirror classes' flat-tail argument; and four coins
+that are not mirror images of themselves: 0.8 vs 0.15, whose Kiefer-Weiss
+stop labels cross off the centre line of each row; 0.85 vs 0.3, whose
+lambda search runs to 2**353 without a match (exit 2); 0.7 vs 0.4, whose
+SPRT errors no test stopping by sample 80 matches (exit 2); and 0.8 vs
+0.6, which has no symmetric SPRT or FSST at all and exits 2 before any
+solve.  Last come the parser's own outputs: `npkw` with no arguments,
+`npkw --help`, `npkw <command> --help` for each of the six commands, an
+unknown command, and four argument lists it rejects or answers with help
+either before or after a command name (help is formatted for 80 columns).
+For every run it prints the
 exit code and the sha256 of stdout, of stderr and of every file the run
 wrote or changed.  Paths are relative to the working directory, so two
 checkouts print the same lines exactly when their outputs are
@@ -105,6 +109,7 @@ ASYMMETRIC_RUNS = [
 
 COMPARE_RUNS = [
     f"compare {WORKLOADS['ref15'][0]} --grid 1/7:6/7:11 --out G",
+    f"compare {BERNOULLI.format('0.8', '0.2', '1/2', 9)} --out C",
     f"compare {COINS.format('0.8', '0.15')} --out C",
     f"compare {COINS.format('0.85', '0.3')} --out C",
     f"compare {COINS.format('0.7', '0.4')} --out C",
@@ -115,7 +120,8 @@ COMPARE_RUNS = [
 PARSER_RUNS = ["", "--help",
                *(f"{command} --help" for command in
                  ("design", "tree", "eval", "compare", "verify", "simulate")),
-               "bogus"]
+               "bogus", "bogus design", "-h design", "design extra",
+               "design --horizon x"]
 
 
 def sha(data: bytes) -> str:

@@ -421,9 +421,17 @@ def horizon_roots(model: NominalModel,
     on, at most gamma <= lam1, so every W is kept on [0, max(lam1, 1)]:
     the operands' domains sum to that, and the root, ``W[1, n]`` on
     [0, 1], lies inside it.  States of different depths and horizons that
-    share (l, r) are solved once: the fast model's sweep over the odd
-    horizons 3..39 merges 780 classes where the 19 recursions solve 5,529
-    internal states.
+    share (l, r) are solved once.
+
+    In a mirror-symmetric model (see :func:`_mirror`) a state and its
+    mirror share one rho, which gives ``W[l](t) = l * W[1/l](t / l)``, so
+    only the classes with l <= 1 are merged: a child class l = n/d > 1
+    enters as W[d/n] with the multiplier p1x * n/d in place of p1x.  That
+    operand reaches past the child's share of the domain only with W[d/n]
+    flat from its crossing, which is at most gamma(d/n) <= lam1 * d/n, so
+    the merge up to max(lam1, 1) is unchanged.  The fast model's sweep
+    over the odd horizons 3..39 merges 400 classes (780 without the
+    mirror) where the 19 recursions solve 5,529 internal states.
     """
     horizons = set(horizons)
     if not horizons:
@@ -444,34 +452,43 @@ def horizon_roots(model: NominalModel,
         num, den = a2 * ratio[0], b2 * ratio[1]
         return lam1 if a1 * den <= num * b1 else Fraction(num, den)
 
-    # the classes each count of samples left needs, with their children;
-    # a likelihood ratio l is the pair (numerator, denominator) in lowest
-    # terms, which hashes faster than a Fraction
+    # the classes each count of samples left needs, with their children as
+    # (class, multiplier numerator, multiplier denominator); a likelihood
+    # ratio l is the pair (numerator, denominator) in lowest terms, which
+    # hashes faster than a Fraction
+    mirrored = _mirror(model) is not None
     top = max(horizons)
-    needed: list[dict[tuple[int, int], tuple[tuple[int, int], ...]]] = \
+    needed: list[dict[tuple[int, int],
+                      tuple[tuple[tuple[int, int], int, int], ...]]] = \
         [{} for _ in range(top + 1)]
     for r in range(top, 0, -1):
         if r in horizons:
             needed[r].setdefault((1, 1), ())
         for num, den in needed[r]:
             kids = []
-            for _, _, q in symbols:
+            for a, b, q in symbols:
                 n, d = num * q.numerator, den * q.denominator
                 g = gcd(n, d)
-                kids.append((n // g, d // g))
-            needed[r][num, den] = tuple(kids)
-            for kid in kids:
+                n, d = n // g, d // g
+                if mirrored and n > d:  # W[n/d] as W[d/n] scaled by n/d
+                    kid, a, b = (d, n), a * n, b * d
+                    g = gcd(a, b)
+                    a, b = a // g, b // g
+                else:
+                    kid = n, d
+                kids.append((kid, a, b))
                 needed[r - 1].setdefault(kid, ())
+            needed[r][num, den] = tuple(kids)
 
     roots: dict[int, PwlConcave] = {}
     below = {ratio: pwl(gamma(ratio), [(0, upper)]) for ratio in needed[0]}
     for r in range(1, top + 1):
         level = {}
         for ratio, kids in needed[r].items():
-            fs = [below[kid] for kid in kids]
-            scale = lcm(*(b * f.scale for (_, b, _), f in zip(symbols, fs)))
+            fs = [below[kid] for kid, _, _ in kids]
+            scale = lcm(*(b * f.scale for (_, _, b), f in zip(kids, fs)))
             mults = [scale // (b * f.scale) * a
-                     for (a, b, _), f in zip(symbols, fs)]
+                     for (_, a, b), f in zip(kids, fs)]
             _, _, level[ratio], _ = _merge_step(
                 fs, mults, scale, up * (scale // uq), gamma(ratio))
         if r in horizons:

@@ -492,20 +492,21 @@ _COMMANDS = {
 
 def build_parser(
         commands: Sequence[str] = tuple(_COMMANDS)) -> argparse.ArgumentParser:
-    """The ``npkw`` parser.  Every subcommand is listed, for the help text
-    and the choice check, but only those in ``commands`` get their flags
-    (-h included): `main` builds the flags of the one subcommand its
-    arguments name, the only one argparse can hand them to."""
+    """The ``npkw`` parser with the subcommands in ``commands`` registered.
+    With all six it lists each with its help line and checks the choice;
+    with fewer, the usage and error text still name all six (a metavar),
+    and `main` builds only the one its first argument names."""
     parser = argparse.ArgumentParser(
         prog="npkw",
         description="exact sequential-test design against adversarial data",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    every = set(_COMMANDS) <= set(commands)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if every else "{" + ",".join(_COMMANDS) + "}")
     for name, text in _COMMANDS.items():
-        built = name in commands
-        p = sub.add_parser(name, help=text, add_help=built)
-        if built:
-            _add_arguments(p, name)
+        if name in commands:
+            _add_arguments(sub.add_parser(name, help=text), name)
     return parser
 
 
@@ -561,9 +562,10 @@ _DISPATCH = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse hands the arguments to the subcommand its first positional
-    # names; the parser's only option, -h, takes no value, so that is the
-    # first argument naming a subcommand, if argparse gets that far
-    chosen = [a for a in argv if a in _COMMANDS][:1]
+    # names.  When that is the first argument, nothing before it can print
+    # the list of subcommands (-h) or reject the choice, so only that one is
+    # built; otherwise all six are.
+    chosen = argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS
     args = build_parser(chosen).parse_args(argv)
     if args.command in _RUNS:
         # compiled before a --table is read, so that the compiler's passing

@@ -267,12 +267,14 @@ def extract_tree(table: CostTable, max_depth: Optional[int] = None) -> PolicyNod
             e_enter = promised
             c = max(_sides(lifted, 0, 1)[2] - 1, e_enter - 1)
 
-        e_continue = 1 + c
-        if not 0 <= e_enter <= e_continue:
+        # c counts the samples after this one, so it is at least 0; every
+        # promise is then at least 0, and 0 <= e_enter <= e_continue follows
+        if c < 0:
             raise ExtractionError(
-                f"state {counts}: entry label {e_enter} outside "
-                f"[0, {e_continue}]"
+                f"state {counts}: continuation slope {c} at z0 = "
+                f"{Fraction(zn, zd)} is below 0"
             )
+        e_continue = 1 + c
         # the entry label must be a supergradient of the node's own cost
         # slice (unbounded above at the left endpoint of the domain)
         lo, hi, _ = _sides(rho, zn, zd)

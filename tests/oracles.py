@@ -697,11 +697,11 @@ def frac_extract_tree(table, max_depth: int | None = None) -> FracNode:
             e_enter = promised
             c = max(frac_slope_right(lifted, Fraction(0)) - 1, e_enter - 1)
 
-        e_continue = 1 + c
-        if not 0 <= e_enter <= e_continue:
+        if c < 0:
             raise ExtractionError(
-                f"state {counts}: entry label {e_enter} outside "
-                f"[0, {e_continue}]")
+                f"state {counts}: continuation slope {c} at z0 = {z0} is "
+                "below 0")
+        e_continue = 1 + c
         sd = frac_superdiff(frac_of(table.rho[counts]), z0)
         if not (e_enter >= sd.lo if z0 == 0 else sd.lo <= e_enter <= sd.hi):
             raise ExtractionError(

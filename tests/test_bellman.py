@@ -22,7 +22,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from npkw import bellman
 from npkw.bellman import (
@@ -606,6 +606,53 @@ def test_horizon_roots_equal_each_horizons_recursion(k, w1, w2, lam1, lam2,
         return
     model = make_model(p1, p2, lam1, lam2, 1)
     assert horizon_roots(model, horizons) == _recursion_roots(model, horizons)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sigma=st.sampled_from([(1, 0), (2, 1, 0), (1, 0, 2), (0, 2, 1)]),
+    w=pmf_weights,
+    lam=st.fractions(min_value=Fraction(1, 5), max_value=Fraction(4, 5),
+                     max_denominator=9)
+    | st.fractions(min_value=1, max_value=40, max_denominator=9),
+    horizons=st.sets(st.integers(min_value=1, max_value=8), min_size=1,
+                     max_size=4),
+)
+# lam < 1, where every class lives on [0, 1]; a zero entry; a fixed symbol
+@example(sigma=(1, 0), w=[4, 1, 0], lam=Fraction(1, 2), horizons={1, 4, 9})
+@example(sigma=(2, 1, 0), w=[3, 1, 0], lam=Fraction(3), horizons={1, 2, 6})
+@example(sigma=(1, 0, 2), w=[2, 1, 3], lam=Fraction(2, 3), horizons={3, 7})
+def test_horizon_roots_equal_each_horizons_recursion_on_mirror_models(
+        sigma, w, lam, horizons):
+    """The mirror-symmetric models, where the sweep merges only the classes
+    with l <= 1: lam1 == lam2 and p2 = p1 o sigma for an involution
+    sigma."""
+    w = w[:len(sigma)]
+    assume(sum(w) > 0)
+    p1 = [Fraction(v, sum(w)) for v in w]
+    p2 = [p1[y] for y in sigma]
+    assume(p1 != p2)
+    model = make_model(p1, p2, lam, lam, 1)
+    assert _mirror(model) is not None
+    assert horizon_roots(model, horizons) == _recursion_roots(model, horizons)
+
+
+@pytest.mark.parametrize("model, horizons, merges", [
+    # the sweeps of `compare` on fast40 and ref15: one merge per class with
+    # l <= 1 (780 and 120 classes in all)
+    (bernoulli_model("0.9", "0.1", 3, 3, 40), range(3, 40, 2), 400),
+    (fig_model(15), range(3, 16, 2), 64),
+    # no mirror: every class is merged
+    (bernoulli_model("0.7", "0.4", 20, 30, 15), range(3, 16, 2), 371),
+])
+def test_horizon_roots_merges_each_mirror_class_once(monkeypatch, model,
+                                                     horizons, merges):
+    calls = []
+    merge_step = bellman._merge_step
+    monkeypatch.setattr(bellman, "_merge_step",
+                        lambda *args: calls.append(1) or merge_step(*args))
+    horizon_roots(model, horizons)
+    assert len(calls) == merges
 
 
 @pytest.mark.parametrize("model, horizons", [

@@ -693,3 +693,36 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        parse(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h", "design"], ["bogus"], ["bogus", "design"],
+    ["design", "extra"], ["design", "--horizon", "x"], ["design", "--help"],
+    ["compare", "--help"], ["simulate", "--strategy", "bogus"],
+    ["--bogus", "design"], ["tree", "--depth"],
+])
+def test_main_parses_as_the_parser_of_every_subcommand(monkeypatch, capsys,
+                                                       argv):
+    """`main` builds only the subcommand its first argument names, yet its
+    usage, help and error text are those of the parser of all six."""
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda commands: built.append(commands) or
+                        build(commands))
+    got = _parse_outcome(main, argv, capsys)
+    want = _parse_outcome(build().parse_args, argv, capsys)
+    assert got == want and got[0] is not None
+    named = argv[:1] if argv[:1] and argv[0] in cli._COMMANDS else \
+        list(cli._COMMANDS)
+    assert list(built[0]) == named
