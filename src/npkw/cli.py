@@ -565,7 +565,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # names.  When that is the first argument, nothing before it can print
     # the list of subcommands (-h) or reject the choice, so only that one is
     # built; otherwise all six are.
-    chosen = argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS
+    chosen = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     args = build_parser(chosen).parse_args(argv)
     if args.command in _RUNS:
         # compiled before a --table is read, so that the compiler's passing
