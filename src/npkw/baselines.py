@@ -14,9 +14,8 @@ ever needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .bellman import NominalModel, make_model
 from .pwl import RationalLike, decimal_str, rat
@@ -61,21 +60,19 @@ def _require_symmetric_coin(model: NominalModel) -> tuple[Fraction, Fraction]:
 # SPRT: exact random-walk absorption analysis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SprtDesign:
+class SprtDesign(NamedTuple("SprtDesign", [("lower", int), ("upper", int)])):
     """Constant thresholds on T_n: stop and accept H1 at ``upper``, stop and
     accept H2 at ``lower``; keep sampling strictly in between."""
 
-    lower: int
-    upper: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.lower < 0 < self.upper:
+    def __new__(cls, lower: int, upper: int) -> SprtDesign:
+        if not lower < 0 < upper:
             raise ValueError("need lower < 0 < upper")
+        return super().__new__(cls, lower, upper)
 
 
-@dataclass(frozen=True)
-class SprtAnalysis:
+class SprtAnalysis(NamedTuple):
     """Exact behaviour of an SPRT when data are i.i.d. Bernoulli(theta).
 
     ``tail`` maps n to P(tau > n), computed by forward iteration over the
@@ -188,8 +185,7 @@ def sprt_errors(design: SprtDesign, model: NominalModel) -> tuple[Fraction, Frac
     return 1 - _p_decide_h1(design, t1), _p_decide_h1(design, t2)
 
 
-@dataclass(frozen=True)
-class SprtDesignReport:
+class SprtDesignReport(NamedTuple):
     design: SprtDesign
     alpha1: Fraction
     alpha2: Fraction
@@ -227,8 +223,7 @@ def sprt_design(model: NominalModel, alpha_target: RationalLike) -> SprtDesignRe
 # FSST: exact binomial tails
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FsstDesign:
+class FsstDesign(NamedTuple("FsstDesign", [("n", int), ("k", int)])):
     """Sample exactly n, decide H1 iff the success count reaches k.
 
     With even n and the symmetric threshold the boundary count n/2 can tie;
@@ -236,12 +231,12 @@ class FsstDesign:
     0 (always H1) or n+1 (always H2).
     """
 
-    n: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or not 0 <= self.k <= self.n + 1:
+    def __new__(cls, n: int, k: int) -> FsstDesign:
+        if n < 1 or not 0 <= k <= n + 1:
             raise ValueError("need n >= 1 and 0 <= k <= n+1")
+        return super().__new__(cls, n, k)
 
     @property
     def tie_count(self) -> Optional[int]:
@@ -297,8 +292,7 @@ def fsst_design(model: NominalModel, alpha_target: RationalLike) -> FsstDesign:
 # KWT: modified Kiefer-Weiss test by backward induction under fixed P0
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KwtDesign:
+class KwtDesign(NamedTuple):
     """Stop/continue table of the modified Kiefer-Weiss test.
 
     ``actions[(n, m)]`` for reachable states (n samples, m successes) is
@@ -612,8 +606,7 @@ def kwt_matched(
 # curves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CurveRow:
+class CurveRow(NamedTuple):
     theta: Fraction
     expected_sample_size: Fraction
     alpha1: Fraction

@@ -32,10 +32,9 @@ g, rho, d and threshold, and the recursion solves each mirror pair once.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, floor, gcd, lcm, log
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .pwl import (
     PwlConcave,
@@ -55,7 +54,6 @@ class ExtractionError(ValueError):
     genuine bug upstream, or a table edited after it was written."""
 
 
-@dataclass(frozen=True)
 class NominalModel:
     """The two simple hypotheses, error weights and horizon.
 
@@ -65,7 +63,13 @@ class NominalModel:
         lam1: weight on alpha1 = P_{P1}(accept the second hypothesis).
         lam2: weight on alpha2 = P_{P2}(accept the first hypothesis).
         horizon: hard truncation depth N >= 1.
+
+    Instances are immutable and validated on construction.  Two models are
+    ``==`` (and hash equal) when their five fields are; a model equals no
+    other type.
     """
+
+    __slots__ = ("p1", "p2", "lam1", "lam2", "horizon")
 
     p1: tuple[Fraction, ...]
     p2: tuple[Fraction, ...]
@@ -73,23 +77,55 @@ class NominalModel:
     lam2: Fraction
     horizon: int
 
-    def __post_init__(self) -> None:
-        k = len(self.p1)
-        if k < 2 or len(self.p2) != k:
+    def __init__(self, p1: tuple[Fraction, ...], p2: tuple[Fraction, ...],
+                 lam1: Fraction, lam2: Fraction, horizon: int) -> None:
+        k = len(p1)
+        if k < 2 or len(p2) != k:
             raise ValueError("need two PMFs of equal length >= 2")
-        for p in (self.p1, self.p2):
+        for p in (p1, p2):
             if any(not isinstance(v, Fraction) or v < 0 for v in p):
                 raise ValueError("PMF entries must be nonnegative Fractions")
             if sum(p) != 1:
                 raise ValueError("PMF must sum to exactly 1")
-        if self.p1 == self.p2:
+        if p1 == p2:
             raise ValueError("the two hypotheses must differ")
-        if self.lam1 <= 0 or self.lam2 <= 0:
+        if lam1 <= 0 or lam2 <= 0:
             raise ValueError("error weights must be positive")
         # exactly an int: a table header's true, 2.5 or "7" is no horizon
-        if type(self.horizon) is not int or self.horizon < 1:
+        if type(horizon) is not int or horizon < 1:
             raise ValueError(
-                f"horizon must be an integer >= 1, not {self.horizon!r}")
+                f"horizon must be an integer >= 1, not {horizon!r}")
+        init = object.__setattr__
+        init(self, "p1", p1)
+        init(self, "p2", p2)
+        init(self, "lam1", lam1)
+        init(self, "lam2", lam2)
+        init(self, "horizon", horizon)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.p1, self.p2, self.lam1, self.lam2, self.horizon
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"NominalModel(p1={self.p1!r}, p2={self.p2!r}, "
+                f"lam1={self.lam1!r}, lam2={self.lam2!r}, "
+                f"horizon={self.horizon!r})")
+
+    def __reduce__(self) -> tuple:
+        return NominalModel, self._key()
 
     @property
     def alphabet_size(self) -> int:
@@ -128,8 +164,7 @@ def bernoulli_model(
     return make_model([1 - t1, t1], [1 - t2, t2], lam1, lam2, horizon)
 
 
-@dataclass(frozen=True)
-class DesignState:
+class DesignState(NamedTuple):
     """A count history: depth n and per-symbol counts summing to n.
 
     z1, z2 are the likelihoods of the counts under the two hypotheses and
@@ -251,7 +286,6 @@ class _Derived(Mapping):
         return len(self._keys)
 
 
-@dataclass
 class CostTable:
     """Output of the backward recursion.
 
@@ -279,19 +313,25 @@ class CostTable:
     allocation to symbol x is its partner's to sigma(x).
     """
 
-    model: NominalModel
-    states: dict[tuple[int, ...], DesignState]
-    rho: dict[tuple[int, ...], PwlConcave]
-    lifted: dict[tuple[int, ...], PwlConcave]
-    z0_star: dict[tuple[int, ...], Fraction | None]
-    pools: dict[tuple[int, ...], tuple[int, list[tuple[int, int, int]]]]
-    twins: dict[tuple[int, ...], tuple[int, ...]]
-    sigma: tuple[int, ...] | None
-    d: Mapping[tuple[int, ...], PwlConcave] = field(init=False, repr=False,
-                                                    compare=False)
-
-    def __post_init__(self) -> None:
-        lifted, twins = self.lifted, self.twins
+    def __init__(
+        self,
+        model: NominalModel,
+        states: dict[tuple[int, ...], DesignState],
+        rho: dict[tuple[int, ...], PwlConcave],
+        lifted: dict[tuple[int, ...], PwlConcave],
+        z0_star: dict[tuple[int, ...], Fraction | None],
+        pools: dict[tuple[int, ...], tuple[int, list[tuple[int, int, int]]]],
+        twins: dict[tuple[int, ...], tuple[int, ...]],
+        sigma: tuple[int, ...] | None,
+    ) -> None:
+        self.model = model
+        self.states = states
+        self.rho = rho
+        self.lifted = lifted
+        self.z0_star = z0_star
+        self.pools = pools
+        self.twins = twins
+        self.sigma = sigma
 
         def make_d(d: Mapping, counts: tuple[int, ...]) -> PwlConcave:
             twin = twins.get(counts)
@@ -301,7 +341,7 @@ class CostTable:
             return PwlConcave(f.scale, f.v0,
                               tuple((s - 1, w) for s, w in f.segs), f.upper)
 
-        self.d = _Derived(lifted, make_d)
+        self.d: Mapping[tuple[int, ...], PwlConcave] = _Derived(lifted, make_d)
 
     def root_value(self) -> Fraction:
         """rho(1) at the empty history: the minimax cost of the design."""

@@ -43,13 +43,13 @@ over m**j.  Each public number is one ``Fraction`` built at the end.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .bellman import (
     CostTable,
@@ -480,8 +480,7 @@ def find_node(root: PolicyNode, symbols: tuple[int, ...]) -> PolicyNode:
 # exact evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Exact performance of the design under an i.i.d. probe distribution.
 
     ``expected_sample_size`` and ``stop_time_pmf`` are under the probe;
@@ -651,8 +650,7 @@ def _eval_base(root: PolicyNode) -> tuple[
 # verification: equalization and LFD support
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EqualizationCertificate:
+class EqualizationCertificate(NamedTuple):
     """Path-wise check that the design equalizes expected sample size.
 
     For every maximal symbol path, the conditional expected sample size
@@ -790,8 +788,7 @@ def _equalization_witnesses(
     return found
 
 
-@dataclass(frozen=True)
-class LfdSupportReport:
+class LfdSupportReport(NamedTuple):
     """Support check for the least favorable distribution.
 
     Wherever the adversary actually plays (z0 > 0 and the node may
@@ -855,8 +852,7 @@ def verify_lfd_support(root: PolicyNode, model: NominalModel) -> LfdSupportRepor
 # seeded simulation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(NamedTuple):
     trials: int
     seed: int
     strategy: str
@@ -869,21 +865,20 @@ class SimReport:
 _UNIT = 1 << 64  # draws are 64-bit integers u standing for u / 2**64
 
 
-def _cumulative(pmf: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
-    """Running sums of a PMF as integer numerators over one denominator."""
-    den = lcm(*(p.denominator for p in pmf))
-    return tuple(accumulate(p.numerator * (den // p.denominator)
-                            for p in pmf)), den
+def _cut(num: int, den: int) -> int:
+    """The least 64-bit draw u with u / 2**64 >= num / den: u is an
+    integer, so u * den >= num * 2**64 holds exactly when
+    u >= ceil(num * 2**64 / den)."""
+    return -(-num * _UNIT // den)
 
 
-def _pick(u: int, cum: tuple[int, ...], den: int) -> int:
-    """The symbol a 64-bit draw ``u`` selects: the first x with
-    u / 2**64 < cum[x] / den, compared as u * den < cum[x] * 2**64."""
-    ud = u * den
-    for x, c in enumerate(cum):
-        if ud < c * _UNIT:
-            return x
-    return len(cum) - 1  # u landed in the top residue of an exact-sum PMF
+def _symbol_cuts(nums: Iterable[int], den: int) -> tuple[int, ...]:
+    """The cutoffs of a PMF given as integers over ``den``: a draw u picks
+    symbol ``bisect_right(cuts, u)``, the first x with u / 2**64 below the
+    running sum up to x, or the last symbol when there is none.  The last
+    running sum is left out, so a draw in the top residue of a PMF that
+    sums to less than one picks the last symbol."""
+    return tuple(_cut(c, den) for c in accumulate(nums))[:-1]
 
 
 def simulate(
@@ -904,63 +899,66 @@ def simulate(
     Determinism: trial t draws from one generator reseeded with the string
     ``"{seed}:{t}"``, the state ``random.Random(f"{seed}:{t}")`` starts in
     (string seeding is stable across platforms and runs), so results are
-    reproducible and independent of trial order.  All
-    comparisons are exact: uniforms are 64-bit dyadic rationals compared
-    against exact probabilities, biasing each event by less than 2**-64.
-    A trial that reaches the cut of a display tree raises ``ValueError``.
+    reproducible and independent of trial order.  This reseeding is the
+    contract, and it costs about 7 µs per trial.  All comparisons are
+    exact: a 64-bit draw u stands for the dyadic u / 2**64, and each node
+    turns its stopping probability and its symbol PMF into integer cutoffs
+    (:func:`_cut`) that u is compared with, biasing each event by less than
+    2**-64.  A trial that reaches the cut of a display tree raises
+    ``ValueError``.
     """
     k = len(root.state.counts)
+    fixed_cuts = None
     if strategy == "fixed":
         if pmf is None:
             raise ValueError("fixed strategy needs a pmf")
         fixed = tuple(rat(v) for v in pmf)
         if len(fixed) != k or any(v < 0 for v in fixed) or sum(fixed) != 1:
             raise ValueError("pmf must be a PMF over the model alphabet")
-        fixed_cum = _cumulative(fixed)
+        den = lcm(*(p.denominator for p in fixed))
+        fixed_cuts = _symbol_cuts(
+            (p.numerator * (den // p.denominator) for p in fixed), den)
     elif strategy not in ("alternating", "lfd"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    alternating = strategy == "alternating"
 
-    # per node, built on the first visit: the stop test u / 2**64 >= p as
-    # the integers (den, num * 2**64) of p, and the lfd strategy's
-    # cumulative PMF
-    stop_at: dict[int, tuple[int, int]] = {}
-    lfd_cum: dict[int, tuple[tuple[int, ...], int]] = {}
+    # per node, built on the first visit: the stop cutoff, the decision,
+    # the children and the symbol cutoffs (the lfd strategy's own)
+    seen: dict[int, tuple] = {}
+
+    def visit(node: PolicyNode) -> tuple:
+        p = node.p_continue
+        cuts = fixed_cuts
+        if strategy == "lfd" and node.children is not None:
+            cuts = _symbol_cuts(node.lfd_num, node.lfd_den)
+        seen[id(node)] = got = (_cut(p.numerator, p.denominator),
+                                node.decision, node.children, cuts)
+        return got
+
     total_tau = 0
     max_tau = 0
     n_h1 = 0
     n_h2 = 0
     rng = random.Random()
+    reseed, bits = rng.seed, rng.getrandbits
     for t in range(trials):
-        rng.seed(f"{seed}:{t}")
+        reseed(f"{seed}:{t}")
         node = root
         steps = 0
         while True:
-            test = stop_at.get(id(node))
-            if test is None:
-                p = node.p_continue
-                test = stop_at[id(node)] = (p.denominator, p.numerator * _UNIT)
-            if rng.getrandbits(64) * test[0] >= test[1]:
-                d = node.decision
-                if d is Decision.RANDOMIZED:  # H1 when u / 2**64 < 1/2
-                    d = Decision.H1 if rng.getrandbits(64) < _UNIT // 2 else Decision.H2
-                if d is Decision.H1:
+            cut, decision, children, cuts = seen.get(id(node)) or visit(node)
+            if bits(64) >= cut:
+                if decision is Decision.RANDOMIZED:  # H1 when u / 2**64 < 1/2
+                    decision = Decision.H1 if bits(64) < _UNIT // 2 else Decision.H2
+                if decision is Decision.H1:
                     n_h1 += 1
                 else:
                     n_h2 += 1
                 break
-            if node.children is None:
+            if children is None:
                 raise ValueError(_DISPLAY_CUT)
-            if strategy == "fixed":
-                x = _pick(rng.getrandbits(64), *fixed_cum)
-            elif strategy == "alternating":
-                x = steps % k
-            else:
-                cum = lfd_cum.get(id(node))
-                if cum is None:
-                    cum = lfd_cum[id(node)] = (
-                        tuple(accumulate(node.lfd_num)), node.lfd_den)
-                x = _pick(rng.getrandbits(64), *cum)
-            node = node.children[x]
+            node = children[steps % k if alternating
+                            else bisect_right(cuts, bits(64))]
             steps += 1
         total_tau += steps
         max_tau = max(max_tau, steps)

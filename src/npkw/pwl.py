@@ -18,8 +18,8 @@ plain integers over one positive scale: the value at zero is
 decreasing slope (concavity), zero-width segments dropped, adjacent equal
 slopes merged, widths summing exactly to the domain length, and
 ``gcd(scale, v0, upper, *widths) == 1``.  Equal functions therefore have
-equal fields, so dataclass equality and hashing are those of the
-functions.  The public views (``value_at_zero``, ``segments``,
+equal fields, so comparing and hashing the four fields compares and hashes
+the functions.  The public views (``value_at_zero``, ``segments``,
 ``domain_upper``) and every public function speak ``fractions.Fraction``.
 
 Sup-convolution of concave functions is the classic "merge segments by
@@ -38,11 +38,10 @@ returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 #: Exact scalar type used throughout the package.  Anything accepted by the
 #: ``Fraction`` constructor (int, str like "3/4" or "0.8", another Fraction)
@@ -102,8 +101,7 @@ def _ratio(x: RationalLike) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
-@dataclass(frozen=True)
-class SuperDiff:
+class SuperDiff(NamedTuple):
     """Closed interval [lo, hi] of supergradients at a point.
 
     For a concave nondecreasing PWL function with integer slopes the
@@ -124,7 +122,6 @@ class SuperDiff:
         return self.lo <= s <= self.hi
 
 
-@dataclass(frozen=True)
 class PwlConcave:
     """Concave nondecreasing PWL function on [0, domain_upper], canonical form.
 
@@ -137,29 +134,33 @@ class PwlConcave:
         upper: domain_upper * scale (>= 0; zero-width domains are legal and
             represent a single point).
 
-    The four are reduced: ``gcd(scale, v0, upper, *widths) == 1``.
-    Instances are immutable and validated on construction; use :func:`pwl`
-    to build one from possibly non-canonical rational segment data, or
-    :meth:`reduced` from integers over any positive scale.
+    The four are reduced: ``gcd(scale, v0, upper, *widths) == 1``, so two
+    instances are ``==`` (and hash equal) exactly when they are the same
+    function.  An instance equals no other type, a tuple of its fields
+    included.  Instances are immutable and validated on construction; use
+    :func:`pwl` to build one from possibly non-canonical rational segment
+    data, or :meth:`reduced` from integers over any positive scale.
     """
+
+    __slots__ = ("scale", "v0", "segs", "upper")
 
     scale: int
     v0: int
     segs: tuple[tuple[int, int], ...]
     upper: int
 
-    def __post_init__(self) -> None:
-        scale, upper = self.scale, self.upper
+    def __init__(self, scale: int, v0: int, segs: tuple[tuple[int, int], ...],
+                 upper: int) -> None:
         if not isinstance(scale, int) or scale <= 0:
             raise ValueError("scale must be a positive integer")
-        if not isinstance(self.v0, int) or self.v0 < 0:
+        if not isinstance(v0, int) or v0 < 0:
             raise ValueError("value_at_zero must be a nonnegative rational")
         if not isinstance(upper, int) or upper < 0:
             raise ValueError("domain_upper must be a nonnegative rational")
-        common = gcd(scale, self.v0, upper)
+        common = gcd(scale, v0, upper)
         total = 0
         prev_slope = None
-        for slope, width in self.segs:
+        for slope, width in segs:
             if not isinstance(slope, int) or slope < 0:
                 raise ValueError("slopes must be nonnegative integers")
             if not isinstance(width, int) or width <= 0:
@@ -177,6 +178,33 @@ class PwlConcave:
             )
         if common != 1:
             raise ValueError("scale and numerators share a common factor")
+        init = object.__setattr__
+        init(self, "scale", scale)
+        init(self, "v0", v0)
+        init(self, "segs", segs)
+        init(self, "upper", upper)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.scale == other.scale and self.v0 == other.v0
+                and self.upper == other.upper and self.segs == other.segs)
+
+    def __hash__(self) -> int:
+        return hash((self.scale, self.v0, self.segs, self.upper))
+
+    def __repr__(self) -> str:
+        return (f"PwlConcave(scale={self.scale!r}, v0={self.v0!r}, "
+                f"segs={self.segs!r}, upper={self.upper!r})")
+
+    def __reduce__(self) -> tuple:
+        return PwlConcave, (self.scale, self.v0, self.segs, self.upper)
 
     @classmethod
     def reduced(cls, scale: int, v0: int, segs: Sequence[tuple[int, int]],

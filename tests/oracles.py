@@ -22,19 +22,23 @@ serialized it with ``json.dumps``; the direct writers must match their bytes.
 the policy layer's earlier ``Fraction`` evaluation pass, probe contraction
 and equalization fold, and ``frac_extract_tree`` its earlier extraction over
 ``Fraction`` split maps; the integer versions must match them exactly.
+``simulate_loop`` keeps the earlier simulation loop, which cross-multiplied
+each draw with the node's probabilities; ``simulate`` must report the same.
+This module may import ``dataclasses``: no command loads it.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import comb, lcm
 
 from npkw.bellman import ExtractionError, child_counts
-from npkw.policy import Decision
+from npkw.policy import Decision, SimReport
 from npkw.pwl import PwlConcave, SuperDiff, pwl_eval
 
 
@@ -984,7 +988,7 @@ def _frac_by_depth(root) -> list:
 def frac_eval_base(root):
     """(alpha1, alpha2, continuation weight, stopping weight), the weights
     per count vector, from one Fraction pass of survival products."""
-    from npkw.policy import Decision
+    from npkw.policy import Decision, SimReport
 
     alpha1 = alpha2 = Fraction(0)
     cont_w: dict = {}
@@ -1100,4 +1104,83 @@ def frac_verify_equalization(root):
         c_root=c_root, passes=ok, max_path_expectation=max_e[id(root)],
         q0_path_expectations_equal=pos_equal, n_paths=n_paths[id(root)],
         n_q0_positive_paths=n_pos[id(root)], violating_paths=tuple(found),
+    )
+
+
+# ---------------------------------------------------------------------------
+# simulation by cross-multiplication
+# ---------------------------------------------------------------------------
+
+_UNIT = 1 << 64
+
+
+def _cumulative(pmf: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
+    """Running sums of a PMF as integer numerators over one denominator."""
+    den = lcm(*(p.denominator for p in pmf))
+    return tuple(accumulate(p.numerator * (den // p.denominator)
+                            for p in pmf)), den
+
+
+def _pick(u: int, cum: tuple[int, ...], den: int) -> int:
+    """The symbol a 64-bit draw ``u`` selects: the first x with
+    u / 2**64 < cum[x] / den, compared as u * den < cum[x] * 2**64."""
+    ud = u * den
+    for x, c in enumerate(cum):
+        if ud < c * _UNIT:
+            return x
+    return len(cum) - 1
+
+
+def simulate_loop(root, trials: int, seed: int, strategy: str = "fixed",
+                  pmf=None) -> SimReport:
+    """``simulate`` as one loop that cross-multiplies every draw with the
+    node's probabilities and tests the strategy at every step; the package
+    compares each draw with an integer cutoff per node instead, consuming
+    the draws in the same order."""
+    k = len(root.state.counts)
+    if strategy == "fixed":
+        fixed_cum = _cumulative(tuple(Fraction(v) for v in pmf))
+    stop_at: dict[int, tuple[int, int]] = {}
+    lfd_cum: dict[int, tuple[tuple[int, ...], int]] = {}
+    total_tau = max_tau = n_h1 = n_h2 = 0
+    rng = random.Random()
+    for t in range(trials):
+        rng.seed(f"{seed}:{t}")
+        node = root
+        steps = 0
+        while True:
+            test = stop_at.get(id(node))
+            if test is None:
+                p = node.p_continue
+                test = stop_at[id(node)] = (p.denominator, p.numerator * _UNIT)
+            if rng.getrandbits(64) * test[0] >= test[1]:
+                d = node.decision
+                if d is Decision.RANDOMIZED:
+                    d = Decision.H1 if rng.getrandbits(64) < _UNIT // 2 else Decision.H2
+                if d is Decision.H1:
+                    n_h1 += 1
+                else:
+                    n_h2 += 1
+                break
+            if node.children is None:
+                raise ValueError("tree was cut at a display depth limit")
+            if strategy == "fixed":
+                x = _pick(rng.getrandbits(64), *fixed_cum)
+            elif strategy == "alternating":
+                x = steps % k
+            else:
+                cum = lfd_cum.get(id(node))
+                if cum is None:
+                    cum = lfd_cum[id(node)] = (
+                        tuple(accumulate(node.lfd_num)), node.lfd_den)
+                x = _pick(rng.getrandbits(64), *cum)
+            node = node.children[x]
+            steps += 1
+        total_tau += steps
+        max_tau = max(max_tau, steps)
+    return SimReport(
+        trials=trials, seed=seed, strategy=strategy,
+        mean_sample_size=Fraction(total_tau, trials),
+        freq_h1=Fraction(n_h1, trials), freq_h2=Fraction(n_h2, trials),
+        max_sample_size=max_tau,
     )

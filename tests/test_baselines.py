@@ -154,6 +154,14 @@ def test_sprt_exact_error_numbers_at_common_targets():
     assert abs(an_loose.tail(65) - F("0.0472")) < F(1, 10_000)
 
 
+@pytest.mark.parametrize("n, k", [(0, 1), (3, -1), (3, 5)])
+def test_fsst_design_rejects_bad_thresholds(n, k):
+    with pytest.raises(ValueError, match="need n >= 1"):
+        FsstDesign(n, k)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        FsstDesign(n=n, k=k)
+
+
 def test_sprt_rejects_bad_inputs():
     with pytest.raises(ValueError):
         SprtDesign(1, 2)

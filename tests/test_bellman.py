@@ -17,6 +17,7 @@ same model, horizon 2:
 
 import gc
 import json
+import pickle
 import re
 import weakref
 from fractions import Fraction
@@ -38,6 +39,7 @@ from npkw.bellman import (
     kwt_truncation_bound,
     kwt_truncation_closed_form,
     make_model,
+    NominalModel,
     _counts_at_depth,
     _mirror,
     _state_maker,
@@ -60,6 +62,9 @@ def fig_model(horizon):
     return bernoulli_model(horizon=horizon, **FIG_MODEL)
 
 
+F1, F2, F4, F34 = Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)
+
+
 # ---------------------------------------------------------------------------
 # model and state construction
 # ---------------------------------------------------------------------------
@@ -75,6 +80,33 @@ def test_model_validation():
         bernoulli_model("0.8", "0.2", 20, 20, 0)  # horizon >= 1
     with pytest.raises(ValueError):
         bernoulli_model(1, "0.2", 20, 20, 5)  # theta strictly inside (0,1)
+
+
+@pytest.mark.parametrize("args", [
+    ((F2, F2), (F4, F34, F4), F1, F1, 5),        # PMF lengths differ
+    ((Fraction(1),), (Fraction(1),), F1, F1, 5),  # one symbol
+    ((0.5, 0.5), (F4, F34), F1, F1, 5),           # float entries
+    ((Fraction(3, 2), -F2), (F4, F34), F1, F1, 5),  # a negative entry
+    ((F2, F2), (F4, F34), F1, Fraction(0), 5),    # lam2 must be > 0
+], ids=["lengths", "one-symbol", "floats", "negative", "lam2"])
+def test_model_rejects_bad_fields(args):
+    with pytest.raises(ValueError):
+        NominalModel(*args)
+
+
+def test_models_and_states_are_immutable_records():
+    model = fig_model(5)
+    assert model == fig_model(5) and hash(model) == hash(fig_model(5))
+    assert model != fig_model(6)
+    # a model is not the tuple of its fields
+    assert model != (model.p1, model.p2, model.lam1, model.lam2, model.horizon)
+    state = build_states(model)[1][0]
+    for record, name in ((model, "horizon"), (model, "p1"), (state, "g"),
+                         (state, "counts")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+    assert model.horizon == 5 and state.counts == (0, 1)
+    assert pickle.loads(pickle.dumps(model)) == model
 
 
 def test_state_likelihoods_pinned():

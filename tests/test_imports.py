@@ -3,8 +3,10 @@ names the package serves.
 
 `npkw` and `npkw.cli` import `pwl` and `bellman` only; the policy layer
 loads when a subcommand extracts a policy, and the baselines when `compare`
-runs.  Each footprint case runs in a fresh interpreter, because this test
-process has long since imported every module.
+runs.  No start and no subcommand loads `dataclasses` or `inspect`, which
+with `ast`, `dis` and `tokenize` would cost each start several
+milliseconds.  Each footprint case runs in a fresh interpreter, because
+this test process has long since imported every module.
 """
 
 import importlib
@@ -33,21 +35,31 @@ def _python(*args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def _loaded_after(code: str) -> set[str]:
-    """The `npkw` modules a fresh interpreter holds after running ``code``."""
-    done = _python("-c", code + "\nimport json, sys\nprint(json.dumps(["
-                   "m for m in sys.modules if m.split('.')[0] == 'npkw']))")
+def _modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
+    done = _python("-c", code + "\nimport json, sys\n"
+                   "print(json.dumps(list(sys.modules)))")
     assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout.splitlines()[-1]))
 
 
+def _loaded_after(code: str) -> set[str]:
+    """The `npkw` modules a fresh interpreter holds after running ``code``."""
+    return {m for m in _modules_after(code) if m.split(".")[0] == "npkw"}
+
+
+def _main(argv: list[str]) -> str:
+    """Code that runs ``npkw.cli.main(argv)``, drops its output and
+    asserts that it exits 0."""
+    return ("import contextlib, io\nfrom npkw.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0")
+
+
 def _loaded_by(argv: list[str]) -> set[str]:
     """The `npkw` modules loaded by ``npkw.cli.main(argv)`` in a fresh
-    interpreter, whose output is dropped; the run must exit 0."""
-    return _loaded_after(
-        "import contextlib, io\nfrom npkw.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({argv!r}) == 0")
+    interpreter; the run must exit 0."""
+    return _loaded_after(_main(argv))
 
 
 def test_importing_the_package_and_the_cli_loads_only_the_core():
@@ -78,6 +90,25 @@ def test_policy_commands_load_the_policy_layer_only(argv):
 def test_compare_loads_the_baselines_only(tmp_path):
     argv = ["compare", *MODEL, "--grid", "0.5", "--out", str(tmp_path / "c")]
     assert _loaded_by(argv) == CLI | {"npkw.baselines"}
+
+
+HEAVY = {"dataclasses", "inspect"}
+
+
+def test_no_start_and_no_subcommand_loads_dataclasses_or_inspect(tmp_path):
+    # against a bare interpreter, so that a `site` which loads more passes
+    bare = _modules_after("")
+    table = str(tmp_path / "t.json")
+    runs = {"import": "import npkw.cli",
+            "design": _main(["design", *MODEL, "--out", table])}
+    for argv in (["tree", "--table", table], ["eval", "--table", table],
+                 ["verify", "--table", table],
+                 ["simulate", "--table", table, "--trials", "10"],
+                 ["compare", *MODEL, "--grid", "0.5",
+                  "--out", str(tmp_path / "c")]):
+        runs[argv[0]] = _main(argv)
+    for name, code in runs.items():  # design first: the others read its table
+        assert not (_modules_after(code) - bare) & HEAVY, name
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ alpha1 = alpha2 = P(at most one success in 3 | theta=0.8) = 13/125.
 """
 
 import json
+from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 
@@ -25,7 +26,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import npkw.policy as policy
 from npkw.bellman import (
-    backward_recursion, bernoulli_model, child_counts, make_model,
+    DesignState, backward_recursion, bernoulli_model, child_counts, make_model,
 )
 from npkw.policy import (
     Decision,
@@ -42,8 +43,8 @@ from npkw.policy import (
     tree_to_json,
     verify_equalization,
     verify_lfd_support,
-    _cumulative,
-    _pick,
+    _cut,
+    _symbol_cuts,
 )
 from npkw.pwl import merge_scaled, pwl, pwl_eval, slope_right, split_at
 from oracles import (
@@ -52,6 +53,7 @@ from oracles import (
     frac_evaluate,
     frac_extract_tree,
     frac_verify_equalization,
+    simulate_loop,
     tree_dot_text,
     tree_json_text,
 )
@@ -695,6 +697,60 @@ def test_simulate_strategies():
         simulate(root, trials=10, seed=1, strategy="nonsense")
 
 
+@pytest.mark.parametrize("strategy", ["fixed", "lfd", "alternating"])
+@pytest.mark.parametrize("model", [
+    bernoulli_model("0.8", "0.2", 20, 20, 8),
+    make_model(["1/2", "1/4", "1/4"], ["1/4", "1/4", "1/2"], 20, 20, 6),
+    make_model(["1/2", "1/2", "0"], ["1/4", "0", "3/4"], 7, 9, 5),
+], ids=["reference", "ternary", "asymmetric"])
+def test_simulate_equals_the_cross_multiplying_loop(model, strategy):
+    root = extract_tree(backward_recursion(model))
+    pmf = list(model.p2) if strategy == "fixed" else None
+    for seed in (1, 7, 151):
+        assert simulate(root, 200, seed, strategy, pmf) == \
+            simulate_loop(root, 200, seed, strategy, pmf)
+
+
+class _Scripted:
+    """Stands in for ``random.Random``: hands out the given 64-bit draws."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def seed(self, _):
+        pass
+
+    def getrandbits(self, _):
+        return next(self.draws)
+
+
+@pytest.mark.parametrize("p, u, stops", [
+    (Fraction(0), 0, True),                 # p_continue = 0 stops at every draw
+    (Fraction(1), 2**64 - 1, False),        # p_continue = 1 at none
+    (Fraction(1, 2), 2**63, True),          # u exactly on num * 2**64 / den
+    (Fraction(1, 2), 2**63 - 1, False),
+    (Fraction(3, 8), 3 * 2**61, True),
+    (Fraction(3, 8), 3 * 2**61 - 1, False),
+    (Fraction(1, 3), 2**64 // 3 + 1, True),  # off the dyadic grid: the ceiling
+    (Fraction(1, 3), 2**64 // 3, False),
+])
+def test_stop_cutoff_is_the_exact_comparison(monkeypatch, p, u, stops):
+    assert (u >= _cut(p.numerator, p.denominator)) is stops
+    assert (u * p.denominator >= p.numerator * 2**64) is stops
+    # one node that continues with probability p into two sure stops
+    one = Fraction(1)
+    leaf = policy.PolicyNode(DesignState(1, (1, 0), one, one, one), 0, 1, 0,
+                             None, Fraction(0), Decision.H2, None, None, None)
+    root = policy.PolicyNode(DesignState(0, (0, 0), one, one, one), 1, 1, 1,
+                             1, p, Decision.H1, (1, 1), 2, (leaf, leaf))
+    for run in (simulate, simulate_loop):
+        monkeypatch.setattr(policy.random, "Random",
+                            lambda: _Scripted([u, 0]))
+        rep = run(root, 1, 0, "alternating")
+        assert rep.freq_h1 == (1 if stops else 0)
+        assert rep.max_sample_size == (0 if stops else 1)
+
+
 # ---------------------------------------------------------------------------
 # exports
 # ---------------------------------------------------------------------------
@@ -846,22 +902,28 @@ def pmfs(draw):
     return tuple(pmf)
 
 
+def _pmf_cuts(pmf: tuple[Fraction, ...]) -> tuple[int, ...]:
+    den = lcm(*(p.denominator for p in pmf))
+    return _symbol_cuts([p.numerator * (den // p.denominator) for p in pmf],
+                        den)
+
+
 @settings(max_examples=200, deadline=None)
 @given(pmfs(), st.integers(min_value=0, max_value=2**64 - 1), st.data())
 def test_integer_draw_equals_fraction_draw(pmf, u, data):
     assert sum(pmf) == 1
-    cum, den = _cumulative(pmf)
-    assert _pick(u, cum, den) == frac_draw(u, pmf)
+    cuts = _pmf_cuts(pmf)
+    assert bisect_right(cuts, u) == frac_draw(u, pmf)
     # draws right at a boundary of the running sums, where < and <= differ
     x = data.draw(st.integers(min_value=0, max_value=len(pmf) - 1))
     edge = sum(pmf[:x + 1], Fraction(0)) * 2**64
     for v in {int(edge) - 1, int(edge), int(edge) + 1}:
         if 0 <= v < 2**64:
-            assert _pick(v, cum, den) == frac_draw(v, pmf)
+            assert bisect_right(cuts, v) == frac_draw(v, pmf)
 
 
 def test_integer_draw_at_exact_dyadic_boundaries():
     pmf = (Fraction(1, 4), Fraction(0), Fraction(3, 4))
-    cum, den = _cumulative(pmf)
-    assert [_pick(u, cum, den) for u in (0, 2**62 - 1, 2**62, 2**64 - 1)] == \
+    cuts = _pmf_cuts(pmf)
+    assert [bisect_right(cuts, u) for u in (0, 2**62 - 1, 2**62, 2**64 - 1)] == \
         [0, 0, 2, 2]

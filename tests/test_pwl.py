@@ -1,5 +1,7 @@
 """Unit and property tests for the exact PWL algebra."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import lcm
 
@@ -409,6 +411,20 @@ def test_slices_are_stored_reduced_over_one_scale():
         PwlConcave(12, 2, ((1, 3), (3, 9)), 12)  # not concave
     with pytest.raises(ValueError):
         PwlConcave(0, 0, (), 0)  # no scale
+
+
+def test_slices_are_immutable_and_equal_only_to_slices():
+    f = pwl("1/6", [(3, "1/4"), (1, "3/4")])
+    for name in ("scale", "v0", "segs", "upper"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    assert f.scale == 12
+    # a slice is not the tuple of its fields
+    assert f != (f.scale, f.v0, f.segs, f.upper)
+    assert repr(f) == "PwlConcave(scale=12, v0=2, segs=((3, 3), (1, 9)), upper=12)"
+    assert pickle.loads(pickle.dumps(f)) == f and copy.deepcopy(f) == f
 
 
 # widths with many distinct denominators, so operands rarely share a scale
