@@ -25,13 +25,11 @@ import importlib
 
 from npkw.pwl import (
     PwlConcave,
-    Rational,
     SuperDiff,
     crossing_point,
     pwl,
     pwl_eval,
     rat,
-    slope_left,
     slope_right,
     supconv,
     superdiff,
@@ -92,9 +90,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     # exact piecewise-linear machinery
-    "PwlConcave", "Rational", "SuperDiff", "pwl", "pwl_eval", "rat",
-    "superdiff", "slope_left", "slope_right", "crossing_point",
-    "supconv",
+    "PwlConcave", "SuperDiff", "pwl", "pwl_eval", "rat", "superdiff",
+    "slope_right", "crossing_point", "supconv",
     # model + value recursion
     "NominalModel", "DesignState", "CostTable", "make_model",
     "bernoulli_model", "backward_recursion", "horizon_roots",

@@ -202,20 +202,22 @@ def sprt_design(model: NominalModel, alpha_target: RationalLike) -> SprtDesignRe
     alpha2 = 1 / (1 + r2**b).  They fall to 0 exactly when r1 < 1 < r2,
     and both are at most the target once r1**b and r2**-b are at most
     target / (1 - target).  The search is exhaustive over integers up to
-    that b, computed in floats and padded by 4.
+    that b, computed in floats and padded by 4, and at least 1: for a
+    target of 1/2 or more the bound is not positive, and b = 1 meets it.
     """
     target = rat(alpha_target)
     if not 0 < target < 1:
         raise ValueError("alpha_target must lie in (0, 1)")
     t1, t2 = _require_symmetric_coin(model)
     step = min(math.log(t1 / (1 - t1)), math.log((1 - t2) / t2))
-    cap = math.ceil(math.log((1 - target) / target) / step) + 4
+    cap = max(1, math.ceil(math.log((1 - target) / target) / step) + 4)
     for b in range(1, cap + 1):
         design = SprtDesign(lower=-b, upper=b)
         a1, a2 = sprt_errors(design, model)
         if a1 <= target and a2 <= target:
             return SprtDesignReport(design, a1, a2)
-    # unreachable unless float rounding shrank the cap below 4 steps
+    # unreachable: b = 1 meets a target >= 1/2 (both errors are then below
+    # 1/2), and below 1/2 only float rounding worse than 4 steps gets here
     raise ArithmeticError("threshold search exceeded the walk's cap")
 
 

@@ -31,7 +31,6 @@ g, rho, d and threshold, and the recursion solves each mirror pair once.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, floor, gcd, lcm, log
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -257,35 +256,6 @@ def build_states(model: NominalModel) -> dict[int, list[DesignState]]:
     return out
 
 
-class _Derived(Mapping):
-    """A read-only mapping over the keys of ``keys`` whose entry for a key
-    is ``make(self, key)``, built on its first read and then kept.  ``make``
-    is handed the mapping rather than holding it, so a table and its views
-    form no reference cycle and are freed as soon as they are dropped."""
-
-    def __init__(self, keys: Mapping, make: Callable) -> None:
-        self._keys = keys
-        self._make = make
-        self._made: dict = {}
-
-    def __getitem__(self, key):
-        made = self._made.get(key)
-        if made is None:
-            if key not in self._keys:
-                raise KeyError(key)
-            made = self._made[key] = self._make(self, key)
-        return made
-
-    def __contains__(self, key) -> bool:
-        return key in self._keys
-
-    def __iter__(self) -> Iterator:
-        return iter(self._keys)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-
 class CostTable:
     """Output of the backward recursion.
 
@@ -299,18 +269,20 @@ class CostTable:
 
     ``pools`` keeps, per merged state, the merge record ``(scale, pool)``:
     the sorted pool of operand segments over its scale, which
-    :func:`~npkw.pwl.split_at` reads.  ``d`` is a read-only mapping over
-    every internal state whose entry, ``lifted`` with every slope one
-    lower, is built on its first read and then kept.
+    :func:`~npkw.pwl.split_at` reads.  ``d`` is a read-only property:
+    each read builds a new dict over the internal states, ``lifted`` with
+    every slope one lower.  The table holds only the dicts the solve
+    filled in, so it pickles.
 
     In a mirror-symmetric model (see :func:`_mirror`) ``twins`` maps each
     state whose mirror comes first in lexicographic order to that mirror.
-    The two share one ``rho``, one ``lifted``, one ``d`` and one
-    ``z0_star`` object (all immutable).  Only the mirror that comes first
-    has a pool.  The other's would be that pool with every operand index
-    mapped through ``sigma`` and the entries re-sorted by (-slope,
-    operand): the same slope classes with the operands relabelled, so its
-    allocation to symbol x is its partner's to sigma(x).
+    The two share one ``rho``, one ``lifted`` and one ``z0_star`` object
+    (all immutable), and one ``d`` within a read.  Only the mirror that
+    comes first has a pool.  The other's would be that pool with every
+    operand index mapped through ``sigma`` and the entries re-sorted by
+    (-slope, operand): the same slope classes with the operands
+    relabelled, so its allocation to symbol x is its partner's to
+    sigma(x).
     """
 
     def __init__(
@@ -333,15 +305,17 @@ class CostTable:
         self.twins = twins
         self.sigma = sigma
 
-        def make_d(d: Mapping, counts: tuple[int, ...]) -> PwlConcave:
-            twin = twins.get(counts)
-            if twin is not None:
-                return d[twin]
-            f = lifted[counts]
-            return PwlConcave(f.scale, f.v0,
-                              tuple((s - 1, w) for s, w in f.segs), f.upper)
-
-        self.d: Mapping[tuple[int, ...], PwlConcave] = _Derived(lifted, make_d)
+    @property
+    def d(self) -> dict[tuple[int, ...], PwlConcave]:
+        """The continuation slice d per internal state: ``lifted`` with
+        every slope one lower, built afresh on each read.  A mirror state
+        shares its partner's object."""
+        made: dict[tuple[int, ...], PwlConcave] = {}
+        for counts, f in self.lifted.items():
+            twin = self.twins.get(counts)
+            made[counts] = made[twin] if twin is not None else PwlConcave(
+                f.scale, f.v0, tuple((s - 1, w) for s, w in f.segs), f.upper)
+        return made
 
     def root_value(self) -> Fraction:
         """rho(1) at the empty history: the minimax cost of the design."""
@@ -398,8 +372,8 @@ def backward_recursion(model: NominalModel) -> CostTable:
 
     Each state takes one :func:`_merge_step` of its children's slices on
     [0, 1], capped at its stopping risk g; the table keeps the lifted slice,
-    the crossing, the capped slice and the pool, and builds ``d`` only
-    where it is read (see :class:`CostTable`).  In a
+    the crossing, the capped slice and the pool, and ``d`` is built from
+    the lifted slices when it is read (see :class:`CostTable`).  In a
     mirror-symmetric model a state whose mirror comes first in
     lexicographic order reuses the mirror's slices and threshold."""
     per_depth = build_states(model)

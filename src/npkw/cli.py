@@ -40,7 +40,7 @@ from .bellman import (
     make_model,
     model_from_json,
 )
-from .pwl import decimal_str, pwl_eval, slope_left, slope_right
+from .pwl import decimal_str, pwl_eval, slope_right
 
 # Names of the modules that only some subcommands run, bound into this
 # module's globals when `main` picks such a subcommand, or on the first

@@ -905,8 +905,10 @@ def simulate(
     turns its stopping probability and its symbol PMF into integer cutoffs
     (:func:`_cut`) that u is compared with, biasing each event by less than
     2**-64.  A trial that reaches the cut of a display tree raises
-    ``ValueError``.
+    ``ValueError``, and so do fewer than one trial.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     k = len(root.state.counts)
     fixed_cuts = None
     if strategy == "fixed":

@@ -3,13 +3,15 @@
 The minimax design recursion works with concave, nondecreasing, piecewise
 linear functions on a bounded interval [0, U] whose segment slopes are
 nonnegative *integers*.  This module provides that class together with the
-three operations the recursion needs:
+two operations the recursion needs:
 
-* pointwise minimum with a nonnegative constant (``cap_min_const``),
-* the lift ``t -> t + f(t)`` (``lift_identity``), and
+* pointwise minimum with a nonnegative constant (``cap_min_const``) and
 * the sup-convolution of several functions (``supconv``),
 
       (f_1 # ... # f_K)(t) = max { sum_x f_x(a_x) : a_x >= 0, sum_x a_x = t }.
+
+The third step, the lift ``t -> t + f(t)``, raises every slope by one; the
+recursion does it inline on the merge's integers.
 
 All arithmetic is exact; no floats ever enter.  A function is stored as
 plain integers over one positive scale: the value at zero is
@@ -43,11 +45,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
-#: Exact scalar type used throughout the package.  Anything accepted by the
-#: ``Fraction`` constructor (int, str like "3/4" or "0.8", another Fraction)
-#: can be fed to the public constructors; results are Fractions.
-Rational = Fraction
-
+#: Exact scalars the public constructors accept (int, str like "3/4" or
+#: "0.8", Fraction); results are Fractions.
 RationalLike = Union[int, str, Fraction]
 
 
@@ -341,15 +340,6 @@ def superdiff(f: PwlConcave, t: RationalLike) -> SuperDiff:
     return SuperDiff(lo, hi)
 
 
-def slope_left(f: PwlConcave, t: RationalLike) -> int:
-    """Slope immediately to the left of t; at t == 0, the first slope.
-
-    Equals ``superdiff(f, t).hi`` everywhere — provided separately for
-    readability at call sites that care about one side only.
-    """
-    return _sides(f, *_ratio(t))[1]
-
-
 def slope_right(f: PwlConcave, t: RationalLike) -> int:
     """Slope immediately to the right of t, *linearly extended* at the edge.
 
@@ -451,16 +441,6 @@ def restrict(f: PwlConcave, u: RationalLike) -> PwlConcave:
     _in_domain(f, *_ratio(u))
     scale, cut, segs = _prefix(f, u)
     return PwlConcave.reduced(scale, f.v0 * (scale // f.scale), segs, cut)
-
-
-def lift_identity(f: PwlConcave) -> PwlConcave:
-    """The function t -> t + f(t); every slope increases by one."""
-    return PwlConcave(
-        f.scale,
-        f.v0,
-        tuple((slope + 1, width) for slope, width in f.segs),
-        f.upper,
-    )
 
 
 def supconv(

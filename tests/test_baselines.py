@@ -117,6 +117,13 @@ def test_sprt_design_trivial_targets():
     assert rep.alpha1 == rep.alpha2 == F(1, 5)
     # minimality plateau: anything >= the single-step error keeps B = 1
     assert sprt_design(FIG, F(1, 5)).design.upper == 1
+    # a target of 1/2 or more: the float bound on b is negative, and b = 1
+    # has both errors at 49/100
+    near_even = bernoulli_model("0.51", "0.49", 1, 1, 3)
+    for target in ("9/10", "1/2", "0.99"):
+        rep = sprt_design(near_even, target)
+        assert rep.design == SprtDesign(-1, 1)
+        assert rep.alpha1 == rep.alpha2 == F(49, 100)
 
 
 def test_sprt_design_small_alpha():

@@ -555,6 +555,24 @@ def test_recursion_merges_each_mirror_pair_once(monkeypatch, model, merges):
     assert len(table.d) == internal
 
 
+@pytest.mark.parametrize("model", [
+    fig_model(5),
+    bernoulli_model("0.7", "0.4", 20, 30, 6),
+], ids=["mirror", "asymmetric"])
+def test_a_table_pickles(model):
+    # a table holds only the dicts its solve filled in, so it can be sent
+    # to a worker process
+    table = backward_recursion(model)
+    back = pickle.loads(pickle.dumps(table))
+    for name in ("model", "states", "rho", "lifted", "z0_star", "pools",
+                 "twins", "sigma", "d"):
+        assert getattr(back, name) == getattr(table, name), name
+    assert bool(table.twins) == (model.lam1 == model.lam2)
+    d = back.d  # an internal mirror pair shares one d within a read
+    assert all(d[counts] is d[twin] for counts, twin in back.twins.items()
+               if counts in d)
+
+
 def test_a_table_and_its_views_are_freed_without_the_cycle_collector():
     # views that held their table would keep every solve alive until a
     # cyclic collection, which a long run pays at unpredictable points
@@ -581,11 +599,12 @@ def _assert_matches_fraction_recursion(model) -> str:
     assert text == cost_table_text(table)
     solved = frac_recursion(*args)
     internal = {c for c, st in solved.items() if st.d is not None}
-    assert table.d.keys() == table.z0_star.keys() == internal
+    d = table.d
+    assert d.keys() == table.z0_star.keys() == internal
     assert table.pools.keys() == internal - table.twins.keys()
     for counts in internal:
         want = solved[counts]
-        d_slice = table.d[counts]
+        d_slice = d[counts]
         assert (d_slice.value_at_zero, d_slice.segments,
                 d_slice.domain_upper) == (want.d.value_at_zero,
                                           want.d.segments,

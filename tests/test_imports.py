@@ -129,9 +129,7 @@ def test_every_public_name_is_the_object_its_modules_hold():
         holders = [module for module in MODULES if name in vars(module)]
         assert holders, name
         assert all(vars(module)[name] is value for module in holders), name
-        home = getattr(value, "__module__", "")
-        if home.startswith("npkw."):  # not an alias such as Rational
-            assert getattr(sys.modules[home], name) is value, name
+        assert getattr(sys.modules[value.__module__], name) is value, name
 
 
 def test_package_names_keep_their_meaning():

@@ -695,6 +695,10 @@ def test_simulate_strategies():
         simulate(root, trials=10, seed=1, strategy="fixed")  # pmf missing
     with pytest.raises(ValueError):
         simulate(root, trials=10, seed=1, strategy="nonsense")
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            simulate(root, trials=trials, seed=1, strategy="fixed",
+                     pmf=list(model.p1))
 
 
 @pytest.mark.parametrize("strategy", ["fixed", "lfd", "alternating"])

@@ -14,18 +14,17 @@ from npkw.pwl import (
     cap_min_const,
     crossing_point,
     decimal_str,
-    lift_identity,
     merge_scaled,
     pwl,
     pwl_eval,
     rat,
     restrict,
-    slope_left,
     slope_right,
     split_at,
     supconv,
     superdiff,
 )
+from npkw.bellman import _merge_step
 from oracles import (
     FracPwl,
     frac_cap,
@@ -144,9 +143,9 @@ def test_slope_right_linear_extension():
     assert slope_right(f, 1) == 1          # linear extension, not 0
     assert slope_right(f, "1/4") == 1
     assert slope_right(f, 0) == 3
-    assert slope_left(f, 1) == 1
-    assert slope_left(f, "1/4") == 3
-    assert slope_left(f, 0) == 3
+    assert superdiff(f, 1).hi == 1          # the slope to the left
+    assert superdiff(f, "1/4").hi == 3
+    assert superdiff(f, 0).hi == 3
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +180,18 @@ def test_cap_touching_right_end_exactly():
     assert cap_min_const(f, 1) == f
 
 
+def lifted(f, cap=10**6):
+    """t -> t + f(t) as the recursion builds it: its merge step over the
+    single operand f, lifted and capped at ``cap``."""
+    return _merge_step([f], [1], f.scale, f.upper, Fraction(cap))
+
+
 def test_lift_identity():
     f = pwl("1/2", [(1, 1)])
-    assert lift_identity(f).segments == ((2, Fraction(1)),)
+    assert lifted(f)[0].segments == ((2, Fraction(1)),)
     g = pwl("16/25", [(0, 1)])
-    assert lift_identity(g).segments == ((1, Fraction(1)),)
-    assert lift_identity(g).value_at_zero == Fraction(16, 25)
+    assert lifted(g)[0].segments == ((1, Fraction(1)),)
+    assert lifted(g)[0].value_at_zero == Fraction(16, 25)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +494,7 @@ def test_pointwise_functions_match_oracle(f, data):
     t = data.draw(points_in(f))
     assert pwl_eval(f, t) == frac_eval(o, t)
     assert f.value_at_upper == frac_eval(o, o.domain_upper)
-    sd = superdiff(f, t)
-    assert sd == frac_superdiff(o, t)
-    assert slope_left(f, t) == sd.hi
+    assert superdiff(f, t) == frac_superdiff(o, t)
     assert slope_right(f, t) == frac_slope_right(o, t)
     beyond = f.domain_upper + Fraction(1, 97)
     for bad in (beyond, Fraction(-1, 97)):
@@ -515,7 +518,10 @@ def test_cap_crossing_and_lift_match_oracle(f, data):
     assert crossing_point(f, c) == frac_crossing(o, c)
     assert_same(cap_min_const(f, c), frac_cap(o, c))
     assert_same(cap_min_const(f, c, crossing=crossing_point(f, c)), frac_cap(o, c))
-    assert_same(lift_identity(f), frac_lift(o))
+    lift, crossing, capped, _ = lifted(f, c)
+    assert_same(lift, frac_lift(o))
+    assert crossing == frac_crossing(frac_lift(o), c)
+    assert_same(capped, frac_cap(frac_lift(o), c))
 
 
 @settings(**SETTINGS)
