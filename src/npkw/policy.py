@@ -60,7 +60,7 @@ from .bellman import (
     _ratio_str,
     child_counts,
 )
-from .pwl import RationalLike, _sides, decimal_str, rat, split_at
+from .pwl import RationalLike, _fixed_str, _sides, rat, split_at
 
 
 class Decision(Enum):
@@ -896,16 +896,16 @@ def simulate(
         ``lfd``         replay the adversary: sample each symbol from the
                         current node's LFD PMF.
 
-    Determinism: trial t draws from one generator reseeded with the string
-    ``"{seed}:{t}"``, the state ``random.Random(f"{seed}:{t}")`` starts in
-    (string seeding is stable across platforms and runs), so results are
-    reproducible and independent of trial order.  This reseeding is the
-    contract, and it costs about 7 µs per trial.  All comparisons are
-    exact: a 64-bit draw u stands for the dyadic u / 2**64, and each node
-    turns its stopping probability and its symbol PMF into integer cutoffs
-    (:func:`_cut`) that u is compared with, biasing each event by less than
-    2**-64.  A trial that reaches the cut of a display tree raises
-    ``ValueError``, and so do fewer than one trial.
+    Determinism: one call seeds one ``random.Random(str(seed))`` (string
+    seeding is stable across platforms and keeps ``-7`` apart from ``7``),
+    and trials 0, 1, ... take its draws in order: a draw to stop, then one
+    for a randomized decision or the next symbol.  A run of n trials is a
+    prefix of a longer one; trial t cannot be replayed without trials
+    0..t-1.  All comparisons are exact: a 64-bit draw u stands for the
+    dyadic u / 2**64, and each node turns its stopping probability and its
+    symbol PMF into integer cutoffs (:func:`_cut`) that u is compared with,
+    biasing each event by less than 2**-64.  A trial that reaches the cut
+    of a display tree raises ``ValueError``, and so do fewer than one trial.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -941,10 +941,8 @@ def simulate(
     max_tau = 0
     n_h1 = 0
     n_h2 = 0
-    rng = random.Random()
-    reseed, bits = rng.seed, rng.getrandbits
-    for t in range(trials):
-        reseed(f"{seed}:{t}")
+    bits = random.Random(str(seed)).getrandbits
+    for _ in range(trials):
         node = root
         steps = 0
         while True:
@@ -995,8 +993,10 @@ def _dot_attrs(node: PolicyNode) -> tuple[str, tuple[str, ...]]:
              f'fillcolor="#{level:02x}{level:02x}{level:02x}"];')
     if node.children is None:
         return attrs, ()
-    return attrs, tuple(f'[label="{_frac_str(p)} ({decimal_str(p, 6)})"];'
-                        for p in node.lfd_probs)
+    den = node.lfd_den
+    return attrs, tuple(
+        f'[label="{_ratio_str(n, den)} ({_fixed_str(n, den, 6)})"];'
+        for n in node.lfd_num)
 
 
 def tree_to_dot(root: PolicyNode) -> str:

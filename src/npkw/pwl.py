@@ -82,12 +82,23 @@ def decimal_str(x: Fraction, places: int | None = None) -> str:
     ('0.666666666667', '0.25')
     """
     if places is not None:
-        sign = "-" if x < 0 else ""
-        q = round(abs(x) * 10**places)  # half to even, on the exact value
-        return f"{Decimal(f'{sign}{q}E-{places}'):f}"
+        return _fixed_str(x.numerator, x.denominator, places)
     with localcontext() as ctx:
         ctx.prec, ctx.rounding = 12, ROUND_HALF_EVEN
         return str(Decimal(x.numerator) / Decimal(x.denominator))
+
+
+def _fixed_str(num: int, den: int, places: int) -> str:
+    """``decimal_str(Fraction(num, den), places)`` in integers, for
+    ``den > 0``: a value that rounds to zero keeps its sign."""
+    q, r = divmod(abs(num) * 10**places, den)
+    if 2 * r > den or (2 * r == den and q & 1):  # half to even
+        q += 1
+    sign = "-" if num < 0 else ""
+    if not places:
+        return f"{sign}{q}"
+    unit = 10**places
+    return f"{sign}{q // unit}.{q % unit:0{places}d}"
 
 
 def _ratio(x: RationalLike) -> tuple[int, int]:

@@ -24,6 +24,8 @@ and equalization fold, and ``frac_extract_tree`` its earlier extraction over
 ``Fraction`` split maps; the integer versions must match them exactly.
 ``simulate_loop`` keeps the earlier simulation loop, which cross-multiplied
 each draw with the node's probabilities; ``simulate`` must report the same.
+``decimal_places_text`` keeps ``decimal_str``'s earlier fixed-point branch,
+which let ``Decimal`` format the rounded integer.
 This module may import ``dataclasses``: no command loads it.
 """
 
@@ -923,6 +925,15 @@ def _dec6(x: Fraction) -> str:
     return f"{q:f}"
 
 
+def decimal_places_text(x: Fraction, places: int) -> str:
+    """``decimal_str(x, places)`` as the package wrote it through
+    ``Decimal``: round half-even once, then let ``Decimal`` place the
+    point."""
+    sign = "-" if x < 0 else ""
+    q = round(abs(x) * 10**places)
+    return f"{Decimal(f'{sign}{q}E-{places}'):f}"
+
+
 _DOT_STOP_COLORS = {"H1": "#b3d1ff", "H2": "#ffbdbd", "randomized": "#e0c7f5"}
 
 
@@ -1143,9 +1154,8 @@ def simulate_loop(root, trials: int, seed: int, strategy: str = "fixed",
     stop_at: dict[int, tuple[int, int]] = {}
     lfd_cum: dict[int, tuple[tuple[int, ...], int]] = {}
     total_tau = max_tau = n_h1 = n_h2 = 0
-    rng = random.Random()
-    for t in range(trials):
-        rng.seed(f"{seed}:{t}")
+    rng = random.Random(str(seed))
+    for _ in range(trials):
         node = root
         steps = 0
         while True:

@@ -460,12 +460,22 @@ def test_simulate_seeded_and_deterministic(table9, capsys):
             "--trials", "200", "--seed", "11"]
     assert main(argv) == 0
     first = capsys.readouterr().out
-    assert "mean sample size: 589/200" in first
+    assert "mean sample size: 607/200" in first
     assert main(argv) == 0
     assert capsys.readouterr().out == first
     argv[-1] = "12"
     assert main(argv) == 0
     assert capsys.readouterr().out != first
+
+
+def test_simulate_negative_seed_is_its_own_stream(table9, capsys):
+    # string seeding: -7 and 7 seed different streams
+    reports = []
+    for seed in ("-7", "7"):
+        assert main(["simulate", "--table", str(table9), "--probe", "0.5,0.5",
+                     "--trials", "200", "--seed", seed]) == 0
+        reports.append(capsys.readouterr().out.replace(f"seed: {seed}", ""))
+    assert reports[0] != reports[1]
 
 
 def test_simulate_adversarial_strategy(table9, capsys):

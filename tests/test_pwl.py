@@ -27,6 +27,7 @@ from npkw.pwl import (
 from npkw.bellman import _merge_step
 from oracles import (
     FracPwl,
+    decimal_places_text,
     frac_cap,
     frac_crossing,
     frac_eval,
@@ -96,6 +97,23 @@ def test_decimal_str_rounds_the_exact_value_once():
     assert decimal_str(Fraction(1, 10**8)) == "1E-8"
     assert decimal_str(Fraction(10**15 + 1)) == "1.00000000000E+15"
     assert decimal_str(Fraction(-1, 10**8), 6) == "-0.000000"
+
+
+@settings(max_examples=300, deadline=None)
+@given(places=st.integers(min_value=0, max_value=8),
+       num=st.integers(min_value=-10**12, max_value=10**12),
+       den=st.integers(min_value=1, max_value=10**9),
+       kind=st.sampled_from(["any", "tiny", "tie"]))
+def test_decimal_str_places_matches_the_decimal_oracle(places, num, den, kind):
+    """The integer fixed-point branch writes what ``Decimal`` wrote: any
+    sign, values that round to (minus) zero, and exact half ties, whose
+    rounded neighbours below are odd or even as ``num`` is."""
+    x = Fraction(num, den)
+    if kind == "tiny":  # under half a unit in the last place
+        x = Fraction(num, 2 * abs(num) + 1) / 10**places
+    elif kind == "tie":  # exactly halfway between num and num + 1 units
+        x = Fraction(2 * num + 1, 2 * 10**places)
+    assert decimal_str(x, places) == decimal_places_text(x, places)
 
 
 def test_empty_domain_is_legal():
