@@ -91,13 +91,13 @@ def decimal_str(x: Fraction, places: int | None = None) -> str:
 def _fixed_str(num: int, den: int, places: int) -> str:
     """``decimal_str(Fraction(num, den), places)`` in integers, for
     ``den > 0``: a value that rounds to zero keeps its sign."""
-    q, r = divmod(abs(num) * 10**places, den)
+    unit = 10**places
+    q, r = divmod(abs(num) * unit, den)
     if 2 * r > den or (2 * r == den and q & 1):  # half to even
         q += 1
     sign = "-" if num < 0 else ""
     if not places:
         return f"{sign}{q}"
-    unit = 10**places
     return f"{sign}{q // unit}.{q % unit:0{places}d}"
 
 
