@@ -20,6 +20,7 @@ from npkw import (
     extract_tree,
     find_node,
     lfd_range,
+    lfd_tree,
     max_conditional_remaining,
     pwl_eval,
     slope_right,
@@ -60,7 +61,7 @@ def main() -> None:
     print(f"max conditional remaining:      {max_conditional_remaining(tree)}")
     lo, hi = lfd_range(tree)
     print(f"LFD success-probability range:  ({float(lo):.6f}, {float(hi):.6f})")
-    two = find_node(tree, (1, 1))
+    two = find_node(lfd_tree(tree), (1, 1))
     print(f"after two successes:            p_continue = {two.p_continue}, "
           f"LFD success ~= {float(two.lfd_probs[1]):.4f}")
     print()

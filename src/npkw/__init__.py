@@ -56,9 +56,10 @@ from npkw.bellman import (
 _LAZY = {
     "policy": (
         "Decision", "EqualizationCertificate", "EvalReport",
-        "LfdSupportReport", "PolicyNode", "SimReport", "evaluate",
-        "extract_tree", "find_node", "iter_nodes", "iter_unique_nodes",
-        "lfd_range", "max_conditional_remaining", "simulate", "tree_to_dot",
+        "LfdSupportReport", "PathNode", "PolicyNode", "SimReport",
+        "evaluate", "extract_tree", "find_node", "iter_nodes",
+        "iter_unique_nodes", "lfd_range", "lfd_tree",
+        "max_conditional_remaining", "simulate", "tree_to_dot",
         "tree_to_json", "verify_equalization", "verify_lfd_support",
     ),
     "baselines": (
@@ -99,8 +100,8 @@ __all__ = [
     "model_to_json", "model_from_json", "cost_table_to_json_str",
     "cost_table_from_json",
     # extracted design
-    "Decision", "PolicyNode", "ExtractionError", "extract_tree",
-    "find_node", "iter_nodes", "iter_unique_nodes", "lfd_range",
+    "Decision", "PolicyNode", "PathNode", "ExtractionError", "extract_tree",
+    "lfd_tree", "find_node", "iter_nodes", "iter_unique_nodes", "lfd_range",
     "max_conditional_remaining", "evaluate", "EvalReport", "simulate",
     "SimReport", "verify_equalization", "EqualizationCertificate",
     "verify_lfd_support", "LfdSupportReport", "tree_to_dot",

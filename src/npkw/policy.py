@@ -1,37 +1,48 @@
 """Optimal-policy extraction, least favorable distribution, evaluation.
 
-From a solved :class:`~npkw.bellman.CostTable` this module materializes the
-optimal randomized sequential test together with the adversary's least
-favorable distribution (LFD) as one tree of :class:`PolicyNode` records over
-the observable histories, identical subtrees stored once (a DAG):
+From a solved :class:`~npkw.bellman.CostTable` this module extracts the
+optimal randomized sequential test as a DAG of :class:`PolicyNode` records,
+the *rule*, and reads the adversary's least favorable distribution (LFD)
+along its histories:
 
 * ``p_continue`` — probability the test takes another sample at this node
   (1 strictly inside the continuation region, 0 strictly inside the stopping
   region, and the exact randomization weight at threshold kinks);
 * ``decision`` — which hypothesis is accepted when stopping here;
-* ``lfd_probs`` — the adversary's conditional PMF for the next symbol,
-  read off the sup-convolution split of the node's likelihood z0;
 * ``e_enter`` / ``e_continue`` — integer labels: the expected number of
   remaining samples on entering the node, and conditional on continuing.
-  Their ratio is exactly ``p_continue``.
+  Their ratio is exactly ``p_continue``;
+* ``mass`` — which next symbols the LFD weights here.
 
 The labels obey an equalization law: every child reached with positive LFD
 probability carries the same ``e_enter``, equal to the parent's continuation
 slope c, and ``e_continue = 1 + c``.  The continuation slope is the right
-derivative of the node's sup-convolution slice at its z0 (linearly extended
-at the right edge — the reading consistent with the subtree's actual
-conditional expectations when a child is consumed to its full domain).
-Extraction validates these laws and raises :class:`ExtractionError` on any
-inconsistency rather than patching over it.
+derivative of the node's sup-convolution slice at its adversary mass z0
+(linearly extended at the right edge — the reading consistent with the
+subtree's actual conditional expectations when a child is consumed to its
+full domain).  Extraction validates these laws and raises
+:class:`ExtractionError` on any inconsistency rather than patching over it.
+
+A rule node stands for every history that reaches its count vector with
+one promise and a mass z0 in a span, an interval of z0 on which the
+extracted subtree is provably the same (see :func:`extract_tree`), and
+identical subtrees are one node: the rule grows about like H**2 with the
+horizon H, while the distinct (counts, z0, promise) grow about 10x per 10
+samples.  ``evaluate``, ``verify_equalization``, ``verify_lfd_support``
+and ``simulate``'s ``fixed`` and ``alternating`` strategies read the rule
+alone.  z0 and the LFD are values of a history, not of a rule node:
+:func:`lfd_tree` computes them along the paths from the root, once per
+(rule node, z0), as :class:`PathNode` records, which the display cut of
+:func:`extract_tree`, the exports, ``simulate``'s ``lfd`` strategy,
+:func:`find_node` on such a tree and :func:`lfd_range` read.
 
 The public fields and results are ``Fraction``s, but extraction and the
-walks over the DAG run in integers.  A node keeps z0 as its reduced pair
-and the LFD as integers over one denominator, with ``Fraction`` views.
-:func:`~npkw.pwl.split_at` reads a state's merge pool and returns the
-allocation of z0 over one denominator: the LFD is the allocation over its
-sum, and a child's z0 is its entry reduced by one gcd.  One integer scan
-gives both one-sided slopes of the lifted slice, and z0 is compared with
-the stopping threshold by cross-multiplying.
+walks over the DAG run in integers.  :func:`~npkw.pwl.split_at` reads a
+state's merge pool and returns the allocation of z0 over one denominator:
+the LFD is the allocation over its sum, and a child's z0 is its entry
+reduced by one gcd.  One integer scan gives both one-sided slopes of a
+slice and the segment z0 lies in, and z0 is compared with the stopping
+threshold and with the ends of spans by cross-multiplying.
 Evaluation and the equalization certificate put every ``p_continue`` over
 m, the lcm of their denominators: survival into depth n is an integer over
 m**n, the base pass's per-count weights at depth n are over m**(n+1), a
@@ -49,7 +60,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .bellman import (
     CostTable,
@@ -58,9 +69,8 @@ from .bellman import (
     NominalModel,
     _frac_str,
     _ratio_str,
-    child_counts,
 )
-from .pwl import RationalLike, _fixed_str, _sides, rat, split_at
+from .pwl import PwlConcave, RationalLike, _fixed_str, _sides, rat, split_at
 
 
 class Decision(Enum):
@@ -72,23 +82,22 @@ class Decision(Enum):
 
 
 class PolicyNode:
-    """The extracted design at one observable history.
+    """One node of the extracted stopping rule.
 
-    Nodes are hash-consed on ``(state.counts, z0, e_enter)`` — the count
-    vector, the adversary mass and the parent's promise, which is the entry
-    label — so every history with the same triple shares one object, also in
-    display cuts (whose cut depth is a function of the counts).  Mutating a
-    node changes it at every history that reaches it.
-
-    z0 is kept as its reduced pair ``z0_num / z0_den`` and the LFD as the
-    integers ``lfd_num`` over the positive ``lfd_den``; ``z0`` and
-    ``lfd_probs`` are their ``Fraction`` views, built on each read, and
-    assigning to a view sets the integers.
+    The rule is a DAG: a node stands for every history that reaches its
+    count vector with the parent's promise ``e_enter`` and an adversary
+    mass z0 in an interval on which the extracted subtree is the same, and
+    identical subtrees are one object.  A node keeps what the test does
+    there and no z0, so mutating a node changes it at every history that
+    reaches it.  :func:`lfd_tree` gives z0 and the LFD at each history.
 
     ``decision`` is None while continuing for sure; ``e_continue``,
-    ``lfd_probs`` and ``children`` are None at sure-stop nodes.  A node with
-    ``p_continue > 0`` but ``children is None`` only occurs in display trees
-    cut at a depth limit; evaluation rejects such trees.
+    ``mass``, ``children`` and ``merge`` are None at sure-stop nodes, and
+    every other node has all k children.  ``mass[x]`` is true when the
+    least favorable distribution puts positive probability on symbol x
+    here (none does at a node entered with zero mass).  ``merge`` is the
+    state's merge record and symbol map, which :func:`lfd_tree` splits z0
+    with.
 
     ``sure_stop_state`` records a fact about the *state*, not the extracted
     behaviour: the canonical design stops here for every positive adversary
@@ -98,37 +107,512 @@ class PolicyNode:
     may disagree.
     """
 
-    __slots__ = ("state", "z0_num", "z0_den", "e_enter", "e_continue",
-                 "p_continue", "decision", "lfd_num", "lfd_den", "children",
-                 "sure_stop_state", "_eval_cache")
+    __slots__ = ("state", "e_enter", "e_continue", "p_continue", "decision",
+                 "mass", "children", "sure_stop_state", "merge",
+                 "_eval_cache")
 
-    def __init__(self, state: DesignState, z0_num: int, z0_den: int,
-                 e_enter: int, e_continue: Optional[int],
-                 p_continue: Fraction, decision: Optional[Decision],
-                 lfd_num: Optional[tuple[int, ...]], lfd_den: Optional[int],
+    def __init__(self, state: DesignState, e_enter: int,
+                 e_continue: Optional[int], p_continue: Fraction,
+                 decision: Optional[Decision],
+                 mass: Optional[tuple[bool, ...]],
                  children: Optional[tuple["PolicyNode", ...]],
-                 sure_stop_state: bool = False) -> None:
+                 sure_stop_state: bool = False,
+                 merge: Optional[tuple] = None) -> None:
         self.state = state
-        self.z0_num = z0_num
-        self.z0_den = z0_den
         self.e_enter = e_enter
         self.e_continue = e_continue
         self.p_continue = p_continue
         self.decision = decision
+        self.mass = mass
+        self.children = children
+        self.sure_stop_state = sure_stop_state
+        self.merge = merge
+        self._eval_cache = None  # see _eval_base
+
+    @property
+    def depth(self) -> int:
+        return self.state.depth
+
+
+_ZERO = Fraction(0)
+_EVERYWHERE = (-1, 0, 1, 0)  # the span of a horizon node: -1/0 to 1/0
+
+
+def extract_tree(table: CostTable, max_depth: Optional[int] = None):
+    """Extract the optimal stopping rule from a solved cost table.
+
+    Returns the root :class:`PolicyNode` of the rule DAG, or with
+    ``max_depth`` the display tree: the :class:`PathNode` tree of the
+    histories down to that depth, each with its adversary mass z0 and LFD,
+    whose nodes at the cut have no children.  That is the tree
+    ``lfd_tree(extract_tree(table), max_depth)``, but read off the table
+    only down to the cut, once per (counts, z0, promise), which costs less
+    than extracting the whole rule; so an inconsistency of the table below
+    the cut does not raise here.
+
+    The root enters unconditionally; its ``e_enter`` is the right derivative
+    of the root cost slice at z0 = 1 — the smallest expected sample size
+    consistent with optimality.  Inside the tree each node's label is the
+    parent's promise c; a hard :class:`ExtractionError` is raised whenever a
+    promise falls outside the child's superdifferential (the equalization
+    law would be violated, meaning the table is inconsistent).
+
+    The rule is extracted top down, once per span: a span is an open
+    interval of z0, for one count vector and promise, on which everything
+    the subtree reads is provably the same.  A node's own span is the open
+    segment of its lifted slice, of its cost slice and of its merge pool's
+    landing slope class around z0, cut at the stopping threshold.  Inside
+    it each child's mass is linear in z0, so each child's span pulls back
+    to an interval of the parent's z0, which the node's span is cut to.  A
+    z0 at 0, at a kink, at the threshold or with a child held at one point
+    holds at that point alone.  A z0 that lands in a known span reuses its
+    node; nodes are also hash-consed on what they keep.
+    """
+    if max_depth is None:
+        return _extract(table)
+    return _display(table, max_depth)
+
+
+def _reader(table: CostTable) -> tuple[dict, Callable]:
+    """The rows read so far, by count vector, and the function
+    ``row(counts)`` that reads one more: what extraction reads of a state,
+    as ``(state, stop decision, sure_state, lifted, rho, z0_star as a
+    pair, (merge record, perm), child counts)`` with ``lifted`` None at the
+    horizon.  A mirror state (see
+    :class:`~npkw.bellman.CostTable`) reads its partner's pool, and
+    ``perm`` maps the partner's allocation to its own: its allocation to
+    symbol x is the partner's to sigma(x)."""
+    model = table.model
+    k = model.alphabet_size
+    # lam1 * z1 against lam2 * z2 decides a stop, cross-multiplied
+    lam1, lam2 = model.lam1, model.lam2
+    w1 = lam1.numerator * lam2.denominator
+    w2 = lam2.numerator * lam1.denominator
+    perm = None if table.sigma is None else itemgetter(*table.sigma)
+    rows: dict[tuple[int, ...], tuple] = {}
+
+    def row(counts: tuple[int, ...]) -> tuple:
+        state = table.states[counts]
+        z1, z2 = state.z1, state.z2
+        lhs = w1 * z1.numerator * z2.denominator
+        rhs = w2 * z2.numerator * z1.denominator
+        decision = Decision.H1 if lhs > rhs else \
+            Decision.H2 if lhs < rhs else Decision.RANDOMIZED
+        if state.depth == model.horizon:
+            got = (state, decision, True, None, None, None, None, None)
+        else:
+            z0_star = table.z0_star[counts]
+            twin = table.twins.get(counts)
+            # stopping already matches continuing at zero mass
+            got = (state, decision, z0_star == 0, table.lifted[counts],
+                   table.rho[counts],
+                   None if z0_star is None else (z0_star.numerator,
+                                                 z0_star.denominator),
+                   (table.pools[counts], None) if twin is None else
+                   (table.pools[twin], perm),
+                   tuple(counts[:x] + (counts[x] + 1,) + counts[x + 1:]
+                         for x in range(k)))
+        rows[counts] = got
+        return got
+
+    return rows, row
+
+
+def _check_stop(state: DesignState, promised: Optional[int]) -> None:
+    if promised not in (None, 0):
+        raise ExtractionError(
+            f"state {state.counts}: parent promises {promised} remaining "
+            "samples to a node that stops surely"
+        )
+
+
+def _labels(counts: tuple[int, ...], lifted: PwlConcave, rho: PwlConcave,
+            zn: int, zd: int, side: int,
+            promised: Optional[int]) -> Optional[tuple]:
+    """The labels of a node that may continue, at z0 = zn/zd below or at
+    the threshold (``side`` <= 0): ``(e_enter, c, seg, rseg)``, c the
+    promise to every child and ``seg`` and ``rseg`` the open segments of
+    the lifted and the cost slice that z0 lies inside (None at zero mass,
+    at a kink and at the threshold).  None where the node stops surely and
+    its promise allows it."""
+    seg = None
+    if zn > 0:
+        # Continuing is optimal (strictly below the kink) or tied (at
+        # it).  The equalized continuation slope c may sit anywhere in
+        # the superdifferential of the continuation slice d at z0; the
+        # right derivative is the canonical smallest choice, and a
+        # parent's promise pins the choice instead where one exists.
+        # d's slopes are the lifted slice's less one, segment by
+        # segment; the right one is linearly extended at the edge.
+        _, d_left, d_right, seg = _sides(lifted, zn, zd)
+        d_left -= 1
+        d_right -= 1
+        if side == 0:
+            # stopping weight is free at the kink; the promise pins it
+            e_enter = 0 if promised is None else promised
+            if e_enter == 0:
+                return None
+            c = max(d_right, e_enter - 1)
+            if c > d_left:
+                raise ExtractionError(
+                    f"state {counts}: promise {e_enter} needs "
+                    f"continuation slope {e_enter - 1}, outside "
+                    f"[{d_right}, {d_left}]"
+                )
+            seg = None
+        else:
+            if promised is None:
+                c = d_right
+            else:
+                c = promised - 1
+                if not d_right <= c <= d_left:
+                    raise ExtractionError(
+                        f"state {counts}: sure-continue promise "
+                        f"{promised} needs slope {c}, outside "
+                        f"[{d_right}, {d_left}]"
+                    )
+            e_enter = 1 + c
+    else:
+        # Zero adversary mass: the least favorable distribution never
+        # comes here, so stopping and continuing cost the same (the
+        # continuation value ties the stopping cost at z0 = 0 whenever
+        # stopping is optimal).  The node keeps the parent's promise
+        # alive so that the expected sample size stays equalized along
+        # *every* symbol path, not just the positively-weighted ones.
+        if promised is None or promised == 0:
+            return None
+        e_enter = promised
+        c = max(lifted.segs[0][0] - 1 if lifted.segs else -1, e_enter - 1)
+
+    # c counts the samples after this one, so it is at least 0; every
+    # promise is then at least 0, and 0 <= e_enter <= e_continue follows
+    if c < 0:
+        raise ExtractionError(
+            f"state {counts}: continuation slope {c} at z0 = "
+            f"{Fraction(zn, zd)} is below 0"
+        )
+    # the entry label must be a supergradient of the node's own cost
+    # slice (unbounded above at the left endpoint of the domain)
+    if zn:
+        lo, hi, _, rseg = _sides(rho, zn, zd)
+    else:
+        lo = hi = rho.segs[0][0] if rho.segs else 0
+        rseg = None
+    if not (e_enter >= lo if zn == 0 else lo <= e_enter <= hi):
+        raise ExtractionError(
+            f"state {counts}: e_enter {e_enter} outside the "
+            f"superdifferential [{lo}, {hi}] of the cost slice at "
+            f"z0 = {Fraction(zn, zd)}"
+        )
+    return e_enter, c, seg, rseg
+
+
+def _lfd(merge: tuple, zn: int, alloc) -> tuple[tuple[int, ...], int]:
+    """The LFD at a node that splits z0 = zn/zd into ``alloc``, as integers
+    over their positive sum: the allocation, which sums to z0, or at zero
+    mass the limiting direction of the allocation as z0 -> 0+, the merge's
+    first slope class shared in proportion to its segment widths (uniform
+    when the merge has no segment at all)."""
+    if zn:
+        return tuple(alloc), sum(alloc)
+    (_, pool), perm = merge
+    weights = [0] * len(alloc)
+    for slope, op, width in pool:
+        if slope != pool[0][0]:
+            break
+        weights[op] += width
+    lfd = tuple(weights if perm is None else perm(weights))
+    return (lfd, sum(lfd)) if any(lfd) else ((1,) * len(lfd), len(lfd))
+
+
+def _extract(table: CostTable) -> PolicyNode:
+    k = table.model.alphabet_size
+    rows, row_of = _reader(table)
+    stops: dict[tuple[int, ...], PolicyNode] = {}
+    points: dict[tuple, PolicyNode] = {}  # (counts, promise, z0 pair)
+    spans: dict[tuple, list] = {}  # (counts, promise) -> spans by lower end
+    nodes: dict[tuple, PolicyNode] = {}  # hash-consing on the node's fields
+    shared_p: dict[tuple[int, int], Fraction] = {}  # p_continue by labels
+
+    def stop(row: tuple) -> PolicyNode:
+        state = row[0]
+        node = stops.get(state.counts)
+        if node is None:
+            node = stops[state.counts] = PolicyNode(
+                state, 0, None, _ZERO, row[1], None, None, row[2])
+        return node
+
+    def extract(counts: tuple[int, ...], zn: int, zd: int,
+                promised: Optional[int]) -> tuple[PolicyNode, Optional[tuple]]:
+        """The node at z0 = zn/zd and its span ``(lo_n, lo_d, hi_n, hi_d,
+        ...)``, an end over 0 being infinite, or None when the node is
+        known to hold at this z0 alone."""
+        row = rows.get(counts) or row_of(counts)
+        if row[3] is None:  # the horizon stops at every mass
+            _check_stop(row[0], promised)
+            return stop(row), _EVERYWHERE
+        # z0 against the threshold, cross-multiplied: > 0 past it, 0 at
+        # it, and < 0 below it, where there is none, or at zero mass
+        z0_star = row[5]
+        side = -1 if not zn or z0_star is None else \
+            zn * z0_star[1] - z0_star[0] * zd
+        if side > 0:
+            _check_stop(row[0], promised)
+            return stop(row), (*z0_star, 1, 0)
+        key = (counts, promised, zn, zd)
+        node = points.get(key)
+        if node is not None:
+            return node, None
+        box = spans.get((counts, promised))
+        if box is not None:
+            i = _first_above(box, zn, zd) if len(box) > 1 else \
+                box[0][0] * zd < zn * box[0][1]
+            if i:
+                span = box[i - 1]
+                if zn * span[3] < span[2] * zd:
+                    return span[4], span
+        node, span = extract_node(row, zn, zd, side, promised)
+        if span is None:
+            points[key] = node
+        else:
+            span = (*span, node)
+            if box is None:
+                spans[(counts, promised)] = [span]
+            else:
+                box.insert(_first_above(box, span[0], span[1]), span)
+        return node, span
+
+    def extract_node(row: tuple, zn: int, zd: int, side: int,
+                     promised: Optional[int]) -> tuple:
+        state, decision, sure_state, lifted, rho, z0_star, merge, kids = row
+        got = _labels(state.counts, lifted, rho, zn, zd, side, promised)
+        if got is None:
+            return stop(row), None
+        e_enter, c, seg, rseg = got
+        record, perm = merge
+        alloc, den = split_at(record, k, zn, zd)
+        if perm is not None:
+            alloc = perm(alloc)
+
+        # the node's own span: both slices' open segments around z0, below
+        # the threshold, inside the landing slope class of the merge pool
+        span = shares = None
+        if seg is not None and rseg is not None:
+            landing = _landing(record, k, zn, zd)
+            if landing is not None:
+                scale = record[0]
+                start, end, shares, taken = landing
+                if perm is not None:
+                    shares, taken = perm(shares), perm(taken)
+                width = end - start
+                ls, rs = lifted.scale, rho.scale
+                ln, ld = _larger(seg[0], ls, rseg[0], rs)
+                ln, ld = _larger(ln, ld, start, scale)
+                hn, hd = _smaller(seg[1], ls, rseg[1], rs)
+                hn, hd = _smaller(hn, hd, end, scale)
+                if z0_star is not None:
+                    hn, hd = _smaller(hn, hd, *z0_star)
+
+        children = []
+        for x, kid in enumerate(kids):
+            a = alloc[x]
+            g = gcd(a, den)
+            child, cspan = extract(kid, a // g, den // g, c)
+            children.append(child)
+            w = shares[x] if shares is not None else 0
+            if w:
+                # in the class, mass a(t) = (taken + w * (t * scale -
+                # start) / width) / scale: a bound b of the child's span
+                # pulls back to t = (start + (b * scale - taken) * width
+                # / w) / scale
+                if cspan is None:
+                    shares = None
+                    continue
+                bn, bd = cspan[0], cspan[1]
+                if bd:
+                    ln, ld = _larger(
+                        ln, ld,
+                        start * w * bd + (bn * scale - taken[x] * bd) * width,
+                        scale * w * bd)
+                bn, bd = cspan[2], cspan[3]
+                if bd:
+                    hn, hd = _smaller(
+                        hn, hd,
+                        start * w * bd + (bn * scale - taken[x] * bd) * width,
+                        scale * w * bd)
+        if shares is not None:
+            span = (*_reduced(ln, ld), *_reduced(hn, hd))
+
+        children = tuple(children)
+        e_continue = 1 + c
+        mass = tuple(map(bool, alloc))
+        fields = (state.counts, e_enter, e_continue, mass, children)
+        node = nodes.get(fields)
+        if node is None:
+            labels = (e_enter, e_continue)
+            p_continue = shared_p.get(labels)
+            if p_continue is None:
+                p_continue = shared_p[labels] = Fraction(e_enter, e_continue)
+            node = nodes[fields] = PolicyNode(
+                state, e_enter, e_continue, p_continue,
+                decision if e_enter != e_continue else None, mass, children,
+                sure_state, merge)
+        return node, span
+
+    return extract((0,) * k, 1, 1, None)[0]
+
+
+def _display(table: CostTable, max_depth: int) -> PathNode:
+    """The display tree of :func:`extract_tree`: the same labels as the
+    rule's, read at each (counts, z0, promise) down to ``max_depth``."""
+    k = table.model.alphabet_size
+    rows, row_of = _reader(table)
+    memo: dict[tuple, PathNode] = {}
+    shared_p: dict[tuple[int, int], Fraction] = {}
+
+    def show(counts: tuple[int, ...], zn: int, zd: int,
+             promised: Optional[int]) -> PathNode:
+        key = (counts, zn, zd, promised)
+        node = memo.get(key)
+        if node is None:
+            node = memo[key] = show_node(rows.get(counts) or row_of(counts),
+                                         zn, zd, promised)
+        return node
+
+    def show_node(row: tuple, zn: int, zd: int,
+                  promised: Optional[int]) -> PathNode:
+        state, decision, sure_state, lifted, rho, z0_star, merge, kids = row
+        got = None
+        if lifted is not None:
+            side = -1 if not zn or z0_star is None else \
+                zn * z0_star[1] - z0_star[0] * zd
+            if side <= 0:
+                got = _labels(state.counts, lifted, rho, zn, zd, side,
+                              promised)
+        if got is None:  # the horizon, past the threshold, or a free stop
+            _check_stop(state, promised)
+            return PathNode(state, 0, None, _ZERO, decision, sure_state,
+                            zn, zd, None, None, None)
+        e_enter, c, _, _ = got
+        record, perm = merge
+        alloc, den = split_at(record, k, zn, zd)
+        if perm is not None:
+            alloc = perm(alloc)
+        lfd, lfd_den = _lfd(merge, zn, alloc)
+        children = None
+        if state.depth < max_depth:
+            children = tuple(show(kid, a // (g := gcd(a, den)), den // g, c)
+                             for kid, a in zip(kids, alloc))
+        labels = (e_enter, 1 + c)
+        p_continue = shared_p.get(labels)
+        if p_continue is None:
+            p_continue = shared_p[labels] = Fraction(e_enter, 1 + c)
+        return PathNode(state, e_enter, 1 + c, p_continue,
+                        decision if c + 1 != e_enter else None, sure_state,
+                        zn, zd, lfd, lfd_den, children)
+
+    return show((0,) * k, 1, 1, None)
+
+
+def _landing(record: tuple, k: int, zn: int, zd: int) -> Optional[tuple]:
+    """The slope class of a merge pool that z0 = zn/zd lies strictly
+    inside, over the pool's scale: its start and end, each operand's width
+    in it and each operand's allocation before it; None when z0 is at a
+    class boundary."""
+    scale, pool = record
+    xs = zn * scale  # z0 over scale * zd
+    taken = [0] * k
+    start = 0
+    i, n = 0, len(pool)
+    while i < n:
+        slope = pool[i][0]
+        end, j = start, i
+        while j < n and pool[j][0] == slope:
+            end += pool[j][2]
+            j += 1
+        if end * zd > xs:
+            if start * zd == xs:
+                return None
+            widths = [0] * k
+            for _, op, width in pool[i:j]:
+                widths[op] += width
+            return start, end, widths, taken
+        for _, op, width in pool[i:j]:
+            taken[op] += width
+        start, i = end, j
+    return None
+
+
+def _first_above(box: list, zn: int, zd: int) -> int:
+    """The number of spans in ``box`` whose lower end is below zn/zd."""
+    lo, hi = 0, len(box)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        span = box[mid]
+        if span[0] * zd < zn * span[1]:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _larger(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    return (bn, bd) if bn * ad > an * bd else (an, ad)
+
+
+def _smaller(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    return (bn, bd) if bn * ad < an * bd else (an, ad)
+
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+class PathNode:
+    """The design at the histories that reach one count vector with one
+    adversary mass z0 and one promise.
+
+    It has the labels of the rule node there (``state``, ``e_enter``,
+    ``e_continue``, ``p_continue``, ``decision``, ``sure_stop_state``) and
+    what the adversary plays there: z0 as its reduced pair ``z0_num /
+    z0_den`` and the LFD, the adversary's conditional PMF of the next
+    symbol, as the integers ``lfd_num`` over the positive ``lfd_den``
+    (None at a sure stop); ``z0`` and ``lfd_probs`` are their ``Fraction``
+    views.  ``children`` is None at a sure stop and at a display cut,
+    where the node may continue; :func:`lfd_tree` builds them on first
+    read.
+    """
+
+    __slots__ = ("state", "e_enter", "e_continue", "p_continue", "decision",
+                 "sure_stop_state", "z0_num", "z0_den", "lfd_num", "lfd_den",
+                 "children")
+
+    def __init__(self, state: DesignState, e_enter: int,
+                 e_continue: Optional[int], p_continue: Fraction,
+                 decision: Optional[Decision], sure_stop_state: bool,
+                 z0_num: int, z0_den: int,
+                 lfd_num: Optional[tuple[int, ...]], lfd_den: Optional[int],
+                 children: Optional[tuple["PathNode", ...]]) -> None:
+        self.state = state
+        self.e_enter = e_enter
+        self.e_continue = e_continue
+        self.p_continue = p_continue
+        self.decision = decision
+        self.sure_stop_state = sure_stop_state
+        self.z0_num = z0_num
+        self.z0_den = z0_den
         self.lfd_num = lfd_num
         self.lfd_den = lfd_den
         self.children = children
-        self.sure_stop_state = sure_stop_state
-        self._eval_cache = None  # see _eval_base
+
+    @property
+    def depth(self) -> int:
+        return self.state.depth
 
     @property
     def z0(self) -> Fraction:
         return Fraction(self.z0_num, self.z0_den)
-
-    @z0.setter
-    def z0(self, value: RationalLike) -> None:
-        v = rat(value)
-        self.z0_num, self.z0_den = v.numerator, v.denominator
 
     @property
     def lfd_probs(self) -> Optional[tuple[Fraction, ...]]:
@@ -137,229 +621,57 @@ class PolicyNode:
         den = self.lfd_den
         return tuple(Fraction(n, den) for n in self.lfd_num)
 
-    @lfd_probs.setter
-    def lfd_probs(self, probs: Optional[tuple[RationalLike, ...]]) -> None:
-        if probs is None:
-            self.lfd_num = self.lfd_den = None
-            return
-        probs = tuple(map(rat, probs))
-        den = lcm(*(p.denominator for p in probs))
-        self.lfd_num = tuple(p.numerator * (den // p.denominator)
-                             for p in probs)
-        self.lfd_den = den
 
-    @property
-    def depth(self) -> int:
-        return self.state.depth
+class _GrowingPathNode(PathNode):
+    """A :class:`PathNode` of :func:`lfd_tree`, whose ``children`` slot
+    stays unset until its first read splits the mass."""
 
+    __slots__ = ("_grow",)
 
-def _stop_decision(state: DesignState, model: NominalModel) -> Decision:
-    # lam1 * z1 against lam2 * z2, cross-multiplied
-    l1, l2, z1, z2 = model.lam1, model.lam2, state.z1, state.z2
-    lhs = l1.numerator * z1.numerator * l2.denominator * z2.denominator
-    rhs = l2.numerator * z2.numerator * l1.denominator * z1.denominator
-    if lhs > rhs:
-        return Decision.H1
-    if lhs < rhs:
-        return Decision.H2
-    return Decision.RANDOMIZED
+    def __getattr__(self, name: str):
+        # reached only for an unset slot: the children still to grow
+        if name != "children":
+            raise AttributeError(name)
+        self.children = self._grow()
+        return self.children
 
 
-_ZERO = Fraction(0)
+def lfd_tree(root: PolicyNode, max_depth: Optional[int] = None) -> PathNode:
+    """The rule from ``root`` with the adversary's mass z0 and its LFD at
+    each history, z0 = 1 at ``root``: a :class:`PathNode` tree, one node
+    per (rule node, z0), whose children are split from the state's merge
+    pool when first read.  With ``max_depth`` the nodes at that depth have
+    no children (a display cut)."""
+    memo: dict[tuple, PathNode] = {}
 
-
-def extract_tree(table: CostTable, max_depth: Optional[int] = None) -> PolicyNode:
-    """Materialize the optimal policy / LFD tree from a solved cost table.
-
-    ``max_depth`` cuts the tree for display; the returned nodes keep exact
-    labels but nodes at the cut carry ``children = None`` even where they
-    continue.  Verification and evaluation need the full tree
-    (``max_depth=None``).
-
-    The root enters unconditionally; its ``e_enter`` is the right derivative
-    of the root cost slice at z0 = 1 — the smallest expected sample size
-    consistent with optimality.  Inside the tree each node's label is the
-    parent's promise c; a hard :class:`ExtractionError` is raised whenever a
-    promise falls outside the child's superdifferential (the equalization
-    law would be violated, meaning the table is inconsistent).
-    """
-    # Hash-consed on (counts, z0, promise): a subtree reads only the table at
-    # its counts, its mass and its parent's promise, and its depth, hence the
-    # display cut too, is that of its counts (extraction starts at the root).
-    # z0 enters the key as its reduced pair: hashing a Fraction costs a
-    # modular inverse.
-    k = table.model.alphabet_size
-    memo: dict[tuple, PolicyNode] = {}
-    rows: dict[tuple[int, ...], tuple] = {}
-    shared_p: dict[tuple[int, int], Fraction] = {}  # p_continue by labels
-
-    def extract(counts: tuple[int, ...], zn: int, zd: int,
-                promised: Optional[int]) -> PolicyNode:
-        key = (counts, zn, zd, promised)
-        node = memo.get(key)
-        if node is None:
-            row = rows.get(counts)
-            if row is None:
-                row = rows[counts] = _row(table, counts, max_depth)
-            node = memo[key] = extract_node(row, zn, zd, promised)
-        return node
-
-    def extract_node(row: tuple, zn: int, zd: int,
-                     promised: Optional[int]) -> PolicyNode:
-        state, decision, sure_state, lifted, rho, z0_star, record, perm, \
-            kids = row
-        if lifted is None:
-            return _stop_node(state, zn, zd, decision, promised, True)
-        counts = state.counts
-
-        if zn > 0:
-            # z0 against the kink, cross-multiplied: > 0 past it, 0 at it
-            side = -1 if z0_star is None else \
-                zn * z0_star[1] - z0_star[0] * zd
-            if side > 0:
-                return _stop_node(state, zn, zd, decision, promised,
-                                  sure_state)
-            # Continuing is optimal (strictly below the kink) or tied (at
-            # it).  The equalized continuation slope c may sit anywhere in
-            # the superdifferential of the continuation slice d at z0; the
-            # right derivative is the canonical smallest choice, and a
-            # parent's promise pins the choice instead where one exists.
-            # d's slopes are the lifted slice's less one, segment by
-            # segment; the right one is linearly extended at the edge.
-            _, d_left, d_right = _sides(lifted, zn, zd)
-            d_left -= 1
-            d_right -= 1
-            if side == 0:
-                # stopping weight is free at the kink; the promise pins it
-                e_enter = 0 if promised is None else promised
-                if e_enter == 0:
-                    return _stop_node(state, zn, zd, decision, None,
-                                      sure_state)
-                c = max(d_right, e_enter - 1)
-                if c > d_left:
-                    raise ExtractionError(
-                        f"state {counts}: promise {e_enter} needs "
-                        f"continuation slope {e_enter - 1}, outside "
-                        f"[{d_right}, {d_left}]"
-                    )
-            else:
-                if promised is None:
-                    c = d_right
-                else:
-                    c = promised - 1
-                    if not d_right <= c <= d_left:
-                        raise ExtractionError(
-                            f"state {counts}: sure-continue promise "
-                            f"{promised} needs slope {c}, outside "
-                            f"[{d_right}, {d_left}]"
-                        )
-                e_enter = 1 + c
+    def at(node: PolicyNode, zn: int, zd: int) -> PathNode:
+        key = (node, zn, zd)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        kids = node.children
+        if kids is None:
+            got = PathNode(node.state, node.e_enter, node.e_continue,
+                           node.p_continue, node.decision,
+                           node.sure_stop_state, zn, zd, None, None, None)
         else:
-            # Zero adversary mass: the least favorable distribution never
-            # comes here, so stopping and continuing cost the same (the
-            # continuation value ties the stopping cost at z0 = 0 whenever
-            # stopping is optimal).  The node keeps the parent's promise
-            # alive so that the expected sample size stays equalized along
-            # *every* symbol path, not just the positively-weighted ones.
-            if promised is None or promised == 0:
-                return _stop_node(state, zn, zd, decision, promised,
-                                  sure_state)
-            e_enter = promised
-            c = max(_sides(lifted, 0, 1)[2] - 1, e_enter - 1)
+            merge = node.merge
+            alloc, den = split_at(merge[0], len(kids), zn, zd)
+            if merge[1] is not None:
+                alloc = merge[1](alloc)
+            got = _GrowingPathNode(
+                node.state, node.e_enter, node.e_continue, node.p_continue,
+                node.decision, node.sure_stop_state, zn, zd,
+                *_lfd(merge, zn, alloc), None)
+            if max_depth is None or node.state.depth < max_depth:
+                del got.children
+                got._grow = lambda: tuple(  # noqa: E731
+                    at(kid, a // (g := gcd(a, den)), den // g)
+                    for kid, a in zip(kids, alloc))
+        memo[key] = got
+        return got
 
-        # c counts the samples after this one, so it is at least 0; every
-        # promise is then at least 0, and 0 <= e_enter <= e_continue follows
-        if c < 0:
-            raise ExtractionError(
-                f"state {counts}: continuation slope {c} at z0 = "
-                f"{Fraction(zn, zd)} is below 0"
-            )
-        e_continue = 1 + c
-        # the entry label must be a supergradient of the node's own cost
-        # slice (unbounded above at the left endpoint of the domain)
-        lo, hi, _ = _sides(rho, zn, zd)
-        if not (e_enter >= lo if zn == 0 else lo <= e_enter <= hi):
-            raise ExtractionError(
-                f"state {counts}: e_enter {e_enter} outside the "
-                f"superdifferential [{lo}, {hi}] of the cost slice at "
-                f"z0 = {Fraction(zn, zd)}"
-            )
-
-        labels = (e_enter, e_continue)
-        p_continue = shared_p.get(labels)
-        if p_continue is None:
-            p_continue = shared_p[labels] = Fraction(e_enter, e_continue)
-
-        alloc, den = split_at(record, k, zn, zd)
-        if perm is not None:
-            alloc = perm(alloc)
-        if zn > 0:
-            # the allocation sums to z0, so a / z0 is a over that sum
-            lfd = tuple(alloc)
-            lfd_den = sum(lfd)
-        else:
-            # limiting allocation direction as z0 -> 0+: the merge's first
-            # slope class, shared in proportion to segment widths (uniform
-            # when the merge has no segment at all)
-            pool = record[1]
-            weights = [0] * k
-            for slope, op, width in pool:
-                if slope != pool[0][0]:
-                    break
-                weights[op] += width
-            lfd = tuple(weights if perm is None else perm(weights))
-            lfd_den = sum(lfd)
-            if lfd_den == 0:
-                lfd, lfd_den = (1,) * k, k
-
-        children: Optional[tuple[PolicyNode, ...]] = None
-        if kids is not None:
-            # equalization: every child is promised c, weighted or not
-            children = tuple(
-                extract(kid, a // (g := gcd(a, den)), den // g, c)
-                for kid, a in zip(kids, alloc))
-        return PolicyNode(state, zn, zd, e_enter, e_continue, p_continue,
-                          decision if e_enter != e_continue else None,
-                          lfd, lfd_den, children, sure_state)
-
-    return extract((0,) * k, 1, 1, None)
-
-
-def _row(table: CostTable, counts: tuple[int, ...],
-         max_depth: Optional[int]) -> tuple:
-    """What extraction reads of one state, looked up once per state:
-    ``(state, stop decision, sure_state, lifted, rho, z0_star as a pair,
-    merge record, perm, child counts)``, with ``lifted`` None at the
-    horizon and the child counts None at a display cut.  A mirror state
-    (see :class:`~npkw.bellman.CostTable`) reads its partner's pool, and
-    ``perm`` maps the partner's allocation to its own: its allocation to
-    symbol x is the partner's to sigma(x)."""
-    state = table.states[counts]
-    decision = _stop_decision(state, table.model)
-    if state.depth == table.model.horizon:
-        return state, decision, True, None, None, None, None, None, None
-    z0_star = table.z0_star[counts]
-    twin = table.twins.get(counts)
-    kids = None if max_depth is not None and state.depth >= max_depth else \
-        tuple(child_counts(counts, x) for x in range(len(counts)))
-    # stopping already matches continuing at zero mass
-    return (state, decision, z0_star == 0, table.lifted[counts],
-            table.rho[counts],
-            None if z0_star is None else (z0_star.numerator,
-                                          z0_star.denominator),
-            table.pools[counts if twin is None else twin],
-            None if twin is None else itemgetter(*table.sigma), kids)
-
-
-def _stop_node(state: DesignState, zn: int, zd: int, decision: Decision,
-               promised: Optional[int], sure_state: bool) -> PolicyNode:
-    if promised not in (None, 0):
-        raise ExtractionError(
-            f"state {state.counts}: parent promises {promised} remaining "
-            "samples to a node that stops surely"
-        )
-    return PolicyNode(state, zn, zd, 0, None, _ZERO, decision, None, None,
-                      None, sure_state)
+    return at(root, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +690,9 @@ def iter_nodes(root: PolicyNode) -> Iterator[PolicyNode]:
 
 
 def iter_unique_nodes(root: PolicyNode) -> Iterator[PolicyNode]:
-    """Each distinct node object once.  Extraction shares every subtree
-    with the same (counts, z0, promise), so the materialized structure is a
-    DAG; node-local queries should walk it this way."""
+    """Each distinct node object once.  The rule and the PathNode trees
+    share subtrees, so both are DAGs; node-local queries should walk them
+    this way."""
     seen: set[int] = set()
     stack = [root]
     while stack:
@@ -393,26 +705,27 @@ def iter_unique_nodes(root: PolicyNode) -> Iterator[PolicyNode]:
             stack.extend(reversed(node.children))
 
 
-_DISPLAY_CUT = ("tree was cut at a display depth limit; rebuild it with "
-                "max_depth=None for evaluation")
+def _rule(root: PolicyNode) -> PolicyNode:
+    """``root``, after checking that it is a rule and not a PathNode tree,
+    which may be cut at a display depth."""
+    if not isinstance(root, PolicyNode):
+        raise ValueError("not the rule DAG: a PathNode tree may be cut at a "
+                         "display depth limit; pass extract_tree(table) "
+                         "with max_depth=None")
+    return root
 
 
 def _levels(root: PolicyNode) -> list[list[PolicyNode]]:
     """Unique nodes level by level below the root (every parent sits one
-    level above its children).  Raises ``ValueError`` on a tree cut at a
-    display depth: a node that may continue but has no children."""
+    level above its children)."""
     levels = []
-    level = [root]
+    level = [_rule(root)]
     seen = {id(root)}
     while level:
         levels.append(level)
         below = []
         for node in level:
-            if node.children is None:
-                if node.p_continue:
-                    raise ValueError(_DISPLAY_CUT)
-                continue
-            for child in node.children:
+            for child in node.children or ():
                 if id(child) not in seen:
                     seen.add(id(child))
                     below.append(child)
@@ -438,9 +751,11 @@ def max_conditional_remaining(root: PolicyNode) -> int:
     return best
 
 
-def lfd_range(root: PolicyNode, symbol: int = 1) -> tuple[Fraction, Fraction]:
+def lfd_range(root: PolicyNode | PathNode,
+              symbol: int = 1) -> tuple[Fraction, Fraction]:
     """Range of the least favorable probability of ``symbol`` over nodes the
-    adversary actually randomizes at.
+    adversary actually randomizes at, over ``lfd_tree(root)`` for a rule
+    root and over a PathNode tree (a display cut, say) as it is.
 
     Nodes with z0 = 0 never occur under the least favorable distribution and
     carry a limiting-direction convention rather than a real conditional
@@ -450,6 +765,8 @@ def lfd_range(root: PolicyNode, symbol: int = 1) -> tuple[Fraction, Fraction]:
     """
     lo: Optional[tuple[int, int]] = None  # as (numerator, denominator)
     hi: Optional[tuple[int, int]] = None
+    if isinstance(root, PolicyNode):
+        root = lfd_tree(root)
     for node in iter_unique_nodes(root):
         if node.lfd_num is None or node.p_continue == 0 or node.z0_num == 0:
             continue
@@ -466,12 +783,21 @@ def lfd_range(root: PolicyNode, symbol: int = 1) -> tuple[Fraction, Fraction]:
     return Fraction(*lo), Fraction(*hi)
 
 
-def find_node(root: PolicyNode, symbols: tuple[int, ...]) -> PolicyNode:
-    """Follow a symbol path from the root; raises KeyError off the tree."""
+def find_node(root, symbols: tuple[int, ...]):
+    """Follow a symbol path from ``root``, a rule node or a PathNode, to a
+    node of the same kind.  Raises ``KeyError``, naming the path, on a
+    symbol outside 0..K-1 and on a path that leaves the materialized tree
+    at a sure stop or at the display cut of a PathNode tree."""
+    k = len(root.state.counts)
     node = root
     for x in symbols:
+        if x not in range(k):
+            raise KeyError(f"path {symbols}: symbol {x!r} is outside the "
+                           f"alphabet 0..{k - 1}")
         if node.children is None:
-            raise KeyError(f"path {symbols} leaves the materialized tree")
+            where = "the display cut" if node.p_continue else "a sure stop"
+            raise KeyError(f"path {symbols} leaves the materialized tree at "
+                           f"{where} at depth {node.depth}")
         node = node.children[x]
     return node
 
@@ -582,7 +908,7 @@ def _eval_base(root: PolicyNode) -> tuple[
     The result is cached on the root, which assumes the tree is not
     mutated after its first evaluation.
     """
-    cached = root._eval_cache
+    cached = _rule(root)._eval_cache
     if cached is not None:
         return cached
 
@@ -706,7 +1032,7 @@ def verify_equalization(root: PolicyNode) -> EqualizationCertificate:
                 n_pos[nid] = 1
                 continue
             kids = node.children
-            lfd = node.lfd_num
+            lfd = node.mass
             f = p.numerator * (m // p.denominator)
             max_e[nid] = f * (below + max(max_e[id(ch)] for ch in kids))
             n_paths[nid] = sum(n_paths[id(ch)] for ch in kids)
@@ -778,7 +1104,7 @@ def _equalization_witnesses(
                 found.append((path, acc))
             continue
         for x, child in enumerate(node.children):
-            if node.lfd_num[x] == 0:
+            if not node.mass[x]:
                 continue
             v = eq[id(child)]
             if v is not None and \
@@ -791,14 +1117,15 @@ def _equalization_witnesses(
 class LfdSupportReport(NamedTuple):
     """Support check for the least favorable distribution.
 
-    Wherever the adversary actually plays (z0 > 0 and the node may
-    continue), it must put positive mass on every symbol both hypotheses
-    can produce.  The one exception: a branch may get zero mass when the
-    state it leads to stops surely anyway — the sample taken on entering
-    it would have been the last.  Mass placed *outside* the mutual support
+    Wherever the adversary actually plays (a rule node that may continue
+    and whose ``mass`` weights some symbol, which is z0 > 0), it must put
+    positive mass on every symbol both hypotheses can produce.  The one
+    exception: a branch may get zero mass when the state it leads to stops
+    surely anyway — the sample taken on entering it would have been the
+    last.  Mass placed *outside* the mutual support
     kills one hypothesis's likelihood, so it is only allowed where every
     next state stops surely.  ``offending`` names one symbol path per
-    violating node, the first that depth-first search reaches, sorted.
+    violating rule node, the first that depth-first search reaches, sorted.
     """
 
     passes: bool
@@ -816,7 +1143,7 @@ def verify_lfd_support(root: PolicyNode, model: NominalModel) -> LfdSupportRepor
     )
     offending: list[tuple[int, ...]] = []
     seen: set[int] = set()
-    stack: list[tuple[PolicyNode, tuple[int, ...]]] = [(root, ())]
+    stack: list[tuple[PolicyNode, tuple[int, ...]]] = [(_rule(root), ())]
     while stack:
         node, path = stack.pop()
         if id(node) in seen:
@@ -824,16 +1151,14 @@ def verify_lfd_support(root: PolicyNode, model: NominalModel) -> LfdSupportRepor
         seen.add(id(node))
         if not node.p_continue:
             continue
-        if node.children is None:
-            raise ValueError(_DISPLAY_CUT)
-        if node.z0_num > 0:
-            lfd = node.lfd_num  # over the positive lfd_den
+        mass = node.mass
+        if any(mass):  # entered with positive mass
             bad = any(
-                lfd[x] == 0 and not node.children[x].sure_stop_state
+                not mass[x] and not node.children[x].sure_stop_state
                 for x in support
             )
             outside = any(
-                lfd[x] > 0 for x in range(len(lfd)) if x not in support
+                mass[x] for x in range(len(mass)) if x not in support
             )
             if outside and not all(ch.sure_stop_state for ch in node.children):
                 bad = True
@@ -894,7 +1219,8 @@ def simulate(
         ``fixed``       i.i.d. symbols from ``pmf``;
         ``alternating`` deterministic cycle 0, 1, ..., K-1, 0, ...;
         ``lfd``         replay the adversary: sample each symbol from the
-                        current node's LFD PMF.
+                        LFD PMF at the current history, which
+                        :func:`lfd_tree` splits once per (node, z0).
 
     Determinism: one call seeds one ``random.Random(str(seed))`` (string
     seeding is stable across platforms and keeps ``-7`` apart from ``7``),
@@ -904,12 +1230,12 @@ def simulate(
     0..t-1.  All comparisons are exact: a 64-bit draw u stands for the
     dyadic u / 2**64, and each node turns its stopping probability and its
     symbol PMF into integer cutoffs (:func:`_cut`) that u is compared with,
-    biasing each event by less than 2**-64.  A trial that reaches the cut
-    of a display tree raises ``ValueError``, and so do fewer than one trial.
+    biasing each event by less than 2**-64.  A PathNode tree (a display
+    cut) raises ``ValueError``, and so do fewer than one trial.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    k = len(root.state.counts)
+    k = len(_rule(root).state.counts)
     fixed_cuts = None
     if strategy == "fixed":
         if pmf is None:
@@ -920,7 +1246,9 @@ def simulate(
         den = lcm(*(p.denominator for p in fixed))
         fixed_cuts = _symbol_cuts(
             (p.numerator * (den // p.denominator) for p in fixed), den)
-    elif strategy not in ("alternating", "lfd"):
+    elif strategy == "lfd":
+        root = lfd_tree(root)
+    elif strategy != "alternating":
         raise ValueError(f"unknown strategy {strategy!r}")
     alternating = strategy == "alternating"
 
@@ -928,10 +1256,10 @@ def simulate(
     # the children and the symbol cutoffs (the lfd strategy's own)
     seen: dict[int, tuple] = {}
 
-    def visit(node: PolicyNode) -> tuple:
+    def visit(node) -> tuple:
         p = node.p_continue
         cuts = fixed_cuts
-        if strategy == "lfd" and node.children is not None:
+        if strategy == "lfd" and p:
             cuts = _symbol_cuts(node.lfd_num, node.lfd_den)
         seen[id(node)] = got = (_cut(p.numerator, p.denominator),
                                 node.decision, node.children, cuts)
@@ -955,8 +1283,6 @@ def simulate(
                 else:
                     n_h2 += 1
                 break
-            if children is None:
-                raise ValueError(_DISPLAY_CUT)
             node = children[steps % k if alternating
                             else bisect_right(cuts, bits(64))]
             steps += 1
@@ -982,7 +1308,7 @@ _STOP_COLORS = {
 }
 
 
-def _dot_attrs(node: PolicyNode) -> tuple[str, tuple[str, ...]]:
+def _dot_attrs(node: PathNode) -> tuple[str, tuple[str, ...]]:
     """A node's DOT attribute list and the labels of its child edges."""
     if node.p_continue == 0:
         return f'[label="0", fillcolor="{_STOP_COLORS[node.decision]}"];', ()
@@ -999,8 +1325,9 @@ def _dot_attrs(node: PolicyNode) -> tuple[str, tuple[str, ...]]:
         for n in node.lfd_num)
 
 
-def tree_to_dot(root: PolicyNode) -> str:
-    """Graphviz rendering of the policy tree.
+def tree_to_dot(root: PathNode) -> str:
+    """Graphviz rendering of a PathNode tree (:func:`lfd_tree`, or
+    :func:`extract_tree` with ``max_depth``).
 
     Node label: ``e_enter/e_continue`` while continuing is possible, plain
     ``0`` at sure stops.  Sure stops are colored by decision; mixed nodes
@@ -1017,7 +1344,7 @@ def tree_to_dot(root: PolicyNode) -> str:
     attrs: dict[int, tuple[str, tuple[str, ...]]] = {}
     counter = 0
 
-    def emit(node: PolicyNode) -> str:
+    def emit(node: PathNode) -> str:
         nonlocal counter
         name = f"n{counter}"
         counter += 1
@@ -1034,7 +1361,7 @@ def tree_to_dot(root: PolicyNode) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_pieces(node: PolicyNode, level: int) -> tuple[str, str, str]:
+def _json_pieces(node: PathNode, level: int) -> tuple[str, str, str]:
     """A node's JSON text around its children, at ``level`` below the root
     of the export: the text before the first child, between two children,
     and after the last (the whole node, then "" and "", at a leaf)."""
@@ -1059,8 +1386,8 @@ def _json_pieces(node: PolicyNode, level: int) -> tuple[str, str, str]:
             f"\n{pad1}],\n{fields}")
 
 
-def tree_to_json(root: PolicyNode) -> str:
-    """Nested JSON text of the tree; rationals as "num/den" strings.
+def tree_to_json(root: PathNode) -> str:
+    """Nested JSON text of a PathNode tree; rationals as "num/den" strings.
 
     The text is exactly what ``json.dumps(..., sort_keys=True, indent=1)``
     prints for one record per virtual node with its children nested.  A
@@ -1072,7 +1399,7 @@ def tree_to_json(root: PolicyNode) -> str:
     cache: dict[int, tuple[str, str, str]] = {}
     base = root.depth
 
-    def walk(node: PolicyNode) -> None:
+    def walk(node: PathNode) -> None:
         got = cache.get(id(node))
         if got is None:
             got = cache[id(node)] = _json_pieces(node, node.depth - base)

@@ -310,17 +310,16 @@ def pwl_eval(f: PwlConcave, t: RationalLike) -> Fraction:
     return Fraction(v, f.scale)  # t == domain_upper after all segments
 
 
-def _sides(f: PwlConcave, p: int, q: int) -> tuple[int, int, int]:
-    """One scan of f at t = p/q (q > 0): the superdifferential's ``lo``
-    and ``hi`` and the linearly extended right slope (see
-    :func:`superdiff` and :func:`slope_right`)."""
+def _sides(f: PwlConcave, p: int, q: int) -> tuple:
+    """One scan of f at t = p/q (q > 0): :func:`superdiff`'s ``lo``, ``hi``,
+    the extended right slope, and the segment t is inside (or None)."""
     ps = _in_domain(f, p, q)
     segs = f.segs
     if not segs:  # single-point domain
-        return 0, 0, 0
+        return 0, 0, 0, None
     if p == 0:
         first = segs[0][0]
-        return first, first, first
+        return first, first, first, None
     acc = 0
     for i, (slope, width) in enumerate(segs):
         acc += width
@@ -328,12 +327,12 @@ def _sides(f: PwlConcave, p: int, q: int) -> tuple[int, int, int]:
         if ps < aq:
             # strictly inside segment i (segment starts are handled as the
             # previous iteration's t == acc, and t == 0 above)
-            return slope, slope, slope
+            return slope, slope, slope, (acc - width, acc)
         if ps == aq:
             if i + 1 < len(segs):
                 right = segs[i + 1][0]
-                return right, slope, right
-            return 0, slope, slope  # t == domain_upper
+                return right, slope, right, None
+            return 0, slope, slope, None  # t == domain_upper
     raise AssertionError("unreachable: domain scan fell through")
 
 
@@ -347,7 +346,7 @@ def superdiff(f: PwlConcave, t: RationalLike) -> SuperDiff:
         superdiff(f, 0)      ->  SuperDiff(lo=3, hi=3)
         superdiff(f, 1)      ->  SuperDiff(lo=0, hi=1)
     """
-    lo, hi, _ = _sides(f, *_ratio(t))
+    lo, hi, _, _ = _sides(f, *_ratio(t))
     return SuperDiff(lo, hi)
 
 

@@ -172,6 +172,8 @@ def walk_survival(theta: Fraction, a: int, n: int) -> Fraction:
 def best_response_cost(root, lam1: Fraction, lam2: Fraction) -> Fraction:
     """Cheapest Lagrangian cost a tester can reach against the tree's own
     adversary arrows, re-deciding stop-or-continue freely at every history.
+    ``root`` is a tree that carries the LFD at each node: a ``PathNode``
+    tree of ``lfd_tree`` or a :func:`frac_extract_tree`.
 
     The adversary plays the extracted transition probabilities (including
     the limiting-direction arrows on zero-mass branches); the tester pays
@@ -622,6 +624,10 @@ class FracNode:
     children: tuple["FracNode", ...] | None
     sure_stop_state: bool
 
+    @property
+    def depth(self) -> int:
+        return self.state.depth
+
 
 def frac_extract_tree(table, max_depth: int | None = None) -> FracNode:
     """The policy extraction as the package wrote it over ``Fraction``
@@ -1054,9 +1060,19 @@ def frac_evaluate(root, probe):
                       tuple(sorted(stop_pmf.items())))
 
 
+def _weighted(node) -> tuple[bool, ...]:
+    """The branches the adversary weights: a rule node's ``mass``, or the
+    positive LFD entries of a node that carries the LFD (at zero mass, the
+    limiting direction; no positive path reaches such a node, so the two
+    readings give the same certificate)."""
+    mass = getattr(node, "mass", None)
+    return mass if mass is not None else tuple(p > 0 for p in node.lfd_probs)
+
+
 def frac_verify_equalization(root):
     """``verify_equalization``'s certificate from a Fraction fold, with the
-    offending paths found by the same pruned search in Fractions."""
+    offending paths found by the same pruned search in Fractions, over a
+    rule DAG or a :func:`frac_extract_tree`."""
     from npkw.policy import EqualizationCertificate
 
     c_root = root.e_enter
@@ -1072,7 +1088,7 @@ def frac_verify_equalization(root):
                 Fraction(0), Fraction(0), 1, 1)
             continue
         kids = node.children
-        positive = [ch for x, ch in enumerate(kids) if node.lfd_probs[x] > 0]
+        positive = [ch for ch, w in zip(kids, _weighted(node)) if w]
         max_e[nid] = p * (1 + max(max_e[id(ch)] for ch in kids))
         n_paths[nid] = sum(n_paths[id(ch)] for ch in kids)
         vals = {eq[id(ch)] for ch in positive}
@@ -1103,8 +1119,8 @@ def frac_verify_equalization(root):
             if acc != c_root:
                 found.append((path, acc))
             continue
-        for x, child in enumerate(node.children):
-            if node.lfd_probs[x] == 0:
+        for x, (child, w) in enumerate(zip(node.children, _weighted(node))):
+            if not w:
                 continue
             v = eq[id(child)]
             if v is not None and acc + surv * v == c_root:
@@ -1147,7 +1163,9 @@ def simulate_loop(root, trials: int, seed: int, strategy: str = "fixed",
     """``simulate`` as one loop that cross-multiplies every draw with the
     node's probabilities and tests the strategy at every step; the package
     compares each draw with an integer cutoff per node instead, consuming
-    the draws in the same order."""
+    the draws in the same order.  The ``lfd`` strategy reads the LFD off
+    the nodes, so it needs a tree that carries it, such as
+    :func:`frac_extract_tree`."""
     k = len(root.state.counts)
     if strategy == "fixed":
         fixed_cum = _cumulative(tuple(Fraction(v) for v in pmf))
@@ -1181,8 +1199,7 @@ def simulate_loop(root, trials: int, seed: int, strategy: str = "fixed",
             else:
                 cum = lfd_cum.get(id(node))
                 if cum is None:
-                    cum = lfd_cum[id(node)] = (
-                        tuple(accumulate(node.lfd_num)), node.lfd_den)
+                    cum = lfd_cum[id(node)] = _cumulative(node.lfd_probs)
                 x = _pick(rng.getrandbits(64), *cum)
             node = node.children[x]
             steps += 1
@@ -1194,3 +1211,55 @@ def simulate_loop(root, trials: int, seed: int, strategy: str = "fixed",
         freq_h1=Fraction(n_h1, trials), freq_h2=Fraction(n_h2, trials),
         max_sample_size=max_tau,
     )
+
+
+# ---------------------------------------------------------------------------
+# the LFD's range and support over a tree that carries the LFD
+# ---------------------------------------------------------------------------
+
+def frac_lfd_range(root, symbol: int = 1) -> tuple[Fraction, Fraction]:
+    """``lfd_range`` over every distinct node of a :func:`frac_extract_tree`:
+    the least and the largest LFD probability of ``symbol`` strictly
+    between 0 and 1, at nodes entered with positive mass that may
+    continue."""
+    probs = []
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.lfd_probs is not None and node.p_continue > 0 and node.z0 > 0:
+            if 0 < node.lfd_probs[symbol] < 1:
+                probs.append(node.lfd_probs[symbol])
+        stack.extend(node.children or ())
+    if not probs:
+        raise ValueError("empty tree: no randomized transitions to range over")
+    return min(probs), max(probs)
+
+
+def frac_lfd_support(root, model) -> tuple[bool, tuple[int, ...], set]:
+    """``verify_lfd_support`` path by path over a :func:`frac_extract_tree`:
+    whether it passes, the mutual support, and every history at which the
+    adversary plays with positive mass and leaves a support symbol whose
+    child may continue unweighted, or weights a symbol outside the support
+    while some child may continue."""
+    support = tuple(x for x in range(model.alphabet_size)
+                    if model.p1[x] > 0 and model.p2[x] > 0)
+    bad = set()
+    stack = [(root, ())]
+    while stack:
+        node, path = stack.pop()
+        if node.p_continue == 0:
+            continue
+        if node.z0 > 0:
+            lfd = node.lfd_probs
+            starved = any(lfd[x] == 0 and not node.children[x].sure_stop_state
+                          for x in support)
+            outside = any(q > 0 for x, q in enumerate(lfd) if x not in support)
+            if starved or (outside and not all(
+                    ch.sure_stop_state for ch in node.children)):
+                bad.add(path)
+        stack.extend((ch, path + (x,)) for x, ch in enumerate(node.children))
+    return not bad, support, bad

@@ -31,12 +31,12 @@ from npkw.bellman import (
 )
 from npkw.cli import main
 from npkw.policy import (
-    _levels,
     evaluate,
     extract_tree,
     find_node,
     iter_unique_nodes,
     lfd_range,
+    lfd_tree,
     max_conditional_remaining,
     verify_equalization,
     verify_lfd_support,
@@ -95,7 +95,7 @@ def test_criterion_02_figure_reproduction(fig_tree, fig_display):
 # ---------------------------------------------------------------------------
 
 def test_criterion_03a_two_successes_lfd(fig_tree):
-    succ = find_node(fig_tree, (1, 1)).lfd_probs[1]
+    succ = find_node(lfd_tree(fig_tree), (1, 1)).lfd_probs[1]
     assert abs(float(succ) - 0.1374) < 5e-4
     print("criterion 03a: PASS — LFD success probability 0.1374 after "
           "two successes")
@@ -236,10 +236,12 @@ def test_criterion_06_lfd_support(fig_tree, fig_model, fig_display):
     # surely anyway (the sample carried by such an arrow would have been
     # the last) — the one degeneracy the support property allows.  Arrows
     # are counted once per history: a shared node counts as many times as
-    # there are root paths to it.
-    n_histories = {id(fig_tree): 1}
+    # there are root paths to it.  The LFD is read at each history, with
+    # the adversary's mass there.
+    paths = lfd_tree(fig_tree)
+    n_histories = {id(paths): 1}
     degenerate = 0
-    for node in (node for level in _levels(fig_tree) for node in level):
+    for node in sorted(iter_unique_nodes(paths), key=lambda n: n.depth):
         mult = n_histories[id(node)]
         if node.p_continue > 0 and node.lfd_probs is not None:
             for x, q in enumerate(node.lfd_probs):
@@ -267,7 +269,7 @@ def test_criterion_07_truncation(fig_tree, fig_model):
         deepest = max(deepest, node.state.depth)
         if node.p_continue > 0 and node.children is not None:
             for x, child in enumerate(node.children):
-                if node.lfd_probs[x] > 0 and id(child) not in seen:
+                if node.mass[x] and id(child) not in seen:
                     seen.add(id(child))
                     stack.append(child)
     assert deepest == fig_model.horizon == 21
@@ -373,7 +375,7 @@ def test_criterion_09a_recursion_vs_grid_adversary():
         # exact complement to the one-sided sandwich: re-deciding
         # stop-or-continue freely against the extracted adversary arrows
         # cannot beat the root value
-        root = extract_tree(table)
+        root = lfd_tree(extract_tree(table))
         assert best_response_cost(root, model.lam1, model.lam2) == exact
     print("criterion 09a: PASS — grid sandwich and exact best response, "
           "N = 1..4")

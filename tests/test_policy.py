@@ -37,6 +37,7 @@ from npkw.policy import (
     iter_nodes,
     iter_unique_nodes,
     lfd_range,
+    lfd_tree,
     max_conditional_remaining,
     simulate,
     tree_to_dot,
@@ -52,6 +53,8 @@ from oracles import (
     frac_draw,
     frac_evaluate,
     frac_extract_tree,
+    frac_lfd_range,
+    frac_lfd_support,
     frac_verify_equalization,
     simulate_loop,
     tree_dot_text,
@@ -77,7 +80,8 @@ def test_horizon2_tree_by_hand():
     model, table, root = small_fig(2)
     assert (root.e_enter, root.e_continue, root.p_continue) == (1, 1, 1)
     assert root.decision is None
-    assert root.lfd_probs == (Fraction(1, 2), Fraction(1, 2))
+    assert root.mass == (True, True)
+    assert lfd_tree(root).lfd_probs == (Fraction(1, 2), Fraction(1, 2))
     fail, succ = root.children
     assert fail.state.counts == (1, 0) and fail.decision is Decision.H2
     assert succ.state.counts == (0, 1) and succ.decision is Decision.H1
@@ -114,11 +118,11 @@ def test_fig_root_labels(fig_tree):
     assert fig_tree.p_continue == 1
     assert fig_tree.decision is None
     # symmetry of the model forces an even first split
-    assert fig_tree.lfd_probs == (Fraction(1, 2), Fraction(1, 2))
+    assert lfd_tree(fig_tree).lfd_probs == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_fig_two_successes_node(fig_tree):
-    node = find_node(fig_tree, (1, 1))
+    node = find_node(lfd_tree(fig_tree), (1, 1))
     assert node.state.counts == (0, 2)
     assert (node.e_enter, node.e_continue) == (1, 3)
     assert node.p_continue == Fraction(1, 3)
@@ -215,7 +219,7 @@ def test_fig_lfd_support(fig_tree, fig_model):
 def test_fig_best_response(fig_table, fig_tree, fig_model):
     # no stop-or-continue deviation against the extracted adversary beats
     # the design's own Lagrangian cost: an exact saddle
-    br = best_response_cost(fig_tree, fig_model.lam1, fig_model.lam2)
+    br = best_response_cost(lfd_tree(fig_tree), fig_model.lam1, fig_model.lam2)
     assert br == pwl_eval(fig_table.rho[(0, 0)], 1)
 
 
@@ -223,10 +227,14 @@ def test_fig_sharing_is_a_dag(fig_tree, fig_display):
     n_virtual = sum(1 for _ in iter_nodes(fig_tree))
     n_unique = sum(1 for _ in iter_unique_nodes(fig_tree))
     assert n_virtual == 947799
-    assert n_unique == 2248
-    # hash-consing: one node object per (counts, z0, entry label), in full
-    # extractions and display cuts alike
-    for root, expected in ((fig_tree, 2248), (fig_display, 75)):
+    assert n_unique == 411
+    # the rule: one node object per distinct subtree
+    nodes = list(iter_unique_nodes(fig_tree))
+    assert len({(n.state.counts, n.e_enter, n.e_continue, n.mass,
+                 n.children) for n in nodes}) == 411
+    # with the adversary's mass: one node object per (counts, z0, entry
+    # label), over the whole horizon and in the display cut alike
+    for root, expected in ((lfd_tree(fig_tree), 2248), (fig_display, 75)):
         nodes = list(iter_unique_nodes(root))
         keys = {(n.state.counts, n.z0, n.e_enter) for n in nodes}
         assert len(nodes) == len(keys) == expected
@@ -249,6 +257,45 @@ def test_fig_long_horizon_certified():
     assert rep.expected_sample_size == 3
     assert rep.expected_sample_size + 20 * rep.alpha1 + 20 * rep.alpha2 == \
         pwl_eval(table.rho[(0, 0)], 1)
+
+
+def test_h45_design_continues_at_depth_44_with_positive_mass():
+    """The paper's design is nontruncated: at horizon 45 the extracted rule
+    still continues at depth 44, the last depth before the horizon, at a
+    history the adversary reaches with positive mass, and both
+    certificates pass."""
+    model = bernoulli_model(horizon=45, **FIG_MODEL)
+    root = extract_tree(backward_recursion(model))
+    # the histories of positive mass: follow the weighted branches
+    deepest = 0
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.p_continue and any(node.mass):
+            deepest = max(deepest, node.depth)
+            for child, weighted in zip(node.children, node.mass):
+                if weighted and id(child) not in seen:
+                    seen.add(id(child))
+                    stack.append(child)
+    assert deepest == 44
+    cert = verify_equalization(root)
+    assert cert.passes and cert.c_root == 3
+    assert verify_lfd_support(root, model).passes
+
+
+@pytest.mark.parametrize("model, rule_nodes, mass_nodes", [
+    (bernoulli_model("0.8", "0.2", 20, 20, 15), 200, 501),
+    (make_model(["1/2", "1/4", "1/4"], ["1/4", "1/4", "1/2"], 20, 20, 10),
+     457, 892),
+    (bernoulli_model("0.7", "0.4", 20, 30, 15), 211, 1198),
+], ids=["ref15", "tern10", "asymmetric"])
+def test_rule_node_counts(model, rule_nodes, mass_nodes):
+    """The rule has one node per distinct subtree, and its histories one
+    node per (counts, z0, promise), as the per-mass extraction had."""
+    root = extract_tree(backward_recursion(model))
+    assert sum(1 for _ in iter_unique_nodes(root)) == rule_nodes
+    assert sum(1 for _ in iter_unique_nodes(lfd_tree(root))) == mass_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +321,7 @@ def test_equalization_rejects_mutation_of_shared_node():
     _, _, root = small_fig(8)
     # histories 01 and 10 reach counts (1, 1) with the same mass and promise
     victim = find_node(root, (0, 1))
-    assert victim is find_node(root, (1, 0)) and victim.z0 > 0
+    assert victim is find_node(root, (1, 0)) and any(victim.mass)
     original = victim.p_continue
     victim.p_continue = Fraction(1, 2)
     cert = verify_equalization(root)
@@ -288,9 +335,8 @@ def test_equalization_rejects_mutation_of_shared_node():
 def test_support_rejects_starved_branch():
     model, _, root = small_fig(8)
     victim = find_node(root, (1,))
-    probs = list(victim.lfd_probs)
-    probs[0], probs[1] = Fraction(0), Fraction(1)
-    victim.lfd_probs = tuple(probs)
+    assert victim.mass == (True, True)
+    victim.mass = (False, True)
     report = verify_lfd_support(root, model)
     assert not report.passes
     assert (1,) in report.offending
@@ -311,11 +357,13 @@ def test_extraction_error_on_inconsistent_table():
 # guard rails
 # ---------------------------------------------------------------------------
 
-def test_display_cut_rejected_for_evaluation(fig_display):
-    with pytest.raises(ValueError, match="display depth"):
-        evaluate(fig_display, ["0.5", "0.5"])
-    with pytest.raises(ValueError, match="display depth"):
-        verify_equalization(fig_display)
+def test_display_cut_rejected_for_evaluation(fig_display, fig_model):
+    for run in (lambda root: evaluate(root, ["0.5", "0.5"]),
+                verify_equalization,
+                lambda root: verify_lfd_support(root, fig_model),
+                lambda root: simulate(root, 10, 1, "alternating")):
+        with pytest.raises(ValueError, match="display depth"):
+            run(fig_display)
 
 
 def test_bad_probe_rejected(fig_tree):
@@ -325,9 +373,26 @@ def test_bad_probe_rejected(fig_tree):
         evaluate(fig_tree, ["0.5", "0.25", "0.25"])
 
 
-def test_find_node_off_tree(fig_display):
-    with pytest.raises(KeyError):
-        find_node(fig_display, (1,) * 8)  # past the display cut
+def test_find_node_off_tree(fig_tree, fig_display):
+    with pytest.raises(KeyError, match=r"at the display cut at depth 7"):
+        find_node(fig_display, (1,) * 8)
+    # (1, 0, 0) stops surely, in the rule and at its histories alike
+    for root in (fig_tree, fig_display):
+        assert find_node(root, (1, 0, 0)).p_continue == 0
+        with pytest.raises(KeyError, match=r"path \(1, 0, 0, 1\) leaves the "
+                           r"materialized tree at a sure stop at depth 3"):
+            find_node(root, (1, 0, 0, 1))
+
+
+@pytest.mark.parametrize("symbol", [-1, 2])
+def test_find_node_rejects_symbols_outside_the_alphabet(fig_tree, fig_display,
+                                                        symbol):
+    # a negative index once wrapped to the last child, and 2 raised an
+    # IndexError
+    for root in (fig_tree, fig_display):
+        with pytest.raises(KeyError, match=rf"path \(1, {symbol}\): symbol "
+                           rf"{symbol} is outside the alphabet 0..1"):
+            find_node(root, (1, symbol))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +416,7 @@ def test_trinomial_design_consistent():
     rep = reports[0]
     rho1 = pwl_eval(table.rho[(0, 0, 0)], 1)
     assert rep.expected_sample_size + 10 * rep.alpha1 + 14 * rep.alpha2 == rho1
-    assert best_response_cost(root, model.lam1, model.lam2) == rho1
+    assert best_response_cost(lfd_tree(root), model.lam1, model.lam2) == rho1
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +446,7 @@ def test_extraction_laws_random_models(t1, t2, lam1, lam2, horizon):
         assert root.e_enter == 0
     else:
         assert root.e_enter == slope_right(table.rho[(0, 0)], 1)
-    for node in iter_unique_nodes(root):
+    for node in iter_unique_nodes(lfd_tree(root)):
         if node.p_continue == 0:
             lhs = model.lam1 * node.state.z1
             rhs = model.lam2 * node.state.z2
@@ -417,7 +482,7 @@ def test_saddle_random_models(t1, t2, lam1, lam2, horizon):
     cost = rep1.expected_sample_size \
         + model.lam1 * rep1.alpha1 + model.lam2 * rep1.alpha2
     assert cost == rho1
-    assert best_response_cost(root, model.lam1, model.lam2) == rho1
+    assert best_response_cost(lfd_tree(root), model.lam1, model.lam2) == rho1
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +580,7 @@ def test_allocation_read_through_sigma_equals_the_mirrors_own(
             own = _alloc(_own_pool(table, counts), k, z0)
             read = _alloc(table.pools[twin], k, z0)
             assert own == tuple(read[y] for y in table.sigma)
-    for node in iter_unique_nodes(extract_tree(table)):
+    for node in iter_unique_nodes(lfd_tree(extract_tree(table))):
         if node.lfd_probs is not None:
             assert node.lfd_probs == _own_pool_lfd(table, node)
 
@@ -524,10 +589,62 @@ def test_allocation_read_through_sigma_equals_the_mirrors_own(
 # integer extraction against the Fraction oracle
 # ---------------------------------------------------------------------------
 
+def _rule_classes(want) -> dict[int, int]:
+    """The oracle's z0-DAG quotiented by the rule key: each node's class,
+    numbered by its (counts, labels, stop probability, decision, branches
+    the adversary weights with positive mass, the classes of its
+    children)."""
+    keys: dict[tuple, int] = {}
+    classes: dict[int, int] = {}
+
+    def visit(node) -> int:
+        got = classes.get(id(node))
+        if got is None:
+            kids = node.children
+            mass = None if kids is None else tuple(
+                node.z0 > 0 and q > 0 for q in node.lfd_probs)
+            key = (node.state.counts, node.e_enter, node.e_continue,
+                   node.p_continue, node.decision, mass,
+                   None if kids is None else tuple(map(visit, kids)))
+            got = classes[id(node)] = keys.setdefault(key, len(keys))
+        return got
+
+    visit(want)
+    return classes
+
+
 def _assert_same_dag(root, want):
-    """Node by node, the fields of ``root`` equal those of the oracle's
-    ``want``, and one node object of each corresponds to one of the other
-    (the same sharing)."""
+    """The rule DAG from ``root`` equals the oracle's z0-DAG ``want``
+    quotiented by the rule key: walked together, each rule node has the
+    fields of every oracle node it meets, and rule nodes and classes
+    correspond one to one."""
+    classes = _rule_classes(want)
+    pairs: dict[int, int] = {}
+    stack = [(root, want)]
+    while stack:
+        node, oracle = stack.pop()
+        cls = classes[id(oracle)]
+        if id(node) in pairs:
+            assert pairs[id(node)] == cls
+            continue
+        pairs[id(node)] = cls
+        mass = None if oracle.children is None else tuple(
+            oracle.z0 > 0 and q > 0 for q in oracle.lfd_probs)
+        assert (node.state.counts, node.e_enter, node.e_continue,
+                node.p_continue, node.decision, node.mass,
+                node.sure_stop_state) == (
+            oracle.state.counts, oracle.e_enter, oracle.e_continue,
+            oracle.p_continue, oracle.decision, mass,
+            oracle.sure_stop_state)
+        assert (node.children is None) == (oracle.children is None)
+        stack.extend(zip(node.children or (), oracle.children or ()))
+    assert len(set(pairs.values())) == len(pairs) == len(set(classes.values()))
+
+
+def _assert_same_paths(root, want):
+    """Node by node, the fields of the PathNode tree ``root`` equal those
+    of the oracle's ``want``, and one node object of each corresponds to
+    one of the other (the same sharing)."""
     pairs: dict[int, int] = {}
     stack = [(root, want)]
     while stack:
@@ -596,10 +713,12 @@ def test_integer_extraction_matches_the_fraction_oracle(
         p2 = [Fraction(w, sum(w2)) for w in w2]
     assume(p1 != p2)
     table = backward_recursion(make_model(p1, p2, lam1, lam2, horizon))
-    cuts = [None, horizon - 1] if data is None else \
-        [None, data.draw(st.integers(min_value=1, max_value=horizon))]
-    for cut in cuts:
-        _assert_same_dag(extract_tree(table, cut), frac_extract_tree(table, cut))
+    cut = horizon - 1 if data is None else \
+        data.draw(st.integers(min_value=1, max_value=horizon))
+    root, want = extract_tree(table), frac_extract_tree(table)
+    _assert_same_dag(root, want)
+    _assert_same_paths(lfd_tree(root), want)
+    _assert_same_paths(extract_tree(table, cut), frac_extract_tree(table, cut))
     if data is None:
         return
 
@@ -610,7 +729,7 @@ def test_integer_extraction_matches_the_fraction_oracle(
     what = data.draw(st.sampled_from(["lifted", "kink", "z0_star", "rho"]))
     if what in ("lifted", "kink"):
         node = data.draw(st.sampled_from([
-            node for node in iter_unique_nodes(extract_tree(table))
+            node for node in iter_unique_nodes(lfd_tree(extract_tree(table)))
             if node.p_continue] or [None]))
         assume(node is not None)
         table.lifted[node.state.counts] = data.draw(_tampered_slices(
@@ -624,12 +743,18 @@ def test_integer_extraction_matches_the_fraction_oracle(
                                      max_denominator=13))
     else:
         table.rho[(0,) * k] = data.draw(_tampered_slices())
-    cut = cuts[1]
+    got, error = _outcome(extract_tree, table, None)
+    want, want_error = _outcome(frac_extract_tree, table, None)
+    assert error == want_error
+    if error is None:
+        _assert_same_dag(got, want)
+        _assert_same_paths(lfd_tree(got), want)
+    # the display cut reads the table only down to the cut
     got, error = _outcome(extract_tree, table, cut)
     want, want_error = _outcome(frac_extract_tree, table, cut)
     assert error == want_error
     if error is None:
-        _assert_same_dag(got, want)
+        _assert_same_paths(got, want)
 
 
 @pytest.mark.parametrize("counts, slopes, kink, message", [
@@ -653,7 +778,7 @@ def test_extraction_errors_match_the_fraction_oracle(counts, slopes, kink,
     table = backward_recursion(bernoulli_model(horizon=3, **FIG_MODEL))
     if kink:
         table.z0_star[counts] = next(
-            node.z0 for node in iter_unique_nodes(extract_tree(table))
+            node.z0 for node in iter_unique_nodes(lfd_tree(extract_tree(table)))
             if node.state.counts == counts and node.p_continue)
     table.lifted[counts] = pwl(1, [(slopes[0], "1/2"), (slopes[1], "1/2")])
     with pytest.raises(ExtractionError) as got:
@@ -661,6 +786,80 @@ def test_extraction_errors_match_the_fraction_oracle(counts, slopes, kink,
     with pytest.raises(ExtractionError) as want:
         frac_extract_tree(table)
     assert str(got.value) == str(want.value) == message
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.sampled_from([2, 3]),
+    w1=pmf_weights,
+    w2=pmf_weights,
+    mirror=st.booleans(),
+    lam1=st.fractions(min_value=Fraction(1, 5), max_value=40, max_denominator=9),
+    lam2=st.fractions(min_value=Fraction(1, 5), max_value=40, max_denominator=9),
+    horizon=st.integers(min_value=1, max_value=6),
+    cut=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@example(k=3, w1=[1, 2, 0], w2=[0, 0, 0], mirror=True, lam1=Fraction(20),
+         lam2=Fraction(1), horizon=5, cut=4, seed=1)
+def test_rule_dag_reports_equal_the_oracle_trees(
+        k, w1, w2, mirror, lam1, lam2, horizon, cut, seed):
+    """Everything read off the rule DAG equals what the oracles read off
+    the Fraction extraction's z0-DAG: evaluation, both certificates,
+    simulation under every strategy, the exports of a display cut and the
+    LFD's range."""
+    w1, w2 = w1[:k], w2[:k]
+    assume(sum(w1) > 0)
+    p1 = [Fraction(w, sum(w1)) for w in w1]
+    if mirror:  # p2 = p1 reversed, with equal weights: sigma reverses
+        p2, lam2 = p1[::-1], lam1
+    else:
+        assume(sum(w2) > 0)
+        p2 = [Fraction(w, sum(w2)) for w in w2]
+    assume(p1 != p2)
+    model = make_model(p1, p2, lam1, lam2, horizon)
+    table = backward_recursion(model)
+    root, want = extract_tree(table), frac_extract_tree(table)
+    for pmf in (p1, p2, [Fraction(1, k)] * k):
+        assert evaluate(root, pmf) == frac_evaluate(want, pmf)
+    assert verify_equalization(root) == frac_verify_equalization(want)
+    report = verify_lfd_support(root, model)
+    passes, support, bad = frac_lfd_support(want, model)
+    assert (report.passes, report.mutual_support) == (passes, support)
+    assert set(report.offending) <= bad
+    for strategy in ("fixed", "lfd", "alternating"):
+        pmf = p2 if strategy == "fixed" else None
+        assert simulate(root, 100, seed, strategy, pmf) == \
+            simulate_loop(want, 100, seed, strategy, pmf)
+    cut = min(cut, horizon)
+    oracle_cut = frac_extract_tree(table, cut)
+    for shown in (extract_tree(table, cut), lfd_tree(root, cut)):
+        assert tree_to_dot(shown) == tree_dot_text(oracle_cut)
+        assert tree_to_json(shown) == tree_json_text(oracle_cut)
+    try:
+        want_range = frac_lfd_range(want)
+    except ValueError:
+        with pytest.raises(ValueError):
+            lfd_range(root)
+    else:
+        assert lfd_range(root) == want_range
+
+
+def test_a_span_is_cut_where_a_child_span_ends():
+    """A node's span is cut to the pullback of each child's span.  Here a
+    child's threshold is moved between the masses that two histories of
+    one parent span hand it, and the first inconsistency extraction meets
+    is the Fraction extraction's; reusing the parent's node across the
+    moved threshold would meet another one first."""
+    table = backward_recursion(make_model(
+        ["1/2", "1/4", "1/4"], ["1/4", "1/4", "1/2"], 20, 20, 8))
+    table.z0_star[(2, 2, 1)] = Fraction(10947253, 5180620800)
+    message = ("state (2, 2, 1): parent promises 2 remaining samples to a "
+               "node that stops surely")
+    for extract in (extract_tree, frac_extract_tree):
+        with pytest.raises(ExtractionError) as got:
+            extract(table)
+        assert str(got.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -724,11 +923,12 @@ def test_simulate_means_lie_within_five_standard_errors():
     make_model(["1/2", "1/2", "0"], ["1/4", "0", "3/4"], 7, 9, 5),
 ], ids=["reference", "ternary", "asymmetric"])
 def test_simulate_equals_the_cross_multiplying_loop(model, strategy):
-    root = extract_tree(backward_recursion(model))
+    table = backward_recursion(model)
+    root, want = extract_tree(table), frac_extract_tree(table)
     pmf = list(model.p2) if strategy == "fixed" else None
     for seed in (1, 7, 151):
         assert simulate(root, 200, seed, strategy, pmf) == \
-            simulate_loop(root, 200, seed, strategy, pmf)
+            simulate_loop(want, 200, seed, strategy, pmf)
 
 
 class _Scripted:
@@ -756,10 +956,10 @@ def test_stop_cutoff_is_the_exact_comparison(monkeypatch, p, u, stops):
     assert (u * p.denominator >= p.numerator * 2**64) is stops
     # one node that continues with probability p into two sure stops
     one = Fraction(1)
-    leaf = policy.PolicyNode(DesignState(1, (1, 0), one, one, one), 0, 1, 0,
-                             None, Fraction(0), Decision.H2, None, None, None)
-    root = policy.PolicyNode(DesignState(0, (0, 0), one, one, one), 1, 1, 1,
-                             1, p, Decision.H1, (1, 1), 2, (leaf, leaf))
+    leaf = policy.PolicyNode(DesignState(1, (1, 0), one, one, one), 0, None,
+                             Fraction(0), Decision.H2, None, None)
+    root = policy.PolicyNode(DesignState(0, (0, 0), one, one, one), 1, 1, p,
+                             Decision.H1, (True, True), (leaf, leaf))
     for run in (simulate, simulate_loop):
         monkeypatch.setattr(policy.random, "Random",
                             lambda seed: _Scripted([u, 0]))
@@ -774,7 +974,7 @@ def test_stop_cutoff_is_the_exact_comparison(monkeypatch, p, u, stops):
 
 def test_dot_export_shape():
     _, _, root = small_fig(2)
-    dot = tree_to_dot(root)
+    dot = tree_to_dot(lfd_tree(root))
     assert dot.startswith("digraph policy {") and dot.rstrip().endswith("}")
     assert 'label="1/1"' in dot          # root continues surely
     assert dot.count('label="0"') == 2   # both depth-1 stops
@@ -783,7 +983,7 @@ def test_dot_export_shape():
 
 def test_json_export_round_trip():
     _, _, root = small_fig(2)
-    blob = json.loads(tree_to_json(root))
+    blob = json.loads(tree_to_json(lfd_tree(root)))
     assert blob["counts"] == [0, 0]
     assert blob["e_enter"] == 1 and blob["p_continue"] == "1/1"
     kids = blob["children"]
@@ -811,7 +1011,7 @@ def test_exporters_match_the_dict_oracles(k, w1, w2, lam1, lam2, horizon,
     assume(p1 != p2)
     table = backward_recursion(make_model(p1, p2, lam1, lam2, horizon))
     cut = data.draw(st.none() | st.integers(min_value=1, max_value=horizon))
-    root = extract_tree(table, max_depth=cut)
+    root = lfd_tree(extract_tree(table), cut)
     node = root
     for x in data.draw(st.lists(st.integers(min_value=0, max_value=k - 1),
                                 max_size=horizon)):
@@ -852,13 +1052,15 @@ def test_integer_evaluation_matches_the_fraction_oracles(
     p1 = [Fraction(w, sum(w1)) for w in w1]
     p2 = [Fraction(w, sum(w2)) for w in w2]
     assume(p1 != p2)
-    root = extract_tree(backward_recursion(make_model(p1, p2, lam1, lam2,
-                                                      horizon)))
+    table = backward_recursion(make_model(p1, p2, lam1, lam2, horizon))
+    root, want = extract_tree(table), frac_extract_tree(table)
     point_masses = [[int(x == y) for x in range(k)] for y in range(k)]
     drawn = [Fraction(w, sum(probe)) for w in probe]
     for pmf in (p1, p2, drawn, *point_masses):
-        assert evaluate(root, pmf) == frac_evaluate(root, pmf)
-    assert verify_equalization(root) == frac_verify_equalization(root)
+        assert evaluate(root, pmf) == frac_evaluate(root, pmf) == \
+            frac_evaluate(want, pmf)
+    assert verify_equalization(root) == frac_verify_equalization(root) == \
+        frac_verify_equalization(want)
 
 
 def test_randomized_stop_matches_the_fraction_oracles():

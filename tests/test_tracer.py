@@ -89,11 +89,12 @@ def test_traced_design_counts_every_internal_state(tracer_module, tmp_path,
     assert counts["bellman.states"] == 28
     assert counts["pwl.supconv_calls"] == 0
     assert counts["pwl.crossing_calls"] == 24
-    # `verify` extracts the design once: 25 distinct nodes, 15 of which
-    # continue and split their mass, over 20 symbol paths; a change in how
-    # extraction walks the DAG changes these
+    # `verify` extracts the design once: 23 distinct rule nodes (a state's
+    # sure stop is one node, however the mass reaches it), and 15 extracted
+    # nodes continue and split their mass, over 20 symbol paths; a change
+    # in how extraction walks the DAG changes these
     assert counts["pwl.split_at_calls"] == 15
-    assert counts["policy.dag_nodes"] == 25
+    assert counts["policy.dag_nodes"] == 23
     assert counts["policy.paths"] == 20
     assert report["bellman.table_read_s"]["value"] > 0
 
