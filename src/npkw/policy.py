@@ -32,9 +32,10 @@ samples.  ``evaluate``, ``verify_equalization``, ``verify_lfd_support``
 and ``simulate``'s ``fixed`` and ``alternating`` strategies read the rule
 alone.  z0 and the LFD are values of a history, not of a rule node:
 :func:`lfd_tree` computes them along the paths from the root, once per
-(rule node, z0), as :class:`PathNode` records, which the display cut of
-:func:`extract_tree`, the exports, ``simulate``'s ``lfd`` strategy,
-:func:`find_node` on such a tree and :func:`lfd_range` read.
+(rule node, z0), as :class:`PathNode` records, which the exports,
+:func:`find_node` on such a tree and :func:`lfd_range` read, and which
+the display cut of :func:`extract_tree` is made of; ``simulate``'s
+``lfd`` strategy splits z0 the same way along the histories it draws.
 
 The public fields and results are ``Fraction``s, but extraction and the
 walks over the DAG run in integers.  :func:`~npkw.pwl.split_at` reads a
@@ -97,7 +98,9 @@ class PolicyNode:
     least favorable distribution puts positive probability on symbol x
     here (none does at a node entered with zero mass).  ``merge`` is the
     state's merge record and symbol map, which :func:`lfd_tree` splits z0
-    with.
+    with, and ``landing`` the merge pool's slope class (see
+    :func:`_landing`) that the z0 the node was extracted at lies in, or
+    None: inside that class the split is linear in z0.
 
     ``sure_stop_state`` records a fact about the *state*, not the extracted
     behaviour: the canonical design stops here for every positive adversary
@@ -108,7 +111,7 @@ class PolicyNode:
     """
 
     __slots__ = ("state", "e_enter", "e_continue", "p_continue", "decision",
-                 "mass", "children", "sure_stop_state", "merge",
+                 "mass", "children", "sure_stop_state", "merge", "landing",
                  "_eval_cache")
 
     def __init__(self, state: DesignState, e_enter: int,
@@ -117,7 +120,8 @@ class PolicyNode:
                  mass: Optional[tuple[bool, ...]],
                  children: Optional[tuple["PolicyNode", ...]],
                  sure_stop_state: bool = False,
-                 merge: Optional[tuple] = None) -> None:
+                 merge: Optional[tuple] = None,
+                 landing: Optional[tuple] = None) -> None:
         self.state = state
         self.e_enter = e_enter
         self.e_continue = e_continue
@@ -127,6 +131,7 @@ class PolicyNode:
         self.children = children
         self.sure_stop_state = sure_stop_state
         self.merge = merge
+        self.landing = landing
         self._eval_cache = None  # see _eval_base
 
     @property
@@ -144,11 +149,11 @@ def extract_tree(table: CostTable, max_depth: Optional[int] = None):
     Returns the root :class:`PolicyNode` of the rule DAG, or with
     ``max_depth`` the display tree: the :class:`PathNode` tree of the
     histories down to that depth, each with its adversary mass z0 and LFD,
-    whose nodes at the cut have no children.  That is the tree
-    ``lfd_tree(extract_tree(table), max_depth)``, but read off the table
-    only down to the cut, once per (counts, z0, promise), which costs less
-    than extracting the whole rule; so an inconsistency of the table below
-    the cut does not raise here.
+    whose nodes at the cut have no children.  Down to the cut it is
+    ``lfd_tree(extract_tree(table))``, but read off the table only that
+    far, once per (counts, z0, promise), which costs less than extracting
+    the whole rule; so an inconsistency of the table below the cut does
+    not raise here.
 
     The root enters unconditionally; its ``e_enter`` is the right derivative
     of the root cost slice at z0 = 1 — the smallest expected sample size
@@ -397,21 +402,21 @@ def _extract(table: CostTable) -> PolicyNode:
         # the node's own span: both slices' open segments around z0, below
         # the threshold, inside the landing slope class of the merge pool
         span = shares = None
-        if seg is not None and rseg is not None:
-            landing = _landing(record, k, zn, zd)
-            if landing is not None:
-                scale = record[0]
-                start, end, shares, taken = landing
-                if perm is not None:
-                    shares, taken = perm(shares), perm(taken)
-                width = end - start
-                ls, rs = lifted.scale, rho.scale
-                ln, ld = _larger(seg[0], ls, rseg[0], rs)
-                ln, ld = _larger(ln, ld, start, scale)
-                hn, hd = _smaller(seg[1], ls, rseg[1], rs)
-                hn, hd = _smaller(hn, hd, end, scale)
-                if z0_star is not None:
-                    hn, hd = _smaller(hn, hd, *z0_star)
+        landing = _landing(record, k, zn, zd) \
+            if seg is not None and rseg is not None else None
+        if landing is not None:
+            scale = record[0]
+            start, end, shares, taken = landing
+            if perm is not None:
+                shares, taken = perm(shares), perm(taken)
+            width = end - start
+            ls, rs = lifted.scale, rho.scale
+            ln, ld = _larger(seg[0], ls, rseg[0], rs)
+            ln, ld = _larger(ln, ld, start, scale)
+            hn, hd = _smaller(seg[1], ls, rseg[1], rs)
+            hn, hd = _smaller(hn, hd, end, scale)
+            if z0_star is not None:
+                hn, hd = _smaller(hn, hd, *z0_star)
 
         children = []
         for x, kid in enumerate(kids):
@@ -456,7 +461,7 @@ def _extract(table: CostTable) -> PolicyNode:
             node = nodes[fields] = PolicyNode(
                 state, e_enter, e_continue, p_continue,
                 decision if e_enter != e_continue else None, mass, children,
-                sure_state, merge)
+                sure_state, merge, landing)
         return node, span
 
     return extract((0,) * k, 1, 1, None)[0]
@@ -501,8 +506,8 @@ def _display(table: CostTable, max_depth: int) -> PathNode:
         lfd, lfd_den = _lfd(merge, zn, alloc)
         children = None
         if state.depth < max_depth:
-            children = tuple(show(kid, a // (g := gcd(a, den)), den // g, c)
-                             for kid, a in zip(kids, alloc))
+            children = tuple([show(kid, a // (g := gcd(a, den)), den // g, c)
+                              for kid, a in zip(kids, alloc)])
         labels = (e_enter, 1 + c)
         p_continue = shared_p.get(labels)
         if p_continue is None:
@@ -541,6 +546,22 @@ def _landing(record: tuple, k: int, zn: int, zd: int) -> Optional[tuple]:
             taken[op] += width
         start, i = end, j
     return None
+
+
+def _alloc(record: tuple, landing: Optional[tuple], k: int, zn: int,
+           zd: int) -> tuple[list[int], int]:
+    """``split_at(record, k, zn, zd)``, read off ``landing``, a slope class
+    of :func:`_landing`, without a scan of the pool when z0 = zn/zd is
+    strictly inside it: each operand gets what it took before the class
+    and the share of its width in the class, over the same denominator."""
+    if landing is not None:
+        start, end, widths, taken = landing
+        x = zn * record[0] - start * zd  # z0 past the class start
+        cq = (end - start) * zd
+        if 0 < x < cq:
+            return [t * cq + w * x for t, w in zip(taken, widths)], \
+                cq * record[0]
+    return split_at(record, k, zn, zd)
 
 
 def _first_above(box: list, zn: int, zd: int) -> int:
@@ -622,9 +643,23 @@ class PathNode:
         return tuple(Fraction(n, den) for n in self.lfd_num)
 
 
+def _split(node: PolicyNode, zn: int, zd: int) -> tuple:
+    """What the adversary plays at a rule node that may continue, entered
+    with mass z0 = zn/zd: the LFD as integers over their positive sum, and
+    each child's mass as a reduced pair."""
+    merge = node.merge
+    alloc, den = _alloc(merge[0], node.landing, len(node.children), zn, zd)
+    if merge[1] is not None:
+        alloc = merge[1](alloc)
+    return (*_lfd(merge, zn, alloc),
+            [(a // (g := gcd(a, den)), den // g) for a in alloc])
+
+
 class _GrowingPathNode(PathNode):
     """A :class:`PathNode` of :func:`lfd_tree`, whose ``children`` slot
-    stays unset until its first read splits the mass."""
+    stays unset until its first read; ``_grow`` holds what builds them:
+    the function from a rule node and a mass to its PathNode, the rule
+    node's children and their masses."""
 
     __slots__ = ("_grow",)
 
@@ -632,16 +667,17 @@ class _GrowingPathNode(PathNode):
         # reached only for an unset slot: the children still to grow
         if name != "children":
             raise AttributeError(name)
-        self.children = self._grow()
-        return self.children
+        at, kids, masses = self._grow
+        self.children = got = tuple([at(kid, *z)
+                                     for kid, z in zip(kids, masses)])
+        return got
 
 
-def lfd_tree(root: PolicyNode, max_depth: Optional[int] = None) -> PathNode:
+def lfd_tree(root: PolicyNode) -> PathNode:
     """The rule from ``root`` with the adversary's mass z0 and its LFD at
     each history, z0 = 1 at ``root``: a :class:`PathNode` tree, one node
     per (rule node, z0), whose children are split from the state's merge
-    pool when first read.  With ``max_depth`` the nodes at that depth have
-    no children (a display cut)."""
+    pool when first read."""
     memo: dict[tuple, PathNode] = {}
 
     def at(node: PolicyNode, zn: int, zd: int) -> PathNode:
@@ -655,19 +691,13 @@ def lfd_tree(root: PolicyNode, max_depth: Optional[int] = None) -> PathNode:
                            node.p_continue, node.decision,
                            node.sure_stop_state, zn, zd, None, None, None)
         else:
-            merge = node.merge
-            alloc, den = split_at(merge[0], len(kids), zn, zd)
-            if merge[1] is not None:
-                alloc = merge[1](alloc)
+            lfd, lfd_den, masses = _split(node, zn, zd)
             got = _GrowingPathNode(
                 node.state, node.e_enter, node.e_continue, node.p_continue,
-                node.decision, node.sure_stop_state, zn, zd,
-                *_lfd(merge, zn, alloc), None)
-            if max_depth is None or node.state.depth < max_depth:
-                del got.children
-                got._grow = lambda: tuple(  # noqa: E731
-                    at(kid, a // (g := gcd(a, den)), den // g)
-                    for kid, a in zip(kids, alloc))
+                node.decision, node.sure_stop_state, zn, zd, lfd, lfd_den,
+                None)
+            del got.children
+            got._grow = at, kids, masses
         memo[key] = got
         return got
 
@@ -1219,8 +1249,8 @@ def simulate(
         ``fixed``       i.i.d. symbols from ``pmf``;
         ``alternating`` deterministic cycle 0, 1, ..., K-1, 0, ...;
         ``lfd``         replay the adversary: sample each symbol from the
-                        LFD PMF at the current history, which
-                        :func:`lfd_tree` splits once per (node, z0).
+                        LFD PMF at the current history, split off z0 once
+                        per (rule node, z0) as in :func:`lfd_tree`.
 
     Determinism: one call seeds one ``random.Random(str(seed))`` (string
     seeding is stable across platforms and keeps ``-7`` apart from ``7``),
@@ -1247,52 +1277,61 @@ def simulate(
         fixed_cuts = _symbol_cuts(
             (p.numerator * (den // p.denominator) for p in fixed), den)
     elif strategy == "lfd":
-        root = lfd_tree(root)
+        root = (root, 1, 1)
     elif strategy != "alternating":
         raise ValueError(f"unknown strategy {strategy!r}")
     alternating = strategy == "alternating"
 
     # per node, built on the first visit: the stop cutoff, the decision,
-    # the children and the symbol cutoffs (the lfd strategy's own)
+    # the children and the symbol cutoffs.  The lfd strategy walks (rule
+    # node, z0 pair) tuples, one object per pair, with their own cutoffs.
     seen: dict[int, tuple] = {}
+    pairs: dict[tuple, tuple] = {}
 
-    def visit(node) -> tuple:
+    def visit(key) -> tuple:
+        node, cuts = key, fixed_cuts
+        if strategy == "lfd":
+            node, zn, zd = key
+        children = node.children
+        if strategy == "lfd" and children is not None:
+            lfd, lfd_den, masses = _split(node, zn, zd)
+            cuts = _symbol_cuts(lfd, lfd_den)
+            children = tuple([pairs.setdefault(q := (kid, *z), q)
+                              for kid, z in zip(children, masses)])
         p = node.p_continue
-        cuts = fixed_cuts
-        if strategy == "lfd" and p:
-            cuts = _symbol_cuts(node.lfd_num, node.lfd_den)
-        seen[id(node)] = got = (_cut(p.numerator, p.denominator),
-                                node.decision, node.children, cuts)
+        seen[id(key)] = got = (_cut(p.numerator, p.denominator),
+                               node.decision, children, cuts)
         return got
 
     total_tau = 0
     max_tau = 0
     n_h1 = 0
-    n_h2 = 0
     bits = random.Random(str(seed)).getrandbits
+    get = seen.get
+    h1, randomized = Decision.H1, Decision.RANDOMIZED
+    half = _UNIT // 2  # a randomized stop decides H1 when u / 2**64 < 1/2
     for _ in range(trials):
         node = root
         steps = 0
         while True:
-            cut, decision, children, cuts = seen.get(id(node)) or visit(node)
+            cut, decision, children, cuts = get(id(node)) or visit(node)
             if bits(64) >= cut:
-                if decision is Decision.RANDOMIZED:  # H1 when u / 2**64 < 1/2
-                    decision = Decision.H1 if bits(64) < _UNIT // 2 else Decision.H2
-                if decision is Decision.H1:
+                if decision is h1 or decision is randomized and \
+                        bits(64) < half:
                     n_h1 += 1
-                else:
-                    n_h2 += 1
                 break
             node = children[steps % k if alternating
                             else bisect_right(cuts, bits(64))]
             steps += 1
         total_tau += steps
-        max_tau = max(max_tau, steps)
+        if steps > max_tau:
+            max_tau = steps
 
     return SimReport(
         trials=trials, seed=seed, strategy=strategy,
         mean_sample_size=Fraction(total_tau, trials),
-        freq_h1=Fraction(n_h1, trials), freq_h2=Fraction(n_h2, trials),
+        freq_h1=Fraction(n_h1, trials),
+        freq_h2=Fraction(trials - n_h1, trials),
         max_sample_size=max_tau,
     )
 
@@ -1342,6 +1381,7 @@ def tree_to_dot(root: PathNode) -> str:
         '  edge [fontname="Helvetica", fontsize=10];',
     ]
     attrs: dict[int, tuple[str, tuple[str, ...]]] = {}
+    append = lines.append
     counter = 0
 
     def emit(node: PathNode) -> str:
@@ -1351,9 +1391,11 @@ def tree_to_dot(root: PathNode) -> str:
         got = attrs.get(id(node))
         if got is None:
             got = attrs[id(node)] = _dot_attrs(node)
-        lines.append(f"  {name} {got[0]}")
-        for child, label in zip(node.children or (), got[1]):
-            lines.append(f"  {name} -> {emit(child)} {label}")
+        attr, labels = got
+        append(f"  {name} {attr}")
+        if labels:
+            for child, label in zip(node.children, labels):
+                append(f"  {name} -> {emit(child)} {label}")
         return name
 
     emit(root)

@@ -806,8 +806,8 @@ def test_rule_dag_reports_equal_the_oracle_trees(
         k, w1, w2, mirror, lam1, lam2, horizon, cut, seed):
     """Everything read off the rule DAG equals what the oracles read off
     the Fraction extraction's z0-DAG: evaluation, both certificates,
-    simulation under every strategy, the exports of a display cut and the
-    LFD's range."""
+    simulation under every strategy, the exports of a display cut and of
+    the whole tree and the LFD's range."""
     w1, w2 = w1[:k], w2[:k]
     assume(sum(w1) > 0)
     p1 = [Fraction(w, sum(w1)) for w in w1]
@@ -832,10 +832,11 @@ def test_rule_dag_reports_equal_the_oracle_trees(
         assert simulate(root, 100, seed, strategy, pmf) == \
             simulate_loop(want, 100, seed, strategy, pmf)
     cut = min(cut, horizon)
-    oracle_cut = frac_extract_tree(table, cut)
-    for shown in (extract_tree(table, cut), lfd_tree(root, cut)):
-        assert tree_to_dot(shown) == tree_dot_text(oracle_cut)
-        assert tree_to_json(shown) == tree_json_text(oracle_cut)
+    for shown, oracle in ((extract_tree(table, cut),
+                           frac_extract_tree(table, cut)),
+                          (lfd_tree(root), want)):
+        assert tree_to_dot(shown) == tree_dot_text(oracle)
+        assert tree_to_json(shown) == tree_json_text(oracle)
     try:
         want_range = frac_lfd_range(want)
     except ValueError:
@@ -1011,7 +1012,8 @@ def test_exporters_match_the_dict_oracles(k, w1, w2, lam1, lam2, horizon,
     assume(p1 != p2)
     table = backward_recursion(make_model(p1, p2, lam1, lam2, horizon))
     cut = data.draw(st.none() | st.integers(min_value=1, max_value=horizon))
-    root = lfd_tree(extract_tree(table), cut)
+    root = lfd_tree(extract_tree(table)) if cut is None else \
+        extract_tree(table, cut)
     node = root
     for x in data.draw(st.lists(st.integers(min_value=0, max_value=k - 1),
                                 max_size=horizon)):
