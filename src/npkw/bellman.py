@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, floor, gcd, lcm, log
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .pwl import (
@@ -261,28 +262,23 @@ class CostTable:
 
     Per count vector: the optimal cost slice ``rho`` (a PWL function of the
     adversary likelihood z0 on [0, 1]).  For internal states (depth <
-    horizon) additionally the lifted continuation slice ``lifted``,
-    z0 + d(z0) with d the sup-convolution of the children's slices, and
-    the stopping threshold ``z0_star`` — the exact crossing of ``lifted``
-    with g, with None meaning the cap never binds on [0, 1] (continuing is
-    strictly better everywhere).
-
-    ``pools`` keeps, per merged state, the merge record ``(scale, pool)``:
-    the sorted pool of operand segments over its scale, which
-    :func:`~npkw.pwl.split_at` reads.  ``d`` is a read-only property:
-    each read builds a new dict over the internal states, ``lifted`` with
-    every slope one lower.  The table holds only the dicts the solve
-    filled in, so it pickles.
+    horizon) additionally the stopping threshold ``z0_star``, where the
+    lift z0 + d(z0) of the children's sup-convolution d crosses g (None:
+    the cap never binds on [0, 1]), so ``rho`` is the lift below it, and
+    the merge record ``(scale, pool)`` in ``pools``: the sorted pool of
+    operand segments over its scale, which :func:`~npkw.pwl.split_at`
+    reads and whose slope classes are d's slopes.  ``d`` is a read-only
+    property that merges the children again on each read.  The table holds
+    only the dicts the solve filled in, so it pickles.
 
     In a mirror-symmetric model (see :func:`_mirror`) ``twins`` maps each
     state whose mirror comes first in lexicographic order to that mirror.
-    The two share one ``rho``, one ``lifted`` and one ``z0_star`` object
-    (all immutable), and one ``d`` within a read.  Only the mirror that
-    comes first has a pool.  The other's would be that pool with every
-    operand index mapped through ``sigma`` and the entries re-sorted by
-    (-slope, operand): the same slope classes with the operands
-    relabelled, so its allocation to symbol x is its partner's to
-    sigma(x).
+    The two share one ``rho`` and one ``z0_star`` object (both immutable),
+    and one ``d`` within a read.  Only the mirror that comes first has a
+    pool.  The other's would be that pool with every operand index mapped
+    through ``sigma`` and the entries re-sorted by (-slope, operand): the
+    same slope classes with the operands relabelled, so its allocation to
+    symbol x is its partner's to sigma(x).
     """
 
     def __init__(
@@ -290,7 +286,6 @@ class CostTable:
         model: NominalModel,
         states: dict[tuple[int, ...], DesignState],
         rho: dict[tuple[int, ...], PwlConcave],
-        lifted: dict[tuple[int, ...], PwlConcave],
         z0_star: dict[tuple[int, ...], Fraction | None],
         pools: dict[tuple[int, ...], tuple[int, list[tuple[int, int, int]]]],
         twins: dict[tuple[int, ...], tuple[int, ...]],
@@ -299,7 +294,6 @@ class CostTable:
         self.model = model
         self.states = states
         self.rho = rho
-        self.lifted = lifted
         self.z0_star = z0_star
         self.pools = pools
         self.twins = twins
@@ -307,14 +301,20 @@ class CostTable:
 
     @property
     def d(self) -> dict[tuple[int, ...], PwlConcave]:
-        """The continuation slice d per internal state: ``lifted`` with
-        every slope one lower, built afresh on each read.  A mirror state
-        shares its partner's object."""
+        """The continuation slice d per internal state, merged again from
+        the children's slices; a mirror state shares its partner's."""
         made: dict[tuple[int, ...], PwlConcave] = {}
-        for counts, f in self.lifted.items():
+        for counts in self.z0_star:
             twin = self.twins.get(counts)
-            made[counts] = made[twin] if twin is not None else PwlConcave(
-                f.scale, f.v0, tuple((s - 1, w) for s, w in f.segs), f.upper)
+            if twin is not None:
+                made[counts] = made[twin]
+                continue
+            fs = [self.rho[child_counts(counts, x)]
+                  for x in range(self.model.alphabet_size)]
+            scale = self.pools[counts][0]
+            v0, segs, _ = merge_scaled(fs, [scale // f.scale for f in fs],
+                                       scale, scale)
+            made[counts] = PwlConcave.reduced(scale, v0, segs, scale)
         return made
 
     def root_value(self) -> Fraction:
@@ -355,25 +355,30 @@ def _mirror(model: NominalModel) -> tuple[int, ...] | None:
 def _merge_step(
     fs: list[PwlConcave], mults: list[int], scale: int, target: int,
     cap: Fraction,
-) -> tuple[PwlConcave, Fraction | None, PwlConcave, list[tuple[int, int, int]]]:
+) -> tuple[Fraction | None, PwlConcave, list[tuple[int, int, int]]]:
     """One state's step: merge the operands (see :func:`merge_scaled`) up
     to ``target`` over ``scale``, lift the merge to t + merge(t), find where
-    the lift crosses ``cap`` and cap it there.  Returns the lifted slice,
-    the crossing, the capped slice and the sorted pool of the merge."""
+    the lift crosses ``cap`` and cap it there.  The lift stays the merge's
+    integers, in the four fields that :func:`crossing_point` and
+    :func:`cap_min_const` read, so the capped slice is the one canonical
+    slice made.  Returns the crossing, the capped slice and the sorted pool
+    of the merge."""
     v0, segs, pool = merge_scaled(fs, mults, scale, target)
-    lifted = PwlConcave.reduced(scale, v0, [(s + 1, w) for s, w in segs],
-                                target)
-    crossing = crossing_point(lifted, cap)
-    return lifted, crossing, cap_min_const(lifted, cap, crossing=crossing), pool
+    segs = [(s + 1, w) for s, w in segs]
+    lift = SimpleNamespace(scale=scale, v0=v0, segs=segs, upper=target)
+    crossing = crossing_point(lift, cap)
+    if crossing is None:
+        return None, PwlConcave.reduced(scale, v0, segs, target), pool
+    return crossing, cap_min_const(lift, cap, crossing=crossing), pool
 
 
 def backward_recursion(model: NominalModel) -> CostTable:
     """Run the exact backward recursion over all count states.
 
     Each state takes one :func:`_merge_step` of its children's slices on
-    [0, 1], capped at its stopping risk g; the table keeps the lifted slice,
-    the crossing, the capped slice and the pool, and ``d`` is built from
-    the lifted slices when it is read (see :class:`CostTable`).  In a
+    [0, 1], capped at its stopping risk g; the table keeps the crossing,
+    the capped slice and the pool, and ``d`` is merged again from the
+    children when it is read (see :class:`CostTable`).  In a
     mirror-symmetric model a state whose mirror comes first in
     lexicographic order reuses the mirror's slices and threshold."""
     per_depth = build_states(model)
@@ -381,7 +386,6 @@ def backward_recursion(model: NominalModel) -> CostTable:
     sigma = _mirror(model)
     states: dict[tuple[int, ...], DesignState] = {}
     rho: dict[tuple[int, ...], PwlConcave] = {}
-    lifted: dict[tuple[int, ...], PwlConcave] = {}
     z0_star: dict[tuple[int, ...], Fraction | None] = {}
     pools: dict[tuple[int, ...], tuple[int, list[tuple[int, int, int]]]] = {}
 
@@ -402,16 +406,15 @@ def backward_recursion(model: NominalModel) -> CostTable:
             states[counts] = st
             m = twins.get(counts)
             if m is not None:
-                rho[counts], lifted[counts] = rho[m], lifted[m]
-                z0_star[counts] = z0_star[m]
+                rho[counts], z0_star[counts] = rho[m], z0_star[m]
                 continue
             fs = [rho[child_counts(counts, x)] for x in range(k)]
             scale = lcm(*(f.scale for f in fs))
-            lifted[counts], z0_star[counts], rho[counts], pool = _merge_step(
+            z0_star[counts], rho[counts], pool = _merge_step(
                 fs, [scale // f.scale for f in fs], scale, scale, st.g)
             pools[counts] = scale, pool
 
-    return CostTable(model, states, rho, lifted, z0_star, pools, twins, sigma)
+    return CostTable(model, states, rho, z0_star, pools, twins, sigma)
 
 
 def horizon_roots(model: NominalModel,
@@ -503,7 +506,7 @@ def horizon_roots(model: NominalModel,
             scale = lcm(*(b * f.scale for (_, _, b), f in zip(kids, fs)))
             mults = [scale // (b * f.scale) * a
                      for (_, a, b), f in zip(kids, fs)]
-            _, _, level[ratio], _ = _merge_step(
+            _, level[ratio], _ = _merge_step(
                 fs, mults, scale, up * (scale // uq), gamma(ratio))
         if r in horizons:
             roots[r] = restrict(level[1, 1], 1)
@@ -643,30 +646,66 @@ def _check_record(rec: dict, st: DesignState, f: PwlConcave,
     the record stores exactly the state ``st`` and its cost slice ``f``.
     Rationals compare by value, as ``n * den == d * num``.  With
     ``rho_known`` the record's ``rho`` is one that already passed for
-    ``f`` and is not compared again."""
+    ``f``, which :func:`_matches` does not compare again.  Only a record
+    that :func:`_matches` does not pass is read field by field, to name
+    the first field that differs."""
+    try:
+        if _matches(rec, st, f, rho_known):
+            return
+    except (AttributeError, LookupError, TypeError, ValueError):
+        pass  # read again below, which raises what the record gets wrong
     want = [(name, rec[name], v.numerator, v.denominator)
             for name, v in (("z1", st.z1), ("z2", st.z2), ("g", st.g))]
-    slopes = [s for s, _ in f.segs]
-    stored_slopes = slopes
-    if not rho_known:
-        rho = rec["rho"]
-        segs = rho["segments"]
-        want += [("rho value_at_zero", rho["value_at_zero"], f.v0, f.scale),
-                 ("rho domain_upper", rho["domain_upper"], f.upper, f.scale)]
-        want += [(f"rho segment {i} width", seg["width"], w, f.scale)
-                 for i, (seg, (_, w)) in enumerate(zip(segs, f.segs))]
-        stored_slopes = [seg["slope"] for seg in segs]
+    rho = rec["rho"]
+    segs = rho["segments"]
+    want += [("rho value_at_zero", rho["value_at_zero"], f.v0, f.scale),
+             ("rho domain_upper", rho["domain_upper"], f.upper, f.scale)]
+    want += [(f"rho segment {i} width", seg["width"], w, f.scale)
+             for i, (seg, (_, w)) in enumerate(zip(segs, f.segs))]
+    stored_slopes = [seg["slope"] for seg in segs]
     for field, text, num, den in want:
         n, d = _parse_ratio(text)
         if n * den != d * num:
             raise ExtractionError(
                 f"state {st.counts}: stored {field} = {text}, but the model "
                 f"header gives {_ratio_str(num, den)}")
+    slopes = [s for s, _ in f.segs]
     if (rec["depth"], stored_slopes) != (st.depth, slopes):
         raise ExtractionError(
             f"state {st.counts}: stored depth = {rec['depth']} and rho slopes "
             f"= {stored_slopes}, but the model header gives {st.depth} and "
             f"{slopes}")
+
+
+def _matches(rec: dict, st: DesignState, f: PwlConcave,
+             rho_known: bool) -> bool:
+    """Whether the record stores ``st`` and ``f``, every rational in the
+    writer's form: the test of :func:`_check_record` without a name or a
+    tuple built per field."""
+    if rec["depth"] != st.depth:
+        return False
+    for text, v in ((rec["z1"], st.z1), (rec["z2"], st.z2), (rec["g"], st.g)):
+        if not _written_as(text, v.numerator, v.denominator):
+            return False
+    if rho_known:
+        return True
+    rho, scale = rec["rho"], f.scale
+    segs = rho["segments"]
+    if len(segs) != len(f.segs) or not (
+            _written_as(rho["value_at_zero"], f.v0, scale)
+            and _written_as(rho["domain_upper"], f.upper, scale)):
+        return False
+    for seg, (s, w) in zip(segs, f.segs):
+        if seg["slope"] != s or not _written_as(seg["width"], w, scale):
+            return False
+    return True
+
+
+def _written_as(text: str, num: int, den: int) -> bool:
+    """Whether ``text`` is some ``n/d`` with d > 0 and n/d == num/den."""
+    n, _, d = text.partition("/")
+    d = int(d)
+    return d > 0 and int(n) * den == d * num
 
 
 def cost_table_from_json(d: dict) -> CostTable:
@@ -675,7 +714,8 @@ def cost_table_from_json(d: dict) -> CostTable:
     The table is the solution of the model in its header, so the reader
     re-solves that model with :func:`backward_recursion` and requires every
     stored number to equal the recomputed one by value; a record that
-    differs raises :class:`ExtractionError` naming the state and the field.
+    differs raises :class:`ExtractionError` naming the state and the field
+    (see :func:`_check_record`; no name is built while records match).
     The root is checked first, then the other states by (depth, counts).
     Mirrored states share one slice object (see :class:`CostTable`), and
     a record whose ``rho`` equals, as parsed JSON, one that already passed

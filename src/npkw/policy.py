@@ -165,13 +165,13 @@ def extract_tree(table: CostTable, max_depth: Optional[int] = None):
     The rule is extracted top down, once per span: a span is an open
     interval of z0, for one count vector and promise, on which everything
     the subtree reads is provably the same.  A node's own span is the open
-    segment of its lifted slice, of its cost slice and of its merge pool's
-    landing slope class around z0, cut at the stopping threshold.  Inside
-    it each child's mass is linear in z0, so each child's span pulls back
-    to an interval of the parent's z0, which the node's span is cut to.  A
-    z0 at 0, at a kink, at the threshold or with a child held at one point
-    holds at that point alone.  A z0 that lands in a known span reuses its
-    node; nodes are also hash-consed on what they keep.
+    segment of its cost slice and of its merge pool's landing slope class
+    around z0, below the stopping threshold.  Inside it each child's mass
+    is linear in z0, so each child's span pulls back to an interval of the
+    parent's z0, which the node's span is cut to.  A z0 at 0, at a kink,
+    at the threshold or with a child held at one point holds at that point
+    alone.  A z0 that lands in a known span reuses its node; nodes are
+    also hash-consed on what they keep.
     """
     if max_depth is None:
         return _extract(table)
@@ -181,12 +181,11 @@ def extract_tree(table: CostTable, max_depth: Optional[int] = None):
 def _reader(table: CostTable) -> tuple[dict, Callable]:
     """The rows read so far, by count vector, and the function
     ``row(counts)`` that reads one more: what extraction reads of a state,
-    as ``(state, stop decision, sure_state, lifted, rho, z0_star as a
-    pair, (merge record, perm), child counts)`` with ``lifted`` None at the
-    horizon.  A mirror state (see
-    :class:`~npkw.bellman.CostTable`) reads its partner's pool, and
-    ``perm`` maps the partner's allocation to its own: its allocation to
-    symbol x is the partner's to sigma(x)."""
+    as ``(state, stop decision, sure_state, rho, z0_star as a pair,
+    (merge record, perm), child counts)`` with ``rho`` None at the
+    horizon.  A mirror state (see :class:`~npkw.bellman.CostTable`) reads
+    its partner's pool, and ``perm`` maps the partner's allocation to its
+    own: its allocation to symbol x is the partner's to sigma(x)."""
     model = table.model
     k = model.alphabet_size
     # lam1 * z1 against lam2 * z2 decides a stop, cross-multiplied
@@ -204,13 +203,12 @@ def _reader(table: CostTable) -> tuple[dict, Callable]:
         decision = Decision.H1 if lhs > rhs else \
             Decision.H2 if lhs < rhs else Decision.RANDOMIZED
         if state.depth == model.horizon:
-            got = (state, decision, True, None, None, None, None, None)
+            got = (state, decision, True, None, None, None, None)
         else:
             z0_star = table.z0_star[counts]
             twin = table.twins.get(counts)
             # stopping already matches continuing at zero mass
-            got = (state, decision, z0_star == 0, table.lifted[counts],
-                   table.rho[counts],
+            got = (state, decision, z0_star == 0, table.rho[counts],
                    None if z0_star is None else (z0_star.numerator,
                                                  z0_star.denominator),
                    (table.pools[counts], None) if twin is None else
@@ -231,63 +229,50 @@ def _check_stop(state: DesignState, promised: Optional[int]) -> None:
         )
 
 
-def _labels(counts: tuple[int, ...], lifted: PwlConcave, rho: PwlConcave,
+def _labels(counts: tuple[int, ...], rho: PwlConcave, record: tuple,
             zn: int, zd: int, side: int,
             promised: Optional[int]) -> Optional[tuple]:
     """The labels of a node that may continue, at z0 = zn/zd below or at
-    the threshold (``side`` <= 0): ``(e_enter, c, seg, rseg)``, c the
-    promise to every child and ``seg`` and ``rseg`` the open segments of
-    the lifted and the cost slice that z0 lies inside (None at zero mass,
-    at a kink and at the threshold).  None where the node stops surely and
-    its promise allows it."""
-    seg = None
-    if zn > 0:
-        # Continuing is optimal (strictly below the kink) or tied (at
-        # it).  The equalized continuation slope c may sit anywhere in
-        # the superdifferential of the continuation slice d at z0; the
-        # right derivative is the canonical smallest choice, and a
-        # parent's promise pins the choice instead where one exists.
-        # d's slopes are the lifted slice's less one, segment by
-        # segment; the right one is linearly extended at the edge.
-        _, d_left, d_right, seg = _sides(lifted, zn, zd)
-        d_left -= 1
-        d_right -= 1
-        if side == 0:
-            # stopping weight is free at the kink; the promise pins it
-            e_enter = 0 if promised is None else promised
-            if e_enter == 0:
-                return None
-            c = max(d_right, e_enter - 1)
-            if c > d_left:
+    the threshold (``side`` <= 0): ``(e_enter, c, seg)``, c the promise to
+    every child and ``seg`` as :func:`_slopes` gives it.  None where the
+    node stops surely and its promise allows it."""
+    lo, hi, d_left, d_right, seg = _slopes(rho, record, zn, zd, side)
+    if zn and side:
+        # Continuing is optimal (strictly below the kink).  The equalized
+        # continuation slope c may sit anywhere in the superdifferential
+        # of the continuation slice d at z0; the right derivative is the
+        # canonical smallest choice, and a parent's promise pins the
+        # choice instead where one exists.
+        if promised is None:
+            c = d_right
+        else:
+            c = promised - 1
+            if not d_right <= c <= d_left:
                 raise ExtractionError(
-                    f"state {counts}: promise {e_enter} needs "
-                    f"continuation slope {e_enter - 1}, outside "
+                    f"state {counts}: sure-continue promise "
+                    f"{promised} needs slope {c}, outside "
                     f"[{d_right}, {d_left}]"
                 )
-            seg = None
-        else:
-            if promised is None:
-                c = d_right
-            else:
-                c = promised - 1
-                if not d_right <= c <= d_left:
-                    raise ExtractionError(
-                        f"state {counts}: sure-continue promise "
-                        f"{promised} needs slope {c}, outside "
-                        f"[{d_right}, {d_left}]"
-                    )
-            e_enter = 1 + c
+        e_enter = 1 + c
     else:
-        # Zero adversary mass: the least favorable distribution never
-        # comes here, so stopping and continuing cost the same (the
-        # continuation value ties the stopping cost at z0 = 0 whenever
-        # stopping is optimal).  The node keeps the parent's promise
-        # alive so that the expected sample size stays equalized along
-        # *every* symbol path, not just the positively-weighted ones.
-        if promised is None or promised == 0:
+        # At the kink continuing ties stopping, whose weight is free: the
+        # promise pins it.  At zero adversary mass the least favorable
+        # distribution never comes here, so stopping and continuing cost
+        # the same (the continuation value ties the stopping cost at
+        # z0 = 0 whenever stopping is optimal); the node keeps the
+        # parent's promise alive so that the expected sample size stays
+        # equalized along *every* symbol path, not just the
+        # positively-weighted ones.
+        if not promised:
             return None
         e_enter = promised
-        c = max(lifted.segs[0][0] - 1 if lifted.segs else -1, e_enter - 1)
+        c = max(d_right, e_enter - 1)
+        if zn and c > d_left:
+            raise ExtractionError(
+                f"state {counts}: promise {e_enter} needs "
+                f"continuation slope {e_enter - 1}, outside "
+                f"[{d_right}, {d_left}]"
+            )
 
     # c counts the samples after this one, so it is at least 0; every
     # promise is then at least 0, and 0 <= e_enter <= e_continue follows
@@ -298,18 +283,37 @@ def _labels(counts: tuple[int, ...], lifted: PwlConcave, rho: PwlConcave,
         )
     # the entry label must be a supergradient of the node's own cost
     # slice (unbounded above at the left endpoint of the domain)
-    if zn:
-        lo, hi, _, rseg = _sides(rho, zn, zd)
-    else:
-        lo = hi = rho.segs[0][0] if rho.segs else 0
-        rseg = None
     if not (e_enter >= lo if zn == 0 else lo <= e_enter <= hi):
         raise ExtractionError(
             f"state {counts}: e_enter {e_enter} outside the "
             f"superdifferential [{lo}, {hi}] of the cost slice at "
             f"z0 = {Fraction(zn, zd)}"
         )
-    return e_enter, c, seg, rseg
+    return e_enter, c, seg
+
+
+def _slopes(rho: PwlConcave, record: tuple, zn: int, zd: int,
+            side: int) -> tuple:
+    """``(lo, hi, d_left, d_right, seg)`` of a state at z0 = zn/zd below
+    or at its threshold (``side`` <= 0): the cost slice's
+    superdifferential, the continuation slice d's one-sided slopes (the
+    right one linearly extended at the edge) and the open segment of the
+    cost slice that z0 lies inside below the threshold, or None.  Below
+    the threshold ``rho`` is z0 + d(z0); right of it, and at zero mass,
+    d's slope is that of the merge pool's slope class there."""
+    scale, pool = record
+    if not zn:  # the pool covers [0, k], so it has a first class
+        lo = rho.segs[0][0] if rho.segs else 0
+        return lo, lo, pool[0][0], pool[0][0], None
+    lo, hi, right, seg = _sides(rho, zn, zd)
+    if side or zn == zd:
+        return lo, hi, hi - 1, right - 1, seg if side else None
+    xs, end = zn * scale, 0
+    for slope, _, width in pool:  # the pool's slope class just right of z0
+        end += width
+        if end * zd > xs:
+            break  # z0 < 1 lies inside the pool, which spans [0, k]
+    return lo, hi, hi - 1, slope, None
 
 
 def _lfd(merge: tuple, zn: int, alloc) -> tuple[tuple[int, ...], int]:
@@ -358,7 +362,7 @@ def _extract(table: CostTable) -> PolicyNode:
             return stop(row), _EVERYWHERE
         # z0 against the threshold, cross-multiplied: > 0 past it, 0 at
         # it, and < 0 below it, where there is none, or at zero mass
-        z0_star = row[5]
+        z0_star = row[4]
         side = -1 if not zn or z0_star is None else \
             zn * z0_star[1] - z0_star[0] * zd
         if side > 0:
@@ -389,32 +393,28 @@ def _extract(table: CostTable) -> PolicyNode:
 
     def extract_node(row: tuple, zn: int, zd: int, side: int,
                      promised: Optional[int]) -> tuple:
-        state, decision, sure_state, lifted, rho, z0_star, merge, kids = row
-        got = _labels(state.counts, lifted, rho, zn, zd, side, promised)
+        state, decision, sure_state, rho, z0_star, merge, kids = row
+        record, perm = merge
+        got = _labels(state.counts, rho, record, zn, zd, side, promised)
         if got is None:
             return stop(row), None
-        e_enter, c, seg, rseg = got
-        record, perm = merge
+        e_enter, c, seg = got
         alloc, den = split_at(record, k, zn, zd)
         if perm is not None:
             alloc = perm(alloc)
 
-        # the node's own span: both slices' open segments around z0, below
-        # the threshold, inside the landing slope class of the merge pool
+        # the node's own span: the cost slice's open segment around z0,
+        # below the threshold, inside the landing slope class of the pool
         span = shares = None
-        landing = _landing(record, k, zn, zd) \
-            if seg is not None and rseg is not None else None
+        landing = _landing(record, k, zn, zd) if seg is not None else None
         if landing is not None:
             scale = record[0]
             start, end, shares, taken = landing
             if perm is not None:
                 shares, taken = perm(shares), perm(taken)
             width = end - start
-            ls, rs = lifted.scale, rho.scale
-            ln, ld = _larger(seg[0], ls, rseg[0], rs)
-            ln, ld = _larger(ln, ld, start, scale)
-            hn, hd = _smaller(seg[1], ls, rseg[1], rs)
-            hn, hd = _smaller(hn, hd, end, scale)
+            ln, ld = _larger(seg[0], rho.scale, start, scale)
+            hn, hd = _smaller(seg[1], rho.scale, end, scale)
             if z0_star is not None:
                 hn, hd = _smaller(hn, hd, *z0_star)
 
@@ -486,19 +486,19 @@ def _display(table: CostTable, max_depth: int) -> PathNode:
 
     def show_node(row: tuple, zn: int, zd: int,
                   promised: Optional[int]) -> PathNode:
-        state, decision, sure_state, lifted, rho, z0_star, merge, kids = row
+        state, decision, sure_state, rho, z0_star, merge, kids = row
         got = None
-        if lifted is not None:
+        if rho is not None:
             side = -1 if not zn or z0_star is None else \
                 zn * z0_star[1] - z0_star[0] * zd
             if side <= 0:
-                got = _labels(state.counts, lifted, rho, zn, zd, side,
+                got = _labels(state.counts, rho, merge[0], zn, zd, side,
                               promised)
         if got is None:  # the horizon, past the threshold, or a free stop
             _check_stop(state, promised)
             return PathNode(state, 0, None, _ZERO, decision, sure_state,
                             zn, zd, None, None, None)
-        e_enter, c, _, _ = got
+        e_enter, c, _ = got
         record, perm = merge
         alloc, den = split_at(record, k, zn, zd)
         if perm is not None:

@@ -635,13 +635,17 @@ def frac_extract_tree(table, max_depth: int | None = None) -> FracNode:
     entry is a ``Fraction`` computation, and the nodes are hash-consed on
     ``(counts, z0, promise)``.  Each state's split map is the
     :class:`FracSplit` of :func:`frac_supconv` over the table's slices of
-    its children, so neither the solve's pools nor the mirror pairing are
-    read.  Checks run in the package's order and raise the same
-    ``ExtractionError`` messages."""
+    its children, and its continuation slopes are read off the
+    :func:`frac_lift` of that sup-convolution, so neither the solve's
+    pools nor the mirror pairing are read.  Checks run in the package's
+    order.  Where every cost slice is the lift of its merge below its
+    threshold, as a solve leaves it, they raise the package's
+    ``ExtractionError`` messages; the package reads the continuation
+    slopes off the cost slices, this oracle off its own merges."""
     model = table.model
     k = model.alphabet_size
     memo: dict = {}
-    splits: dict = {}
+    merges: dict = {}
 
     def decision_of(state) -> Decision:
         lhs, rhs = model.lam1 * state.z1, model.lam2 * state.z2
@@ -656,13 +660,15 @@ def frac_extract_tree(table, max_depth: int | None = None) -> FracNode:
         return FracNode(state, z0, 0, None, Fraction(0), decision_of(state),
                         None, None, sure_state)
 
-    def split_map(counts) -> FracSplit:
-        sm = splits.get(counts)
-        if sm is None:
+    def merge(counts) -> tuple[FracPwl, FracSplit]:
+        """The lifted slice and the split map of a state."""
+        got = merges.get(counts)
+        if got is None:
             ops = [frac_of(table.rho[child_counts(counts, x)])
                    for x in range(k)]
-            sm = splits[counts] = frac_supconv(ops, 1)[1]
-        return sm
+            d_slice, sm = frac_supconv(ops, 1)
+            got = merges[counts] = frac_lift(d_slice), sm
+        return got
 
     def extract(counts, z0, promised) -> FracNode:
         key = (counts, z0, promised)
@@ -676,7 +682,7 @@ def frac_extract_tree(table, max_depth: int | None = None) -> FracNode:
             return stop(state, z0, promised, True)
         z0_star = table.z0_star[counts]
         sure_state = z0_star == 0
-        lifted = frac_of(table.lifted[counts])
+        lifted, sm = merge(counts)
         if z0 > 0:
             if z0_star is not None and z0 > z0_star:
                 return stop(state, z0, promised, sure_state)
@@ -722,7 +728,6 @@ def frac_extract_tree(table, max_depth: int | None = None) -> FracNode:
                 f"z0 = {z0}")
 
         p_continue = Fraction(e_enter, e_continue)
-        sm = split_map(counts)
         alloc = frac_split_at(sm, z0)
         if z0 > 0:
             lfd = tuple(a / z0 for a in alloc)

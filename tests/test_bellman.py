@@ -344,6 +344,47 @@ def test_reader_names_an_edit_in_the_second_record_of_a_mirror_pair():
     assert cost_table_from_json(blob).rho == table.rho
 
 
+@pytest.mark.parametrize("counts, edit, message", [
+    # the second record of the mirror pair (0, 2), (2, 0)
+    ((2, 0), lambda rec: rec.update(z1="1/26"),
+     "state (2, 0): stored z1 = 1/26, but the model header gives 1/25"),
+    ((3, 4), lambda rec: rec.update(depth=6),
+     "state (3, 4): stored depth = 6 and rho slopes = [4, 2, 0], but the "
+     "model header gives 7 and [4, 2, 0]"),
+    ((4, 5), lambda rec: rec["rho"]["segments"][0].update(slope=3),
+     "state (4, 5): stored depth = 9 and rho slopes = [3, 0], but the model "
+     "header gives 9 and [2, 0]"),
+    ((5, 5), lambda rec: rec["rho"]["segments"][1].update(
+        width="9753338/9765625"),
+     "state (5, 5): stored rho segment 1 width = 9753338/9765625, but the "
+     "model header gives 9753337/9765625"),
+], ids=["mirror-z1", "depth", "slope", "deep-width"])
+def test_reader_names_each_edit_at_its_own_state(counts, edit, message):
+    table = backward_recursion(fig_model(12))
+    blob = parsed(table)
+    edit(next(rec for rec in blob["states"]
+              if tuple(rec["counts"]) == counts))
+    with pytest.raises(ExtractionError) as got:
+        cost_table_from_json(blob)
+    assert str(got.value) == message
+    # the same rationals written unreduced are the same records
+    blob = parsed(table)
+    for rec in blob["states"]:
+        rec["z2"] = _unreduced(rec["z2"])
+        rec["rho"]["value_at_zero"] = _unreduced(rec["rho"]["value_at_zero"])
+        for seg in rec["rho"]["segments"]:
+            seg["width"] = _unreduced(seg["width"])
+    assert blob["states"][1]["z2"] == "2/10"  # (0, 1): z2 = 1/5
+    # a form that only the field-by-field check reads
+    blob["states"][1]["z1"] = "0.8"  # (0, 1): z1 = 4/5
+    assert cost_table_from_json(blob).rho == table.rho
+
+
+def _unreduced(text):
+    num, den = text.split("/")
+    return f"{2 * int(num)}/{2 * int(den)}"
+
+
 def test_reader_takes_records_in_any_order():
     table = backward_recursion(fig_model(5))
     blob = parsed(table)
@@ -564,8 +605,8 @@ def test_a_table_pickles(model):
     # to a worker process
     table = backward_recursion(model)
     back = pickle.loads(pickle.dumps(table))
-    for name in ("model", "states", "rho", "lifted", "z0_star", "pools",
-                 "twins", "sigma", "d"):
+    for name in ("model", "states", "rho", "z0_star", "pools", "twins",
+                 "sigma", "d"):
         assert getattr(back, name) == getattr(table, name), name
     assert bool(table.twins) == (model.lam1 == model.lam2)
     d = back.d  # an internal mirror pair shares one d within a read

@@ -19,6 +19,7 @@ alpha1 = alpha2 = P(at most one success in 3 | theta=0.8) = 13/125.
 import json
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 import pytest
@@ -26,7 +27,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import npkw.policy as policy
 from npkw.bellman import (
-    DesignState, backward_recursion, bernoulli_model, child_counts, make_model,
+    DesignState, _merge_step, backward_recursion, bernoulli_model,
+    child_counts, make_model,
 )
 from npkw.policy import (
     Decision,
@@ -47,7 +49,9 @@ from npkw.policy import (
     _cut,
     _symbol_cuts,
 )
-from npkw.pwl import merge_scaled, pwl, pwl_eval, slope_right, split_at
+from npkw.pwl import (
+    merge_scaled, pwl, pwl_eval, restrict, slope_right, split_at,
+)
 from oracles import (
     best_response_cost,
     frac_draw,
@@ -55,6 +59,11 @@ from oracles import (
     frac_extract_tree,
     frac_lfd_range,
     frac_lfd_support,
+    frac_lift,
+    frac_of,
+    frac_slope_right,
+    frac_supconv,
+    frac_superdiff,
     frac_verify_equalization,
     simulate_loop,
     tree_dot_text,
@@ -342,14 +351,54 @@ def test_support_rejects_starved_branch():
     assert (1,) in report.offending
 
 
+def test_extraction_reads_the_oracles_continuation_slopes():
+    """At every internal state, the continuation slopes that extraction
+    reads off the cost slice and the merge pool equal those of the
+    oracle's lift of its own sup-convolution of the children: at zero
+    mass, at each kink of the cost slice below the threshold, between two
+    of them and at the threshold, where there is one."""
+    thresholds = set()
+    for model in (bernoulli_model("0.8", "0.2", 20, 20, 15),
+                  make_model(["1/2", "1/4", "1/4"], ["1/4", "1/4", "1/2"],
+                             20, 20, 10),
+                  bernoulli_model("0.7", "0.4", 20, 30, 15),
+                  # (0, 1) and (1, 0) cross their stopping risks at
+                  # z0 = 1, where their merges change slope
+                  bernoulli_model("1/3", "2/3", 27, 27, 3)):
+        table = backward_recursion(model)
+        k = model.alphabet_size
+        for counts, z0_star in table.z0_star.items():
+            thresholds.add(z0_star)
+            kids = [frac_of(table.rho[child_counts(counts, x)])
+                    for x in range(k)]
+            lifted = frac_lift(frac_supconv(kids, 1)[0])
+            rho = table.rho[counts]
+            record = table.pools[table.twins.get(counts, counts)]
+            top = Fraction(1) if z0_star is None else z0_star
+            points = sorted({Fraction(0), top, *(
+                t for t in accumulate(w for _, w in rho.segments) if t < top)})
+            points += [(a + b) / 2 for a, b in zip(points, points[1:])]
+            for z0 in points:
+                side = 0 if z0 and z0 == z0_star else -1
+                _, _, d_left, d_right, _ = policy._slopes(
+                    rho, record, z0.numerator, z0.denominator, side)
+                assert (d_left, d_right) == (
+                    frac_superdiff(lifted, z0).hi - 1,
+                    frac_slope_right(lifted, z0) - 1), (counts, z0)
+    assert {None, Fraction(0), Fraction(1)} <= thresholds
+
+
 def test_extraction_error_on_inconsistent_table():
     model = bernoulli_model(horizon=3, **FIG_MODEL)
     table = backward_recursion(model)
-    # flatten one continuation slice, which extraction reads lifted (every
-    # slope one higher): the root's promise to that child can no longer be
-    # honored, which extraction must refuse to paper over
-    table.lifted[(1, 0)] = pwl(4, [(1, 1)])
-    with pytest.raises(ExtractionError):
+    # flatten one cost slice, which extraction reads below the threshold
+    # as the lifted continuation (every slope one higher): the root's
+    # promise to that child can no longer be honored, which extraction
+    # must refuse to paper over
+    table.rho[(1, 0)] = pwl(4, [(1, 1)])
+    with pytest.raises(ExtractionError, match=r"^state \(1, 0\): "
+                       r"sure-continue promise 2 needs slope 1, outside "
+                       r"\[0, 0\]$"):
         extract_tree(table)
 
 
@@ -576,7 +625,7 @@ def test_allocation_read_through_sigma_equals_the_mirrors_own(
     for counts, record in table.pools.items():
         assert record == _own_pool(table, counts)
     for counts, twin in table.twins.items():
-        if counts in table.lifted:  # an internal state
+        if counts in table.z0_star:  # an internal state
             own = _alloc(_own_pool(table, counts), k, z0)
             read = _alloc(table.pools[twin], k, z0)
             assert own == tuple(read[y] for y in table.sigma)
@@ -664,6 +713,50 @@ def _assert_same_paths(root, want):
     assert len(set(pairs.values())) == len(pairs)
 
 
+_KEEP = object()
+
+
+def _edit(table, counts, f, z0_star=_KEEP):
+    """Give the state ``counts`` and its mirror the cost slice ``f`` (and
+    the threshold ``z0_star``), then solve every shallower state again
+    from the edited slices, as the recursion does."""
+    k = table.model.alphabet_size
+    edited = {counts}
+    if table.sigma is not None:
+        edited.add(tuple(counts[y] for y in table.sigma))
+    for c in edited:
+        table.rho[c] = f
+        if z0_star is not _KEEP:
+            table.z0_star[c] = z0_star
+    for c in sorted(table.states, key=lambda c: (-sum(c), c)):
+        if sum(c) >= sum(counts):
+            continue
+        twin = table.twins.get(c)
+        if twin is not None:  # the mirror that comes first is solved
+            table.rho[c] = table.rho[twin]
+            table.z0_star[c] = table.z0_star[twin]
+            continue
+        fs = [table.rho[child_counts(c, x)] for x in range(k)]
+        scale = lcm(*(f.scale for f in fs))
+        table.z0_star[c], table.rho[c], pool = _merge_step(
+            fs, [scale // f.scale for f in fs], scale, scale,
+            table.states[c].g)
+        table.pools[c] = scale, pool
+
+
+@st.composite
+def _tails(draw, f, z):
+    """``f`` on [0, z] continued by a drawn concave tail of up to two
+    segments on [z, 1]."""
+    head = restrict(f, z).segments
+    hi = draw(st.integers(min_value=0,
+                          max_value=head[-1][0] if head else 12))
+    lo = draw(st.integers(min_value=0, max_value=hi))
+    cut = z + (1 - z) * draw(st.fractions(min_value=0, max_value=1,
+                                          max_denominator=7))
+    return pwl(f.value_at_zero, [*head, (hi, cut - z), (lo, 1 - cut)])
+
+
 def _outcome(extract, table, cut):
     try:
         return extract(table, cut), None
@@ -672,14 +765,12 @@ def _outcome(extract, table, cut):
 
 
 @st.composite
-def _tampered_slices(draw, max_slope=12, kink=None):
-    """A slice on [0, 1] of one or two segments, the kink drawn or at
-    ``kink``."""
+def _tampered_slices(draw):
+    """A slice on [0, 1] of one or two segments."""
     value = draw(st.fractions(min_value=0, max_value=40, max_denominator=7))
-    hi = draw(st.integers(min_value=0, max_value=max_slope))
+    hi = draw(st.integers(min_value=0, max_value=12))
     lo = draw(st.integers(min_value=0, max_value=hi))
-    if kink is None or draw(st.booleans()):
-        kink = draw(st.fractions(min_value=0, max_value=1, max_denominator=11))
+    kink = draw(st.fractions(min_value=0, max_value=1, max_denominator=11))
     return pwl(value, [(hi, kink), (lo, 1 - kink)])
 
 
@@ -722,27 +813,39 @@ def test_integer_extraction_matches_the_fraction_oracle(
     if data is None:
         return
 
-    # an edited table: the lifted slice of a state where a node continues,
-    # kinked at that node's z0 or elsewhere, and with the threshold moved
-    # to that z0 or not; an internal state's threshold; or the root's cost
-    # slice, which no merge reads
-    what = data.draw(st.sampled_from(["lifted", "kink", "z0_star", "rho"]))
-    if what in ("lifted", "kink"):
+    # an edited table, with every shallower state solved again: the cost
+    # slice of a state where a node continues, or of one with a threshold
+    # below 1, cut at that node's z0 or at the threshold and continued by
+    # a drawn tail, with the threshold there; an internal state's
+    # threshold moved down; or a horizon state's cost slice.  Each is read
+    # alike by the package, which takes the continuation slopes off rho
+    # below the threshold and off the pool, and by the oracle, which takes
+    # them off its own merge of the children.
+    what = data.draw(st.sampled_from(["kink", "tail", "z0_star", "horizon"]))
+    if what == "kink":
         node = data.draw(st.sampled_from([
             node for node in iter_unique_nodes(lfd_tree(extract_tree(table)))
             if node.p_continue] or [None]))
         assume(node is not None)
-        table.lifted[node.state.counts] = data.draw(_tampered_slices(
-            3 if what == "kink" else 12, node.z0))
-        if what == "kink":
-            table.z0_star[node.state.counts] = node.z0
+        counts, z = node.state.counts, node.z0
+        _edit(table, counts, data.draw(_tails(table.rho[counts], z)), z)
+    elif what == "tail":
+        counts = data.draw(st.sampled_from(sorted(
+            c for c, z in table.z0_star.items() if z is not None and z < 1)
+            or [None]))
+        assume(counts is not None)
+        z = table.z0_star[counts]
+        _edit(table, counts, data.draw(_tails(table.rho[counts], z)), z)
     elif what == "z0_star":
-        counts = data.draw(st.sampled_from(sorted(table.lifted)))
-        table.z0_star[counts] = data.draw(
-            st.none() | st.fractions(min_value=0, max_value=1,
-                                     max_denominator=13))
+        counts = data.draw(st.sampled_from(sorted(table.z0_star)))
+        z = table.z0_star[counts]
+        _edit(table, counts, table.rho[counts], (1 if z is None else z)
+              * data.draw(st.fractions(min_value=0, max_value=1,
+                                       max_denominator=13)))
     else:
-        table.rho[(0,) * k] = data.draw(_tampered_slices())
+        counts = data.draw(st.sampled_from(
+            sorted(c for c in table.states if sum(c) == horizon)))
+        _edit(table, counts, data.draw(_tampered_slices()))
     got, error = _outcome(extract_tree, table, None)
     want, want_error = _outcome(frac_extract_tree, table, None)
     assert error == want_error
@@ -757,35 +860,45 @@ def test_integer_extraction_matches_the_fraction_oracle(
         _assert_same_paths(got, want)
 
 
-@pytest.mark.parametrize("counts, slopes, kink, message", [
-    ((0, 0), (1, 1), False, "state (1, 0): sure-continue promise 0 needs "
-     "slope -1, outside [1, 1]"),
-    ((0, 0), (4, 4), False, "state (0, 0): e_enter 4 outside the "
-     "superdifferential [0, 3] of the cost slice at z0 = 1"),
-    ((0, 1), (0, 0), True, "state (0, 1): promise 2 needs continuation "
-     "slope 1, outside [-1, -1]"),
-    ((0, 2), (2, 0), False, "state (1, 2): parent promises 1 remaining "
-     "samples to a node that stops surely"),
-    # a lifted slope of 0 once ended in p_continue = 0/0, a ZeroDivisionError
-    ((0, 0), (0, 0), False, "state (0, 0): continuation slope -1 at z0 = 1 "
-     "is below 0"),
+@pytest.mark.parametrize("counts, slopes, z0_star, message, oracle", [
+    ((0, 0), (1, 1), _KEEP, "state (1, 0): sure-continue promise 0 needs "
+     "slope -1, outside [1, 1]", "state (0, 0): e_enter 3 outside the "
+     "superdifferential [0, 1] of the cost slice at z0 = 1"),
+    ((0, 2), (2, 0), _KEEP, "state (0, 2): e_enter 1 outside the "
+     "superdifferential [2, 2] of the cost slice at z0 = 0", "state (0, 2): "
+     "parent promises 1 remaining samples to a node that stops surely"),
+    ((0, 1), (0, 0), Fraction(1, 2), "state (0, 1): promise 2 needs "
+     "continuation slope 1, outside [1, -1]", "state (0, 1): sure-continue "
+     "promise 0 needs slope -1, outside [1, 1]"),
+    ((1, 1), None, Fraction(1, 4), "state (1, 1): parent promises 1 "
+     "remaining samples to a node that stops surely", None),
+    # a continuation slope of -1 once ended in p_continue = 0/0, a
+    # ZeroDivisionError
+    ((0, 0), (0, 0), _KEEP, "state (0, 0): continuation slope -1 at z0 = 1 "
+     "is below 0", "state (0, 0): e_enter 3 outside the superdifferential "
+     "[0, 0] of the cost slice at z0 = 1"),
 ], ids=["sure-continue", "superdifferential", "kink", "sure-stop",
         "flat-lifted"])
-def test_extraction_errors_match_the_fraction_oracle(counts, slopes, kink,
-                                                     message):
-    """One edited lifted slice per message, with the threshold moved to
-    the mass of a node that continues there for the kink's message."""
+def test_extraction_errors_match_the_fraction_oracle(counts, slopes, z0_star,
+                                                     message, oracle):
+    """One edited cost slice or threshold per message: the threshold moved
+    to the mass 1/2 of a node that continues there for the kink's, and
+    below it for the sure stop's.  The oracle reads a threshold as the
+    package does, so where only the threshold moved it raises the
+    package's message (``oracle`` None).  It reads the continuation
+    slopes off its own merge of the children, not off the edited cost
+    slice, so it refuses an edited slice with the message ``oracle``."""
     table = backward_recursion(bernoulli_model(horizon=3, **FIG_MODEL))
-    if kink:
-        table.z0_star[counts] = next(
-            node.z0 for node in iter_unique_nodes(lfd_tree(extract_tree(table)))
-            if node.state.counts == counts and node.p_continue)
-    table.lifted[counts] = pwl(1, [(slopes[0], "1/2"), (slopes[1], "1/2")])
+    if z0_star is not _KEEP:
+        table.z0_star[counts] = z0_star
+    if slopes is not None:
+        table.rho[counts] = pwl(1, [(slopes[0], "1/2"), (slopes[1], "1/2")])
     with pytest.raises(ExtractionError) as got:
         extract_tree(table)
     with pytest.raises(ExtractionError) as want:
         frac_extract_tree(table)
-    assert str(got.value) == str(want.value) == message
+    assert str(got.value) == message
+    assert str(want.value) == (message if oracle is None else oracle)
 
 
 @settings(max_examples=40, deadline=None)

@@ -200,16 +200,19 @@ def test_cap_touching_right_end_exactly():
 
 def lifted(f, cap=10**6):
     """t -> t + f(t) as the recursion builds it: its merge step over the
-    single operand f, lifted and capped at ``cap``."""
+    single operand f, lifted and capped at ``cap``; with the default cap,
+    which no slice here reaches, the capped slice is the lift itself."""
     return _merge_step([f], [1], f.scale, f.upper, Fraction(cap))
 
 
 def test_lift_identity():
     f = pwl("1/2", [(1, 1)])
-    assert lifted(f)[0].segments == ((2, Fraction(1)),)
+    assert lifted(f)[:2] == (None, pwl("1/2", [(2, 1)]))
     g = pwl("16/25", [(0, 1)])
-    assert lifted(g)[0].segments == ((1, Fraction(1)),)
-    assert lifted(g)[0].value_at_zero == Fraction(16, 25)
+    crossing, lift, _ = lifted(g)
+    assert crossing is None
+    assert lift.segments == ((1, Fraction(1)),)
+    assert lift.value_at_zero == Fraction(16, 25)
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +539,9 @@ def test_cap_crossing_and_lift_match_oracle(f, data):
     assert crossing_point(f, c) == frac_crossing(o, c)
     assert_same(cap_min_const(f, c), frac_cap(o, c))
     assert_same(cap_min_const(f, c, crossing=crossing_point(f, c)), frac_cap(o, c))
-    lift, crossing, capped, _ = lifted(f, c)
-    assert_same(lift, frac_lift(o))
+    crossing, capped, _ = lifted(f, c)
+    assert lifted(f)[0] is None
+    assert_same(lifted(f)[1], frac_lift(o))
     assert crossing == frac_crossing(frac_lift(o), c)
     assert_same(capped, frac_cap(frac_lift(o), c))
 
