@@ -197,9 +197,8 @@ def _reader(table: CostTable) -> tuple[dict, Callable]:
 
     def row(counts: tuple[int, ...]) -> tuple:
         state = table.states[counts]
-        z1, z2 = state.z1, state.z2
-        lhs = w1 * z1.numerator * z2.denominator
-        rhs = w2 * z2.numerator * z1.denominator
+        lhs = w1 * state.z1_num  # z1 and z2 share their denominator
+        rhs = w2 * state.z2_num
         decision = Decision.H1 if lhs > rhs else \
             Decision.H2 if lhs < rhs else Decision.RANDOMIZED
         if state.depth == model.horizon:
@@ -248,11 +247,9 @@ def _labels(counts: tuple[int, ...], rho: PwlConcave, record: tuple,
         else:
             c = promised - 1
             if not d_right <= c <= d_left:
-                raise ExtractionError(
-                    f"state {counts}: sure-continue promise "
-                    f"{promised} needs slope {c}, outside "
-                    f"[{d_right}, {d_left}]"
-                )
+                raise _outside(counts, zn, zd, d_left, d_right,
+                               f"sure-continue promise {promised} needs "
+                               f"slope {c}")
         e_enter = 1 + c
     else:
         # At the kink continuing ties stopping, whose weight is free: the
@@ -268,11 +265,9 @@ def _labels(counts: tuple[int, ...], rho: PwlConcave, record: tuple,
         e_enter = promised
         c = max(d_right, e_enter - 1)
         if zn and c > d_left:
-            raise ExtractionError(
-                f"state {counts}: promise {e_enter} needs "
-                f"continuation slope {e_enter - 1}, outside "
-                f"[{d_right}, {d_left}]"
-            )
+            raise _outside(counts, zn, zd, d_left, d_right,
+                           f"promise {e_enter} needs continuation slope "
+                           f"{e_enter - 1}")
 
     # c counts the samples after this one, so it is at least 0; every
     # promise is then at least 0, and 0 <= e_enter <= e_continue follows
@@ -290,6 +285,20 @@ def _labels(counts: tuple[int, ...], rho: PwlConcave, record: tuple,
             f"z0 = {Fraction(zn, zd)}"
         )
     return e_enter, c, seg
+
+
+def _outside(counts: tuple[int, ...], zn: int, zd: int, d_left: int,
+             d_right: int, need: str) -> ExtractionError:
+    """The error for a continuation slope outside [d_right, d_left]; an
+    empty interval means the cost slice, which gives d_left, and the merge
+    pool, which gives d_right at a threshold, disagree."""
+    if d_right > d_left:
+        return ExtractionError(
+            f"state {counts}: the cost slice and the merge pool disagree at "
+            f"z0 = {Fraction(zn, zd)}: continuation slope {d_left} to the "
+            f"left (cost slice), {d_right} to the right (merge pool)")
+    return ExtractionError(
+        f"state {counts}: {need}, outside [{d_right}, {d_left}]")
 
 
 def _slopes(rho: PwlConcave, record: tuple, zn: int, zd: int,
@@ -930,9 +939,9 @@ def _eval_base(root: PolicyNode) -> tuple[
     Everything is an integer over one denominator per depth: with m from
     :func:`_survival_scale`, survival into depth n is over m**n, and the
     weights of depth n, one list entry per depth, are over m**(n+1).  The
-    errors of depth n are over 2 * L * m**(n+1), L the lcm of the
-    likelihood denominators there (the D**n of ``bellman._state_maker``
-    or a divisor of it); one ``Fraction`` per depth is summed.  Returns
+    errors of depth n are over 2 * D**n * m**(n+1), D**n the states'
+    likelihood denominator there (see :class:`~npkw.bellman.DesignState`);
+    one ``Fraction`` per depth is summed.  Returns
     ``(alpha1, alpha2, m, continuation weights, stopping weights)``.
 
     The result is cached on the root, which assumes the tree is not
@@ -985,13 +994,11 @@ def _eval_base(root: PolicyNode) -> tuple[
                     cid = id(child)
                     srv[cid] = srv.get(cid, 0) + go
         if errs:
-            like = lcm(*(z.denominator for state, _, _ in errs.values()
-                         for z in (state.z1, state.z2)))
             e1 = e2 = 0
             for state, w1, w2 in errs.values():
-                z1, z2 = state.z1, state.z2
-                e1 += z1.numerator * (like // z1.denominator) * w1
-                e2 += z2.numerator * (like // z2.denominator) * w2
+                e1 += state.z1_num * w1
+                e2 += state.z2_num * w2
+            like = state.den  # every state of a depth has D**n
             alpha1 += Fraction(e1, 2 * like * scale)
             alpha2 += Fraction(e2, 2 * like * scale)
         cont_w.append(go_w)

@@ -3,15 +3,17 @@
 The minimax design recursion works with concave, nondecreasing, piecewise
 linear functions on a bounded interval [0, U] whose segment slopes are
 nonnegative *integers*.  This module provides that class together with the
-two operations the recursion needs:
+two operations the recursion is made of:
 
 * pointwise minimum with a nonnegative constant (``cap_min_const``) and
 * the sup-convolution of several functions (``supconv``),
 
       (f_1 # ... # f_K)(t) = max { sum_x f_x(a_x) : a_x >= 0, sum_x a_x = t }.
 
-The third step, the lift ``t -> t + f(t)``, raises every slope by one; the
-recursion does it inline on the merge's integers.
+The third step, the lift ``t -> t + f(t)``, raises every slope by one.  The
+recursion's merge step in :mod:`npkw.bellman` does the merge, the lift and
+the cap in one walk over the merge's integers; ``merge_scaled``,
+``crossing_point`` and ``cap_min_const`` are the reference it equals.
 
 All arithmetic is exact; no floats ever enter.  A function is stored as
 plain integers over one positive scale: the value at zero is

@@ -21,6 +21,7 @@ import pickle
 import re
 import weakref
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -145,6 +146,59 @@ def test_states_built_from_a_mirror_equal_direct_states(model):
             model.alphabet_size, n))
         for st_ in states:
             assert st_ == direct(st_.counts)
+
+
+@settings(**SETTINGS)
+@given(
+    k=st.sampled_from([2, 3]),
+    w1=st.lists(st.integers(min_value=0, max_value=6), min_size=3, max_size=3),
+    w2=st.lists(st.integers(min_value=0, max_value=6), min_size=3, max_size=3),
+    mirror=st.booleans(),
+    lam1=st.fractions(min_value=Fraction(1, 5), max_value=40, max_denominator=9),
+    lam2=st.fractions(min_value=Fraction(1, 5), max_value=40, max_denominator=9),
+    horizon=st.integers(min_value=1, max_value=6),
+)
+@example(k=3, w1=[1, 2, 0], w2=[0, 0, 0], mirror=True, lam1=Fraction(20),
+         lam2=Fraction(1), horizon=4)
+@example(k=2, w1=[2, 3, 0], w2=[5, 1, 0], mirror=False, lam1=Fraction(7, 3),
+         lam2=Fraction(5), horizon=5)
+def test_integer_states_are_the_fraction_likelihoods(k, w1, w2, mirror, lam1,
+                                                     lam2, horizon):
+    """A state keeps z1 and z2 as integers over D**n and g over L * D**n
+    (D, L the lcm of the PMF and the lambda denominators); its Fraction
+    views are the likelihoods and the stopping risk of the Fraction
+    recursion, and a mirror twin holds its partner's integers with the z1
+    and z2 numerators swapped."""
+    w1, w2 = w1[:k], w2[:k]
+    assume(sum(w1) > 0)
+    p1 = [Fraction(w, sum(w1)) for w in w1]
+    if mirror:  # p2 = p1 reversed, with equal weights: sigma reverses
+        p2, lam2 = p1[::-1], lam1
+    else:
+        assume(sum(w2) > 0)
+        p2 = [Fraction(w, sum(w2)) for w in w2]
+    assume(p1 != p2)
+    model = make_model(p1, p2, lam1, lam2, horizon)
+    table = backward_recursion(model)
+    solved = frac_recursion(p1, p2, lam1, lam2, horizon)
+    den = lcm(*(v.denominator for v in model.p1 + model.p2))
+    lam_den = lcm(model.lam1.denominator, model.lam2.denominator)
+    assert table.states.keys() == solved.keys()
+    for counts, st_ in table.states.items():
+        want = solved[counts]
+        assert (st_.z1, st_.z2, st_.g) == (want.z1, want.z2, want.g)
+        assert st_.depth == sum(counts)
+        assert (st_.den, st_.g_den) == (den**st_.depth,
+                                        lam_den * den**st_.depth)
+        twin = table.twins.get(counts)
+        if twin is not None:
+            partner = table.states[twin]
+            assert (st_.z1_num, st_.z2_num, st_.g_num, st_.den, st_.g_den) \
+                == (partner.z2_num, partner.z1_num, partner.g_num,
+                    partner.den, partner.g_den)
+    assert bool(table.twins) == (_mirror(model) is not None)
+    if mirror:
+        assert table.twins
 
 
 def test_child_counts():
@@ -587,9 +641,9 @@ def test_mirror_pairs_symbols_or_finds_none():
 ])
 def test_recursion_merges_each_mirror_pair_once(monkeypatch, model, merges):
     calls = []
-    merge_scaled = bellman.merge_scaled
-    monkeypatch.setattr(bellman, "merge_scaled",
-                        lambda *args: calls.append(1) or merge_scaled(*args))
+    merge_step = bellman._merge_step
+    monkeypatch.setattr(bellman, "_merge_step",
+                        lambda *args: calls.append(1) or merge_step(*args))
     table = backward_recursion(model)
     assert len(calls) == len(table.pools) == merges
     internal = sum(len(build_states(model)[n]) for n in range(model.horizon))

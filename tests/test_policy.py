@@ -738,9 +738,10 @@ def _edit(table, counts, f, z0_star=_KEEP):
             continue
         fs = [table.rho[child_counts(c, x)] for x in range(k)]
         scale = lcm(*(f.scale for f in fs))
+        st_ = table.states[c]
         table.z0_star[c], table.rho[c], pool = _merge_step(
-            fs, [scale // f.scale for f in fs], scale, scale,
-            table.states[c].g)
+            fs, [scale // f.scale for f in fs], scale, scale, st_.g_num,
+            st_.g_den)
         table.pools[c] = scale, pool
 
 
@@ -867,8 +868,9 @@ def test_integer_extraction_matches_the_fraction_oracle(
     ((0, 2), (2, 0), _KEEP, "state (0, 2): e_enter 1 outside the "
      "superdifferential [2, 2] of the cost slice at z0 = 0", "state (0, 2): "
      "parent promises 1 remaining samples to a node that stops surely"),
-    ((0, 1), (0, 0), Fraction(1, 2), "state (0, 1): promise 2 needs "
-     "continuation slope 1, outside [1, -1]", "state (0, 1): sure-continue "
+    ((0, 1), (0, 0), Fraction(1, 2), "state (0, 1): the cost slice and the "
+     "merge pool disagree at z0 = 1/2: continuation slope -1 to the left "
+     "(cost slice), 1 to the right (merge pool)", "state (0, 1): sure-continue "
      "promise 0 needs slope -1, outside [1, 1]"),
     ((1, 1), None, Fraction(1, 4), "state (1, 1): parent promises 1 "
      "remaining samples to a node that stops surely", None),
@@ -1069,10 +1071,10 @@ def test_stop_cutoff_is_the_exact_comparison(monkeypatch, p, u, stops):
     assert (u >= _cut(p.numerator, p.denominator)) is stops
     assert (u * p.denominator >= p.numerator * 2**64) is stops
     # one node that continues with probability p into two sure stops
-    one = Fraction(1)
-    leaf = policy.PolicyNode(DesignState(1, (1, 0), one, one, one), 0, None,
+    # z1 = z2 = g = 1, as integers over 1
+    leaf = policy.PolicyNode(DesignState(1, (1, 0), 1, 1, 1, 1, 1), 0, None,
                              Fraction(0), Decision.H2, None, None)
-    root = policy.PolicyNode(DesignState(0, (0, 0), one, one, one), 1, 1, p,
+    root = policy.PolicyNode(DesignState(0, (0, 0), 1, 1, 1, 1, 1), 1, 1, p,
                              Decision.H1, (True, True), (leaf, leaf))
     for run in (simulate, simulate_loop):
         monkeypatch.setattr(policy.random, "Random",

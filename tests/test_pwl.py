@@ -202,7 +202,9 @@ def lifted(f, cap=10**6):
     """t -> t + f(t) as the recursion builds it: its merge step over the
     single operand f, lifted and capped at ``cap``; with the default cap,
     which no slice here reaches, the capped slice is the lift itself."""
-    return _merge_step([f], [1], f.scale, f.upper, Fraction(cap))
+    cap = Fraction(cap)
+    return _merge_step([f], [1], f.scale, f.upper, cap.numerator,
+                       cap.denominator)
 
 
 def test_lift_identity():
@@ -606,3 +608,88 @@ def test_weighted_merge_is_the_supconv_of_the_scaled_functions(fs, data):
               for c, f in zip(weights, fs)]
     assert PwlConcave.reduced(scale, v0, segs, upper) == \
         supconv(scaled, target)[0]
+
+
+def test_merge_step_cuts_a_later_segment_over_a_finer_scale():
+    # t + f(t) for f = 3t on [0, 1/2], then 1 + t: 4t, then 2 + 2(t - 1/2)
+    # reaches 8/3 at t = 5/6, past the first segment and off the halves
+    f = pwl(0, [(3, "1/2"), (1, "1/2")])
+    crossing, capped, pool = _merge_step([f], [1], 2, 2, 16, 6)
+    assert crossing == Fraction(5, 6)
+    assert capped == pwl(0, [(4, "1/2"), (2, "1/3"), (0, "1/6")])
+    assert pool == [(3, 0, 1), (1, 0, 1)]
+
+
+@settings(**SETTINGS)
+@given(st.lists(slices(max_segments=3), min_size=1, max_size=3), st.data())
+def test_merge_step_is_the_merge_lift_crossing_and_cap(fs, data):
+    """The solve's one walk returns the crossing, the capped slice and the
+    pool of the composition it replaces (``merge_scaled``, the lift,
+    ``crossing_point``, then ``cap_min_const``) and of the Fraction
+    oracle, for operands taken as they are or through the multipliers of
+    ``horizon_roots``, and a cap that the lift reaches at 0, at a kink,
+    at the domain end, anywhere or never, given in any terms."""
+    weights = [Fraction(1)] * len(fs)
+    if data.draw(st.booleans()):  # t -> c * f(t / c), as horizon_roots
+        weights = [data.draw(st.fractions(min_value=Fraction(1, 9),
+                                          max_value=3, max_denominator=9))
+                   for _ in fs]
+    total = sum((c * f.domain_upper for c, f in zip(weights, fs)), Fraction(0))
+    target = total * data.draw(points)
+    scale = lcm(target.denominator,
+                *(c.denominator * f.scale for c, f in zip(weights, fs)))
+    mults = [scale // (c.denominator * f.scale) * c.numerator
+             for c, f in zip(weights, fs)]
+    upper = int(target * scale)
+    v0, segs, pool = merge_scaled(fs, mults, scale, upper)
+    lift = PwlConcave.reduced(scale, v0, [(s + 1, w) for s, w in segs], upper)
+
+    kinks = [Fraction(0)]
+    for _, w in lift.segments:
+        kinks.append(kinks[-1] + w)
+    where = data.draw(st.sampled_from(["zero", "kink", "end", "anywhere",
+                                       "never"]))
+    if where == "zero":
+        cap = lift.value_at_zero * data.draw(points)
+    elif where == "kink":
+        kink = data.draw(st.sampled_from(kinks))
+        cap = lift(kink)
+    elif where == "end":
+        cap = lift.value_at_upper
+    elif where == "anywhere":  # inside a segment, off the merge's scale
+        i = data.draw(st.integers(min_value=0, max_value=len(kinks) - 1))
+        # 101 is prime and no width's denominator divides by it
+        step = Fraction(data.draw(st.integers(min_value=1, max_value=100)),
+                        101)
+        cap = lift(kinks[i] + (kinks[min(i + 1, len(kinks) - 1)] - kinks[i])
+                   * step)
+    else:
+        cap = lift.value_at_upper + data.draw(odd_widths)
+    terms = data.draw(st.integers(min_value=1, max_value=4))
+
+    crossing, capped, got_pool = _merge_step(
+        fs, mults, scale, upper, cap.numerator * terms,
+        cap.denominator * terms)
+    assert crossing == crossing_point(lift, cap)
+    assert capped == cap_min_const(lift, cap)
+    assert got_pool == pool
+    # every lifted slope is at least 1, so the lift reaches each level once
+    if where == "zero":
+        assert crossing == 0
+    elif where == "kink":
+        assert crossing == kink
+    elif where == "end":
+        assert crossing == target
+    elif where == "never":
+        assert crossing is None
+
+    ops = [FracPwl(c * f.value_at_zero,
+                   tuple((s, c * w) for s, w in f.segments),
+                   c * f.domain_upper) for c, f in zip(weights, fs)]
+    merged, record = frac_supconv(ops, target)
+    assert crossing == frac_crossing(frac_lift(merged), cap)
+    assert_same(capped, frac_cap(frac_lift(merged), cap))
+    assert tuple((op, s, Fraction(w, scale)) for s, op, w in pool) == \
+        record.entries
+    with pytest.raises(ValueError, match="exceeds total operand domain"):
+        _merge_step(fs, mults, scale, int(total * scale) + 1, 1, 1)

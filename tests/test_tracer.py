@@ -82,13 +82,14 @@ def test_traced_design_counts_every_internal_state(tracer_module, tmp_path,
     # tracer times as a read, not as a recursion.  The model is
     # mirror-symmetric, so each solve merges one state of each of the 12
     # mirror pairs of internal states (1, 1, 2, 2, 3, 3 at depths 0 to 5)
-    # and the mirrors reuse the result: 24 crossings, not 42.  The solve
-    # merges through `merge_scaled`, not `supconv`, which the tracer still
-    # wraps at `npkw.bellman.supconv` and which no command calls
+    # and the mirrors reuse the result.  Each merge finds its crossing in
+    # its own walk, not through `crossing_point`, and merges without
+    # `supconv`: the tracer still wraps both at `npkw.bellman`, and no
+    # command calls either
     assert counts["bellman.recursion_calls"] == 1
     assert counts["bellman.states"] == 28
     assert counts["pwl.supconv_calls"] == 0
-    assert counts["pwl.crossing_calls"] == 24
+    assert counts["pwl.crossing_calls"] == 0
     # `verify` extracts the design once: 23 distinct rule nodes (a state's
     # sure stop is one node, however the mass reaches it), and 15 extracted
     # nodes continue and split their mass, over 20 symbol paths; a change
