@@ -298,10 +298,12 @@ class CostTable:
     lift z0 + d(z0) of the children's sup-convolution d crosses g (None:
     the cap never binds on [0, 1]), so ``rho`` is the lift below it, and
     the merge record ``(scale, pool)`` in ``pools``: the sorted pool of
-    operand segments over its scale, which :func:`~npkw.pwl.split_at`
-    reads and whose slope classes are d's slopes.  ``d`` is a read-only
-    property that merges the children again on each read.  The table holds
-    only the dicts the solve filled in, so it pickles.
+    operand segments over its scale, whose slope classes are d's slopes.
+    Extraction reads a record only through its class table,
+    :func:`~npkw.pwl.slope_classes`, built once per merged state, from
+    which :func:`~npkw.pwl.split_at` reads the split of z0.  ``d`` is a
+    read-only property that merges the children again on each read.  The
+    table holds only the dicts the solve filled in, so it pickles.
 
     In a mirror-symmetric model (see :func:`_mirror`) ``twins`` maps each
     state whose mirror comes first in lexicographic order to that mirror.
@@ -679,12 +681,9 @@ def kwt_truncation_closed_form(model: NominalModel) -> int:
 # JSON serialization (exact, stable)
 # ---------------------------------------------------------------------------
 
-def _frac_str(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
-
-
 def _ratio_str(num: int, den: int) -> str:
-    """``num/den`` in lowest terms, as ``_frac_str`` writes the Fraction."""
+    """``num/den`` in lowest terms: how every stored or exported rational
+    is written."""
     g = gcd(num, den)
     return f"{num // g}/{den // g}"
 
@@ -707,10 +706,10 @@ def _parse_ratio(text: str) -> tuple[int, int]:
 
 def model_to_json(model: NominalModel) -> dict:
     return {
-        "p1": [_frac_str(v) for v in model.p1],
-        "p2": [_frac_str(v) for v in model.p2],
-        "lambda1": _frac_str(model.lam1),
-        "lambda2": _frac_str(model.lam2),
+        "p1": [_ratio_str(*v.as_integer_ratio()) for v in model.p1],
+        "p2": [_ratio_str(*v.as_integer_ratio()) for v in model.p2],
+        "lambda1": _ratio_str(*model.lam1.as_integer_ratio()),
+        "lambda2": _ratio_str(*model.lam2.as_integer_ratio()),
         "horizon": model.horizon,
     }
 

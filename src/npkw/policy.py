@@ -38,12 +38,12 @@ the display cut of :func:`extract_tree` is made of; ``simulate``'s
 ``lfd`` strategy splits z0 the same way along the histories it draws.
 
 The public fields and results are ``Fraction``s, but extraction and the
-walks over the DAG run in integers.  :func:`~npkw.pwl.split_at` reads a
-state's merge pool and returns the allocation of z0 over one denominator:
-the LFD is the allocation over its sum, and a child's z0 is its entry
-reduced by one gcd.  One integer scan gives both one-sided slopes of a
-slice and the segment z0 lies in, and z0 is compared with the stopping
-threshold and with the ends of spans by cross-multiplying.
+walks over the DAG run in integers.  :func:`~npkw.pwl.split_at` bisects
+a state's slope-class table and returns the allocation of z0 over one
+denominator: the LFD is the allocation over its sum, and a child's z0 is
+its entry reduced by one gcd.  One integer scan gives both one-sided
+slopes of a slice and the segment z0 lies in, and z0 is compared with
+the stopping threshold and with the ends of spans by cross-multiplying.
 Evaluation and the equalization certificate put every ``p_continue`` over
 m, the lcm of their denominators: survival into depth n is an integer over
 m**n, the base pass's per-count weights at depth n are over m**(n+1), a
@@ -68,10 +68,10 @@ from .bellman import (
     DesignState,
     ExtractionError,
     NominalModel,
-    _frac_str,
     _ratio_str,
 )
-from .pwl import PwlConcave, RationalLike, _fixed_str, _sides, rat, split_at
+from .pwl import (PwlConcave, RationalLike, _fixed_str, _sides, rat,
+                  slope_classes, split_at)
 
 
 class Decision(Enum):
@@ -97,10 +97,8 @@ class PolicyNode:
     every other node has all k children.  ``mass[x]`` is true when the
     least favorable distribution puts positive probability on symbol x
     here (none does at a node entered with zero mass).  ``merge`` is the
-    state's merge record and symbol map, which :func:`lfd_tree` splits z0
-    with, and ``landing`` the merge pool's slope class (see
-    :func:`_landing`) that the z0 the node was extracted at lies in, or
-    None: inside that class the split is linear in z0.
+    state's slope-class table (:func:`~npkw.pwl.slope_classes`) and symbol
+    map, which :func:`lfd_tree` splits z0 with.
 
     ``sure_stop_state`` records a fact about the *state*, not the extracted
     behaviour: the canonical design stops here for every positive adversary
@@ -111,8 +109,7 @@ class PolicyNode:
     """
 
     __slots__ = ("state", "e_enter", "e_continue", "p_continue", "decision",
-                 "mass", "children", "sure_stop_state", "merge", "landing",
-                 "_eval_cache")
+                 "mass", "children", "sure_stop_state", "merge", "_eval_cache")
 
     def __init__(self, state: DesignState, e_enter: int,
                  e_continue: Optional[int], p_continue: Fraction,
@@ -120,8 +117,7 @@ class PolicyNode:
                  mass: Optional[tuple[bool, ...]],
                  children: Optional[tuple["PolicyNode", ...]],
                  sure_stop_state: bool = False,
-                 merge: Optional[tuple] = None,
-                 landing: Optional[tuple] = None) -> None:
+                 merge: Optional[tuple] = None) -> None:
         self.state = state
         self.e_enter = e_enter
         self.e_continue = e_continue
@@ -131,7 +127,6 @@ class PolicyNode:
         self.children = children
         self.sure_stop_state = sure_stop_state
         self.merge = merge
-        self.landing = landing
         self._eval_cache = None  # see _eval_base
 
     @property
@@ -165,8 +160,8 @@ def extract_tree(table: CostTable, max_depth: Optional[int] = None):
     The rule is extracted top down, once per span: a span is an open
     interval of z0, for one count vector and promise, on which everything
     the subtree reads is provably the same.  A node's own span is the open
-    segment of its cost slice and of its merge pool's landing slope class
-    around z0, below the stopping threshold.  Inside it each child's mass
+    segment of its cost slice and of the merge's slope class z0 lies in,
+    below the stopping threshold.  Inside it each child's mass
     is linear in z0, so each child's span pulls back to an interval of the
     parent's z0, which the node's span is cut to.  A z0 at 0, at a kink,
     at the threshold or with a child held at one point holds at that point
@@ -182,10 +177,11 @@ def _reader(table: CostTable) -> tuple[dict, Callable]:
     """The rows read so far, by count vector, and the function
     ``row(counts)`` that reads one more: what extraction reads of a state,
     as ``(state, stop decision, sure_state, rho, z0_star as a pair,
-    (merge record, perm), child counts)`` with ``rho`` None at the
-    horizon.  A mirror state (see :class:`~npkw.bellman.CostTable`) reads
-    its partner's pool, and ``perm`` maps the partner's allocation to its
-    own: its allocation to symbol x is the partner's to sigma(x)."""
+    (slope classes, perm), child counts)`` with ``rho`` None at the
+    horizon.  The slope classes of each merged state's pool are built
+    once.  A mirror state (see :class:`~npkw.bellman.CostTable`) reads
+    its partner's, and ``perm`` maps the partner's allocation to its own:
+    its allocation to symbol x is the partner's to sigma(x)."""
     model = table.model
     k = model.alphabet_size
     # lam1 * z1 against lam2 * z2 decides a stop, cross-multiplied
@@ -194,6 +190,7 @@ def _reader(table: CostTable) -> tuple[dict, Callable]:
     w2 = lam2.numerator * lam1.denominator
     perm = None if table.sigma is None else itemgetter(*table.sigma)
     rows: dict[tuple[int, ...], tuple] = {}
+    tables: dict[tuple[int, ...], tuple] = {}  # slope classes by merged state
 
     def row(counts: tuple[int, ...]) -> tuple:
         state = table.states[counts]
@@ -206,12 +203,16 @@ def _reader(table: CostTable) -> tuple[dict, Callable]:
         else:
             z0_star = table.z0_star[counts]
             twin = table.twins.get(counts)
+            merged = counts if twin is None else twin
+            classes = tables.get(merged)
+            if classes is None:
+                classes = tables[merged] = slope_classes(table.pools[merged],
+                                                         k)
             # stopping already matches continuing at zero mass
             got = (state, decision, z0_star == 0, table.rho[counts],
                    None if z0_star is None else (z0_star.numerator,
                                                  z0_star.denominator),
-                   (table.pools[counts], None) if twin is None else
-                   (table.pools[twin], perm),
+                   (classes, None if twin is None else perm),
                    tuple(counts[:x] + (counts[x] + 1,) + counts[x + 1:]
                          for x in range(k)))
         rows[counts] = got
@@ -228,14 +229,14 @@ def _check_stop(state: DesignState, promised: Optional[int]) -> None:
         )
 
 
-def _labels(counts: tuple[int, ...], rho: PwlConcave, record: tuple,
+def _labels(counts: tuple[int, ...], rho: PwlConcave, classes: tuple,
             zn: int, zd: int, side: int,
             promised: Optional[int]) -> Optional[tuple]:
     """The labels of a node that may continue, at z0 = zn/zd below or at
     the threshold (``side`` <= 0): ``(e_enter, c, seg)``, c the promise to
     every child and ``seg`` as :func:`_slopes` gives it.  None where the
     node stops surely and its promise allows it."""
-    lo, hi, d_left, d_right, seg = _slopes(rho, record, zn, zd, side)
+    lo, hi, d_left, d_right, seg = _slopes(rho, classes, zn, zd, side)
     if zn and side:
         # Continuing is optimal (strictly below the kink).  The equalized
         # continuation slope c may sit anywhere in the superdifferential
@@ -301,7 +302,7 @@ def _outside(counts: tuple[int, ...], zn: int, zd: int, d_left: int,
         f"state {counts}: {need}, outside [{d_right}, {d_left}]")
 
 
-def _slopes(rho: PwlConcave, record: tuple, zn: int, zd: int,
+def _slopes(rho: PwlConcave, classes: tuple, zn: int, zd: int,
             side: int) -> tuple:
     """``(lo, hi, d_left, d_right, seg)`` of a state at z0 = zn/zd below
     or at its threshold (``side`` <= 0): the cost slice's
@@ -309,38 +310,30 @@ def _slopes(rho: PwlConcave, record: tuple, zn: int, zd: int,
     right one linearly extended at the edge) and the open segment of the
     cost slice that z0 lies inside below the threshold, or None.  Below
     the threshold ``rho`` is z0 + d(z0); right of it, and at zero mass,
-    d's slope is that of the merge pool's slope class there."""
-    scale, pool = record
-    if not zn:  # the pool covers [0, k], so it has a first class
+    d's slope is that of the merge's slope class there (the classes span
+    [0, k], so z0 < 1 has one)."""
+    scale, ends, slopes, _ = classes
+    if not zn:
         lo = rho.segs[0][0] if rho.segs else 0
-        return lo, lo, pool[0][0], pool[0][0], None
+        return lo, lo, slopes[0], slopes[0], None
     lo, hi, right, seg = _sides(rho, zn, zd)
     if side or zn == zd:
         return lo, hi, hi - 1, right - 1, seg if side else None
-    xs, end = zn * scale, 0
-    for slope, _, width in pool:  # the pool's slope class just right of z0
-        end += width
-        if end * zd > xs:
-            break  # z0 < 1 lies inside the pool, which spans [0, k]
-    return lo, hi, hi - 1, slope, None
+    d_right = slopes[bisect_right(ends, zn * scale // zd) - 1]
+    return lo, hi, hi - 1, d_right, None
 
 
 def _lfd(merge: tuple, zn: int, alloc) -> tuple[tuple[int, ...], int]:
     """The LFD at a node that splits z0 = zn/zd into ``alloc``, as integers
     over their positive sum: the allocation, which sums to z0, or at zero
     mass the limiting direction of the allocation as z0 -> 0+, the merge's
-    first slope class shared in proportion to its segment widths (uniform
-    when the merge has no segment at all)."""
+    first slope class shared in proportion to its operands' widths."""
     if zn:
         return tuple(alloc), sum(alloc)
-    (_, pool), perm = merge
-    weights = [0] * len(alloc)
-    for slope, op, width in pool:
-        if slope != pool[0][0]:
-            break
-        weights[op] += width
-    lfd = tuple(weights if perm is None else perm(weights))
-    return (lfd, sum(lfd)) if any(lfd) else ((1,) * len(lfd), len(lfd))
+    (_, _, _, taken), perm = merge
+    first = taken[1]  # the allocation at the first class's end: its widths
+    lfd = tuple(first if perm is None else perm(first))
+    return lfd, sum(lfd)
 
 
 def _extract(table: CostTable) -> PolicyNode:
@@ -403,22 +396,23 @@ def _extract(table: CostTable) -> PolicyNode:
     def extract_node(row: tuple, zn: int, zd: int, side: int,
                      promised: Optional[int]) -> tuple:
         state, decision, sure_state, rho, z0_star, merge, kids = row
-        record, perm = merge
-        got = _labels(state.counts, rho, record, zn, zd, side, promised)
+        classes, perm = merge
+        got = _labels(state.counts, rho, classes, zn, zd, side, promised)
         if got is None:
             return stop(row), None
         e_enter, c, seg = got
-        alloc, den = split_at(record, k, zn, zd)
+        alloc, den, landing = split_at(classes, zn, zd)
         if perm is not None:
             alloc = perm(alloc)
 
         # the node's own span: the cost slice's open segment around z0,
-        # below the threshold, inside the landing slope class of the pool
+        # below the threshold, inside the slope class z0 lands in
         span = shares = None
-        landing = _landing(record, k, zn, zd) if seg is not None else None
-        if landing is not None:
-            scale = record[0]
-            start, end, shares, taken = landing
+        if seg is not None and landing is not None:
+            scale, ends, _, at_ends = classes
+            start, end = ends[landing], ends[landing + 1]
+            taken = at_ends[landing]
+            shares = [b - a for a, b in zip(taken, at_ends[landing + 1])]
             if perm is not None:
                 shares, taken = perm(shares), perm(taken)
             width = end - start
@@ -470,7 +464,7 @@ def _extract(table: CostTable) -> PolicyNode:
             node = nodes[fields] = PolicyNode(
                 state, e_enter, e_continue, p_continue,
                 decision if e_enter != e_continue else None, mass, children,
-                sure_state, merge, landing)
+                sure_state, merge)
         return node, span
 
     return extract((0,) * k, 1, 1, None)[0]
@@ -508,8 +502,8 @@ def _display(table: CostTable, max_depth: int) -> PathNode:
             return PathNode(state, 0, None, _ZERO, decision, sure_state,
                             zn, zd, None, None, None)
         e_enter, c, _ = got
-        record, perm = merge
-        alloc, den = split_at(record, k, zn, zd)
+        classes, perm = merge
+        alloc, den, _ = split_at(classes, zn, zd)
         if perm is not None:
             alloc = perm(alloc)
         lfd, lfd_den = _lfd(merge, zn, alloc)
@@ -526,51 +520,6 @@ def _display(table: CostTable, max_depth: int) -> PathNode:
                         zn, zd, lfd, lfd_den, children)
 
     return show((0,) * k, 1, 1, None)
-
-
-def _landing(record: tuple, k: int, zn: int, zd: int) -> Optional[tuple]:
-    """The slope class of a merge pool that z0 = zn/zd lies strictly
-    inside, over the pool's scale: its start and end, each operand's width
-    in it and each operand's allocation before it; None when z0 is at a
-    class boundary."""
-    scale, pool = record
-    xs = zn * scale  # z0 over scale * zd
-    taken = [0] * k
-    start = 0
-    i, n = 0, len(pool)
-    while i < n:
-        slope = pool[i][0]
-        end, j = start, i
-        while j < n and pool[j][0] == slope:
-            end += pool[j][2]
-            j += 1
-        if end * zd > xs:
-            if start * zd == xs:
-                return None
-            widths = [0] * k
-            for _, op, width in pool[i:j]:
-                widths[op] += width
-            return start, end, widths, taken
-        for _, op, width in pool[i:j]:
-            taken[op] += width
-        start, i = end, j
-    return None
-
-
-def _alloc(record: tuple, landing: Optional[tuple], k: int, zn: int,
-           zd: int) -> tuple[list[int], int]:
-    """``split_at(record, k, zn, zd)``, read off ``landing``, a slope class
-    of :func:`_landing`, without a scan of the pool when z0 = zn/zd is
-    strictly inside it: each operand gets what it took before the class
-    and the share of its width in the class, over the same denominator."""
-    if landing is not None:
-        start, end, widths, taken = landing
-        x = zn * record[0] - start * zd  # z0 past the class start
-        cq = (end - start) * zd
-        if 0 < x < cq:
-            return [t * cq + w * x for t, w in zip(taken, widths)], \
-                cq * record[0]
-    return split_at(record, k, zn, zd)
 
 
 def _first_above(box: list, zn: int, zd: int) -> int:
@@ -652,12 +601,12 @@ class PathNode:
         return tuple(Fraction(n, den) for n in self.lfd_num)
 
 
-def _split(node: PolicyNode, zn: int, zd: int) -> tuple:
-    """What the adversary plays at a rule node that may continue, entered
-    with mass z0 = zn/zd: the LFD as integers over their positive sum, and
-    each child's mass as a reduced pair."""
-    merge = node.merge
-    alloc, den = _alloc(merge[0], node.landing, len(node.children), zn, zd)
+def _split(merge: tuple, zn: int, zd: int) -> tuple:
+    """What the adversary plays at a node that may continue, with the
+    slope classes and symbol map ``merge``, entered with mass z0 = zn/zd:
+    the LFD as integers over their positive sum, and each child's mass as
+    a reduced pair."""
+    alloc, den, _ = split_at(merge[0], zn, zd)
     if merge[1] is not None:
         alloc = merge[1](alloc)
     return (*_lfd(merge, zn, alloc),
@@ -685,8 +634,8 @@ class _GrowingPathNode(PathNode):
 def lfd_tree(root: PolicyNode) -> PathNode:
     """The rule from ``root`` with the adversary's mass z0 and its LFD at
     each history, z0 = 1 at ``root``: a :class:`PathNode` tree, one node
-    per (rule node, z0), whose children are split from the state's merge
-    pool when first read."""
+    per (rule node, z0), whose children are split from the state's slope
+    classes when first read."""
     memo: dict[tuple, PathNode] = {}
 
     def at(node: PolicyNode, zn: int, zd: int) -> PathNode:
@@ -700,7 +649,7 @@ def lfd_tree(root: PolicyNode) -> PathNode:
                            node.p_continue, node.decision,
                            node.sure_stop_state, zn, zd, None, None, None)
         else:
-            lfd, lfd_den, masses = _split(node, zn, zd)
+            lfd, lfd_den, masses = _split(node.merge, zn, zd)
             got = _GrowingPathNode(
                 node.state, node.e_enter, node.e_continue, node.p_continue,
                 node.decision, node.sure_stop_state, zn, zd, lfd, lfd_den,
@@ -801,7 +750,12 @@ def lfd_range(root: PolicyNode | PathNode,
     law; transition probabilities of exactly 0 or 1 mark branches the
     adversary abandons because the next sample surely ends the test there.
     Both are excluded — the range covers the genuine randomized transitions.
+    A symbol outside 0..K-1 raises ``ValueError``.
     """
+    k = len(root.state.counts)
+    if symbol not in range(k):
+        raise ValueError(f"symbol {symbol!r} is outside the alphabet "
+                         f"0..{k - 1}")
     lo: Optional[tuple[int, int]] = None  # as (numerator, denominator)
     hi: Optional[tuple[int, int]] = None
     if isinstance(root, PolicyNode):
@@ -1268,7 +1222,8 @@ def simulate(
     dyadic u / 2**64, and each node turns its stopping probability and its
     symbol PMF into integer cutoffs (:func:`_cut`) that u is compared with,
     biasing each event by less than 2**-64.  A PathNode tree (a display
-    cut) raises ``ValueError``, and so do fewer than one trial.
+    cut) raises ``ValueError``, and so do fewer than one trial and a
+    ``pmf`` given to a strategy other than ``fixed``.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -1283,10 +1238,13 @@ def simulate(
         den = lcm(*(p.denominator for p in fixed))
         fixed_cuts = _symbol_cuts(
             (p.numerator * (den // p.denominator) for p in fixed), den)
+    elif strategy not in ("alternating", "lfd"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    elif pmf is not None:
+        raise ValueError(f"the {strategy} strategy takes no pmf: the pmf "
+                         "sets the data of the fixed strategy")
     elif strategy == "lfd":
         root = (root, 1, 1)
-    elif strategy != "alternating":
-        raise ValueError(f"unknown strategy {strategy!r}")
     alternating = strategy == "alternating"
 
     # per node, built on the first visit: the stop cutoff, the decision,
@@ -1301,7 +1259,7 @@ def simulate(
             node, zn, zd = key
         children = node.children
         if strategy == "lfd" and children is not None:
-            lfd, lfd_den, masses = _split(node, zn, zd)
+            lfd, lfd_den, masses = _split(node.merge, zn, zd)
             cuts = _symbol_cuts(lfd, lfd_den)
             children = tuple([pairs.setdefault(q := (kid, *z), q)
                               for kid, z in zip(children, masses)])
@@ -1427,7 +1385,8 @@ def _json_pieces(node: PathNode, level: int) -> tuple[str, str, str]:
               f'{pad1}"e_continue": {e_continue},\n'
               f'{pad1}"e_enter": {node.e_enter},\n'
               f'{pad1}"lfd": {lfd},\n'
-              f'{pad1}"p_continue": "{_frac_str(node.p_continue)}",\n'
+              f'{pad1}"p_continue": '
+              f'"{_ratio_str(*node.p_continue.as_integer_ratio())}",\n'
               f'{pad1}"z0": "{node.z0_num}/{node.z0_den}"\n{pad0}}}')
     if node.children is None:
         return f'{{\n{pad1}"children": null,\n{fields}', "", ""

@@ -15,37 +15,31 @@ recursion's merge step in :mod:`npkw.bellman` does the merge, the lift and
 the cap in one walk over the merge's integers; ``merge_scaled``,
 ``crossing_point`` and ``cap_min_const`` are the reference it equals.
 
-All arithmetic is exact; no floats ever enter.  A function is stored as
-plain integers over one positive scale: the value at zero is
-``v0 / scale``, each segment width ``w / scale`` and the domain end
-``upper / scale``.  The form is canonical: segments ordered by strictly
-decreasing slope (concavity), zero-width segments dropped, adjacent equal
-slopes merged, widths summing exactly to the domain length, and
-``gcd(scale, v0, upper, *widths) == 1``.  Equal functions therefore have
-equal fields, so comparing and hashing the four fields compares and hashes
-the functions.  The public views (``value_at_zero``, ``segments``,
-``domain_upper``) and every public function speak ``fractions.Fraction``.
+All arithmetic is exact; no floats ever enter.  A function is stored in
+a canonical form, as plain integers over one positive scale (see
+:class:`PwlConcave`), so equal functions have equal fields; its public
+views and every public function speak ``fractions.Fraction``.
 
 Sup-convolution of concave functions is the classic "merge segments by
-decreasing slope" construction.  Slope ties are broken by operand index
-(lowest operand first); the sorted pool of operand segments is the merge
-record from which ``split_at`` reads back the maximizing allocation at any
-point of the domain exactly, as integers over one denominator.  The
-merge itself, ``merge_scaled``, also takes each operand as
-``t -> c * f(t / c)`` (the same slopes, value and widths times c) through
-its integer multipliers, and ``restrict`` cuts a function to a shorter
-domain.  A point
-``t = p/q`` is compared with a cumulative width ``W/scale`` as
-``p*scale`` against ``W*q``, so no rational is built until a result is
-returned.
+decreasing slope" construction, slope ties broken by operand index.  The
+sorted pool of operand segments is the merge record, and this module is
+the one reader of it: ``slope_classes`` groups it once into a table of
+slope classes, from which ``split_at`` reads the maximizing allocation
+at any point with one bisection, exactly, as integers over one
+denominator.  ``merge_scaled`` also takes each operand as
+``t -> c * f(t / c)`` through integer multipliers, and ``restrict`` cuts
+a function to a shorter domain.  A point ``t = p/q`` is compared with a
+cumulative width ``W/scale`` as ``p*scale`` against ``W*q``, so no
+rational is built until a result is returned.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 #: Exact scalars the public constructors accept (int, str like "3/4" or
 #: "0.8", Fraction); results are Fractions.
@@ -341,12 +335,12 @@ def _sides(f: PwlConcave, p: int, q: int) -> tuple:
 def superdiff(f: PwlConcave, t: RationalLike) -> SuperDiff:
     """Superdifferential of f at t, with the edge conventions of the class.
 
-    See :class:`SuperDiff` for the conventions.  Examples::
+    See :class:`SuperDiff` for the conventions: at a kink, at 0 and at
+    the domain end,
 
-        f = pwl(0, [(3, "1/4"), (1, "3/4")])
-        superdiff(f, "1/4")  ->  SuperDiff(lo=1, hi=3)   (interior kink)
-        superdiff(f, 0)      ->  SuperDiff(lo=3, hi=3)
-        superdiff(f, 1)      ->  SuperDiff(lo=0, hi=1)
+    >>> f = pwl(0, [(3, "1/4"), (1, "3/4")])
+    >>> superdiff(f, "1/4"), superdiff(f, 0), superdiff(f, 1)
+    (SuperDiff(lo=1, hi=3), SuperDiff(lo=3, hi=3), SuperDiff(lo=0, hi=1))
     """
     lo, hi, _, _ = _sides(f, *_ratio(t))
     return SuperDiff(lo, hi)
@@ -463,11 +457,10 @@ def supconv(
     Merges all operand segments by decreasing slope (ties broken by operand
     index, lowest first) and truncates at the target length, which must not
     exceed the sum of the operand domains (the allocation constraint is
-    infeasible beyond it).  Returns the result together with the merge
-    record ``(scale, pool)`` that :func:`split_at` reads: the sorted pool
-    of every operand segment, as (slope, operand, width) triples over
-    ``scale``, the lcm of the operands' scales and of the target's
-    denominator.
+    infeasible beyond it).  Returns the result and the merge record
+    ``(scale, pool)``: the sorted pool of every operand segment as (slope,
+    operand, width) triples over ``scale``, the lcm of the operands'
+    scales and the target's denominator.
 
     The value at 0 is the sum of the operands' values at 0, and the result's
     superdifferential at any t is the intersection of the operands'
@@ -529,48 +522,55 @@ def merge_scaled(
     return value0, segs, pool
 
 
-def split_at(record: tuple[int, Sequence[tuple[int, int, int]]], k: int,
-             p: int, q: int) -> tuple[list[int], int]:
-    """Canonical maximizing allocation (a_1, ..., a_k) with sum == t, for
-    t = p/q (q > 0) between 0 and the operands' total domain.
-
-    ``record`` is a merge's ``(scale, pool)`` as :func:`supconv` returns
-    it and the recursion keeps it, over k operands.  The walk goes slope
-    class by slope class.  Classes strictly above the landing slope are
-    consumed whole; the class t lands in is shared among its member
-    segments in proportion to their widths.  Any split of the landing
-    class maximizes — proportional sharing is the canonical choice: it is
-    symmetric, keeps every competing branch positively weighted, and is
-    continuous in t.  Returns the allocation as integer numerators over
-    one positive denominator, not reduced.
-    """
+def slope_classes(record: tuple[int, Sequence[tuple[int, int, int]]],
+                  k: int) -> tuple:
+    """The slope-class table of a merge record ``(scale, pool)`` over k
+    operands, for :func:`split_at`: ``(scale, ends, slopes, taken)``.
+    Class c, the pool's run of slope ``slopes[c]``, spans ``ends[c]`` to
+    ``ends[c + 1]`` over ``scale`` (``ends[0] == 0``), and ``taken[c][op]``
+    is operand op's allocation at ``ends[c]``: its width in class c is
+    ``taken[c + 1][op] - taken[c][op]``."""
     scale, pool = record
-    if p < 0:
-        raise ValueError(f"{Fraction(p, q)} outside the merged domain")
-    x = p * scale  # t still to allocate, over scale * q
-    alloc = [0] * k  # whole classes taken, over scale
-    i = 0
-    n = len(pool)
-    while x > 0:
-        if i == n:
-            total = sum(w for _, _, w in pool)
-            raise ValueError(f"{Fraction(p, q)} outside the merged domain "
-                             f"[0, {Fraction(total, scale)}]")
-        slope = pool[i][0]
-        j = i
-        class_width = 0
-        while j < n and pool[j][0] == slope:
-            class_width += pool[j][2]
-            j += 1
-        cq = class_width * q
-        if x < cq:
-            # operand op gets alloc[op] / scale + width * x / (cq * scale)
-            alloc = [a * cq for a in alloc]
-            for _, op, width in pool[i:j]:
-                alloc[op] += width * x
-            return alloc, cq * scale
-        for _, op, width in pool[i:j]:
-            alloc[op] += width
-        x -= cq
-        i = j
-    return alloc, scale
+    ends, slopes, taken = [0], [], [[0] * k]
+    for slope, op, width in pool:
+        if not slopes or slope != slopes[-1]:
+            slopes.append(slope)
+            ends.append(ends[-1])
+            taken.append(taken[-1][:])
+        taken[-1][op] += width
+        ends[-1] += width
+    return scale, ends, slopes, taken
+
+
+def split_at(classes: tuple, p: int,
+             q: int) -> tuple[list[int], int, Optional[int]]:
+    """Canonical maximizing allocation (a_1, ..., a_k) with sum == t, for
+    t = p/q (q > 0) between 0 and the operands' total domain, and the
+    slope class that t lies strictly inside (None at a class end).
+
+    ``classes`` is :func:`slope_classes` of a merge record.  One bisection
+    finds t's class: the classes before it are taken whole and it is
+    shared in proportion to its operands' widths, which weights the
+    allocations at its two ends by t's place between them.  Any split of
+    it maximizes; proportional sharing is the canonical choice:
+    symmetric, keeping every competing branch positively weighted,
+    continuous in t.  The allocation is numerators over one positive
+    denominator, unreduced.
+
+    >>> classes = slope_classes((2, [(3, 0, 1), (2, 1, 2), (1, 0, 1)]), 2)
+    >>> split_at(classes, 3, 4), split_at(classes, 1, 2)
+    (([8, 4], 16, 1), ([1, 0], 2, None))
+    """
+    scale, ends, _, taken = classes
+    x = p * scale  # t over scale * q
+    c = bisect_right(ends, x // q) - 1  # -1 for t < 0
+    start = ends[c]
+    if x == start * q:  # t is 0 or a class end
+        return list(taken[c]), scale, None
+    if not 0 <= c < len(ends) - 1:
+        raise ValueError(f"{Fraction(p, q)} outside the merged domain "
+                         f"[0, {Fraction(ends[-1], scale)}]")
+    x -= start * q  # t past the class start
+    cq = (ends[c + 1] - start) * q
+    return [a * (cq - x) + b * x for a, b in zip(taken[c], taken[c + 1])], \
+        cq * scale, c

@@ -50,7 +50,8 @@ from npkw.policy import (
     _symbol_cuts,
 )
 from npkw.pwl import (
-    merge_scaled, pwl, pwl_eval, restrict, slope_right, split_at,
+    merge_scaled, pwl, pwl_eval, restrict, slope_classes, slope_right,
+    split_at,
 )
 from oracles import (
     best_response_cost,
@@ -176,6 +177,17 @@ def test_fig_lfd_ranges(fig_tree, fig_display):
     assert lo + hi == 1
     assert abs(float(dlo) - 0.120107) < 1e-6
     assert abs(float(dhi) - 0.879893) < 1e-6
+
+
+def test_lfd_range_rejects_a_symbol_outside_the_alphabet():
+    _, _, root = small_fig(6)
+    # -1 would index the last symbol and 2 would run off a coin's LFD
+    for symbol in (-1, 2):
+        for tree in (root, lfd_tree(root)):
+            with pytest.raises(ValueError, match=rf"^symbol {symbol} is "
+                               r"outside the alphabet 0\.\.1$"):
+                lfd_range(tree, symbol)
+    assert lfd_range(root, 0)[0] + lfd_range(root, 1)[1] == 1
 
 
 def test_fig_evaluate_exact(fig_tree):
@@ -373,7 +385,8 @@ def test_extraction_reads_the_oracles_continuation_slopes():
                     for x in range(k)]
             lifted = frac_lift(frac_supconv(kids, 1)[0])
             rho = table.rho[counts]
-            record = table.pools[table.twins.get(counts, counts)]
+            classes = slope_classes(
+                table.pools[table.twins.get(counts, counts)], k)
             top = Fraction(1) if z0_star is None else z0_star
             points = sorted({Fraction(0), top, *(
                 t for t in accumulate(w for _, w in rho.segments) if t < top)})
@@ -381,7 +394,7 @@ def test_extraction_reads_the_oracles_continuation_slopes():
             for z0 in points:
                 side = 0 if z0 and z0 == z0_star else -1
                 _, _, d_left, d_right, _ = policy._slopes(
-                    rho, record, z0.numerator, z0.denominator, side)
+                    rho, classes, z0.numerator, z0.denominator, side)
                 assert (d_left, d_right) == (
                     frac_superdiff(lifted, z0).hi - 1,
                     frac_slope_right(lifted, z0) - 1), (counts, z0)
@@ -542,18 +555,19 @@ def test_extraction_reads_the_pools_of_the_states_it_splits(monkeypatch):
     read = []
     split = policy.split_at
     monkeypatch.setattr(policy, "split_at",
-                        lambda record, *args: read.append(record)
-                        or split(record, *args))
+                        lambda classes, *args: read.append(classes)
+                        or split(classes, *args))
     table = backward_recursion(bernoulli_model("0.9", "0.1", 3, 3, 40))
     # one merge record per mirror pair of the 820 internal states
     assert len(table.pools) == 420
     root = extract_tree(table)
     # the design stops after one sample: extraction visits the root and the
     # mirror pair (1, 0), (0, 1), and splits the root's mass only, reading
-    # the record the solve keeps
+    # the slope classes of the record the solve keeps, which the root keeps
     assert {node.state.counts for node in iter_unique_nodes(root)} == \
         {(0, 0), (1, 0), (0, 1)}
-    assert len(read) == 1 and read[0] is table.pools[(0, 0)]
+    assert len(read) == 1 and read[0] is root.merge[0]
+    assert read[0] == slope_classes(table.pools[(0, 0)], 2)
 
 
 pmf_weights = st.lists(st.integers(min_value=0, max_value=6), min_size=3,
@@ -572,7 +586,8 @@ def _own_pool(table, counts):
 
 
 def _alloc(record, k, z0):
-    nums, den = split_at(record, k, z0.numerator, z0.denominator)
+    nums, den, _ = split_at(slope_classes(record, k), z0.numerator,
+                            z0.denominator)
     assert den > 0 and sum(nums) * z0.denominator == den * z0.numerator
     return tuple(Fraction(n, den) for n in nums)
 
@@ -1010,6 +1025,13 @@ def test_simulate_strategies():
         simulate(root, trials=10, seed=1, strategy="fixed")  # pmf missing
     with pytest.raises(ValueError):
         simulate(root, trials=10, seed=1, strategy="nonsense")
+    # only the fixed strategy reads a pmf: the others refuse one rather
+    # than ignore it
+    for strategy in ("alternating", "lfd"):
+        with pytest.raises(ValueError, match=f"^the {strategy} strategy "
+                           "takes no pmf"):
+            simulate(root, trials=10, seed=1, strategy=strategy,
+                     pmf=list(model.p1))
     for trials in (0, -3):
         with pytest.raises(ValueError, match="trials must be at least 1"):
             simulate(root, trials=trials, seed=1, strategy="fixed",

@@ -1,6 +1,8 @@
 """Unit and property tests for the exact PWL algebra."""
 
 import copy
+import doctest
+import importlib
 import pickle
 from fractions import Fraction
 from math import lcm
@@ -19,6 +21,7 @@ from npkw.pwl import (
     pwl_eval,
     rat,
     restrict,
+    slope_classes,
     slope_right,
     split_at,
     supconv,
@@ -44,9 +47,11 @@ SETTINGS = {"max_examples": 100, "deadline": None}
 
 
 def split(record, k, t):
-    """``split_at`` at the rational t, as Fractions."""
+    """``split_at`` of the record's slope classes at the rational t, as
+    Fractions."""
     t = Fraction(t)
-    nums, den = split_at(record, k, t.numerator, t.denominator)
+    nums, den, _ = split_at(slope_classes(record, k), t.numerator,
+                            t.denominator)
     assert den > 0
     return tuple(Fraction(n, den) for n in nums)
 
@@ -230,8 +235,9 @@ def test_supconv_identical_single_segment():
     # tied slope class shared in proportion to widths: an even split
     assert split(record, 2, 1) == (Fraction(1, 2), Fraction(1, 2))
     assert split(record, 2, "1/2") == (Fraction(1, 4), Fraction(1, 4))
-    # numerators over one denominator, not reduced
-    assert split_at(record, 2, 2, 4) == ([2, 2], 8)
+    # numerators over one denominator, not reduced, and the class that
+    # 1/2 lies strictly inside
+    assert split_at(slope_classes(record, 2), 2, 4) == ([2, 2], 8, 0)
 
 
 def test_supconv_merge_order_and_values():
@@ -693,3 +699,65 @@ def test_merge_step_is_the_merge_lift_crossing_and_cap(fs, data):
         record.entries
     with pytest.raises(ValueError, match="exceeds total operand domain"):
         _merge_step(fs, mults, scale, int(total * scale) + 1, 1, 1)
+
+
+@settings(**SETTINGS)
+@given(st.lists(slices(max_segments=3), min_size=1, max_size=3), st.data())
+def test_split_at_bisects_the_slope_classes_as_the_oracle_walks_the_pool(
+        fs, data):
+    """``split_at`` of ``slope_classes`` gives the Fraction oracle's
+    allocation, for operands taken as they are or through the multipliers
+    of ``horizon_roots``: at 0, at every class end up to the total domain,
+    at a point inside each class and anywhere; it names the class a point
+    lies strictly inside, and None exactly at the class ends."""
+    weights = [Fraction(1)] * len(fs)
+    if data.draw(st.booleans()):  # t -> c * f(t / c), as horizon_roots
+        weights = [data.draw(st.fractions(min_value=Fraction(1, 9),
+                                          max_value=3, max_denominator=9))
+                   for _ in fs]
+    total = sum((c * f.domain_upper for c, f in zip(weights, fs)), Fraction(0))
+    scale = lcm(*(c.denominator * f.scale for c, f in zip(weights, fs)))
+    mults = [scale // (c.denominator * f.scale) * c.numerator
+             for c, f in zip(weights, fs)]
+    _, _, pool = merge_scaled(fs, mults, scale, 0)
+    classes = slope_classes((scale, pool), len(fs))
+    ops = [FracPwl(c * f.value_at_zero,
+                   tuple((s, c * w) for s, w in f.segments),
+                   c * f.domain_upper) for c, f in zip(weights, fs)]
+    _, record = frac_supconv(ops, total)
+    # the oracle's slope classes: runs of equal slopes in its sorted pool
+    ends, slopes = [Fraction(0)], []
+    for _, s, w in record.entries:
+        if slopes and slopes[-1] == s:
+            ends[-1] += w
+        else:
+            slopes.append(s)
+            ends.append(ends[-1] + w)
+    assert classes[2] == slopes
+
+    def check(t, landing):
+        nums, den, got = split_at(classes, t.numerator, t.denominator)
+        assert den > 0
+        assert tuple(Fraction(n, den) for n in nums) == \
+            frac_split_at(record, t)
+        assert got == landing, t
+
+    for end in ends:
+        check(end, None)
+    for c in range(len(slopes)):
+        step = Fraction(data.draw(st.integers(min_value=1, max_value=100)),
+                        101)
+        check(ends[c] + (ends[c + 1] - ends[c]) * step, c)
+    t = total * data.draw(points)
+    check(t, next((c for c in range(len(slopes))
+                   if ends[c] < t < ends[c + 1]), None))
+    for bad in (Fraction(-1, 97), total + Fraction(1, 97)):
+        with pytest.raises(ValueError, match="outside the merged domain"):
+            split_at(classes, bad.numerator, bad.denominator)
+
+
+def test_docstring_examples_hold():
+    # `npkw.pwl` the attribute is the constructor; the module is imported
+    # by its name
+    results = doctest.testmod(importlib.import_module("npkw.pwl"))
+    assert results.attempted and not results.failed
