@@ -543,11 +543,14 @@ def horizon_roots(model: NominalModel,
     over the odd horizons 3..39 merges 400 classes (780 without the
     mirror) where the 19 recursions solve 5,529 internal states.
     """
+    horizons = list(horizons)
+    for n in horizons:
+        # exactly an int, as NominalModel takes: 2.5, "3" and True are not
+        if type(n) is not int or n < 1:
+            raise ValueError(f"horizons must be integers >= 1, not {n!r}")
     horizons = set(horizons)
     if not horizons:
         return {}
-    if min(horizons) < 1:
-        raise ValueError("horizons must be integers >= 1")
     # symbols with p1x > 0, as (p1x numerator, p1x denominator, p2x / p1x)
     symbols = [(p1.numerator, p1.denominator, p2 / p1)
                for p1, p2 in zip(model.p1, model.p2) if p1 > 0]
@@ -754,6 +757,13 @@ def _check_record(rec: dict, st: DesignState, f: PwlConcave,
     want += [(f"rho segment {i} width", seg["width"], w, f.scale)
              for i, (seg, (_, w)) in enumerate(zip(segs, f.segs))]
     stored_slopes = [seg["slope"] for seg in segs]
+    # the writer stores integers there; JSON's 2.0 and true equal 2 and 1
+    ints = [("depth", rec["depth"])] + [
+        (f"rho segment {i} slope", s) for i, s in enumerate(stored_slopes)]
+    for field, v in ints:
+        if type(v) is not int:
+            raise ExtractionError(
+                f"state {st.counts}: stored {field} = {v!r} is not an integer")
     for field, text, num, den in want:
         n, d = _parse_ratio(text)
         if n * den != d * num:
@@ -772,8 +782,9 @@ def _matches(rec: dict, st: DesignState, f: PwlConcave,
              rho_known: bool) -> bool:
     """Whether the record stores ``st`` and ``f``, every rational in the
     writer's form: the test of :func:`_check_record` without a name or a
-    tuple built per field."""
-    if rec["depth"] != st.depth:
+    tuple built per field.  Where the writer stores an integer, the value
+    must be one, not a float or a bool that equals it."""
+    if rec["depth"] != st.depth or type(rec["depth"]) is not int:
         return False
     den = st.den
     if not (_written_as(rec["z1"], st.z1_num, den)
@@ -781,7 +792,7 @@ def _matches(rec: dict, st: DesignState, f: PwlConcave,
             and _written_as(rec["g"], st.g_num, st.g_den)):
         return False
     if rho_known:
-        return True
+        return all(type(seg["slope"]) is int for seg in rec["rho"]["segments"])
     rho, scale = rec["rho"], f.scale
     segs = rho["segments"]
     if len(segs) != len(f.segs) or not (
@@ -789,7 +800,8 @@ def _matches(rec: dict, st: DesignState, f: PwlConcave,
             and _written_as(rho["domain_upper"], f.upper, scale)):
         return False
     for seg, (s, w) in zip(segs, f.segs):
-        if seg["slope"] != s or not _written_as(seg["width"], w, scale):
+        if (seg["slope"] != s or type(seg["slope"]) is not int
+                or not _written_as(seg["width"], w, scale)):
             return False
     return True
 
@@ -832,6 +844,8 @@ def cost_table_from_json(d: dict) -> CostTable:
     stored: dict[tuple[int, ...], dict] = {}
     for rec in recs:
         counts = tuple(rec["counts"])
+        if any(type(c) is not int for c in counts):
+            raise ValueError(f"counts {rec['counts']!r} are not all integers")
         if len(counts) != k or any(c < 0 for c in counts):
             raise ValueError(f"counts {counts} are not a state of the model")
         if counts in stored:

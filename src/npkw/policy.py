@@ -38,12 +38,15 @@ the display cut of :func:`extract_tree` is made of; ``simulate``'s
 ``lfd`` strategy splits z0 the same way along the histories it draws.
 
 The public fields and results are ``Fraction``s, but extraction and the
-walks over the DAG run in integers.  :func:`~npkw.pwl.split_at` bisects
-a state's slope-class table and returns the allocation of z0 over one
-denominator: the LFD is the allocation over its sum, and a child's z0 is
-its entry reduced by one gcd.  One integer scan gives both one-sided
-slopes of a slice and the segment z0 lies in, and z0 is compared with
-the stopping threshold and with the ends of spans by cross-multiplying.
+walks over the DAG run in integers.  Of a state that may continue,
+extraction reads its slope-class table, its threshold and the state
+itself, not its cost slice: below the threshold the cost slice is the
+classes with every slope one higher.  :func:`~npkw.pwl.split_at` bisects
+the table and returns the allocation of z0 over one denominator: the LFD
+is the allocation over its sum, and a child's z0 is its entry reduced by
+one gcd.  One more bisection gives both one-sided continuation slopes and
+the class z0 lies in, and z0 is compared with the stopping threshold and
+with the ends of spans by cross-multiplying.
 Evaluation and the equalization certificate put every ``p_continue`` over
 m, the lcm of their denominators: survival into depth n is an integer over
 m**n, the base pass's per-count weights at depth n are over m**(n+1), a
@@ -70,8 +73,7 @@ from .bellman import (
     NominalModel,
     _ratio_str,
 )
-from .pwl import (PwlConcave, RationalLike, _fixed_str, _sides, rat,
-                  slope_classes, split_at)
+from .pwl import RationalLike, _fixed_str, rat, slope_classes, split_at
 
 
 class Decision(Enum):
@@ -151,21 +153,21 @@ def extract_tree(table: CostTable, max_depth: Optional[int] = None):
     not raise here.
 
     The root enters unconditionally; its ``e_enter`` is the right derivative
-    of the root cost slice at z0 = 1 — the smallest expected sample size
-    consistent with optimality.  Inside the tree each node's label is the
-    parent's promise c; a hard :class:`ExtractionError` is raised whenever a
-    promise falls outside the child's superdifferential (the equalization
-    law would be violated, meaning the table is inconsistent).
+    of the root cost slice at z0 = 1, read as its merge's slope class there
+    plus one — the smallest expected sample size consistent with
+    optimality.  Inside the tree each node's label is the parent's promise
+    c; a hard :class:`ExtractionError` is raised whenever a promise falls
+    outside the child's superdifferential (the equalization law would be
+    violated, meaning the table is inconsistent).
 
     The rule is extracted top down, once per span: a span is an open
     interval of z0, for one count vector and promise, on which everything
-    the subtree reads is provably the same.  A node's own span is the open
-    segment of its cost slice and of the merge's slope class z0 lies in,
-    below the stopping threshold.  Inside it each child's mass
-    is linear in z0, so each child's span pulls back to an interval of the
-    parent's z0, which the node's span is cut to.  A z0 at 0, at a kink,
-    at the threshold or with a child held at one point holds at that point
-    alone.  A z0 that lands in a known span reuses its node; nodes are
+    the subtree reads is provably the same.  A node's own span is the
+    merge's open slope class that z0 lies in, cut at the stopping
+    threshold.  Inside it each child's mass is linear in z0, so each
+    child's span pulls back to an interval of the parent's z0, which the
+    node's span is cut to.  A z0 at 0, at a kink, at the threshold or with
+    a child held at one point holds at that point alone.  A z0 that lands in a known span reuses its node; nodes are
     also hash-consed on what they keep.
     """
     if max_depth is None:
@@ -176,12 +178,13 @@ def extract_tree(table: CostTable, max_depth: Optional[int] = None):
 def _reader(table: CostTable) -> tuple[dict, Callable]:
     """The rows read so far, by count vector, and the function
     ``row(counts)`` that reads one more: what extraction reads of a state,
-    as ``(state, stop decision, sure_state, rho, z0_star as a pair,
-    (slope classes, perm), child counts)`` with ``rho`` None at the
-    horizon.  The slope classes of each merged state's pool are built
-    once.  A mirror state (see :class:`~npkw.bellman.CostTable`) reads
-    its partner's, and ``perm`` maps the partner's allocation to its own:
-    its allocation to symbol x is the partner's to sigma(x)."""
+    as ``(state, stop decision, sure_state, z0_star as a pair, (slope
+    classes, perm), child counts)``, the last three None at the horizon:
+    no cost slice, which below the threshold is the classes lifted.  The
+    slope classes of each merged state's pool are built once.  A mirror
+    state (see :class:`~npkw.bellman.CostTable`) reads its partner's, and
+    ``perm`` maps the partner's allocation to its own: its allocation to
+    symbol x is the partner's to sigma(x)."""
     model = table.model
     k = model.alphabet_size
     # lam1 * z1 against lam2 * z2 decides a stop, cross-multiplied
@@ -199,7 +202,7 @@ def _reader(table: CostTable) -> tuple[dict, Callable]:
         decision = Decision.H1 if lhs > rhs else \
             Decision.H2 if lhs < rhs else Decision.RANDOMIZED
         if state.depth == model.horizon:
-            got = (state, decision, True, None, None, None, None)
+            got = (state, decision, True, None, None, None)
         else:
             z0_star = table.z0_star[counts]
             twin = table.twins.get(counts)
@@ -209,7 +212,7 @@ def _reader(table: CostTable) -> tuple[dict, Callable]:
                 classes = tables[merged] = slope_classes(table.pools[merged],
                                                          k)
             # stopping already matches continuing at zero mass
-            got = (state, decision, z0_star == 0, table.rho[counts],
+            got = (state, decision, z0_star == 0,
                    None if z0_star is None else (z0_star.numerator,
                                                  z0_star.denominator),
                    (classes, None if twin is None else perm),
@@ -229,14 +232,14 @@ def _check_stop(state: DesignState, promised: Optional[int]) -> None:
         )
 
 
-def _labels(counts: tuple[int, ...], rho: PwlConcave, classes: tuple,
-            zn: int, zd: int, side: int,
-            promised: Optional[int]) -> Optional[tuple]:
+def _labels(counts: tuple[int, ...], classes: tuple, free: bool, zn: int,
+            zd: int, side: int, promised: Optional[int]) -> Optional[tuple]:
     """The labels of a node that may continue, at z0 = zn/zd below or at
-    the threshold (``side`` <= 0): ``(e_enter, c, seg)``, c the promise to
-    every child and ``seg`` as :func:`_slopes` gives it.  None where the
-    node stops surely and its promise allows it."""
-    lo, hi, d_left, d_right, seg = _slopes(rho, classes, zn, zd, side)
+    the threshold (``side`` <= 0), with the state's slope classes and
+    ``free`` true where its threshold is 0: ``(e_enter, c, seg)``, c the
+    promise to every child and ``seg`` as :func:`_slopes` gives it.  None
+    where the node stops surely and its promise allows it."""
+    d_left, d_right, seg = _slopes(classes, zn, zd, side)
     if zn and side:
         # Continuing is optimal (strictly below the kink).  The equalized
         # continuation slope c may sit anywhere in the superdifferential
@@ -248,9 +251,9 @@ def _labels(counts: tuple[int, ...], rho: PwlConcave, classes: tuple,
         else:
             c = promised - 1
             if not d_right <= c <= d_left:
-                raise _outside(counts, zn, zd, d_left, d_right,
-                               f"sure-continue promise {promised} needs "
-                               f"slope {c}")
+                raise ExtractionError(
+                    f"state {counts}: sure-continue promise {promised} "
+                    f"needs slope {c}, outside [{d_right}, {d_left}]")
         e_enter = 1 + c
     else:
         # At the kink continuing ties stopping, whose weight is free: the
@@ -266,9 +269,9 @@ def _labels(counts: tuple[int, ...], rho: PwlConcave, classes: tuple,
         e_enter = promised
         c = max(d_right, e_enter - 1)
         if zn and c > d_left:
-            raise _outside(counts, zn, zd, d_left, d_right,
-                           f"promise {e_enter} needs continuation slope "
-                           f"{e_enter - 1}")
+            raise ExtractionError(
+                f"state {counts}: promise {e_enter} needs continuation "
+                f"slope {e_enter - 1}, outside [{d_right}, {d_left}]")
 
     # c counts the samples after this one, so it is at least 0; every
     # promise is then at least 0, and 0 <= e_enter <= e_continue follows
@@ -278,49 +281,33 @@ def _labels(counts: tuple[int, ...], rho: PwlConcave, classes: tuple,
             f"{Fraction(zn, zd)} is below 0"
         )
     # the entry label must be a supergradient of the node's own cost
-    # slice (unbounded above at the left endpoint of the domain)
-    if not (e_enter >= lo if zn == 0 else lo <= e_enter <= hi):
-        raise ExtractionError(
-            f"state {counts}: e_enter {e_enter} outside the "
-            f"superdifferential [{lo}, {hi}] of the cost slice at "
-            f"z0 = {Fraction(zn, zd)}"
-        )
+    # slice; at positive mass the checks above imply it, and at zero mass
+    # the slice's first slope is the lift's, or 0 where it is flat at g
+    if not zn:
+        lo = 0 if free else d_right + 1
+        if e_enter < lo:
+            raise ExtractionError(
+                f"state {counts}: e_enter {e_enter} outside the "
+                f"superdifferential [{lo}, {lo}] of the cost slice at z0 = 0")
     return e_enter, c, seg
 
 
-def _outside(counts: tuple[int, ...], zn: int, zd: int, d_left: int,
-             d_right: int, need: str) -> ExtractionError:
-    """The error for a continuation slope outside [d_right, d_left]; an
-    empty interval means the cost slice, which gives d_left, and the merge
-    pool, which gives d_right at a threshold, disagree."""
-    if d_right > d_left:
-        return ExtractionError(
-            f"state {counts}: the cost slice and the merge pool disagree at "
-            f"z0 = {Fraction(zn, zd)}: continuation slope {d_left} to the "
-            f"left (cost slice), {d_right} to the right (merge pool)")
-    return ExtractionError(
-        f"state {counts}: {need}, outside [{d_right}, {d_left}]")
-
-
-def _slopes(rho: PwlConcave, classes: tuple, zn: int, zd: int,
-            side: int) -> tuple:
-    """``(lo, hi, d_left, d_right, seg)`` of a state at z0 = zn/zd below
-    or at its threshold (``side`` <= 0): the cost slice's
-    superdifferential, the continuation slice d's one-sided slopes (the
-    right one linearly extended at the edge) and the open segment of the
-    cost slice that z0 lies inside below the threshold, or None.  Below
-    the threshold ``rho`` is z0 + d(z0); right of it, and at zero mass,
-    d's slope is that of the merge's slope class there (the classes span
-    [0, k], so z0 < 1 has one)."""
+def _slopes(classes: tuple, zn: int, zd: int, side: int) -> tuple:
+    """``(d_left, d_right, seg)`` of a state at z0 = zn/zd below or at its
+    threshold (``side`` <= 0), from one bisection of its slope classes:
+    the continuation slice d's one-sided slopes, the right one linearly
+    extended at z0 = 1, and the class z0 lies strictly inside below the
+    threshold, or None at a class end, at the threshold and at z0 = 1.
+    Below the threshold the cost slice is z0 + d(z0), so its segments
+    are these classes with every slope one higher."""
     scale, ends, slopes, _ = classes
-    if not zn:
-        lo = rho.segs[0][0] if rho.segs else 0
-        return lo, lo, slopes[0], slopes[0], None
-    lo, hi, right, seg = _sides(rho, zn, zd)
-    if side or zn == zd:
-        return lo, hi, hi - 1, right - 1, seg if side else None
-    d_right = slopes[bisect_right(ends, zn * scale // zd) - 1]
-    return lo, hi, hi - 1, d_right, None
+    x = zn * scale
+    i = bisect_right(ends, x // zd) - 1
+    if x != ends[i] * zd:  # strictly inside class i
+        return slopes[i], slopes[i], i if side and zn != zd else None
+    if not i:  # zero mass
+        return slopes[0], slopes[0], None
+    return slopes[i - 1], slopes[i - 1 if zn == zd else i], None
 
 
 def _lfd(merge: tuple, zn: int, alloc) -> tuple[tuple[int, ...], int]:
@@ -359,12 +346,12 @@ def _extract(table: CostTable) -> PolicyNode:
         ...)``, an end over 0 being infinite, or None when the node is
         known to hold at this z0 alone."""
         row = rows.get(counts) or row_of(counts)
-        if row[3] is None:  # the horizon stops at every mass
+        if row[4] is None:  # the horizon stops at every mass
             _check_stop(row[0], promised)
             return stop(row), _EVERYWHERE
         # z0 against the threshold, cross-multiplied: > 0 past it, 0 at
         # it, and < 0 below it, where there is none, or at zero mass
-        z0_star = row[4]
+        z0_star = row[3]
         side = -1 if not zn or z0_star is None else \
             zn * z0_star[1] - z0_star[0] * zd
         if side > 0:
@@ -395,29 +382,29 @@ def _extract(table: CostTable) -> PolicyNode:
 
     def extract_node(row: tuple, zn: int, zd: int, side: int,
                      promised: Optional[int]) -> tuple:
-        state, decision, sure_state, rho, z0_star, merge, kids = row
+        state, decision, sure_state, z0_star, merge, kids = row
         classes, perm = merge
-        got = _labels(state.counts, rho, classes, zn, zd, side, promised)
+        got = _labels(state.counts, classes, sure_state, zn, zd, side,
+                      promised)
         if got is None:
             return stop(row), None
         e_enter, c, seg = got
-        alloc, den, landing = split_at(classes, zn, zd)
+        alloc, den = split_at(classes, zn, zd)
         if perm is not None:
             alloc = perm(alloc)
 
-        # the node's own span: the cost slice's open segment around z0,
-        # below the threshold, inside the slope class z0 lands in
+        # the node's own span: the slope class z0 lies inside, cut at the
+        # threshold
         span = shares = None
-        if seg is not None and landing is not None:
+        if seg is not None:
             scale, ends, _, at_ends = classes
-            start, end = ends[landing], ends[landing + 1]
-            taken = at_ends[landing]
-            shares = [b - a for a, b in zip(taken, at_ends[landing + 1])]
+            start, end = ends[seg], ends[seg + 1]
+            taken = at_ends[seg]
+            shares = [b - a for a, b in zip(taken, at_ends[seg + 1])]
             if perm is not None:
                 shares, taken = perm(shares), perm(taken)
             width = end - start
-            ln, ld = _larger(seg[0], rho.scale, start, scale)
-            hn, hd = _smaller(seg[1], rho.scale, end, scale)
+            ln, ld, hn, hd = start, scale, end, scale
             if z0_star is not None:
                 hn, hd = _smaller(hn, hd, *z0_star)
 
@@ -489,21 +476,21 @@ def _display(table: CostTable, max_depth: int) -> PathNode:
 
     def show_node(row: tuple, zn: int, zd: int,
                   promised: Optional[int]) -> PathNode:
-        state, decision, sure_state, rho, z0_star, merge, kids = row
+        state, decision, sure_state, z0_star, merge, kids = row
         got = None
-        if rho is not None:
+        if merge is not None:
             side = -1 if not zn or z0_star is None else \
                 zn * z0_star[1] - z0_star[0] * zd
             if side <= 0:
-                got = _labels(state.counts, rho, merge[0], zn, zd, side,
-                              promised)
+                got = _labels(state.counts, merge[0], sure_state, zn, zd,
+                              side, promised)
         if got is None:  # the horizon, past the threshold, or a free stop
             _check_stop(state, promised)
             return PathNode(state, 0, None, _ZERO, decision, sure_state,
                             zn, zd, None, None, None)
         e_enter, c, _ = got
         classes, perm = merge
-        alloc, den, _ = split_at(classes, zn, zd)
+        alloc, den = split_at(classes, zn, zd)
         if perm is not None:
             alloc = perm(alloc)
         lfd, lfd_den = _lfd(merge, zn, alloc)
@@ -606,7 +593,7 @@ def _split(merge: tuple, zn: int, zd: int) -> tuple:
     slope classes and symbol map ``merge``, entered with mass z0 = zn/zd:
     the LFD as integers over their positive sum, and each child's mass as
     a reduced pair."""
-    alloc, den, _ = split_at(merge[0], zn, zd)
+    alloc, den = split_at(merge[0], zn, zd)
     if merge[1] is not None:
         alloc = merge[1](alloc)
     return (*_lfd(merge, zn, alloc),

@@ -39,7 +39,7 @@ from bisect import bisect_right
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 #: Exact scalars the public constructors accept (int, str like "3/4" or
 #: "0.8", Fraction); results are Fractions.
@@ -306,16 +306,16 @@ def pwl_eval(f: PwlConcave, t: RationalLike) -> Fraction:
     return Fraction(v, f.scale)  # t == domain_upper after all segments
 
 
-def _sides(f: PwlConcave, p: int, q: int) -> tuple:
-    """One scan of f at t = p/q (q > 0): :func:`superdiff`'s ``lo``, ``hi``,
-    the extended right slope, and the segment t is inside (or None)."""
+def _sides(f: PwlConcave, p: int, q: int) -> tuple[int, int, int]:
+    """One scan of f at t = p/q (q > 0): :func:`superdiff`'s ``lo`` and
+    ``hi`` and the extended right slope."""
     ps = _in_domain(f, p, q)
     segs = f.segs
     if not segs:  # single-point domain
-        return 0, 0, 0, None
+        return 0, 0, 0
     if p == 0:
         first = segs[0][0]
-        return first, first, first, None
+        return first, first, first
     acc = 0
     for i, (slope, width) in enumerate(segs):
         acc += width
@@ -323,12 +323,12 @@ def _sides(f: PwlConcave, p: int, q: int) -> tuple:
         if ps < aq:
             # strictly inside segment i (segment starts are handled as the
             # previous iteration's t == acc, and t == 0 above)
-            return slope, slope, slope, (acc - width, acc)
+            return slope, slope, slope
         if ps == aq:
             if i + 1 < len(segs):
                 right = segs[i + 1][0]
-                return right, slope, right, None
-            return 0, slope, slope, None  # t == domain_upper
+                return right, slope, right
+            return 0, slope, slope  # t == domain_upper
     raise AssertionError("unreachable: domain scan fell through")
 
 
@@ -342,7 +342,7 @@ def superdiff(f: PwlConcave, t: RationalLike) -> SuperDiff:
     >>> superdiff(f, "1/4"), superdiff(f, 0), superdiff(f, 1)
     (SuperDiff(lo=1, hi=3), SuperDiff(lo=3, hi=3), SuperDiff(lo=0, hi=1))
     """
-    lo, hi, _, _ = _sides(f, *_ratio(t))
+    lo, hi, _ = _sides(f, *_ratio(t))
     return SuperDiff(lo, hi)
 
 
@@ -542,11 +542,9 @@ def slope_classes(record: tuple[int, Sequence[tuple[int, int, int]]],
     return scale, ends, slopes, taken
 
 
-def split_at(classes: tuple, p: int,
-             q: int) -> tuple[list[int], int, Optional[int]]:
+def split_at(classes: tuple, p: int, q: int) -> tuple[list[int], int]:
     """Canonical maximizing allocation (a_1, ..., a_k) with sum == t, for
-    t = p/q (q > 0) between 0 and the operands' total domain, and the
-    slope class that t lies strictly inside (None at a class end).
+    t = p/q (q > 0) between 0 and the operands' total domain.
 
     ``classes`` is :func:`slope_classes` of a merge record.  One bisection
     finds t's class: the classes before it are taken whole and it is
@@ -559,18 +557,18 @@ def split_at(classes: tuple, p: int,
 
     >>> classes = slope_classes((2, [(3, 0, 1), (2, 1, 2), (1, 0, 1)]), 2)
     >>> split_at(classes, 3, 4), split_at(classes, 1, 2)
-    (([8, 4], 16, 1), ([1, 0], 2, None))
+    (([8, 4], 16), ([1, 0], 2))
     """
     scale, ends, _, taken = classes
     x = p * scale  # t over scale * q
     c = bisect_right(ends, x // q) - 1  # -1 for t < 0
     start = ends[c]
     if x == start * q:  # t is 0 or a class end
-        return list(taken[c]), scale, None
+        return list(taken[c]), scale
     if not 0 <= c < len(ends) - 1:
         raise ValueError(f"{Fraction(p, q)} outside the merged domain "
                          f"[0, {Fraction(ends[-1], scale)}]")
     x -= start * q  # t past the class start
     cq = (ends[c + 1] - start) * q
     return [a * (cq - x) + b * x for a, b in zip(taken[c], taken[c + 1])], \
-        cq * scale, c
+        cq * scale

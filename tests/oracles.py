@@ -641,7 +641,9 @@ def frac_extract_tree(table, max_depth: int | None = None) -> FracNode:
     order.  Where every cost slice is the lift of its merge below its
     threshold, as a solve leaves it, they raise the package's
     ``ExtractionError`` messages; the package reads the continuation
-    slopes off the cost slices, this oracle off its own merges."""
+    slopes off the slope-class tables of the solve's merge records, this
+    oracle off its own merges, and it checks each label against the
+    table's cost slice, where the package reads none."""
     model = table.model
     k = model.alphabet_size
     memo: dict = {}

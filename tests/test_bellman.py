@@ -477,6 +477,45 @@ def test_reader_takes_only_a_json_integer_horizon(horizon):
         make_model(["1/2", "1/2"], ["1/4", "3/4"], 1, 1, horizon)
 
 
+def _float_slope(rec):
+    seg = rec["rho"]["segments"][0]
+    seg["slope"] = float(seg["slope"])
+
+
+@pytest.mark.parametrize("counts, edit, error, message", [
+    ((0, 1), lambda rec: rec.update(counts=[0.0, True]), ValueError,
+     "counts [0.0, True] are not all integers"),
+    ((1, 0), lambda rec: rec.update(depth=True), ExtractionError,
+     "state (1, 0): stored depth = True is not an integer"),
+    ((0, 2), _float_slope, ExtractionError,
+     "state (0, 2): stored rho segment 0 slope = 3.0 is not an integer"),
+    # the second record of the mirror pair (0, 2), (2, 0), whose rho would
+    # otherwise equal the first's as parsed JSON and skip the slice check
+    ((2, 0), _float_slope, ExtractionError,
+     "state (2, 0): stored rho segment 0 slope = 3.0 is not an integer"),
+], ids=["counts", "depth", "slope", "mirror-slope"])
+def test_reader_takes_only_json_integers_where_the_writer_stores_them(
+        counts, edit, error, message):
+    # a float or a bool equal to the integer once loaded, and `verify`
+    # passed the table
+    blob = parsed(backward_recursion(fig_model(5)))
+    edit(next(rec for rec in blob["states"]
+              if tuple(rec["counts"]) == counts))
+    with pytest.raises(error) as got:
+        cost_table_from_json(blob)
+    assert str(got.value) == message
+
+
+def test_horizon_roots_takes_only_integer_horizons():
+    # 2.5 once failed in range() and "3" in a comparison, both with a bare
+    # TypeError, and True was read as horizon 1
+    for horizon in (2.5, "3", True, 0):
+        with pytest.raises(ValueError) as got:
+            horizon_roots(fig_model(2), [3, horizon])
+        assert str(got.value) == \
+            f"horizons must be integers >= 1, not {horizon!r}"
+
+
 def test_reader_rejects_missing_and_repeated_states():
     blob = parsed(backward_recursion(fig_model(5)))
     del blob["states"][3]

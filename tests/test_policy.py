@@ -305,6 +305,17 @@ def test_h45_design_continues_at_depth_44_with_positive_mass():
     assert verify_lfd_support(root, model).passes
 
 
+def test_h61_rule_is_pinned():
+    """The longest horizon a test extracts: the rule of the paper's model
+    at horizon 61 keeps its node count and equalization certificate."""
+    root = extract_tree(backward_recursion(
+        bernoulli_model(horizon=61, **FIG_MODEL)))
+    assert sum(1 for _ in iter_unique_nodes(root)) == 4_848
+    cert = verify_equalization(root)
+    assert cert.passes and cert.c_root == 3
+    assert cert.n_paths == 317_917_241_774_660_096
+
+
 @pytest.mark.parametrize("model, rule_nodes, mass_nodes", [
     (bernoulli_model("0.8", "0.2", 20, 20, 15), 200, 501),
     (make_model(["1/2", "1/4", "1/4"], ["1/4", "1/4", "1/2"], 20, 20, 10),
@@ -364,11 +375,13 @@ def test_support_rejects_starved_branch():
 
 
 def test_extraction_reads_the_oracles_continuation_slopes():
-    """At every internal state, the continuation slopes that extraction
-    reads off the cost slice and the merge pool equal those of the
+    """At every internal state, the continuation slopes and the class
+    that extraction reads off the slope-class table equal those of the
     oracle's lift of its own sup-convolution of the children: at zero
     mass, at each kink of the cost slice below the threshold, between two
-    of them and at the threshold, where there is one."""
+    of them and at the threshold, where there is one.  The class is the
+    lift's segment z0 lies strictly inside, below the threshold and
+    short of z0 = 1, and None elsewhere."""
     thresholds = set()
     for model in (bernoulli_model("0.8", "0.2", 20, 20, 15),
                   make_model(["1/2", "1/4", "1/4"], ["1/4", "1/4", "1/2"],
@@ -391,27 +404,42 @@ def test_extraction_reads_the_oracles_continuation_slopes():
             points = sorted({Fraction(0), top, *(
                 t for t in accumulate(w for _, w in rho.segments) if t < top)})
             points += [(a + b) / 2 for a, b in zip(points, points[1:])]
+            kinks = set(accumulate(w for _, w in lifted.segments))
+            scale, ends = classes[:2]
             for z0 in points:
                 side = 0 if z0 and z0 == z0_star else -1
-                _, _, d_left, d_right, _ = policy._slopes(
-                    rho, classes, z0.numerator, z0.denominator, side)
+                d_left, d_right, seg = policy._slopes(
+                    classes, z0.numerator, z0.denominator, side)
                 assert (d_left, d_right) == (
                     frac_superdiff(lifted, z0).hi - 1,
                     frac_slope_right(lifted, z0) - 1), (counts, z0)
+                # the lift's kinks include its domain end, 1
+                inside = z0 and z0 != z0_star and z0 not in kinks
+                assert (seg is not None) == bool(inside), (counts, z0)
+                if inside:
+                    start = Fraction(0)
+                    for _, width in lifted.segments:
+                        if start + width > z0:
+                            break
+                        start += width
+                    assert (Fraction(ends[seg], scale),
+                            min(Fraction(ends[seg + 1], scale), 1)) == (
+                        start, start + width), (counts, z0)
     assert {None, Fraction(0), Fraction(1)} <= thresholds
 
 
 def test_extraction_error_on_inconsistent_table():
     model = bernoulli_model(horizon=3, **FIG_MODEL)
     table = backward_recursion(model)
-    # flatten one cost slice, which extraction reads below the threshold
-    # as the lifted continuation (every slope one higher): the root's
-    # promise to that child can no longer be honored, which extraction
+    # flatten one cost slice and solve the root again from it: the root's
+    # promise to that child follows the edited slice, but the child reads
+    # its continuation slopes off its own merge, which still rises at
+    # slope 1, so the promise can no longer be honored, which extraction
     # must refuse to paper over
-    table.rho[(1, 0)] = pwl(4, [(1, 1)])
+    _edit(table, (1, 0), pwl(4, [(1, 1)]))
     with pytest.raises(ExtractionError, match=r"^state \(1, 0\): "
-                       r"sure-continue promise 2 needs slope 1, outside "
-                       r"\[0, 0\]$"):
+                       r"sure-continue promise 1 needs slope 0, outside "
+                       r"\[1, 1\]$"):
         extract_tree(table)
 
 
@@ -586,8 +614,8 @@ def _own_pool(table, counts):
 
 
 def _alloc(record, k, z0):
-    nums, den, _ = split_at(slope_classes(record, k), z0.numerator,
-                            z0.denominator)
+    nums, den = split_at(slope_classes(record, k), z0.numerator,
+                         z0.denominator)
     assert den > 0 and sum(nums) * z0.denominator == den * z0.numerator
     return tuple(Fraction(n, den) for n in nums)
 
@@ -647,6 +675,51 @@ def test_allocation_read_through_sigma_equals_the_mirrors_own(
     for node in iter_unique_nodes(lfd_tree(extract_tree(table))):
         if node.lfd_probs is not None:
             assert node.lfd_probs == _own_pool_lfd(table, node)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.sampled_from([2, 3]),
+    w1=pmf_weights,
+    w2=pmf_weights,
+    mirror=st.booleans(),
+    lam1=st.fractions(min_value=Fraction(1, 5), max_value=40, max_denominator=9),
+    lam2=st.fractions(min_value=Fraction(1, 5), max_value=40, max_denominator=9),
+    horizon=st.integers(min_value=1, max_value=6),
+)
+@example(k=3, w1=[1, 2, 0], w2=[0, 0, 0], mirror=True, lam1=Fraction(20),
+         lam2=Fraction(1), horizon=5)
+def test_cost_slices_are_the_lifted_slope_classes_capped_at_g(
+        k, w1, w2, mirror, lam1, lam2, horizon):
+    """What extraction reads of a merged state, its slope-class table and
+    threshold, gives its cost slice: below z0* (on all of [0, 1] where
+    there is none) the slice's segments are the classes, cut at z0* or 1,
+    with every slope one higher, and from z0* on it is flat at g."""
+    w1, w2 = w1[:k], w2[:k]
+    assume(sum(w1) > 0)
+    p1 = [Fraction(w, sum(w1)) for w in w1]
+    if mirror:  # p2 = p1 reversed, with equal weights: sigma reverses
+        p2, lam2 = p1[::-1], lam1
+    else:
+        assume(sum(w2) > 0)
+        p2 = [Fraction(w, sum(w2)) for w in w2]
+    assume(p1 != p2)
+    table = backward_recursion(make_model(p1, p2, lam1, lam2, horizon))
+    for counts, z0_star in table.z0_star.items():
+        scale, ends, slopes, _ = slope_classes(
+            table.pools[table.twins.get(counts, counts)], k)
+        top = Fraction(1) if z0_star is None else z0_star
+        want = []
+        for slope, start, end in zip(slopes, ends, ends[1:]):
+            start, end = Fraction(start, scale), min(Fraction(end, scale), top)
+            if start < end:
+                want.append((slope + 1, end - start))
+        if top < 1:
+            want.append((0, 1 - top))
+        rho = table.rho[counts]
+        assert (rho.segments, rho.domain_upper) == (tuple(want), 1), counts
+        if z0_star is not None:
+            assert pwl_eval(rho, z0_star) == table.states[counts].g, counts
 
 
 # ---------------------------------------------------------------------------
@@ -876,46 +949,38 @@ def test_integer_extraction_matches_the_fraction_oracle(
         _assert_same_paths(got, want)
 
 
-@pytest.mark.parametrize("counts, slopes, z0_star, message, oracle", [
-    ((0, 0), (1, 1), _KEEP, "state (1, 0): sure-continue promise 0 needs "
-     "slope -1, outside [1, 1]", "state (0, 0): e_enter 3 outside the "
-     "superdifferential [0, 1] of the cost slice at z0 = 1"),
-    ((0, 2), (2, 0), _KEEP, "state (0, 2): e_enter 1 outside the "
-     "superdifferential [2, 2] of the cost slice at z0 = 0", "state (0, 2): "
-     "parent promises 1 remaining samples to a node that stops surely"),
-    ((0, 1), (0, 0), Fraction(1, 2), "state (0, 1): the cost slice and the "
-     "merge pool disagree at z0 = 1/2: continuation slope -1 to the left "
-     "(cost slice), 1 to the right (merge pool)", "state (0, 1): sure-continue "
-     "promise 0 needs slope -1, outside [1, 1]"),
-    ((1, 1), None, Fraction(1, 4), "state (1, 1): parent promises 1 "
-     "remaining samples to a node that stops surely", None),
+@pytest.mark.parametrize("horizon, counts, field, value, message, oracle", [
+    (3, (1, 0), "rho", pwl(1, [(0, 1)]), "state (1, 0): sure-continue "
+     "promise 0 needs slope -1, outside [1, 1]", "state (1, 0): "
+     "sure-continue promise 0 needs slope -1, outside [1, 1]"),
+    (5, (2, 0), "rho", pwl(1, [(0, 1)]), "state (2, 0): e_enter 1 outside "
+     "the superdifferential [3, 3] of the cost slice at z0 = 0", None),
+    (3, (1, 1), "z0_star", Fraction(1, 4), "state (1, 1): parent promises 1 "
+     "remaining samples to a node that stops surely", "state (1, 1): parent "
+     "promises 1 remaining samples to a node that stops surely"),
     # a continuation slope of -1 once ended in p_continue = 0/0, a
     # ZeroDivisionError
-    ((0, 0), (0, 0), _KEEP, "state (0, 0): continuation slope -1 at z0 = 1 "
-     "is below 0", "state (0, 0): e_enter 3 outside the superdifferential "
-     "[0, 0] of the cost slice at z0 = 1"),
-], ids=["sure-continue", "superdifferential", "kink", "sure-stop",
-        "flat-lifted"])
-def test_extraction_errors_match_the_fraction_oracle(counts, slopes, z0_star,
-                                                     message, oracle):
-    """One edited cost slice or threshold per message: the threshold moved
-    to the mass 1/2 of a node that continues there for the kink's, and
-    below it for the sure stop's.  The oracle reads a threshold as the
-    package does, so where only the threshold moved it raises the
-    package's message (``oracle`` None).  It reads the continuation
-    slopes off its own merge of the children, not off the edited cost
-    slice, so it refuses an edited slice with the message ``oracle``."""
-    table = backward_recursion(bernoulli_model(horizon=3, **FIG_MODEL))
-    if z0_star is not _KEEP:
-        table.z0_star[counts] = z0_star
-    if slopes is not None:
-        table.rho[counts] = pwl(1, [(slopes[0], "1/2"), (slopes[1], "1/2")])
-    with pytest.raises(ExtractionError) as got:
-        extract_tree(table)
-    with pytest.raises(ExtractionError) as want:
-        frac_extract_tree(table)
-    assert str(got.value) == message
-    assert str(want.value) == (message if oracle is None else oracle)
+    (3, (0, 0), "pools", (1, [(-1, 0, 1), (-1, 1, 1)]), "state (0, 0): "
+     "continuation slope -1 at z0 = 1 is below 0", None),
+], ids=["sure-continue", "superdifferential", "sure-stop", "flat-lifted"])
+def test_extraction_errors_match_the_fraction_oracle(horizon, counts, field,
+                                                     value, message, oracle):
+    """One edit per message that extraction reads: a cost slice flattened,
+    with every shallower state solved again, so that a parent's promise
+    follows the edited slice while the state reads its own merge, of
+    slope 1 at the sure continue and of first slope 2 at the zero-mass
+    node; a threshold moved below the mass 1/2 of a node that continues
+    there; and a merge record whose lift is flat.  The oracle reads the
+    threshold and the re-solved parents as the package does, and its
+    own merges in place of the records, where it finds no error (None):
+    it checks a zero-mass node's promise against the edited slice."""
+    table = backward_recursion(bernoulli_model(horizon=horizon, **FIG_MODEL))
+    if field == "rho":
+        _edit(table, counts, value)
+    else:
+        getattr(table, field)[counts] = value
+    assert _outcome(extract_tree, table, None)[1] == message
+    assert _outcome(frac_extract_tree, table, None)[1] == oracle
 
 
 @settings(max_examples=40, deadline=None)

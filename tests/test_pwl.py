@@ -50,8 +50,8 @@ def split(record, k, t):
     """``split_at`` of the record's slope classes at the rational t, as
     Fractions."""
     t = Fraction(t)
-    nums, den, _ = split_at(slope_classes(record, k), t.numerator,
-                            t.denominator)
+    nums, den = split_at(slope_classes(record, k), t.numerator,
+                         t.denominator)
     assert den > 0
     return tuple(Fraction(n, den) for n in nums)
 
@@ -235,9 +235,8 @@ def test_supconv_identical_single_segment():
     # tied slope class shared in proportion to widths: an even split
     assert split(record, 2, 1) == (Fraction(1, 2), Fraction(1, 2))
     assert split(record, 2, "1/2") == (Fraction(1, 4), Fraction(1, 4))
-    # numerators over one denominator, not reduced, and the class that
-    # 1/2 lies strictly inside
-    assert split_at(slope_classes(record, 2), 2, 4) == ([2, 2], 8, 0)
+    # numerators over one denominator, not reduced
+    assert split_at(slope_classes(record, 2), 2, 4) == ([2, 2], 8)
 
 
 def test_supconv_merge_order_and_values():
@@ -708,8 +707,7 @@ def test_split_at_bisects_the_slope_classes_as_the_oracle_walks_the_pool(
     """``split_at`` of ``slope_classes`` gives the Fraction oracle's
     allocation, for operands taken as they are or through the multipliers
     of ``horizon_roots``: at 0, at every class end up to the total domain,
-    at a point inside each class and anywhere; it names the class a point
-    lies strictly inside, and None exactly at the class ends."""
+    at a point inside each class and anywhere."""
     weights = [Fraction(1)] * len(fs)
     if data.draw(st.booleans()):  # t -> c * f(t / c), as horizon_roots
         weights = [data.draw(st.fractions(min_value=Fraction(1, 9),
@@ -735,22 +733,19 @@ def test_split_at_bisects_the_slope_classes_as_the_oracle_walks_the_pool(
             ends.append(ends[-1] + w)
     assert classes[2] == slopes
 
-    def check(t, landing):
-        nums, den, got = split_at(classes, t.numerator, t.denominator)
+    def check(t):
+        nums, den = split_at(classes, t.numerator, t.denominator)
         assert den > 0
         assert tuple(Fraction(n, den) for n in nums) == \
             frac_split_at(record, t)
-        assert got == landing, t
 
     for end in ends:
-        check(end, None)
+        check(end)
     for c in range(len(slopes)):
         step = Fraction(data.draw(st.integers(min_value=1, max_value=100)),
                         101)
-        check(ends[c] + (ends[c + 1] - ends[c]) * step, c)
-    t = total * data.draw(points)
-    check(t, next((c for c in range(len(slopes))
-                   if ends[c] < t < ends[c + 1]), None))
+        check(ends[c] + (ends[c + 1] - ends[c]) * step)
+    check(total * data.draw(points))
     for bad in (Fraction(-1, 97), total + Fraction(1, 97)):
         with pytest.raises(ValueError, match="outside the merged domain"):
             split_at(classes, bad.numerator, bad.denominator)
