@@ -31,6 +31,7 @@ g, rho, d and threshold, and the recursion solves each mirror pair once.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import comb, floor, gcd, lcm, log
 from operator import itemgetter
@@ -731,22 +732,43 @@ def model_from_json(d: dict) -> NominalModel:
 
 
 _RECORD_FIELDS = frozenset(("counts", "depth", "g", "rho", "z1", "z2"))
+_HEAD, _STATES = '{\n "model": ', ',\n "states": [\n'  # around the header
 
 
-def _check_record(rec: dict, st: DesignState, f: PwlConcave,
-                  rho_known: bool) -> None:
+def _loads(text: str):
+    """``json.loads``, with a nesting too deep to parse as a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("the JSON is nested too deeply") from exc
+
+
+def table_header(text: str) -> tuple[NominalModel, str | dict]:
+    """The model a cost table's text states, and what
+    :func:`cost_table_from_json` should read: the text itself, with only
+    its header parsed, when it is in the writer's layout up to its first
+    record and holds one record per state, which bounds a solve by the
+    text's length; else the text parsed."""
+    if text.startswith(_HEAD):
+        try:
+            head, end = json.JSONDecoder().raw_decode(text, len(_HEAD))
+            model = model_from_json(head)
+            k = model.alphabet_size
+            if (text.startswith(_STATES, end) and text.count(
+                    '"counts": [', end) == comb(model.horizon + k, k)):
+                return model, text
+        except (KeyError, TypeError, ValueError, RecursionError):
+            pass  # the whole text is parsed below, which names what is wrong
+    data = _loads(text)
+    return model_from_json(data["model"]), data
+
+
+def _check_record(rec: dict, st: DesignState, f: PwlConcave) -> None:
     """Raise :class:`ExtractionError` naming the state and the field unless
     the record stores exactly the state ``st`` and its cost slice ``f``.
-    Rationals compare by value, as ``n * den == d * num``.  With
-    ``rho_known`` the record's ``rho`` is one that already passed for
-    ``f``, which :func:`_matches` does not compare again.  Only a record
-    that :func:`_matches` does not pass is read field by field, to name
-    the first field that differs."""
-    try:
-        if _matches(rec, st, f, rho_known):
-            return
-    except (AttributeError, LookupError, TypeError, ValueError):
-        pass  # read again below, which raises what the record gets wrong
+    Rationals compare by value, as ``n * den == d * num``; where the
+    writer stores an integer, the value must be one, not a float or a bool
+    that equals it."""
     want = [("z1", rec["z1"], st.z1_num, st.den),
             ("z2", rec["z2"], st.z2_num, st.den),
             ("g", rec["g"], st.g_num, st.g_den)]
@@ -778,58 +800,36 @@ def _check_record(rec: dict, st: DesignState, f: PwlConcave,
             f"{slopes}")
 
 
-def _matches(rec: dict, st: DesignState, f: PwlConcave,
-             rho_known: bool) -> bool:
-    """Whether the record stores ``st`` and ``f``, every rational in the
-    writer's form: the test of :func:`_check_record` without a name or a
-    tuple built per field.  Where the writer stores an integer, the value
-    must be one, not a float or a bool that equals it."""
-    if rec["depth"] != st.depth or type(rec["depth"]) is not int:
-        return False
-    den = st.den
-    if not (_written_as(rec["z1"], st.z1_num, den)
-            and _written_as(rec["z2"], st.z2_num, den)
-            and _written_as(rec["g"], st.g_num, st.g_den)):
-        return False
-    if rho_known:
-        return all(type(seg["slope"]) is int for seg in rec["rho"]["segments"])
-    rho, scale = rec["rho"], f.scale
-    segs = rho["segments"]
-    if len(segs) != len(f.segs) or not (
-            _written_as(rho["value_at_zero"], f.v0, scale)
-            and _written_as(rho["domain_upper"], f.upper, scale)):
-        return False
-    for seg, (s, w) in zip(segs, f.segs):
-        if (seg["slope"] != s or type(seg["slope"]) is not int
-                or not _written_as(seg["width"], w, scale)):
-            return False
-    return True
+def cost_table_from_json(d: str | dict) -> CostTable:
+    """Read a table written by :func:`cost_table_to_json_str`, as its text
+    (see :func:`table_header`) or parsed.
 
-
-def _written_as(text: str, num: int, den: int) -> bool:
-    """Whether ``text`` is some ``n/d`` with d > 0 and n/d == num/den."""
-    n, _, d = text.partition("/")
-    d = int(d)
-    return d > 0 and int(n) * den == d * num
-
-
-def cost_table_from_json(d: dict) -> CostTable:
-    """Read a table written by :func:`cost_table_to_json_str`, parsed.
-
-    The table is the solution of the model in its header, so the reader
-    re-solves that model with :func:`backward_recursion` and requires every
-    stored number to equal the recomputed one by value; a record that
-    differs raises :class:`ExtractionError` naming the state and the field
-    (see :func:`_check_record`; no name is built while records match).
-    The root is checked first, then the other states by (depth, counts).
-    Mirrored states share one slice object (see :class:`CostTable`), and
-    a record whose ``rho`` equals, as parsed JSON, one that already passed
-    for the same object skips the number-by-number slice check; any other
-    record is checked by value, so an edit is named at its own state.
-    Before the solve, the records must reach exactly the header's horizon,
-    number one per state and hold no field beyond the six the writer
-    stores, so an edited horizon costs no solve of its size.
+    The reader solves the model in the table's header once with
+    :func:`backward_recursion` and checks the table against it.  A text in
+    the writer's layout is compared with the writer's text of the solve,
+    piece by piece in place: equal bytes store every number the solve
+    gives, with no parse of the records.  Any other text is parsed, and a
+    parsed table is checked by value: every stored number must equal the
+    recomputed one, else :class:`ExtractionError` names the state and the
+    field (see :func:`_check_record`), the root first, then the states by
+    (depth, counts).  Before a solve of a parsed table, the records must
+    reach exactly the header's horizon, number one per state and hold no
+    field beyond the six the writer stores, so an edited horizon costs no
+    solve of its size.
     """
+    table = None
+    if isinstance(d, str):
+        model, d = table_header(d)
+        if isinstance(d, str):  # in the writer's layout
+            table, pos = backward_recursion(model), 0
+            for piece in _pieces(table):
+                if not d.startswith(piece, pos):
+                    break
+                pos += len(piece)
+            else:
+                if d[pos:] in ("", "\n"):  # `design` ends the file with one
+                    return table
+            d = _loads(d)
     model = model_from_json(d["model"])
     k = model.alphabet_size
     recs = d["states"]
@@ -856,16 +856,12 @@ def cost_table_from_json(d: dict) -> CostTable:
                              f"{', '.join(map(repr, sorted(extra)))}; write "
                              f"the table again with `npkw design`")
         stored[counts] = rec
-    table = backward_recursion(model)
-    passed: dict[int, dict] = {}  # by slice object: a stored rho that matched
+    if table is None or table.model != model:  # a second "model" key
+        table = backward_recursion(model)
     for counts in sorted(table.states, key=lambda c: (sum(c), c)):
         if counts not in stored:
             raise ValueError(f"counts {counts} are not stored")
-        rec, f = stored[counts], table.rho[counts]
-        known = passed.get(id(f))
-        _check_record(rec, table.states[counts], f,
-                      known is not None and rec["rho"] == known)
-        passed.setdefault(id(f), rec["rho"])
+        _check_record(stored[counts], table.states[counts], table.rho[counts])
     return table
 
 
@@ -876,21 +872,42 @@ def _slice_text(f: PwlConcave) -> str:
         f'     {{\n      "slope": {s},\n      "width": "{_ratio_str(w, scale)}"'
         '\n     }' for s, w in f.segs
     )
-    return (f'{{\n    "domain_upper": "{_ratio_str(f.upper, scale)}",\n'
+    upper = "1/1" if f.upper == scale else _ratio_str(f.upper, scale)
+    return (f'{{\n    "domain_upper": "{upper}",\n'
             f'    "segments": [\n{segs}\n    ],\n'
             f'    "value_at_zero": "{_ratio_str(f.v0, scale)}"\n   }}')
 
 
-def _record_text(table: CostTable, counts: tuple[int, ...],
-                 rho_text: str) -> str:
-    st = table.states[counts]
-    counts_text = ",\n".join(f"    {c}" for c in counts)
-    return (f'  {{\n   "counts": [\n{counts_text}\n   ],\n'
-            f'   "depth": {st.depth},\n'
-            f'   "g": "{_ratio_str(st.g_num, st.g_den)}",\n'
-            f'   "rho": {rho_text},\n'
-            f'   "z1": "{_ratio_str(st.z1_num, st.den)}",\n'
-            f'   "z2": "{_ratio_str(st.z2_num, st.den)}"\n  }}')
+def _pieces(table: CostTable) -> Iterator[str]:
+    """The text of :func:`cost_table_to_json_str` in order: the header,
+    then per state its record up to ``rho``, the slice and the rest, then
+    the end.  A state whose mirror comes first takes the mirror's slice
+    text and its z1 and z2 texts swapped (see :class:`CostTable`)."""
+    model = table.model
+    head = model_to_json(model)
+    p1, p2 = (",\n".join(f'   "{v}"' for v in head[key]) for key in ("p1", "p2"))
+    yield (f'{_HEAD}{{\n  "horizon": {model.horizon},\n'
+           f'  "lambda1": "{head["lambda1"]}",\n'
+           f'  "lambda2": "{head["lambda2"]}",\n'
+           f'  "p1": [\n{p1}\n  ],\n  "p2": [\n{p2}\n  ]\n }}{_STATES}')
+    texts: dict[tuple[int, ...], tuple[str, str, str, str]] = {}
+    sep = ""
+    for counts in sorted(table.states, key=lambda c: (sum(c), c)):
+        st = table.states[counts]
+        twin = table.twins.get(counts)
+        if twin is None:
+            g, z1, z2, rho = texts[counts] = (
+                _ratio_str(st.g_num, st.g_den), _ratio_str(st.z1_num, st.den),
+                _ratio_str(st.z2_num, st.den), _slice_text(table.rho[counts]))
+        else:
+            g, z2, z1, rho = texts[twin]
+        counts_text = ",\n    ".join(map(str, counts))
+        yield (f'{sep}  {{\n   "counts": [\n    {counts_text}\n   ],\n'
+               f'   "depth": {st.depth},\n   "g": "{g}",\n   "rho": ')
+        yield rho
+        yield f',\n   "z1": "{z1}",\n   "z2": "{z2}"\n  }}'
+        sep = ",\n"
+    yield "\n ]\n}"
 
 
 def cost_table_to_json_str(table: CostTable) -> str:
@@ -902,25 +919,8 @@ def cost_table_to_json_str(table: CostTable) -> str:
     so the bytes are stable across runs.  A record holds the state (its
     ``counts``, ``depth``, ``z1``, ``z2`` and ``g``) and its cost slice
     ``rho``; the continuation slices, merge pools and thresholds follow from
-    the model and are not stored.  Each distinct slice object is formatted
-    once: mirrored states share one.
+    the model and are not stored.  The text is the join of the pieces
+    :func:`cost_table_from_json` compares a text with; mirrored states
+    share their slice's text.
     """
-    model = table.model
-    slice_texts: dict[int, str] = {}  # by slice object
-
-    def record(counts: tuple[int, ...]) -> str:
-        f = table.rho[counts]
-        text = slice_texts.get(id(f))
-        if text is None:
-            text = slice_texts[id(f)] = _slice_text(f)
-        return _record_text(table, counts, text)
-
-    head = model_to_json(model)
-    p1, p2 = (",\n".join(f'   "{v}"' for v in head[key]) for key in ("p1", "p2"))
-    records = ",\n".join(
-        map(record, sorted(table.states, key=lambda c: (sum(c), c))))
-    return (f'{{\n "model": {{\n  "horizon": {model.horizon},\n'
-            f'  "lambda1": "{head["lambda1"]}",\n'
-            f'  "lambda2": "{head["lambda2"]}",\n'
-            f'  "p1": [\n{p1}\n  ],\n  "p2": [\n{p2}\n  ]\n }},\n'
-            f' "states": [\n{records}\n ]\n}}')
+    return "".join(_pieces(table))

@@ -10,10 +10,10 @@ four policy commands load ``policy`` and ``compare`` loads ``baselines``;
 
 ``design`` and ``compare`` take the model as flags; the other four take
 flags or a ``--table`` from ``design``, never both.  Every input is checked
-before any solve, and every numeric flag is parsed as an exact rational —
-``0.8`` means 4/5, never a binary float.  All outputs are deterministic
-given the flags (plus ``--seed`` for simulate); files are written
-atomically via temp + rename.
+before any solve (a table's records against it, after the other inputs),
+and every numeric flag is an exact rational — ``0.8`` means 4/5, never a
+binary float.  All outputs are deterministic given the flags (plus
+``--seed`` for simulate); files are written atomically via temp + rename.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
@@ -38,7 +38,7 @@ from .bellman import (
     cost_table_to_json_str,
     horizon_roots,
     make_model,
-    model_from_json,
+    table_header,
 )
 from .pwl import decimal_str, pwl_eval, slope_right
 
@@ -124,11 +124,11 @@ _MODEL_FLAGS = ("theta1", "theta2", "pmf1", "pmf2", "lambda", "lambda1",
                 "lambda2", "horizon")
 
 
-def _check(args: argparse.Namespace) -> tuple[NominalModel, Optional[dict]]:
+def _check(args: argparse.Namespace) -> tuple[NominalModel, str | dict | None]:
     """Check every input before any work.  Return the model, from the model
-    flags or from the header of the ``--table`` file, and that file parsed
-    (None for model flags); the ``--probe`` and ``--grid`` texts are
-    replaced by their exact values."""
+    flags or from the header of the ``--table`` file, and that file for the
+    reader (None for model flags; see `_read_header`); the ``--probe`` and
+    ``--grid`` texts are replaced by their exact values."""
     given = [name for name in _MODEL_FLAGS if getattr(args, name) is not None]
     data = None
     if getattr(args, "table", None) is not None:
@@ -228,12 +228,11 @@ def _corrupt(path: str, exc: Exception) -> ExtractionError:
     return ExtractionError(f"cost table {path!r} is corrupt: {exc}")
 
 
-def _read_header(path: str) -> tuple[NominalModel, dict]:
-    """The model a cost table states in its header, and the table parsed."""
+def _read_header(path: str) -> tuple[NominalModel, str | dict]:
+    """The model a cost table's header states, and the table for the reader."""
     try:
         with open(path) as handle:
-            data = json.load(handle)
-        return model_from_json(data["model"]), data
+            return table_header(handle.read())
     except FileNotFoundError as exc:
         raise UsageError(f"no such cost table: {path}") from exc
     except OSError as exc:
@@ -273,7 +272,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _load_table(args: argparse.Namespace, model: NominalModel,
-                data: Optional[dict]) -> CostTable:
+                data: str | dict | None) -> CostTable:
     """The solved design: the recursion on the model, or the ``--table``
     file, whose reader solves the model in its header again."""
     if data is None:

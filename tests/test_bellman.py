@@ -465,6 +465,21 @@ def test_reader_rejects_an_edited_horizon_before_building_states(horizon):
         cost_table_from_json(blob)
 
 
+@pytest.mark.parametrize("horizon", [10**6, 4, 6])
+def test_reader_counts_the_records_of_a_written_text_before_solving(
+        monkeypatch, horizon):
+    # the text is in the writer's layout, with only its horizon edited
+    blob = parsed(backward_recursion(fig_model(5)))
+    blob["model"]["horizon"] = horizon
+
+    def no_solve(_model):
+        raise AssertionError("solved before the records were counted")
+
+    monkeypatch.setattr(bellman, "backward_recursion", no_solve)
+    with pytest.raises(ValueError, match="header gives horizon"):
+        cost_table_from_json(_written(blob))
+
+
 @pytest.mark.parametrize("horizon", [5.0, 2.5, "5", True])
 def test_reader_takes_only_a_json_integer_horizon(horizon):
     # int() once read 2.5 as 2 and "5" as 5, and the model took True as 1
@@ -526,6 +541,22 @@ def test_reader_rejects_missing_and_repeated_states():
     blob["states"][3] = blob["states"][2]
     with pytest.raises(ValueError, match=r"counts \(1, 0\) are stored twice"):
         cost_table_from_json(blob)
+
+
+def _written(blob) -> str:
+    """A parsed table in the writer's layout: `design`'s bytes, unless an
+    edit changed a number."""
+    return json.dumps(blob, sort_keys=True, indent=1) + "\n"
+
+
+def test_reader_reports_json_nested_too_deeply():
+    # the parser's RecursionError once escaped the reader; this text holds
+    # every record, so only the parse after the compare meets the nesting
+    text = cost_table_to_json_str(backward_recursion(fig_model(3)))
+    deep = text[:-len("\n ]\n}")] + ",\n  " + "[" * 100_000 + "\n ]\n}"
+    for bad in (deep, "[" * 100_000):
+        with pytest.raises(ValueError, match="the JSON is nested too deeply"):
+            cost_table_from_json(bad)
 
 
 def test_json_bytes_stable():
@@ -613,6 +644,56 @@ def test_cost_table_text_matches_fraction_recursion_on_the_workloads():
         make_model(["1/2", "1/4", "1/4"], ["1/4", "1/4", "1/2"], 20, 20, 6),
     ):
         _assert_matches_fraction_recursion(model)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.sampled_from([2, 3]),
+    w1=pmf_weights,
+    w2=pmf_weights,
+    mirror=st.booleans(),
+    lam1=st.fractions(min_value=Fraction(1, 5), max_value=40, max_denominator=9),
+    lam2=st.fractions(min_value=Fraction(1, 5), max_value=40, max_denominator=9),
+    horizon=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_a_tables_text_reads_as_the_table_parsed(k, w1, w2, mirror, lam1,
+                                                 lam2, horizon, data):
+    """The text `design` writes is compared with the solve's own text, any
+    other text is parsed and read by value: both give the parsed table's
+    solve, and an edit raises the same error in either form."""
+    w1, w2 = w1[:k], w2[:k]
+    assume(sum(w1) > 0)
+    p1 = [Fraction(w, sum(w1)) for w in w1]
+    if mirror:  # p2 = p1 reversed, with equal weights
+        p2, lam2 = p1[::-1], lam1
+    else:
+        assume(sum(w2) > 0)
+        p2 = [Fraction(w, sum(w2)) for w in w2]
+    assume(p1 != p2)
+    table = backward_recursion(make_model(p1, p2, lam1, lam2, horizon))
+    text = cost_table_to_json_str(table) + "\n"
+    blob = json.loads(text)
+    assert _written(blob) == text
+    read, back = cost_table_from_json(text), cost_table_from_json(blob)
+    for name in ("states", "rho", "z0_star", "pools", "twins"):
+        assert getattr(read, name) == getattr(back, name) == getattr(table, name)
+    assert cost_table_from_json(json.dumps(blob)).rho == table.rho
+    # one stored rational, unreduced or one larger, in the writer's layout
+    rec = data.draw(st.sampled_from(blob["states"]))
+    holder, key = data.draw(st.sampled_from(
+        [(rec, "z1"), (rec, "z2"), (rec, "g"), (rec["rho"], "value_at_zero"),
+         (rec["rho"], "domain_upper")]
+        + [(seg, "width") for seg in rec["rho"]["segments"]]))
+    num, den = map(int, holder[key].split("/"))
+    holder[key] = f"{2 * num}/{2 * den}"
+    assert cost_table_from_json(_written(blob)).rho == table.rho
+    holder[key] = f"{num + 1}/{den}"
+    with pytest.raises(ExtractionError) as by_value:
+        cost_table_from_json(blob)
+    with pytest.raises(ExtractionError) as by_text:
+        cost_table_from_json(_written(blob))
+    assert str(by_text.value) == str(by_value.value)
 
 
 @settings(max_examples=40, deadline=None)

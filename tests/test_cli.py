@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from npkw import baselines, cli
+from npkw import baselines, bellman, cli
 from npkw.bellman import backward_recursion, bernoulli_model, cost_table_to_json_str
 from npkw.cli import main
 from npkw.policy import evaluate, extract_tree
@@ -20,6 +20,8 @@ from npkw.pwl import pwl_eval
 
 MODEL9 = ["--theta1", "0.8", "--theta2", "0.2", "--lambda", "20",
           "--horizon", "9"]
+TERN6 = ["--pmf1", "1/2,1/4,1/4", "--pmf2", "1/4,1/4,1/2", "--lambda", "20",
+         "--horizon", "6"]
 
 
 @pytest.fixture(scope="module")
@@ -402,6 +404,23 @@ def test_verify_names_the_state_of_any_edited_number(table9, tmp_path, capsys,
     assert f"state {tuple(rec['counts'])}: stored " in captured.err
 
 
+@pytest.mark.parametrize("field", ["z1", "z2", "g", "slope", "width",
+                                   "value_at_zero", "domain_upper"])
+def test_verify_names_an_edited_number_in_the_layout_design_writes(
+        table9, tmp_path, capsys, field):
+    # the text is compared with the solve's own, then parsed and read by
+    # value, which names the edit
+    data = json.loads(table9.read_text())
+    rec = data["states"][30]
+    _edit_number(rec, field)
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(data, indent=1) + "\n")
+    assert main(["verify", "--table", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"is corrupt: state {tuple(rec['counts'])}: stored " in captured.err
+
+
 def test_verify_refuses_a_record_with_a_field_it_does_not_store(
         table9, tmp_path, capsys):
     data = json.loads(table9.read_text())
@@ -677,6 +696,47 @@ def test_a_table_that_cannot_be_read_exits_2(tmp_path, no_solve, capsys,
     assert captured.err == (f"error: cannot read cost table {tmp_path}: "
                             "Is a directory\n")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("model", [MODEL9, TERN6], ids=["coin", "ternary"])
+def test_a_table_design_wrote_is_read_without_a_parse_or_a_record_check(
+        tmp_path, monkeypatch, capsys, model):
+    # its text equals the solve's own, which implies every record check
+    path = str(tmp_path / "t.json")
+    assert main(["design", *model, "--out", path]) == 0
+
+    def fail(*_args):
+        raise AssertionError("the table was parsed or checked by value")
+
+    monkeypatch.setattr(bellman, "_check_record", fail)
+    monkeypatch.setattr(bellman, "_loads", fail)
+    assert main(["verify", "--table", path]) == 0
+    assert "verification: PASS" in capsys.readouterr().out
+
+
+def test_a_table_nested_too_deeply_is_corrupt(tmp_path, capsys):
+    # the parser's RecursionError once ended the CLI in a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert main(["verify", "--table", str(deep)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"verification error: cost table {str(deep)!r} "
+                            "is corrupt: the JSON is nested too deeply\n")
+    assert captured.out == ""
+
+
+def test_broken_json_after_every_record_is_found_after_the_options(
+        table9, tmp_path, capsys):
+    # the header and every record are read as `design` wrote them, so a
+    # bad option is reported first (until this reader, the parse of the
+    # whole file failed first, with exit 1)
+    text = table9.read_text()
+    broken = tmp_path / "broken.json"
+    broken.write_text(text[:-len("}\n")])
+    assert main(["tree", "--table", str(broken), "--depth", "0"]) == 2
+    assert capsys.readouterr().err == "error: depth must be at least 1\n"
+    assert main(["tree", "--table", str(broken)]) == 1
+    assert f"cost table {str(broken)!r} is corrupt: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("horizon", [2.5, "9", True])
