@@ -812,10 +812,10 @@ def cost_table_from_json(d: str | dict) -> CostTable:
     parsed table is checked by value: every stored number must equal the
     recomputed one, else :class:`ExtractionError` names the state and the
     field (see :func:`_check_record`), the root first, then the states by
-    (depth, counts).  Before a solve of a parsed table, the records must
-    reach exactly the header's horizon, number one per state and hold no
-    field beyond the six the writer stores, so an edited horizon costs no
-    solve of its size.
+    (depth, counts).  Before any solve the records must number one per
+    state of the header's horizon (a table given parsed must also reach
+    exactly it), so an edited horizon costs no solve of its size; a parsed
+    record may hold no field beyond the six the writer stores.
     """
     table = None
     if isinstance(d, str):
